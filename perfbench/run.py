@@ -3,27 +3,29 @@
 Run from the repository root::
 
     python3 perfbench/run.py                      # all workloads, untraced then traced
-    python3 perfbench/run.py --workload fig3-parallel-cache --seed 7 --seconds 30 --trace 0
+    python3 perfbench/run.py --workload fig3-parallel-cache --seed 7 --seconds 40 --trace 0
     python3 perfbench/run.py --record-reference   # rewrite perfbench/reference.json
 
 One process drives the real CLI closed-loop: one invocation at a time,
 each in a fresh interpreter running ``repro.experiments.runner.main``
-through launch.py, never more than 2 worker processes.  It repeats the
-workload's pass (workloads.py) until ``--seconds`` are used up, at least
-three times, and reports each end-to-end metric as a median over the
-passes (timings per invocation, then summed):
+through launch.py, never more than 2 worker processes.  After one
+untimed import that fills the bytecode cache, it repeats the workload's
+pass (workloads.py) while another pass still fits in ``--seconds``, at
+least MIN_PASSES times.  Each end-to-end metric is a median:
 
-  wall_s       launch to exit, summed over the pass's invocations, warm
-               reruns excluded
+  wall_s       launch to exit: each cold invocation's median over the
+               passes, summed over the pass
   setup_s      interpreter start through ``import
-               repro.experiments.runner``, summed over all invocations
-  rerun_s      the warm reruns; a workload without a cache leaves
+               repro.experiments.runner``: the median over every
+               invocation of the run, since all import the same module,
+               times the pass's invocation count
+  rerun_s      the median warm rerun; a workload without a cache leaves
                nothing to warm, so every pass is a rerun of the one
                before and rerun_s is its wall_s
   peak_rss_mb  the largest resident set of a CLI process or its pool
-               workers, in 10^6 bytes
-  output_mb    bytes the pass leaves on disk, figure JSON plus result
-               cache artifacts, in 10^6 bytes
+               workers, in 10^6 bytes; median over the passes
+  output_mb    bytes a pass leaves on disk, figure JSON plus result
+               cache artifacts, in 10^6 bytes; median over the passes
 
 It also prints cache_mb (artifact bytes after the cold run, exact) and
 error_rate.  error_rate is 0 on a healthy commit, so it cannot be a
@@ -44,6 +46,7 @@ to ``.perfbench/records/``.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import shutil
@@ -73,11 +76,17 @@ END_TO_END = (
     ("output_mb", "MB"),
 )
 
-MIN_PASSES = 3  # a median that can outvote one disturbed pass
-# About four times the slowest invocation on a 2-vCPU machine, so one
-# hung invocation still leaves the run inside its 180 s.
+# A pass of any workload takes 10-12 s on a 2-vCPU machine, so the
+# default --seconds gives three passes there.  A host slower by a fifth
+# gets two: a run keeps its length rather than its sample count.
+MIN_PASSES = 2
+DEFAULT_SECONDS = 40
+# About four times the slowest invocation on a 2-vCPU machine.
 INVOCATION_TIMEOUT_S = 50.0
-DEFAULT_SECONDS = 30
+# A run ends within the 180 s it is allowed even if the program hangs:
+# no invocation outlives this many seconds after the untimed set-up.
+RUN_LIMIT_S = 165.0
+PR_SET_CHILD_SUBREAPER = 36
 
 PROBE = (
     "import json, sys, time\n"
@@ -100,28 +109,47 @@ def child_env() -> dict:
     return env
 
 
+def adopt_orphans() -> None:
+    """Make this process the reaper of its descendants' orphans.
+
+    A CLI that crashes or is killed can leave pool workers behind; as
+    the subreaper the benchmark inherits and waits for them.  Linux
+    only; elsewhere a killed group's workers go to init instead.
+    """
+    try:
+        ctypes.CDLL(None).prctl(PR_SET_CHILD_SUBREAPER, 1, 0, 0, 0)
+    except (OSError, AttributeError):
+        pass
+
+
+def _kill_group(pgid: int) -> None:
+    try:
+        os.killpg(pgid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+
+
 def spawn(argv: List[str], log_dir: Path, env: dict, timeout: float) -> dict:
     """Run ``argv`` to exit: wall time, exit code, peak RSS of its tree.
 
-    The process leads its own session so a timeout kills its pool
-    workers too.  ``os.wait4`` reports the largest resident set of the
-    process and of every descendant it waited for.
+    The process leads its own session.  A timeout kills the session's
+    process group, and whatever of the group outlives the process
+    (pool workers of a crashed CLI) is killed and reaped too.
+    ``os.wait4`` reports the largest resident set of the process and of
+    every descendant it waited for.
     """
     log_dir.mkdir(parents=True, exist_ok=True)
     killed = threading.Event()
 
     def kill(pid: int) -> None:
         killed.set()
-        try:
-            os.killpg(pid, signal.SIGKILL)
-        except ProcessLookupError:
-            pass
+        _kill_group(pid)
 
     with open(log_dir / "stdout.log", "wb") as out, open(log_dir / "stderr.log", "wb") as err:
         start = time.perf_counter()
         proc = subprocess.Popen(argv, stdout=out, stderr=err, env=env, cwd=ROOT,
                                 start_new_session=True)
-        timer = threading.Timer(timeout, kill, (proc.pid,))
+        timer = threading.Timer(max(timeout, 0.0), kill, (proc.pid,))
         timer.start()
         try:
             _, status, usage = os.wait4(proc.pid, 0)
@@ -129,6 +157,12 @@ def spawn(argv: List[str], log_dir: Path, env: dict, timeout: float) -> dict:
             timer.cancel()
         end = time.perf_counter()
     proc.returncode = os.waitstatus_to_exitcode(status)
+    _kill_group(proc.pid)
+    while True:
+        try:
+            os.waitpid(-proc.pid, 0)
+        except ChildProcessError:
+            break
     return {
         "start": start,
         "wall_s": end - start,
@@ -138,10 +172,15 @@ def spawn(argv: List[str], log_dir: Path, env: dict, timeout: float) -> dict:
     }
 
 
-def run_cli(argv: List[str], log_dir: Path, env: dict) -> dict:
+def time_left(deadline: float) -> float:
+    """An invocation's timeout: its own limit, cut to the run's."""
+    return min(INVOCATION_TIMEOUT_S, deadline - time.perf_counter())
+
+
+def run_cli(argv: List[str], log_dir: Path, env: dict, deadline: float) -> dict:
     stamp = log_dir / "stamp.json"
     result = spawn([sys.executable, str(HERE / "launch.py"), str(stamp), *argv],
-                   log_dir, env, INVOCATION_TIMEOUT_S)
+                   log_dir, env, time_left(deadline))
     try:
         marks = json.loads(stamp.read_text())
         result["setup_s"] = marks["imported"] - result["start"]
@@ -162,50 +201,66 @@ def _artifact_bytes(cache: Path) -> int:
     return sum(path.stat().st_size for path in cache.glob("*.npz")) if cache.is_dir() else 0
 
 
-def run_pass(workload: str, seed: int, directory: Path, env: dict) -> List[dict]:
+def run_pass(workload: str, seed: int, directory: Path, env: dict, deadline: float) -> List[dict]:
     cache = directory / "cache"
     results = []
     for invocation in WORKLOADS[workload]:
         out = directory / invocation.label
-        result = run_cli(invocation.argv(seed, out, cache), out, env)
+        result = run_cli(invocation.argv(seed, out, cache), out, env, deadline)
         result["json"] = _read(out / f"{invocation.experiment}.json")
         result["cache_bytes"] = _artifact_bytes(cache)
         results.append(result)
     return results
 
 
-def summarize(workload: str, passes: List[List[dict]]) -> Dict[str, float]:
-    """The metrics of a list of passes (one pass gives that pass's values).
+def samples(workload: str, passes: List[List[dict]]) -> Dict[str, List[float]]:
+    """Each end-to-end metric's samples, on the metric's own scale.
 
-    Timings are medians per invocation over the passes, then summed, so
-    a burst of load on a shared machine that slows one invocation of
-    one pass does not move the result.
+    wall_s has one per pass (the pass's cold invocations summed);
+    setup_s one per invocation, scaled to the pass's invocation count,
+    since every invocation imports the same module; rerun_s one per
+    warm rerun.
     """
     invocations = WORKLOADS[workload]
     cold = [i for i, inv in enumerate(invocations) if not inv.warm]
     warm = [i for i, inv in enumerate(invocations) if inv.warm]
-
-    def timing(key: str, indices) -> float:
-        return sum(
-            statistics.median(results[i][key] or 0.0 for results in passes)
-            for i in indices
-        )
-
-    def median(value) -> float:
-        return statistics.median(value(results) for results in passes)
-
-    wall = timing("wall_s", cold)
+    walls = [sum(results[i]["wall_s"] for i in cold) for results in passes]
     return {
-        "wall_s": wall,
-        "setup_s": timing("setup_s", range(len(invocations))),
-        "rerun_s": timing("wall_s", warm) if warm else wall,
-        "peak_rss_mb": median(lambda results: max(r["rss_mb"] for r in results)),
-        "output_mb": median(lambda results: (
-            sum(len(r["json"] or b"") for r in results) + results[-1]["cache_bytes"]
-        ) / 1e6),
-        "cache_mb": median(lambda results: results[cold[-1]]["cache_bytes"] / 1e6),
-        "main_s": timing("main_s", range(len(invocations))),
+        "wall_s": walls,
+        "setup_s": [len(invocations) * r["setup_s"] for results in passes for r in results
+                    if r["setup_s"] is not None],
+        "rerun_s": [results[i]["wall_s"] for results in passes for i in warm] or walls,
+        "peak_rss_mb": [max(r["rss_mb"] for r in results) for results in passes],
+        "output_mb": [
+            (sum(len(r["json"] or b"") for r in results) + results[-1]["cache_bytes"]) / 1e6
+            for results in passes
+        ],
+        "cache_mb": [results[cold[-1]]["cache_bytes"] / 1e6 for results in passes],
     }
+
+
+def summarize(workload: str, passes: List[List[dict]]) -> Dict[str, float]:
+    """The metrics of a run: medians of samples().
+
+    wall_s is the sum of each cold invocation's median over the passes
+    rather than the median pass, so a burst of load on a shared machine
+    that slows one invocation of one pass does not move it.  main_s,
+    the time inside ``main``, is the base of the traced run's overhead.
+    """
+    invocations = WORKLOADS[workload]
+    values = {name: statistics.median(series) if series else 0.0
+              for name, series in samples(workload, passes).items()}
+
+    def per_invocation(key: str, indices) -> float:
+        return sum(statistics.median(results[i][key] or 0.0 for results in passes)
+                   for i in indices)
+
+    values["wall_s"] = per_invocation(
+        "wall_s", [i for i, inv in enumerate(invocations) if not inv.warm])
+    if not any(inv.warm for inv in invocations):
+        values["rerun_s"] = values["wall_s"]
+    values["main_s"] = per_invocation("main_s", range(len(invocations)))
+    return values
 
 
 def check_passes(workload: str, passes: List[List[dict]], reference: dict) -> List[List[str]]:
@@ -214,19 +269,23 @@ def check_passes(workload: str, passes: List[List[dict]], reference: dict) -> Li
     first = passes[0]
     verdicts = []
     for k, results in enumerate(passes):
+        cold = None
         for i, (invocation, result) in enumerate(zip(invocations, results)):
             problems = []
             if result["timed_out"]:
-                problems.append(f"timed out after {INVOCATION_TIMEOUT_S:.0f} s")
+                problems.append("timed out")
             elif result["rc"] != 0:
                 problems.append(f"exit code {result['rc']}")
             data = result["json"]
+            if not invocation.warm:
+                cold = data
             if data is None:
                 problems.append("wrote no JSON")
             elif k and data != first[i]["json"]:
                 problems.append("JSON differs from pass 1's at the same seed")
-            elif invocation.warm and data != results[i - 1]["json"]:
-                problems.append("warm rerun's JSON differs from the cold run's")
+            elif invocation.warm:
+                if data != cold:
+                    problems.append("warm rerun's JSON differs from the cold run's")
             elif k == 0:
                 expected = reference["outputs"][f"{workload}/{invocation.experiment}"]
                 problems += gate.check(invocation.experiment, invocation.preset, data, expected)
@@ -234,7 +293,8 @@ def check_passes(workload: str, passes: List[List[dict]], reference: dict) -> Li
     return verdicts
 
 
-def run_traced(workload: str, seed: int, directory: Path, env: dict) -> dict:
+def run_traced(workload: str, seed: int, directory: Path, env: dict,
+               deadline: Optional[float] = None) -> dict:
     """One traced pass in traced.py; its spans and outputs."""
     spans = directory / "spans"
     spans.mkdir(parents=True)
@@ -248,8 +308,10 @@ def run_traced(workload: str, seed: int, directory: Path, env: dict) -> dict:
         ],
     }
     (directory / "plan.json").write_text(json.dumps(plan))
+    if deadline is None:
+        deadline = time.perf_counter() + INVOCATION_TIMEOUT_S
     proc = spawn([sys.executable, str(HERE / "traced.py"), str(directory / "plan.json")],
-                 directory, env, INVOCATION_TIMEOUT_S)
+                 directory, env, time_left(deadline))
     try:
         outcome = json.loads((directory / "traced.json").read_text())
     except (OSError, ValueError):
@@ -343,20 +405,22 @@ def measure(workload: str, seed: int, seconds: float, trace: bool, env: dict,
     # Fills the bytecode cache before anything is timed; users do not
     # pay that on every run.
     versions = python_probe(directory / "warmup", env, importtime=False)
-    passes: List[List[dict]] = []
     start = time.perf_counter()
+    deadline = start + RUN_LIMIT_S
+    passes: List[List[dict]] = []
     while True:
         pass_dir = directory / f"pass{len(passes) + 1}"
-        results = run_pass(workload, seed, pass_dir, env)
+        results = run_pass(workload, seed, pass_dir, env, deadline)
         passes.append(results)
         if all(r["rc"] == 0 for r in results):
             shutil.rmtree(pass_dir)
-        elapsed = time.perf_counter() - start
-        if len(passes) >= MIN_PASSES and elapsed * (len(passes) + 1) / len(passes) > seconds:
+        now = time.perf_counter()
+        # Start another pass only if an average one still ends in time.
+        next_end = now + (now - start) / len(passes)
+        if (len(passes) >= MIN_PASSES and next_end > start + seconds) or now > deadline:
             break
     verdicts = check_passes(workload, passes, reference)
-    per_pass = [summarize(workload, [results]) for results in passes]
-    medians = summarize(workload, passes)
+    values = summarize(workload, passes)
     record = {
         "provenance": {
             "git_sha": git_sha(),
@@ -368,18 +432,19 @@ def measure(workload: str, seed: int, seconds: float, trace: bool, env: dict,
             "seed": seed,
         },
         "workload": workload,
-        "passes": per_pass,
-        "end_to_end": {name: medians[name] for name, _ in END_TO_END},
-        "cache_mb": medians["cache_mb"],
+        "passes": len(passes),
+        "samples": samples(workload, passes),
+        "end_to_end": {name: values[name] for name, _ in END_TO_END},
+        "cache_mb": values["cache_mb"],
     }
     if trace:
         probe = python_probe(directory / "probe", env, importtime=True)
-        traced = run_traced(workload, seed, directory / "traced", env)
+        traced = run_traced(workload, seed, directory / "traced", env, deadline)
         verdicts += check_traced(traced, passes[0], workload)
         driver = traced["outcome"]["driver_pid"]
-        values = layers.layer_metrics(traced["by_pid"], probe, medians["main_s"])
-        record["per_layer"] = values
-        record["skipped_layers"] = layers.skipped_layers(values)
+        metrics = layers.layer_metrics(traced["by_pid"], probe, values["main_s"])
+        record["per_layer"] = metrics
+        record["skipped_layers"] = layers.skipped_layers(metrics)
         record["table"] = layers.wall_clock(traced["by_pid"], driver)
         if traced["proc"]["rc"] == 0:
             shutil.rmtree(directory / "traced")
@@ -394,19 +459,19 @@ def measure(workload: str, seed: int, seconds: float, trace: bool, env: dict,
 
 def report(record: dict) -> str:
     """The human-readable report of one workload's record."""
-    passes = record["passes"]
     lines = [
-        f"== {record['workload']}: {len(passes)} passes, "
+        f"== {record['workload']}: {record['passes']} passes, "
         f"{record['attempted']} invocations, {record['failed']} failed",
         f"  {'metric':<14}{'median':>12}  {'unit':<8}{'n':>3}  tail",
     ]
     units = dict(END_TO_END)
     for name, value in record["end_to_end"].items():
-        tail = tail_percentile([p[name] for p in passes])
+        values = record["samples"][name]
+        tail = tail_percentile(values)
         shown = f"p{tail[0]:.0f} {tail[1]:.4f}" if tail else "- (needs more than 10 samples)"
-        lines.append(f"  {name:<14}{value:>12.4f}  {units[name]:<8}{len(passes):>3}  {shown}")
+        lines.append(f"  {name:<14}{value:>12.4f}  {units[name]:<8}{len(values):>3}  {shown}")
     lines.append(f"  {'cache_mb':<14}{record['cache_mb']:>12.4f}  {'MB':<8}"
-                 f"{len(passes):>3}  (artifact bytes after the cold run)")
+                 f"{record['passes']:>3}  (artifact bytes after the cold run)")
     rate = record["failed"] / record["attempted"]
     lines.append(f"  {'error_rate':<14}{rate:>12.4f}  {'fraction':<8}"
                  f"     ({record['failed']} of {record['attempted']} invocations)")
@@ -435,7 +500,9 @@ def record_reference(env: dict) -> int:
     for workload, invocations in WORKLOADS.items():
         directory = WORK / f"reference-{workload}"
         shutil.rmtree(directory, ignore_errors=True)
-        for invocation, result in zip(invocations, run_pass(workload, DEFAULT_SEED, directory, env)):
+        deadline = time.perf_counter() + RUN_LIMIT_S
+        results = run_pass(workload, DEFAULT_SEED, directory, env, deadline)
+        for invocation, result in zip(invocations, results):
             if result["rc"] != 0 or result["json"] is None:
                 print(f"perfbench: {workload}/{invocation.label} failed; see {directory}",
                       file=sys.stderr)
@@ -470,6 +537,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("perfbench: src/repro not found; run from the repository root",
               file=sys.stderr)
         return 2
+    adopt_orphans()
     env = child_env()
     if args.record_reference:
         return record_reference(env)

@@ -18,7 +18,9 @@ import json
 import os
 import re
 import shutil
+import statistics
 import sys
+import time
 import unittest
 
 import gate
@@ -126,6 +128,56 @@ class GateTest(unittest.TestCase):
         self.assertTrue(problems[0].startswith("unparsable JSON"))
 
 
+class SummaryTest(unittest.TestCase):
+    @staticmethod
+    def result(wall, setup, rss=100.0, cache=0):
+        return {"wall_s": wall, "setup_s": setup, "main_s": wall - setup,
+                "rss_mb": rss, "json": b"{}", "cache_bytes": cache}
+
+    def test_fig3_medians(self):
+        # cold, warm1, warm2 per pass; one pass slowed down across the board
+        mb = 10**6
+        passes = [
+            [self.result(9.0, 1.0, cache=mb), self.result(1.5, 1.1, cache=mb),
+             self.result(1.4, 1.2, cache=mb)],
+            [self.result(8.0, 1.3, cache=mb), self.result(1.3, 1.0, cache=mb),
+             self.result(1.6, 1.1, cache=mb)],
+            [self.result(20.0, 2.0, rss=200.0, cache=mb), self.result(3.0, 2.5, cache=mb),
+             self.result(3.1, 2.6, cache=mb)],
+        ]
+        values = run.summarize("fig3-parallel-cache", passes)
+        self.assertEqual(values["wall_s"], 9.0)
+        self.assertEqual(values["rerun_s"], statistics.median([1.5, 1.4, 1.3, 1.6, 3.0, 3.1]))
+        # nine timed set-ups, three invocations a pass
+        self.assertAlmostEqual(values["setup_s"], 3 * 1.2)
+        self.assertEqual(values["peak_rss_mb"], 100.0)
+        self.assertEqual(values["cache_mb"], 1.0)
+        self.assertEqual(values["output_mb"], 1.000006)
+
+    def test_cacheless_rerun_is_the_wall_time(self):
+        passes = [[self.result(wall, 1.0)] for wall in (11.0, 10.0, 12.5)]
+        values = run.summarize("fig2-serial", passes)
+        self.assertEqual(values["wall_s"], 11.0)
+        self.assertEqual(values["rerun_s"], 11.0)
+        self.assertEqual(values["cache_mb"], 0.0)
+
+
+class SpawnTest(unittest.TestCase):
+    def test_timeout_kills_and_reaps_the_whole_group(self):
+        run.adopt_orphans()
+        directory = run.WORK / f"selftest-spawn-{os.getpid()}"
+        # A process that forks a child; both would sleep for a minute.
+        code = "import os, time\nprint(os.getpid(), flush=True)\nos.fork()\ntime.sleep(60)\n"
+        start = time.perf_counter()
+        result = run.spawn([sys.executable, "-c", code], directory, run.child_env(), 1.0)
+        self.assertLess(time.perf_counter() - start, 10.0)
+        self.assertTrue(result["timed_out"])
+        pgid = int((directory / "stdout.log").read_text().split()[0])
+        shutil.rmtree(directory)
+        with self.assertRaises(ProcessLookupError):
+            os.killpg(pgid, 0)
+
+
 class AttributionTest(unittest.TestCase):
     # cli [0, 10] > experiments [1, 9] > sim.engine [2, 8] > sim.kernels [3, 7],
     # plus an event and a detached interval, which take no time.
@@ -187,8 +239,11 @@ class WrapperTest(unittest.TestCase):
         self.assertGreater(values["sim.persistence.save_s"], 0)
         self.assertGreater(values["sim.persistence.load_s"], 0)
         self.assertEqual(table["invocations"]["fig3-cold"]["cache_puts"], 20)
-        self.assertEqual(table["invocations"]["fig3-warm"]["cache_hits"], 20)
-        self.assertEqual(table["invocations"]["fig3-warm"]["cache_puts"], 0)
+        self.assertEqual(table["invocations"]["fig3-cold"]["cache_hits"], 0)
+        for invocation in WORKLOADS["fig3-parallel-cache"][1:]:
+            self.assertTrue(invocation.warm)
+            self.assertEqual(table["invocations"][invocation.label]["cache_hits"], 20)
+            self.assertEqual(table["invocations"][invocation.label]["cache_puts"], 0)
 
     def test_ci_suite_runs_every_experiment(self):
         values, table = self.traced("ci-suite")

@@ -2,9 +2,12 @@
 
 A pass is the unit the benchmark repeats and times.  Every invocation
 in it is one ``repro-experiments`` command line.  ``warm`` marks an
-invocation that re-runs the one before it against the result cache
-that one filled; ``rerun_s`` times those instead of ``wall_s``.
-BENCHMARK.json records why each workload was chosen.
+invocation that re-runs the last cold one against the result cache
+that one filled; ``rerun_s`` times those instead of ``wall_s``.  A
+warm rerun is mostly interpreter start and import, whose single
+samples vary by up to a third on a shared host, so each cold run is
+followed by WARM_RERUNS of them.  BENCHMARK.json records why each
+workload was chosen.
 """
 
 from __future__ import annotations
@@ -40,12 +43,16 @@ class Invocation:
 
 
 _FIG3_FLAGS = ("--workers", "2", "--cache", "{cache}")
+WARM_RERUNS = 2
 
 WORKLOADS = {
     "fig2-serial": (Invocation("fig2", "fig2", "default"),),
     "fig3-parallel-cache": (
         Invocation("fig3-cold", "fig3", "default", _FIG3_FLAGS),
-        Invocation("fig3-warm", "fig3", "default", _FIG3_FLAGS, warm=True),
+        *(
+            Invocation(f"fig3-warm{k}", "fig3", "default", _FIG3_FLAGS, warm=True)
+            for k in range(1, WARM_RERUNS + 1)
+        ),
     ),
     "ci-suite": tuple(Invocation(key, key, "ci") for key in CI_EXPERIMENTS),
 }

@@ -1,10 +1,17 @@
 """Packaging for the SIGMOD 2021 blockchain-fairness reproduction."""
 
 import pathlib
+import re
 
 from setuptools import find_packages, setup
 
 _HERE = pathlib.Path(__file__).parent
+# Read, not imported: importing repro needs its dependencies installed.
+_VERSION = re.search(
+    r'^__version__ = "([^"]+)"$',
+    (_HERE / "src" / "repro" / "__init__.py").read_text(),
+    re.MULTILINE,
+).group(1)
 _LONG_DESCRIPTION = (
     "A reproduction of 'Do the Rich Get Richer? Fairness Analysis for "
     "Blockchain Incentives' (SIGMOD 2021): executable incentive models "
@@ -17,7 +24,7 @@ _LONG_DESCRIPTION = (
 
 setup(
     name="repro-blockchain-fairness",
-    version="1.6.0",
+    version=_VERSION,
     description=(
         "Fairness analysis for blockchain incentives — SIGMOD 2021 "
         "reproduction"
@@ -29,7 +36,7 @@ setup(
     packages=find_packages("src"),
     package_dir={"": "src"},
     python_requires=">=3.8",
-    install_requires=["numpy>=1.20"],
+    install_requires=["numpy>=1.20", "scipy>=1.6"],
     extras_require={
         "test": ["pytest", "hypothesis", "pytest-benchmark"],
     },

@@ -47,7 +47,7 @@ from .core import (
 from .runtime import ParallelRunner, ResultCache, SimulationSpec
 from .sim import MonteCarloEngine, RandomSource, simulate
 
-__version__ = "1.1.0"
+__version__ = "1.7.0"
 
 __all__ = [
     "analysis",

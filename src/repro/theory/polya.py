@@ -25,11 +25,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-from scipy import stats
-from scipy.special import betaln, gammaln
 
 from .._validation import (
     ensure_fraction,
@@ -37,6 +35,9 @@ from .._validation import (
     ensure_positive_float,
     ensure_positive_int,
 )
+
+if TYPE_CHECKING:
+    from scipy import stats
 
 __all__ = [
     "PolyaUrn",
@@ -108,6 +109,8 @@ class PolyaUrn:
 
     def limit_distribution(self) -> stats.rv_continuous:
         """The almost-sure Beta limit of the white draw fraction."""
+        from scipy import stats
+
         return stats.beta(
             self.white / self.reinforcement, self.black / self.reinforcement
         )
@@ -130,6 +133,8 @@ def ml_pos_limit_distribution(share: float, reward: float):
     -------
     scipy.stats frozen distribution.
     """
+    from scipy import stats
+
     share = ensure_fraction("share", share)
     reward = ensure_positive_float("reward", reward)
     return stats.beta(share / reward, (1.0 - share) / reward)
@@ -170,6 +175,8 @@ def pow_fair_probability(share: float, n: int, epsilon: float) -> float:
     ``ceil(...) - 1`` so that the lower endpoint itself is *included*,
     i.e. we compute ``Pr[(1-e)a <= lambda_A <= (1+e)a]`` exactly.
     """
+    from scipy import stats
+
     share = ensure_fraction("share", share)
     n = ensure_positive_int("n", n)
     epsilon = ensure_non_negative_float("epsilon", epsilon)
@@ -207,6 +214,8 @@ def ml_pos_block_count_pmf(
     -------
     numpy.ndarray of probabilities (same shape as ``k``).
     """
+    from scipy.special import betaln, gammaln
+
     share = ensure_fraction("share", share)
     reward = ensure_positive_float("reward", reward)
     n = ensure_positive_int("n", n)

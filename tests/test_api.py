@@ -1,13 +1,28 @@
 """Tests of the top-level public API surface."""
 
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 import repro
 
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
 
 class TestPublicSurface:
     def test_version(self):
-        assert repro.__version__ == "1.1.0"
+        """setup.py reads its version from ``repro.__version__``."""
+        completed = subprocess.run(
+            [sys.executable, "setup.py", "--version"],
+            cwd=ROOT,
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+        )
+        assert completed.stdout.strip().splitlines()[-1] == repro.__version__
 
     def test_subpackages_exposed(self):
         for name in ("core", "protocols", "sim", "theory", "analysis", "runtime"):
@@ -74,9 +89,7 @@ class TestExamplesCompile:
         ],
     )
     def test_example_compiles(self, script):
-        import pathlib
-
-        path = pathlib.Path(__file__).resolve().parent.parent / "examples" / script
+        path = ROOT / "examples" / script
         source = path.read_text()
         compile(source, str(path), "exec")
         assert '"""' in source  # every example carries a doc header

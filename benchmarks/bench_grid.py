@@ -12,7 +12,7 @@ so the dispatch-cost trajectory is recorded in-repo.
 Standalone (the acceptance report; writes the JSON)::
 
     PYTHONPATH=src python benchmarks/bench_grid.py
-        [--workers 8] [--trials N] [--horizon N] [--backend processes]
+        [--workers 8] [--trials N] [--horizon N]
         [--output BENCH_grid.json]
 
 CI sanity check (~seconds; asserts batched dispatch no slower than
@@ -68,7 +68,6 @@ def measure_grid(
     workers: int,
     trials: int = DEFAULT_TRIALS,
     horizon: int = DEFAULT_HORIZON,
-    backend: str = "processes",
 ) -> Dict[str, object]:
     """Time a per-cell dispatch loop vs one batched grid dispatch.
 
@@ -77,7 +76,7 @@ def measure_grid(
     reported.
     """
     specs = figure3_grid(trials, horizon)
-    runner = ParallelRunner(workers=workers, backend=backend)
+    runner = ParallelRunner(workers=workers)
 
     start = time.perf_counter()
     per_cell = [runner.run(spec) for spec in specs]
@@ -105,7 +104,6 @@ def measure_grid(
             )
     return {
         "workers": workers,
-        "backend": backend,
         "cells": len(specs),
         "trials_per_cell": trials,
         "horizon": horizon,
@@ -120,7 +118,6 @@ def collect(
     workers: int,
     trials: int = DEFAULT_TRIALS,
     horizon: int = DEFAULT_HORIZON,
-    backend: str = "processes",
 ) -> Dict[str, object]:
     return {
         "schema": "bench_grid/v1",
@@ -131,7 +128,7 @@ def collect(
         "seed": SEED,
         "grid": "figure3 (4 protocols x 5 shares)",
         "results": {
-            f"workers_{workers}": measure_grid(workers, trials, horizon, backend)
+            f"workers_{workers}": measure_grid(workers, trials, horizon)
         },
     }
 
@@ -173,9 +170,6 @@ def main(argv=None) -> int:
     parser.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     parser.add_argument("--horizon", type=int, default=DEFAULT_HORIZON)
     parser.add_argument(
-        "--backend", default="processes", choices=["processes", "threads"]
-    )
-    parser.add_argument(
         "--output", default="BENCH_grid.json",
         help="where to write the JSON report (default: BENCH_grid.json)",
     )
@@ -183,13 +177,12 @@ def main(argv=None) -> int:
         "--smoke", action="store_true",
         help="fast sanity check: assert the batched grid dispatch is no "
         "slower than per-cell, no JSON written; pins workers=4 and a "
-        "small grid but honors --backend",
+        "small grid",
     )
     args = parser.parse_args(argv)
 
     if args.smoke:
-        row = measure_grid(workers=4, trials=200, horizon=150,
-                           backend=args.backend)
+        row = measure_grid(workers=4, trials=200, horizon=150)
         print(
             f"grid smoke: per-cell {row['per_cell_seconds']:.2f}s, "
             f"batched {row['batched_seconds']:.2f}s "
@@ -201,7 +194,7 @@ def main(argv=None) -> int:
         print("PASS")
         return 0
 
-    report = collect(args.workers, args.trials, args.horizon, args.backend)
+    report = collect(args.workers, args.trials, args.horizon)
     print(render(report))
     with open(args.output, "w") as handle:
         json.dump(report, handle, indent=2)

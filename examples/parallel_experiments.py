@@ -25,12 +25,10 @@ Demonstrates the ways to use the runtime layer:
    hot loop with its ``fast=False`` escape hatch (the system-side
    analogue of ``kernel="naive"`` — bit-identical either way),
 
-7. the streaming shard merge (``stream=True``, the default, the CLI's
-   ``--stream``/``--no-stream``): shard results fold into the merged
+7. the streaming shard merge: shard results fold into the merged
    ensemble as they complete instead of piling up for a terminal
    merge, so a 100k-trial run peaks near ONE merged ensemble in
-   memory instead of two — bit-identical to the batch path, same
-   cache artifacts,
+   memory — bit-identical to merging every shard at once,
 
 8. runtime telemetry (``repro.obs``, the CLI's ``--trace PATH`` and
    ``--metrics``): install an ambient span tracer + metrics registry
@@ -46,8 +44,8 @@ Demonstrates the ways to use the runtime layer:
    ``--shard-timeout SECONDS`` and ``--resume``): shards are
    idempotent pure functions of the plan, so transient failures —
    flaky task errors, hung workers, crashed worker processes — are
-   retried with deterministic backoff, per-shard deadlines abandon or
-   kill stuck workers (respawning dead pools, degrading to serial with
+   retried with deterministic backoff, per-shard deadlines kill stuck
+   workers (respawning dead pools, degrading to serial with
    a loud warning only when a pool is unrecoverable), and a JSONL
    journal next to the cache checkpoints per-spec shard completion so
    a killed grid resumes recomputing only what was never journaled.
@@ -77,15 +75,13 @@ Demonstrates the ways to use the runtime layer:
     — and the figure-facing numbers (unfair-probability series at the
     recorded epsilon, win/monopolisation counters) are bit-identical
     to full mode at the same shard plan.  ``reduce`` is a *physics*
-    knob: unlike ``kernel``/``fast``/``stream`` it enters cache
+    knob: unlike ``kernel``/``fast``/``workers`` it enters cache
     fingerprints, so the two artifact shapes never share an entry.
 
 How the knobs compose: the kernel attacks per-round *depth*, workers
 attack ensemble *breadth*.  Start with ``workers=1`` + the default
-batched kernel; once a single run takes seconds, add workers — with
-``backend="threads"`` for small/medium specs (the fused NumPy kernels
-release the GIL, and threads skip pickling and process spawn) or
-``backend="processes"`` for large shards and Python-bound protocols.
+batched kernel; once a single run takes seconds, add workers, which
+fan shards out across a process pool.
 
 Run:  python examples/parallel_experiments.py
 """
@@ -202,16 +198,6 @@ def main() -> None:
     print(f"kernel='naive' {naive_s:.2f}s vs batched {batched_s:.2f}s "
           f"({naive_s / batched_s:.1f}x), bit-identical = {identical}")
 
-    # Threads compose with the kernels: the fused dispatches release
-    # the GIL, so a thread pool scales without pickling anything.
-    # (backend requires workers > 1 — simulate raises rather than
-    # silently ignoring the knob on an in-process run.)
-    if WORKERS > 1:
-        threaded = game.simulate(horizon=3000, trials=4000, seed=3,
-                                 workers=WORKERS, backend="threads")
-        print(f"threads backend at workers={WORKERS}: "
-              f"trials={threaded.trials}")
-
     # 6. The system path: node-level repeats batched like a figure
     #    grid.  SystemSpecs for several protocols go to the pool in ONE
     #    run_system_many dispatch (this is what fig2/fig6 do through
@@ -251,14 +237,13 @@ def main() -> None:
           f"{fast_s:.2f}s ({naive_s / fast_s:.1f}x), "
           f"bit-identical = {identical}")
 
-    # 7. Streaming merge on a large ensemble: the batch path holds
-    #    every shard result AND the concatenated ensemble at its peak;
-    #    streaming preallocates the merged arrays once and folds each
+    # 7. Streaming merge on a large ensemble: collecting every shard
+    #    result and then concatenating would hold both at its peak;
+    #    the runner preallocates the merged arrays once and folds each
     #    shard as it completes (out-of-order completions wait in a
     #    bounded reorder buffer), so peak memory stays near one merged
     #    ensemble no matter how many shards the run splits into.  This
-    #    is what `repro-experiments fig3 --workers 4 --stream` does —
-    #    streaming is the default; `--no-stream` restores the old path.
+    #    is what every `repro-experiments fig3 --workers 4` run does.
     import tracemalloc
 
     big = SimulationSpec(
@@ -269,17 +254,14 @@ def main() -> None:
         checkpoints=tuple(range(20, 220, 20)),
         seed=2021,
     )
-    peaks = {}
-    for label, stream in (("batch", False), ("stream", True)):
-        tracemalloc.start()
-        result = ParallelRunner(workers=1, stream=stream).run(big, shards=32)
-        _, peaks[label] = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-    print(f"100k-trial ensemble, 32 shards: batch peak "
-          f"{peaks['batch'] / 1e6:.0f} MB vs streaming peak "
-          f"{peaks['stream'] / 1e6:.0f} MB "
-          f"({peaks['stream'] / peaks['batch']:.2f}x, same bits, "
-          f"{result.trials} trials)")
+    tracemalloc.start()
+    result = ParallelRunner(workers=1).run(big, shards=32)
+    _, stream_peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    merged_bytes = result.reward_fractions.nbytes + result.terminal_stakes.nbytes
+    print(f"100k-trial ensemble, 32 shards: streaming peak "
+          f"{stream_peak / 1e6:.0f} MB for a {merged_bytes / 1e6:.0f} MB "
+          f"merged ensemble ({result.trials} trials)")
 
     # 8. Telemetry: wrap any run in an ambient tracer + metrics
     #    registry and every layer underneath reports in — the runner
@@ -441,7 +423,7 @@ def main() -> None:
     except TypeError:
         refused = True
     print(f"reduce='stats' on the 100k-trial ensemble: peak "
-          f"{stats_peak / 1e6:.0f} MB (vs {peaks['stream'] / 1e6:.0f} MB "
+          f"{stats_peak / 1e6:.0f} MB (vs {stream_peak / 1e6:.0f} MB "
           f"streaming full mode), unfair series bit-identical = "
           f"{series_identical}, trajectory access refused = {refused}")
 

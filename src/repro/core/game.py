@@ -222,14 +222,12 @@ class MiningGame:
         record_terminal_stakes: bool = True,
         workers: int = 1,
         cache=None,
-        backend: Optional[str] = None,
         kernel: str = "batched",
     ) -> EnsembleResult:
         """Run the Monte Carlo engine and return the raw ensemble result.
 
-        ``workers`` > 1 shards the ensemble via
-        :class:`repro.runtime.ParallelRunner` (``backend`` picks
-        processes or threads); ``cache`` (a directory or
+        ``workers`` > 1 shards the ensemble across a process pool via
+        :class:`repro.runtime.ParallelRunner`; ``cache`` (a directory or
         :class:`repro.runtime.ResultCache`) memoises the merged result
         under the spec's content address.  ``events`` and
         ``record_terminal_stakes`` are forwarded on *both* the serial
@@ -261,17 +259,7 @@ class MiningGame:
                 record_terminal_stakes=record_terminal_stakes,
                 kernel=kernel,
             )
-            runner = ParallelRunner(
-                workers=workers,
-                cache=cache,
-                backend="processes" if backend is None else backend,
-            )
-            return runner.run(spec)
-        if backend is not None:
-            raise ValueError(
-                "backend requires workers > 1 or cache; at workers=1 the "
-                "run is in-process — drop the backend knob or add workers"
-            )
+            return ParallelRunner(workers=workers, cache=cache).run(spec)
         from ..sim.engine import MonteCarloEngine
 
         engine = MonteCarloEngine(
@@ -298,7 +286,6 @@ class MiningGame:
         record_terminal_stakes: bool = True,
         workers: int = 1,
         cache=None,
-        backend: Optional[str] = None,
         kernel: str = "batched",
     ) -> FairnessReport:
         """Simulate and return a full fairness report for the focal miner.
@@ -316,7 +303,6 @@ class MiningGame:
             record_terminal_stakes=record_terminal_stakes,
             workers=workers,
             cache=cache,
-            backend=backend,
             kernel=kernel,
         )
         share = self.allocation.focal_share

@@ -76,12 +76,11 @@ def run_simulation_grid(
     :class:`~repro.runtime.ParallelRunner` is configured
     (``--workers``/``--cache``), every uncached shard of the whole grid
     goes to the pool in a single dispatch via
-    :meth:`~repro.runtime.ParallelRunner.run_many` — by default with
-    the streaming merge (the CLI's ``--stream``/``--no-stream``): each
-    cell's shards fold as they complete and the cell's artifact is
-    cached the moment its last shard lands, so grid-wide peak memory
-    holds ``O(workers)`` shard results rather than every shard of
-    every cell.  Otherwise cells run serially in-process.
+    :meth:`~repro.runtime.ParallelRunner.run_many`: each cell's
+    shards fold as they complete and the cell's artifact is cached the
+    moment its last shard lands, so grid-wide peak memory holds
+    ``O(workers)`` shard results rather than every shard of every
+    cell.  Otherwise cells run serially in-process.
     """
     from ..runtime.context import get_default_runtime
     from ..runtime.spec import SimulationSpec

@@ -31,7 +31,7 @@ from ..obs import (
     using_metrics,
     using_tracer,
 )
-from ..runtime import EXECUTOR_BACKENDS, ParallelRunner, using_runtime
+from ..runtime import ParallelRunner, using_runtime
 from .config import get_preset
 from .registry import EXPERIMENTS, get_experiment
 
@@ -110,33 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
         "never changes results or cache keys",
     )
     parser.add_argument(
-        "--backend",
-        default=None,
-        choices=list(EXECUTOR_BACKENDS),
-        help="how --workers fan out: OS processes (default), or "
-        "threads — cheaper start-up and no pickling, but measured "
-        "slower than serial on 2 vCPUs (fig3 default preset, 2 "
-        "workers: 10.2-10.8 s vs 7.4 s serial).  Requires --workers > 1 "
-        "or --cache",
-    )
-    parser.add_argument(
-        "--stream",
-        dest="stream",
-        action="store_true",
-        default=None,
-        help="fold shard results as they complete (the default): peak "
-        "memory stays O(workers) shard results instead of O(shards), "
-        "bit-identical to the batch merge.  Requires --workers > 1 "
-        "or --cache",
-    )
-    parser.add_argument(
-        "--no-stream",
-        dest="stream",
-        action="store_false",
-        help="collect every shard result before merging (the "
-        "pre-streaming path; same bits, higher peak memory)",
-    )
-    parser.add_argument(
         "--reduce",
         default="full",
         choices=["full", "stats"],
@@ -144,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
         "trial's trajectory; 'stats' folds shards straight into "
         "mergeable sufficient statistics, so figure-scale series come "
         "out in bounded memory at population-scale trial counts.  A "
-        "physics knob — unlike --backend/--stream it enters cache "
+        "physics knob — unlike --workers/--retries it enters cache "
         "fingerprints, so the two modes never share cache entries",
     )
     parser.add_argument(
@@ -164,10 +137,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="per-shard deadline: a worker that exceeds it is "
-        "abandoned (threads) or its pool respawned (processes) and "
-        "the shard counted as a transient failure, retryable under "
-        "--retries.  Requires --workers > 1 or --cache",
+        help="per-shard deadline: a worker process that exceeds it "
+        "is killed, its pool respawned, and the shard counted as a "
+        "transient failure, retryable under --retries.  Requires "
+        "--workers > 1 or --cache",
     )
     parser.add_argument(
         "--resume",
@@ -222,10 +195,10 @@ class _ShardProgress:
     A whole figure grid goes through a single pool dispatch, so the
     line counts shards across every cell of the grid; it is rewritten
     in place (carriage return) and finished with a newline when the
-    dispatch completes.  On the (default) streaming path the count is
-    of *merged* shards — the plan-order fold cursor — not dispatched
-    ones, so ``k`` can never overshoot ``N`` when a shard fails
-    mid-grid and the completed specs are salvaged.
+    dispatch completes.  The count is of *merged* shards — the
+    plan-order fold cursor — not dispatched ones, so ``k`` can never
+    overshoot ``N`` when a shard fails mid-grid and the completed specs
+    are salvaged.
 
     Retried shards never double-count: ``k`` advances once per shard's
     *final* outcome, while retries accumulate in a separate tally that
@@ -311,16 +284,8 @@ def _build_runtime(args) -> Optional[ParallelRunner]:
         # --reduce stats is excepted: the serial fallback would
         # silently ignore the knob, so it always gets a runner (the
         # runtime path is where stats shards are produced and merged).
-        if args.backend is not None:
-            # Mirror MiningGame.simulate: raise rather than silently
-            # dropping a knob that cannot take effect in-process.
-            raise SystemExit(
-                "--backend requires --workers > 1 or --cache"
-            )
-        if args.stream is not None:
-            raise SystemExit(
-                "--stream/--no-stream requires --workers > 1 or --cache"
-            )
+        # Raise rather than silently dropping a knob that cannot take
+        # effect on the in-process path.
         if args.retries is not None:
             raise SystemExit("--retries requires --workers > 1 or --cache")
         if args.shard_timeout is not None:
@@ -350,9 +315,7 @@ def _build_runtime(args) -> Optional[ParallelRunner]:
         return ParallelRunner(
             workers=args.workers,
             cache=cache,
-            backend=args.backend or "processes",
             progress=_ShardProgress(),
-            stream=True if args.stream is None else args.stream,
             retry=args.retries,
             timeout=args.shard_timeout,
             journal=journal,

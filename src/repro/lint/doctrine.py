@@ -40,8 +40,6 @@ __all__ = [
 EXECUTION_KNOBS: FrozenSet[str] = frozenset({
     "kernel",       # SimulationSpec: batched vs naive advance
     "fast",         # SystemExperiment: vectorized vs per-object loop
-    "backend",      # executor selection (serial/threads/processes)
-    "stream",       # streaming vs batch merge
     "workers",      # degree of parallelism
     "retry",        # fault-tolerance: retry policy
     "retries",      # fault-tolerance: CLI spelling of the same knob

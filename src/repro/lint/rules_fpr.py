@@ -1,9 +1,8 @@
 """FPR: execution knobs must never enter cache fingerprints.
 
 The cache doctrine: physics knobs always fingerprint, execution knobs
-(kernel, fast, backend, stream, workers, retry/timeout/resume) never
-do — one cached artifact answers every setting of a bit-identical path
-selector.  These rules check both directions statically against
+(kernel, fast, workers, retry/timeout/resume) never do — one cached
+artifact answers every setting of a bit-identical path selector.  These rules check both directions statically against
 :mod:`repro.runtime.spec`:
 
 * the fingerprint payload builders may not reference an execution

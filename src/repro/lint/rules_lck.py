@@ -1,9 +1,9 @@
 """LCK: shared mutable state must be written under its owning lock.
 
-The threads backend hits :class:`~repro.runtime.cache.ResultCache`
-counters, the metrics registry and the run journal from every pool
-thread at once; an unlocked read-modify-write there loses updates
-silently.  Two rules enforce the discipline statically:
+Any caller sharing one :class:`~repro.runtime.cache.ResultCache`,
+metrics registry or run journal across threads hits their counters
+from every thread at once; an unlocked read-modify-write there loses
+updates silently.  Two rules enforce the discipline statically:
 
 * **LCK001** — inside a lock-owning class, writes to guarded
   attributes of ``self`` must sit lexically inside ``with

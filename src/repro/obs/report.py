@@ -13,14 +13,18 @@ Shard phases are joined on the ``task`` attribute: the runner stamps
 ``shard.submit`` / ``shard.complete`` / ``shard.merge`` events and the
 worker stamps its ``shard.run`` span with the same task index, so the
 report can line them up even though worker spans carry a different
-pid.  Queue wait and merge lag are computed from wall-clock ``ts``
-differences across processes — coarser than the monotonic in-process
-durations, but the only clock processes share.
+pid.  Task indices restart at 0 in every dispatch, so the join key is
+``(dispatch, task)``, where the dispatch is the latest ``runner.*``
+root span that started at or before the phase.  Queue wait, merge lag
+and that dispatch lookup use wall-clock ``ts`` across processes —
+coarser than the monotonic in-process durations, but the only clock
+processes share.
 """
 
 from __future__ import annotations
 
 import argparse
+import bisect
 import json
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -92,24 +96,30 @@ def summarize_spans(spans: Sequence[dict]) -> dict:
             for s in roots
         ]
 
-    # -- shard phase join on attrs["task"] -------------------------------
-    submits = {s["attrs"].get("task"): s for s in by_name.get("shard.submit", ())}
-    runs = {s["attrs"].get("task"): s for s in by_name.get("shard.run", ())}
-    completes = {
-        s["attrs"].get("task"): s for s in by_name.get("shard.complete", ())
-    }
-    merges = {s["attrs"].get("task"): s for s in by_name.get("shard.merge", ())}
+    # -- shard phase join on (dispatch, attrs["task"]) -------------------
+    starts = sorted(s["ts"] for s in roots)
+
+    def phase(name: str) -> Dict[Tuple[int, object], dict]:
+        return {
+            (bisect.bisect_right(starts, s["ts"]), s["attrs"].get("task")): s
+            for s in by_name.get(name, ())
+        }
+
+    submits = phase("shard.submit")
+    runs = phase("shard.run")
+    completes = phase("shard.complete")
+    merges = phase("shard.merge")
 
     walls = [s["dur"] for s in runs.values()]
     queue_waits = [
-        runs[task]["ts"] - submits[task]["ts"]
-        for task in runs
-        if task in submits
+        runs[key]["ts"] - submits[key]["ts"]
+        for key in runs
+        if key in submits
     ]
     merge_lags = [
-        merges[task]["ts"] - (runs[task]["ts"] + runs[task]["dur"])
-        for task in merges
-        if task in runs
+        merges[key]["ts"] - (runs[key]["ts"] + runs[key]["dur"])
+        for key in merges
+        if key in runs
     ]
     shards: dict = {}
     if walls:

@@ -21,8 +21,7 @@ doctrine:
   records back with the shard payload; the parent
   :meth:`Tracer.ingest`\\ s them.  Buffer appends are lock-protected,
   and the active-span stack used for parent/child nesting is
-  thread-local, so the threads backend can trace from every pool
-  thread at once.
+  thread-local, so several threads can trace into one tracer at once.
 
 Span records are plain dicts (JSON- and pickle-ready)::
 
@@ -326,7 +325,7 @@ def using_worker_tracer(tracer: Union[Tracer, NullTracer]) -> Iterator[None]:
     Shard workers use this so nested instrumentation (kernels, cache,
     chainsim) records into the worker's private buffer — which ships
     back with the shard payload — instead of a forked copy of the
-    parent's tracer (whose records would be lost) or, on the threads
+    parent's tracer (whose records would be lost) or, on the serial
     backend, the parent's live tracer (which would double-count once
     the shipped spans are ingested).
     """

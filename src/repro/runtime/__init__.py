@@ -15,19 +15,18 @@ sharding
     seeds derive from :meth:`RandomSource.spawn`, so the merged result
     is bit-identical for any worker count given a fixed shard plan.
 executor
-    The :class:`Executor` protocol with serial, :mod:`multiprocessing`
-    and thread-pool backends (threads suit the GIL-releasing batched
-    kernels), including progress and error aggregation.
+    The :class:`Executor` base with serial and :mod:`multiprocessing`
+    backends: one fault-tolerant streaming loop each, with progress
+    and error aggregation collected over it.
 cache
     :class:`ResultCache` — content-addressed ``.npz`` storage layered
     on :mod:`repro.sim.persistence`.
 runner
-    :class:`ParallelRunner` — plan, fan out, merge, cache.  Merging
-    streams by default: shard results fold into a
-    :class:`~repro.core.results.MergeAccumulator` in plan order as
-    they complete (out-of-order completions staged in a bounded
-    :class:`ReorderBuffer`), capping in-flight shard results at
-    ``O(workers)`` while staying bit-identical to the batch merge.
+    :class:`ParallelRunner` — plan, fan out, merge, cache.  Shard
+    results fold into a :class:`~repro.core.results.MergeAccumulator`
+    in plan order as they complete (out-of-order completions staged in
+    a bounded :class:`ReorderBuffer`), capping in-flight shard results
+    at ``O(workers)`` while staying bit-identical to a one-shot merge.
 context
     An ambient default runtime consulted by the experiment layer so
     ``--workers``/``--cache`` flags reach every figure without
@@ -35,8 +34,8 @@ context
 faults
     :class:`RetryPolicy` and the fault vocabulary: shards are
     idempotent pure functions of the plan, so transient failures are
-    retried with deterministic backoff, hung workers are abandoned or
-    killed under a per-shard ``timeout``, dead pools respawn, and
+    retried with deterministic backoff, hung workers are killed under
+    a per-shard ``timeout``, dead pools respawn, and
     unrecoverable pools degrade to serial with a loud warning — all
     with bit-identical results.
 journal
@@ -73,12 +72,10 @@ from .diskchaos import (
 from .integrity import CacheDegradedWarning, FsckReport, fsck
 from .context import get_default_runtime, set_default_runtime, using_runtime
 from .executor import (
-    EXECUTOR_BACKENDS,
     Executor,
     MultiprocessingExecutor,
     SerialExecutor,
     ShardExecutionError,
-    ThreadExecutor,
     make_executor,
 )
 from .faults import (
@@ -118,13 +115,11 @@ __all__ = [
     "get_default_runtime",
     "set_default_runtime",
     "using_runtime",
-    "EXECUTOR_BACKENDS",
     "Executor",
     "MergeAccumulator",
     "MultiprocessingExecutor",
     "SerialExecutor",
     "ShardExecutionError",
-    "ThreadExecutor",
     "make_executor",
     "ParallelRunner",
     "ReorderBuffer",

@@ -27,10 +27,9 @@ instead of failing the run, and every write/fsync/rename boundary is
 announced via :func:`repro.runtime.diskchaos.crashpoint` so the chaos
 sweep can prove recovery at each one.
 
-Every operation is safe under concurrent readers and writers — the
-streaming merge path stores each spec's artifact *mid-dispatch* as its
-last shard folds, so on the threads backend puts, gets, and budget
-evictions may interleave freely.
+Every operation is safe under concurrent readers and writers — threads
+or processes sharing one cache directory may interleave puts, gets, and
+budget evictions freely.
 """
 
 from __future__ import annotations
@@ -158,8 +157,8 @@ class ResultCache:
         # under-budget put stays O(1).  Every over-budget rescan (and
         # any concurrent writer's evictions it observes) re-syncs it.
         self._approx_bytes: Optional[int] = None
-        # Counter updates must be atomic: a thread-backend run hits
-        # get/put from every pool thread at once.
+        # Counter updates must be atomic: threads sharing one cache hit
+        # get/put concurrently.
         self._stats_lock = threading.Lock()
         # Writers killed mid-put leave files in .tmp that no rename will
         # ever claim; sweep the clearly-dead ones (by age, so a live

@@ -19,7 +19,7 @@ Two properties make it usable in differential tests:
 Attempt numbering must survive process boundaries and pool respawns
 (the wrapped function runs in workers that share no memory), so
 attempts are claimed via ``O_CREAT | O_EXCL`` marker files in a state
-directory — atomic on every platform, and shared by threads, forked
+directory — atomic on every platform, and shared by the parent, forked
 and respawned workers alike.
 """
 
@@ -32,7 +32,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .executor import Executor, ProgressCallback, StreamItem
+from .executor import Executor, StreamItem
 from .faults import RetryPolicy, TransientShardError
 
 __all__ = [
@@ -196,7 +196,7 @@ class _ChaosCall:
             )
         if kind == "hang":
             # A stall, not a death: sleep past any sane deadline, then
-            # proceed.  Under a timeout the parent abandons/kills us
+            # proceed.  Under a timeout the parent kills us
             # first; without one the run is merely slow.
             time.sleep(self.schedule.hang)
         elif kind == "fail":
@@ -216,12 +216,12 @@ class _ChaosCall:
 class ChaosExecutor(Executor):
     """Wrap an executor so its tasks run under a fault schedule.
 
-    Forwards ``map``/``stream`` to the inner executor with every task
-    tagged by index and the task function wrapped in the sabotaging
-    :class:`_ChaosCall`.  Fault-tolerance knobs live on the *inner*
-    executor (chaos wraps it, it does not replace it); the properties
-    here delegate so callers — the runner's retry tally in particular
-    — see one coherent executor.
+    Forwards ``stream`` (and so ``map``) to the inner executor with
+    every task tagged by index and the task function wrapped in the
+    sabotaging :class:`_ChaosCall`.  Fault-tolerance knobs live on the
+    *inner* executor (chaos wraps it, it does not replace it); the
+    properties here delegate so callers — the runner's retry tally in
+    particular — see one coherent executor.
 
     Examples
     --------
@@ -267,16 +267,6 @@ class ChaosExecutor(Executor):
     ) -> Tuple[_ChaosCall, List[Tuple[int, Any]]]:
         tagged = [(index, task) for index, task in enumerate(list(tasks))]
         return _ChaosCall(fn, self.schedule, os.getpid()), tagged
-
-    def map(
-        self,
-        fn: Callable[[Any], Any],
-        tasks: Sequence[Any],
-        *,
-        progress: Optional[ProgressCallback] = None,
-    ) -> List[Any]:
-        wrapped, tagged = self._wrap(fn, tasks)
-        return self.inner.map(wrapped, tagged, progress=progress)
 
     def stream(
         self,

@@ -25,8 +25,7 @@ debris it leaves (torn staging files, half-appended journal lines) is
 what recovery must cope with.
 
 The controller is deliberately process-global rather than thread-local:
-a threads-backend run writes the cache from every pool thread, and all
-of them must see the same fault schedule.
+threads sharing one cache must all see the same fault schedule.
 """
 
 from __future__ import annotations
@@ -212,7 +211,7 @@ class DiskChaos:
 
 
 #: The installed controller; module-global (not thread-local) on purpose
-#: — every pool thread of a run must share one fault schedule.
+#: — every thread of a run must share one fault schedule.
 _ACTIVE: Optional[DiskChaos] = None
 
 

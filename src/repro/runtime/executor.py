@@ -1,43 +1,34 @@
-"""Executor backends: serial, multiprocessing and thread-pool engines.
+"""Executor backends: the serial and multiprocessing engines.
 
-An executor maps a picklable task function over a list of tasks and
-returns the results *in task order* — the property the sharding layer
-relies on for bit-identical merges.  Failures are aggregated rather
-than raised at first error: every shard runs (or is drained), then a
-single :class:`ShardExecutionError` reports all failing shards with
-their tracebacks.
+An executor runs a picklable task function over a list of tasks.  Its
+one primitive is :meth:`Executor.stream`: completions yielded as
+``(task_index, ok, payload)`` the moment tasks finish, every index
+exactly once with its *final* outcome, with a bounded submission window
+so at most ``O(workers)`` results exist between the pool and the
+consumer.  The runner's streaming merge folds these through a reorder
+buffer in plan order, which is how 100k-trial ensembles merge without
+ever materializing every shard result at once.  :meth:`Executor.map` is
+a collect over the stream that returns results *in task order* and
+aggregates failures rather than raising at the first: every shard runs,
+then a single :class:`ShardExecutionError` reports all failing shards
+with their tracebacks.
 
-Each backend also offers :meth:`Executor.stream`: completions yielded
-as ``(task_index, ok, payload)`` the moment futures resolve, with a
-bounded submission window so at most ``O(workers)`` results exist
-between the pool and the consumer.  The runner's streaming merge folds
-these through a reorder buffer in plan order, which is how 100k-trial
-ensembles merge without ever materializing every shard result at once
-while staying bit-identical to the batch path.
-
-Fault tolerance is opt-in via :func:`make_executor`'s ``retry`` and
-``timeout`` knobs (see :mod:`repro.runtime.faults`).  With either set,
-each shard gets up to ``RetryPolicy.max_attempts`` attempts with
-deterministic exponential backoff, a per-shard deadline abandons hung
-workers, dead worker processes are detected and the pool respawned,
-and an unrecoverable pool degrades the remaining shards to serial
-in-process execution behind a loud :class:`PoolDegradedWarning`.
+Each backend runs every dispatch through one fault-tolerant loop.
+:func:`make_executor`'s ``retry`` and ``timeout`` knobs (see
+:mod:`repro.runtime.faults`) give each shard up to
+``RetryPolicy.max_attempts`` attempts with deterministic exponential
+backoff and a per-shard deadline that kills hung workers.  With or
+without them, dead worker processes are detected and the pool
+respawned, and an unrecoverable pool degrades the remaining shards to
+serial in-process execution behind a loud :class:`PoolDegradedWarning`.
 Because shards are idempotent pure functions of their plan, a retried
-run is **bit-identical** to a clean one.  Every index is still yielded
-exactly once — with its *final* outcome — so plan-order consumers are
-oblivious to the attempts underneath.  With both knobs at their
-``None`` defaults, the original code paths run unchanged.
+run is **bit-identical** to a clean one, and plan-order consumers are
+oblivious to the attempts underneath.
 
 The multiprocessing backend prefers the ``fork`` start method where
 available (cheap on Linux, and shard tasks are read-only after fork)
 and falls back to ``spawn`` elsewhere, which is why task functions
 must be module-level (picklable by reference).
-
-The thread backend (``backend="threads"``) skips pickling and process
-spawn entirely.  It pays off when the shard work releases the GIL —
-which the batched NumPy kernels of :mod:`repro.sim.kernels` do for
-their array dispatches — and for small specs where process start-up
-would dominate; pure-Python-bound shards should stay on processes.
 """
 
 from __future__ import annotations
@@ -48,7 +39,6 @@ import queue
 import time
 import traceback
 import warnings
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 from .._validation import ensure_positive_int
@@ -64,18 +54,13 @@ from .faults import (
 )
 
 __all__ = [
-    "EXECUTOR_BACKENDS",
     "Executor",
     "SerialExecutor",
     "MultiprocessingExecutor",
-    "ThreadExecutor",
     "ShardExecutionError",
     "StreamItem",
     "make_executor",
 ]
-
-#: Valid values of the ``backend`` knob.
-EXECUTOR_BACKENDS = ("processes", "threads")
 
 #: Progress callback signature: ``callback(completed, total)``.
 ProgressCallback = Callable[[int, int], None]
@@ -86,8 +71,8 @@ ProgressCallback = Callable[[int, int], None]
 StreamItem = Tuple[int, bool, Any]
 
 #: How often (seconds) the process backend checks worker liveness while
-#: waiting on completions in fault-tolerant mode — a crashed worker
-#: never delivers a callback, so liveness must be polled.
+#: waiting on completions — a crashed worker never delivers a callback,
+#: so liveness must be polled.
 _LIVENESS_TICK = 0.25
 
 
@@ -100,24 +85,10 @@ class ShardExecutionError(RuntimeError):
         List of ``(task_index, error_repr, traceback_text)`` tuples.
         When retries were enabled, the ``error_repr`` of a shard that
         exhausted its attempts is suffixed with the attempt count.
-    results:
-        The drained per-task results, in task order, with None at the
-        failed indices — so callers batching independent workloads can
-        salvage the tasks that did complete (e.g. cache them) before
-        re-raising.  **May be None**: the streaming merge (the
-        runner's default) deliberately does not retain per-task
-        results — that retention is what streaming eliminates — and
-        instead salvages completed specs straight into the cache
-        before raising.  Callers must guard for both shapes.
     """
 
-    def __init__(
-        self,
-        failures: Sequence[Tuple[int, str, str]],
-        results: Optional[Sequence[Any]] = None,
-    ) -> None:
+    def __init__(self, failures: Sequence[Tuple[int, str, str]]) -> None:
         self.failures = list(failures)
-        self.results = None if results is None else list(results)
         summary = "; ".join(
             f"shard {index}: {error}" for index, error, _ in self.failures
         )
@@ -170,52 +141,25 @@ def _resolve_window(window: Optional[int], pool_size: int) -> int:
     return max(ensure_positive_int("window", window), pool_size)
 
 
-def _collect(
-    outcomes,
-    total: int,
-    progress: Optional[ProgressCallback],
-) -> List[Any]:
-    """Drain ordered outcomes, firing progress and aggregating failures."""
-    results: List[Any] = []
-    failures: List[Tuple[int, str, str]] = []
-    tracer = get_tracer()
-    for index, (ok, value) in enumerate(outcomes):
-        if tracer.enabled:
-            tracer.event("shard.complete", task=index, ok=ok)
-        if ok:
-            results.append(value)
-        else:
-            failures.append(_failure_triple(index, value))
-            results.append(None)
-        if progress is not None:
-            progress(index + 1, total)
-    if failures:
-        raise ShardExecutionError(failures, results)
-    return results
-
-
 class Executor:
-    """Protocol for executor backends.
+    """Base class of the executor backends.
 
-    Subclasses implement :meth:`map`; ``workers`` reports the degree of
-    parallelism (1 for serial).  :meth:`stream` has a default built on
-    :meth:`map` so duck-typed executors keep working; the built-in
-    backends override it to yield completions as futures resolve with a
-    bounded submission window.
+    Subclasses implement :meth:`stream`; ``workers`` reports the degree
+    of parallelism (1 for serial).  :meth:`map` collects the stream.
 
-    Fault-tolerance knobs (all optional, all ``None`` by default —
-    leaving them off preserves the historical code paths exactly):
+    Fault-tolerance knobs (all optional, all ``None`` by default, in
+    which case each shard runs exactly once):
 
     ``retry``
         A :class:`~repro.runtime.faults.RetryPolicy`; failed shards
         whose exception classifies as transient are re-run with
         deterministic backoff before being reported.
     ``timeout``
-        Per-shard deadline in seconds.  Enforced by the pool backends
-        (an expired shard is abandoned/killed and counts as a
-        :class:`WorkerTimeoutError` failure, retryable under the
-        policy); the serial backend cannot preempt in-process work and
-        ignores it.
+        Per-shard deadline in seconds.  Enforced by the process backend
+        (an expired shard's pool is killed and respawned, and the shard
+        counts as a :class:`WorkerTimeoutError` failure, retryable
+        under the policy); the serial backend cannot preempt in-process
+        work and ignores it.
     ``retry_listener``
         Optional ``callback(task_index, attempt)`` fired once per
         retry — the runner uses it to keep its retry tally without
@@ -229,16 +173,6 @@ class Executor:
     #: Pool rebuilds allowed per dispatch before degrading to serial.
     max_respawns: int = 3
 
-    def map(
-        self,
-        fn: Callable[[Any], Any],
-        tasks: Sequence[Any],
-        *,
-        progress: Optional[ProgressCallback] = None,
-    ) -> List[Any]:
-        """Apply ``fn`` to every task, returning results in task order."""
-        raise NotImplementedError
-
     def stream(
         self,
         fn: Callable[[Any], Any],
@@ -250,44 +184,46 @@ class Executor:
 
         Every task runs (failures are yielded as data, never raised),
         and each index appears exactly once — with its *final* outcome
-        when retries are configured.  The built-in backends keep at
-        most ``window`` tasks in flight (default ``2 * workers``), so
-        the number of completed-but-unconsumed results — and hence the
-        reorder buffer a plan-order consumer needs — is bounded by the
-        window, not the task count.
+        when retries are configured.  At most ``window`` tasks are in
+        flight (default ``2 * workers``), so the number of
+        completed-but-unconsumed results — and hence the reorder buffer
+        a plan-order consumer needs — is bounded by the window, not the
+        task count.
+        """
+        raise NotImplementedError
 
-        This default implementation runs :meth:`map` to completion and
-        replays it in order: correct for any executor that only
-        implements :meth:`map`, but without the memory bound.
+    def map(
+        self,
+        fn: Callable[[Any], Any],
+        tasks: Sequence[Any],
+        *,
+        progress: Optional[ProgressCallback] = None,
+    ) -> List[Any]:
+        """Apply ``fn`` to every task, returning results in task order.
+
+        Progress fires once per task on its *final* outcome (never per
+        attempt, so retried shards are not double-counted), in
+        completion order.  Failures are aggregated into one
+        :class:`ShardExecutionError` once every task has run.
         """
         tasks = list(tasks)
-        try:
-            results = self.map(fn, tasks)
-        except ShardExecutionError as error:
-            failed = {index: (err, tb) for index, err, tb in error.failures}
-            drained = error.results
-            for index in range(len(tasks)):
-                if index in failed:
-                    yield index, False, failed[index]
-                elif drained is None:
-                    # The executor raised without drained results, so
-                    # this task's outcome is unknown — report it as a
-                    # failure rather than fabricating a None success.
-                    yield index, False, (
-                        "result unavailable: the dispatch aborted before "
-                        "this task's result was drained",
-                        str(error),
-                    )
-                else:
-                    yield index, True, drained[index]
-            return
-        for index, value in enumerate(results):
-            yield index, True, value
+        results: List[Any] = [None] * len(tasks)
+        failures: List[Tuple[int, str, str]] = []
+        for done, (index, ok, payload) in enumerate(
+            self.stream(fn, tasks), start=1
+        ):
+            if ok:
+                results[index] = payload
+            else:
+                failures.append(_failure_triple(index, payload))
+            if progress is not None:
+                progress(done, len(tasks))
+        if failures:
+            failures.sort(key=lambda item: item[0])
+            raise ShardExecutionError(failures)
+        return results
 
     # -- fault-tolerance plumbing (shared by the backends) ---------------
-
-    def _fault_tolerant(self) -> bool:
-        return self.retry is not None or self.timeout is not None
 
     def _note_retry(self, index: int, attempt: int, delay: float) -> None:
         """Record one retry in telemetry and toward the caller's tally."""
@@ -326,12 +262,12 @@ class Executor:
 
     def _synthetic_failure(self, error: Exception) -> ShardFailure:
         """A failure payload for a shard that never reported back (the
-        worker was abandoned or killed, so no traceback exists)."""
+        worker was terminated, so no traceback exists)."""
         return ShardFailure(
             repr(error),
             f"{type(error).__name__}: {error}\n"
-            "  (no worker traceback: the worker was abandoned or "
-            "terminated before the shard reported back)",
+            "  (no worker traceback: the worker was terminated before "
+            "the shard reported back)",
             exception_lineage(error),
         )
 
@@ -403,69 +339,17 @@ class Executor:
                 fn, tasks[index], index, first_attempt=attempt
             )
 
-    def _map_via_stream(
-        self,
-        fn: Callable[[Any], Any],
-        tasks: Sequence[Any],
-        progress: Optional[ProgressCallback],
-    ) -> List[Any]:
-        """Batch collection built on the fault-tolerant stream.
-
-        Progress fires once per task on its *final* outcome (never per
-        attempt, so retried shards are not double-counted), in
-        completion order.  Results return in task order regardless.
-        """
-        tasks = list(tasks)
-        results: List[Any] = [None] * len(tasks)
-        failures: List[Tuple[int, str, str]] = []
-        done = 0
-        for index, ok, payload in self.stream(fn, tasks):
-            done += 1
-            if ok:
-                results[index] = payload
-            else:
-                failures.append(_failure_triple(index, payload))
-            if progress is not None:
-                progress(done, len(tasks))
-        if failures:
-            failures.sort(key=lambda item: item[0])
-            raise ShardExecutionError(failures, results)
-        return results
-
 
 class SerialExecutor(Executor):
     """In-process execution: the reference backend and the 1-worker case.
 
     With a retry policy configured, each task gets its attempts inline
-    (same deterministic backoff as the pools).  ``timeout`` is ignored:
+    (same deterministic backoff as the pool).  ``timeout`` is ignored:
     in-process work cannot be preempted, and serial execution has no
     worker to lose.
     """
 
     workers = 1
-
-    def map(
-        self,
-        fn: Callable[[Any], Any],
-        tasks: Sequence[Any],
-        *,
-        progress: Optional[ProgressCallback] = None,
-    ) -> List[Any]:
-        tasks = list(tasks)
-        if self.retry is not None:
-            return self._map_via_stream(fn, tasks, progress)
-        tracer = get_tracer()
-        if tracer.enabled:
-            # Serial "submission" is just starting the task; the event
-            # keeps the submit→complete join uniform across backends.
-            outcomes = (
-                (tracer.event("shard.submit", task=index),
-                 _guarded_call((fn, task)))[1]
-                for index, task in enumerate(tasks)
-            )
-        else:
-            outcomes = (_guarded_call((fn, task)) for task in tasks)
-        return _collect(outcomes, len(tasks), progress)
 
     def stream(
         self,
@@ -476,19 +360,8 @@ class SerialExecutor(Executor):
     ) -> Iterator[StreamItem]:
         """Serial streaming: tasks complete (and yield) in index order,
         so exactly one result is ever in flight."""
-        tasks = list(tasks)
-        if self.retry is not None:
-            for index, task in enumerate(tasks):
-                yield self._run_with_retries(fn, task, index)
-            return
-        tracer = get_tracer()
-        for index, task in enumerate(tasks):
-            if tracer.enabled:
-                tracer.event("shard.submit", task=index)
-            ok, value = _guarded_call((fn, task))
-            if tracer.enabled:
-                tracer.event("shard.complete", task=index, ok=ok)
-            yield index, ok, value
+        for index, task in enumerate(list(tasks)):
+            yield self._run_with_retries(fn, task, index)
 
     def __repr__(self) -> str:
         return "SerialExecutor()"
@@ -496,7 +369,7 @@ class SerialExecutor(Executor):
 
 def _serial_clone(executor: Executor) -> SerialExecutor:
     """A serial executor inheriting ``executor``'s fault-tolerance knobs
-    (for the 1-task delegation paths, so retries still apply)."""
+    (for the 1-task delegation path, so retries still apply)."""
     clone = SerialExecutor()
     clone.retry = executor.retry
     clone.timeout = executor.timeout
@@ -516,14 +389,13 @@ class MultiprocessingExecutor(Executor):
         platform offers it, else the platform default.  Task functions
         must be module-level either way so ``spawn`` keeps working.
 
-    In fault-tolerant mode (``retry``/``timeout`` set) the streaming
-    path additionally enforces per-shard deadlines and polls worker
-    liveness: an expired or crashed shard terminates the pool (a single
-    hung worker cannot be killed individually), salvages every
-    completion already delivered, respawns the pool, resubmits the
-    innocent in-flight shards at no attempt cost, and charges only the
-    suspects (the expired shard, or every in-flight shard on a crash —
-    the victim is unknowable) a retry attempt.  After
+    The stream enforces per-shard deadlines (when ``timeout`` is set)
+    and polls worker liveness: an expired or crashed shard terminates
+    the pool (a single hung worker cannot be killed individually),
+    salvages every completion already delivered, respawns the pool,
+    resubmits the innocent in-flight shards at no attempt cost, and
+    charges only the suspects (the expired shard, or every in-flight
+    shard on a crash — the victim is unknowable) an attempt.  After
     :attr:`Executor.max_respawns` rebuilds the remaining shards degrade
     to serial in-process execution with a
     :class:`~repro.runtime.faults.PoolDegradedWarning`.
@@ -536,38 +408,6 @@ class MultiprocessingExecutor(Executor):
             start_method = "fork" if "fork" in available else None
         self.start_method = start_method
 
-    def map(
-        self,
-        fn: Callable[[Any], Any],
-        tasks: Sequence[Any],
-        *,
-        progress: Optional[ProgressCallback] = None,
-    ) -> List[Any]:
-        tasks = list(tasks)
-        if not tasks:
-            return []
-        if self._fault_tolerant():
-            # One engine for both entry points: map rides the
-            # fault-tolerant stream, so retries/timeouts/respawns are
-            # implemented (and tested) once per backend.
-            return self._map_via_stream(fn, tasks, progress)
-        pool_size = min(self.workers, len(tasks))
-        if pool_size == 1:
-            return SerialExecutor().map(fn, tasks, progress=progress)
-        context = multiprocessing.get_context(self.start_method)
-        payloads = [(fn, task) for task in tasks]
-        tracer = get_tracer()
-        if tracer.enabled:
-            # imap hands the whole batch to the pool at once, so every
-            # task is submitted up front.
-            for index in range(len(tasks)):
-                tracer.event("shard.submit", task=index)
-        with context.Pool(pool_size) as pool:
-            # imap (not imap_unordered): order preservation is what
-            # makes merged results independent of the worker count.
-            outcomes = pool.imap(_guarded_call, payloads)
-            return _collect(outcomes, len(tasks), progress)
-
     def stream(
         self,
         fn: Callable[[Any], Any],
@@ -577,9 +417,12 @@ class MultiprocessingExecutor(Executor):
     ) -> Iterator[StreamItem]:
         """Yield completions as worker processes finish, out of order.
 
-        Windowed ``apply_async`` submission: a new task ships only when
-        a result is consumed, so at most ``window`` results ever exist
-        between the pool and the consumer.
+        Windowed ``apply_async`` submission gated on the lowest
+        *unfinalized* index — the plan-order cursor a reorder-buffer
+        consumer is waiting on — not on raw completion count: if one
+        early shard is slow, submission stalls at its index + window,
+        so no more than ``window`` completions can ever pile up ahead
+        of the cursor, even under extreme shard-time skew.
         """
         tasks = list(tasks)
         if not tasks:
@@ -589,71 +432,7 @@ class MultiprocessingExecutor(Executor):
             yield from _serial_clone(self).stream(fn, tasks)
             return
         window = _resolve_window(window, pool_size)
-        if self._fault_tolerant():
-            yield from self._stream_fault_tolerant(
-                fn, tasks, window, pool_size
-            )
-            return
-        completions: "queue.SimpleQueue" = queue.SimpleQueue()
-        context = multiprocessing.get_context(self.start_method)
-        tracer = get_tracer()
-        with context.Pool(pool_size) as pool:
-
-            def submit(index: int) -> None:
-                if tracer.enabled:
-                    tracer.event("shard.submit", task=index)
-                pool.apply_async(
-                    _guarded_call,
-                    ((fn, tasks[index]),),
-                    callback=lambda outcome, index=index: completions.put(
-                        (index, outcome)
-                    ),
-                    # _guarded_call captures task exceptions as data, so
-                    # this only fires on transport failures (e.g. an
-                    # unpicklable result); surface those as shard
-                    # failures too rather than hanging the drain.
-                    error_callback=lambda error, index=index: completions.put(
-                        (index, (False, ShardFailure.from_exception(
-                            error, _format_exception(error)
-                        )))
-                    ),
-                )
-
-            # Submission is gated on the lowest *unyielded* index — the
-            # plan-order cursor a reorder-buffer consumer is waiting on
-            # — not on raw completion count.  If one early shard is
-            # slow, submission stalls at its index + window, so no
-            # more than `window` completions can ever pile up ahead of
-            # the cursor, even under extreme shard-time skew.
-            unyielded: set = set()
-            submitted = 0
-
-            def fill() -> None:
-                nonlocal submitted
-                low = min(unyielded, default=submitted)
-                while submitted < len(tasks) and submitted < low + window:
-                    submit(submitted)
-                    unyielded.add(submitted)
-                    submitted += 1
-
-            fill()
-            for _ in range(len(tasks)):
-                index, (ok, value) = completions.get()
-                if tracer.enabled:
-                    tracer.event("shard.complete", task=index, ok=ok)
-                unyielded.discard(index)
-                fill()
-                yield index, ok, value
-
-    def _stream_fault_tolerant(
-        self,
-        fn: Callable[[Any], Any],
-        tasks: List[Any],
-        window: int,
-        pool_size: int,
-    ) -> Iterator[StreamItem]:
-        """The retry/timeout/crash-aware streaming engine."""
-        policy, timeout = self.retry, self.timeout
+        timeout = self.timeout
         tracer = get_tracer()
         metrics = get_metrics()
         context = multiprocessing.get_context(self.start_method)
@@ -687,6 +466,10 @@ class MultiprocessingExecutor(Executor):
                 callback=lambda outcome, index=index: completions.put(
                     (index, outcome)
                 ),
+                # _guarded_call captures task exceptions as data, so
+                # this only fires on transport failures (e.g. an
+                # unpicklable result); surface those as shard failures
+                # too rather than hanging the drain.
                 error_callback=lambda error, index=index: completions.put(
                     (index, (False, ShardFailure.from_exception(
                         error, _format_exception(error)
@@ -752,11 +535,6 @@ class MultiprocessingExecutor(Executor):
                         f"shard task {index} exceeded the {timeout:.4g}s "
                         f"deadline on attempt {attempt}"
                     ))
-                    outcome = self._decide_failure(
-                        index, attempt, failure, scheduled
-                    )
-                    if outcome is not None:
-                        outcomes.append(outcome)
                 elif crashed:
                     if tracer.enabled:
                         tracer.event(
@@ -767,13 +545,14 @@ class MultiprocessingExecutor(Executor):
                         f"a worker process died while shard task {index} "
                         f"was in flight (attempt {attempt})"
                     ))
-                    outcome = self._decide_failure(
-                        index, attempt, failure, scheduled
-                    )
-                    if outcome is not None:
-                        outcomes.append(outcome)
                 else:
                     innocents.append((index, attempt))
+                    continue
+                outcome = self._decide_failure(
+                    index, attempt, failure, scheduled
+                )
+                if outcome is not None:
+                    outcomes.append(outcome)
             respawns += 1
             if respawns > self.max_respawns:
                 # Put the innocents back so the degrade sweep sees them.
@@ -813,10 +592,7 @@ class MultiprocessingExecutor(Executor):
                     marks.append(now + _LIVENESS_TICK)
                 block = None if not marks else max(0.0, min(marks) - now)
                 try:
-                    if block is None:
-                        index, (ok, value) = completions.get()
-                    else:
-                        index, (ok, value) = completions.get(timeout=block)
+                    index, (ok, value) = completions.get(timeout=block)
                 except queue.Empty:
                     now = time.monotonic()
                     expired = {
@@ -875,295 +651,27 @@ class MultiprocessingExecutor(Executor):
         return f"MultiprocessingExecutor(workers={self.workers})"
 
 
-class ThreadExecutor(Executor):
-    """Thread-pool execution via :class:`concurrent.futures.ThreadPoolExecutor`.
-
-    No pickling, no process spawn: tasks run in-process and share
-    memory.  Worth it exactly when the task body releases the GIL —
-    the fused NumPy kernels do — or when the spec is small enough that
-    process start-up would swamp the work.
-
-    Parameters
-    ----------
-    workers:
-        Pool size.  The pool never exceeds the task count.
-
-    Fault-tolerant mode retries per the policy and enforces per-shard
-    deadlines by *abandoning* expired futures — threads cannot be
-    killed, so a hung thread keeps its pool slot until it returns (its
-    late result is discarded).  If every slot ends up hung, the
-    remaining shards degrade to serial in-process execution with a
-    :class:`~repro.runtime.faults.PoolDegradedWarning`.
-    """
-
-    def __init__(self, workers: int) -> None:
-        self.workers = ensure_positive_int("workers", workers)
-
-    def map(
-        self,
-        fn: Callable[[Any], Any],
-        tasks: Sequence[Any],
-        *,
-        progress: Optional[ProgressCallback] = None,
-    ) -> List[Any]:
-        tasks = list(tasks)
-        if not tasks:
-            return []
-        if self._fault_tolerant():
-            return self._map_via_stream(fn, tasks, progress)
-        pool_size = min(self.workers, len(tasks))
-        if pool_size == 1:
-            return SerialExecutor().map(fn, tasks, progress=progress)
-        payloads = [(fn, task) for task in tasks]
-        tracer = get_tracer()
-        if tracer.enabled:
-            for index in range(len(tasks)):
-                tracer.event("shard.submit", task=index)
-        with ThreadPoolExecutor(max_workers=pool_size) as pool:
-            # Executor.map preserves submission order — the property
-            # that makes merged results independent of the pool size.
-            outcomes = pool.map(_guarded_call, payloads)
-            return _collect(outcomes, len(tasks), progress)
-
-    def stream(
-        self,
-        fn: Callable[[Any], Any],
-        tasks: Sequence[Any],
-        *,
-        window: Optional[int] = None,
-    ) -> Iterator[StreamItem]:
-        """Yield completions as pool threads finish, out of order.
-
-        At most ``window`` futures are outstanding at a time — each
-        consumed completion releases the next submission — which bounds
-        completed-but-unconsumed results by the window.
-        """
-        tasks = list(tasks)
-        if not tasks:
-            return
-        pool_size = min(self.workers, len(tasks))
-        if pool_size == 1:
-            yield from _serial_clone(self).stream(fn, tasks)
-            return
-        window = _resolve_window(window, pool_size)
-        if self._fault_tolerant():
-            yield from self._stream_fault_tolerant(
-                fn, tasks, window, pool_size
-            )
-            return
-        tracer = get_tracer()
-        with ThreadPoolExecutor(max_workers=pool_size) as pool:
-            pending = {}
-            submitted = 0
-
-            # Same gate as the process backend: new submissions stop at
-            # (lowest unyielded index) + window, so completions can
-            # never outrun a plan-order consumer by more than the
-            # window, no matter how skewed the shard durations are.
-            def fill() -> None:
-                nonlocal submitted
-                low = min(pending.values(), default=submitted)
-                while submitted < len(tasks) and submitted < low + window:
-                    if tracer.enabled:
-                        tracer.event("shard.submit", task=submitted)
-                    future = pool.submit(_guarded_call, (fn, tasks[submitted]))
-                    pending[future] = submitted
-                    submitted += 1
-
-            try:
-                fill()
-                while pending:
-                    done, _ = wait(pending, return_when=FIRST_COMPLETED)
-                    for future in done:
-                        index = pending.pop(future)
-                        ok, value = future.result()
-                        if tracer.enabled:
-                            tracer.event("shard.complete", task=index, ok=ok)
-                        fill()
-                        yield index, ok, value
-            finally:
-                # An abandoned generator (the consumer raised
-                # mid-stream) must not sit through the whole submission
-                # window: cancel everything still queued so the pool's
-                # shutdown only waits for the tasks actually running.
-                for future in pending:
-                    future.cancel()
-
-    def _stream_fault_tolerant(
-        self,
-        fn: Callable[[Any], Any],
-        tasks: List[Any],
-        window: int,
-        pool_size: int,
-    ) -> Iterator[StreamItem]:
-        """The retry/timeout-aware streaming engine (threads)."""
-        timeout = self.timeout
-        tracer = get_tracer()
-        metrics = get_metrics()
-        total = len(tasks)
-        pool = ThreadPoolExecutor(max_workers=pool_size)
-        pending: dict = {}  # future -> (index, attempt, deadline or None)
-        scheduled: list = []  # heap of (ready_time, index, next_attempt)
-        abandoned: list = []  # expired futures that may still be running
-        unfinal: set = set()
-        submitted = 0
-        finalized = 0
-
-        def submit(index: int, attempt: int) -> None:
-            if tracer.enabled:
-                tracer.event("shard.submit", task=index, attempt=attempt)
-            future = pool.submit(_guarded_call, (fn, tasks[index]))
-            deadline = None if timeout is None else time.monotonic() + timeout
-            pending[future] = (index, attempt, deadline)
-
-        def fill() -> None:
-            nonlocal submitted
-            low = min(unfinal, default=submitted)
-            while submitted < total and submitted < low + window:
-                unfinal.add(submitted)
-                submit(submitted, 1)
-                submitted += 1
-
-        try:
-            fill()
-            while finalized < total:
-                now = time.monotonic()
-                while scheduled and scheduled[0][0] <= now:
-                    _, index, attempt = heapq.heappop(scheduled)
-                    submit(index, attempt)
-                # A thread cannot be killed: if every pool slot is held
-                # by an abandoned (timed-out) task, nothing queued can
-                # start — degrade the rest to serial.
-                abandoned[:] = [f for f in abandoned if not f.done()]
-                if len(abandoned) >= pool_size and finalized < total:
-                    remaining = [
-                        (index, attempt)
-                        for index, attempt, _ in pending.values()
-                    ]
-                    remaining += [
-                        (index, attempt) for _, index, attempt in scheduled
-                    ]
-                    remaining += [
-                        (index, 1) for index in range(submitted, total)
-                    ]
-                    for future in pending:
-                        future.cancel()
-                    pending.clear()
-                    scheduled.clear()
-                    yield from self._degrade_remaining(
-                        fn, tasks, remaining,
-                        f"all {pool_size} pool threads hung past the "
-                        f"{timeout:.4g}s deadline",
-                    )
-                    return
-                marks = [
-                    deadline
-                    for _, _, deadline in pending.values()
-                    if deadline is not None
-                ]
-                if scheduled:
-                    marks.append(scheduled[0][0])
-                wait_for = None if not marks else max(0.0, min(marks) - now)
-                if pending:
-                    done, _ = wait(
-                        pending, timeout=wait_for,
-                        return_when=FIRST_COMPLETED,
-                    )
-                elif wait_for is not None:
-                    time.sleep(wait_for)
-                    done = ()
-                else:
-                    break  # defensive: nothing pending, nothing scheduled
-                for future in done:
-                    index, attempt, _ = pending.pop(future)
-                    ok, value = future.result()
-                    if tracer.enabled:
-                        tracer.event("shard.complete", task=index, ok=ok)
-                    if ok:
-                        outcome: Optional[StreamItem] = (index, True, value)
-                    else:
-                        outcome = self._decide_failure(
-                            index, attempt, value, scheduled
-                        )
-                    if outcome is not None:
-                        unfinal.discard(index)
-                        finalized += 1
-                        fill()
-                        yield outcome
-                if timeout is not None:
-                    now = time.monotonic()
-                    expired = [
-                        future
-                        for future, (_, _, deadline) in pending.items()
-                        if deadline is not None and deadline <= now
-                    ]
-                    for future in expired:
-                        index, attempt, _ = pending.pop(future)
-                        if not future.cancel():
-                            # Already running: the thread is lost to us
-                            # until it returns; its late result will be
-                            # discarded because the future left
-                            # `pending`.
-                            abandoned.append(future)
-                        if metrics.enabled:
-                            metrics.counter("executor.timeouts").inc()
-                        if tracer.enabled:
-                            tracer.event(
-                                "shard.complete", task=index, ok=False,
-                                timeout=True,
-                            )
-                        failure = self._synthetic_failure(WorkerTimeoutError(
-                            f"shard task {index} exceeded the "
-                            f"{timeout:.4g}s deadline on attempt {attempt}"
-                        ))
-                        outcome = self._decide_failure(
-                            index, attempt, failure, scheduled
-                        )
-                        if outcome is not None:
-                            unfinal.discard(index)
-                            finalized += 1
-                            fill()
-                            yield outcome
-        finally:
-            for future in pending:
-                future.cancel()
-            # wait=False: hung (abandoned) threads must not block the
-            # consumer's exit; they die with the interpreter.
-            pool.shutdown(wait=False)
-
-    def __repr__(self) -> str:
-        return f"ThreadExecutor(workers={self.workers})"
-
-
 def make_executor(
     workers: int,
     start_method: Optional[str] = None,
-    backend: str = "processes",
     *,
     retry: Optional[RetryPolicy] = None,
     timeout: Optional[float] = None,
 ) -> Executor:
-    """The executor for a worker count and backend.
+    """The executor for a worker count.
 
-    One worker is always the serial reference backend; above that,
-    ``backend="processes"`` builds a :class:`MultiprocessingExecutor`
-    and ``backend="threads"`` a :class:`ThreadExecutor`.
+    One worker is always the serial reference backend; above that it is
+    a :class:`MultiprocessingExecutor`.
 
     ``retry`` (a :class:`~repro.runtime.faults.RetryPolicy`, or an int
     shorthand for ``RetryPolicy(max_attempts=n)``) and ``timeout``
-    (per-shard deadline, seconds) opt the executor into fault-tolerant
-    execution; both default to off, which preserves the historical
-    behavior exactly.
+    (per-shard deadline, seconds) are both off by default: each shard
+    then runs once, and a shard whose worker dies fails with a
+    :class:`~repro.runtime.faults.WorkerCrashError`.
     """
     workers = ensure_positive_int("workers", workers)
-    if backend not in EXECUTOR_BACKENDS:
-        raise ValueError(
-            f"backend must be one of {EXECUTOR_BACKENDS}, got {backend!r}"
-        )
     if workers == 1:
         executor: Executor = SerialExecutor()
-    elif backend == "threads":
-        executor = ThreadExecutor(workers)
     else:
         executor = MultiprocessingExecutor(workers, start_method)
     if retry is not None:

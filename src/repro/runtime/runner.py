@@ -6,15 +6,13 @@ or a system experiment (node-level repeats) it
 
 1. checks the content-addressed cache for a previous merged result,
 2. splits the work into a worker-count-independent shard plan,
-3. executes the shards on the configured backend, and
-4. merges shard results in plan order — by default *streaming*: each
-   shard folds into a
-   :class:`~repro.core.results.MergeAccumulator` the moment it clears
-   the :class:`ReorderBuffer`, so at most ``O(workers)`` shard results
-   are in flight instead of ``O(shards)``; ``stream=False`` restores
-   the collect-then-:meth:`~repro.core.results.EnsembleResult.merge`
-   batch path.  Both paths produce byte-identical ensembles and cache
-   artifacts.
+3. streams the shards through the configured executor (serial or
+   processes), and
+4. folds each shard into a
+   :class:`~repro.core.results.MergeAccumulator` in plan order the
+   moment it clears the :class:`ReorderBuffer`, so at most
+   ``O(workers)`` shard results are in flight instead of
+   ``O(shards)``.
 
 Because the plan and the merge order are independent of the executor,
 ``workers=1`` and ``workers=8`` produce bit-identical merged arrays
@@ -157,7 +155,7 @@ def _traced_shard(body, spec, shard, index: int, kind: str) -> ShardEnvelope:
     """Run one shard under a fresh worker-local tracer and registry.
 
     The worker must not record into a forked copy of the parent's
-    tracer (its buffer dies with the child) nor — on the threads
+    tracer (its buffer dies with the child) nor — on the serial
     backend — into the parent's live tracer (the shipped spans would
     then be ingested twice).  A private pair, installed as thread-local
     overrides so nested kernel/cache/chainsim instrumentation lands in
@@ -253,12 +251,8 @@ class ParallelRunner:
     Parameters
     ----------
     workers:
-        Worker count; 1 runs in-process.
-    backend:
-        ``"processes"`` (default) or ``"threads"`` — how workers > 1
-        fan out.  Threads suit the GIL-releasing batched kernels and
-        small specs; processes suit Python-bound work.  Either way the
-        merged bits depend only on the shard plan.
+        Worker count; 1 runs in-process, more fan out across a process
+        pool.  Either way the merged bits depend only on the shard plan.
     cache:
         A :class:`ResultCache`, a directory path to create one in, or
         None to disable caching.
@@ -278,15 +272,6 @@ class ParallelRunner:
         (not dispatched) shards means the count can never overshoot
         the total, even when a shard fails mid-grid and the completed
         specs are salvaged.
-    stream:
-        Whether to fold shard results incrementally as they complete
-        (default True).  The streaming path holds ``O(workers)`` shard
-        results in flight instead of ``O(shards)`` — out-of-order
-        completions stage in a bounded :class:`ReorderBuffer` so the
-        fold happens in plan order and the merged ensemble is
-        **bit-identical** to the batch ``EnsembleResult.merge`` (and
-        hits the same cache entries).  ``stream=False`` keeps the
-        original collect-then-merge path.
     retry:
         Optional :class:`~repro.runtime.faults.RetryPolicy` (or an int
         shorthand for ``RetryPolicy(max_attempts=n)``): transiently
@@ -295,10 +280,11 @@ class ParallelRunner:
         retried runs stay bit-identical.  Only valid when the runner
         builds its own executor; configure a custom executor directly.
     timeout:
-        Optional per-shard deadline in seconds (pool backends only):
-        hung workers are abandoned or killed, the failure classifies as
-        a retryable :class:`~repro.runtime.faults.WorkerTimeoutError`,
-        and an unrecoverable pool degrades to serial with a warning.
+        Optional per-shard deadline in seconds (process pool only):
+        a hung worker's pool is killed and respawned, the failure
+        classifies as a retryable
+        :class:`~repro.runtime.faults.WorkerTimeoutError`, and an
+        unrecoverable pool degrades to serial with a warning.
     journal:
         A :class:`~repro.runtime.journal.RunJournal` (or a path to
         one); requires a cache.  Completed shards are checkpointed as
@@ -337,8 +323,6 @@ class ParallelRunner:
         shards: Optional[int] = None,
         progress: Optional[ProgressCallback] = None,
         executor: Optional[Executor] = None,
-        backend: str = "processes",
-        stream: bool = True,
         retry: Union[RetryPolicy, int, None] = None,
         timeout: Optional[float] = None,
         journal: Union[RunJournal, str, pathlib.Path, None] = None,
@@ -353,8 +337,7 @@ class ParallelRunner:
         self.executor = (
             executor
             if executor is not None
-            else make_executor(workers, backend=backend, retry=retry,
-                               timeout=timeout)
+            else make_executor(workers, retry=retry, timeout=timeout)
         )
         if cache is None or isinstance(cache, ResultCache):
             self.cache = cache
@@ -371,27 +354,23 @@ class ParallelRunner:
             )
         self.default_shards = shards
         self.progress = progress
-        self.stream = bool(stream)
         # Ambient default for spec builders (the experiments grid
         # helpers, run_system).  A *physics* knob: it lands on the
         # specs themselves and enters their fingerprints — run()/
         # run_many() honour each spec's own ``reduce`` field.
         self.reduce = ensure_reduce_mode(reduce)
-        # Tally counters are shared state: the threads backend fires
-        # retry callbacks from pool threads, so updates must hold this
+        # Tally counters are shared state: one runner may serve
+        # dispatches from several threads, so updates must hold this
         # lock or concurrent completions lose increments.
         self._retry_lock = threading.Lock()
         #: Retry attempts consumed across this runner's dispatches.
         self.shards_retried = 0
         #: Shards recovered from journal checkpoints instead of dispatched.
         self.shards_resumed = 0
-        try:
-            # Tally retries (and forward them to progress callbacks that
-            # care) without ever touching the per-shard completion
-            # counts — retried shards must not double-count.
-            self.executor.retry_listener = self._on_retry
-        except AttributeError:
-            pass  # duck-typed executor without the knob: no tally
+        # Tally retries (and forward them to progress callbacks that
+        # care) without ever touching the per-shard completion counts —
+        # retried shards must not double-count.
+        self.executor.retry_listener = self._on_retry
 
     def _on_retry(self, index: int, attempt: int) -> None:
         with self._retry_lock:
@@ -420,17 +399,15 @@ class ParallelRunner:
         spec: SimulationSpec,
         *,
         shards: Optional[int] = None,
-        stream: Optional[bool] = None,
     ) -> EnsembleResult:
         """Run (or load) the Monte Carlo ensemble described by ``spec``."""
-        return self.run_many([spec], shards=shards, stream=stream)[0]
+        return self.run_many([spec], shards=shards)[0]
 
     def run_many(
         self,
         specs: Sequence[SimulationSpec],
         *,
         shards: Optional[int] = None,
-        stream: Optional[bool] = None,
     ) -> List[EnsembleResult]:
         """Run (or load) a whole grid of Monte Carlo ensembles at once.
 
@@ -440,10 +417,6 @@ class ParallelRunner:
         workers never idle between grid cells and pool latency is paid
         once per grid instead of once per cell.  Progress callbacks see
         ``(completed, total)`` across the whole grid.
-
-        ``stream`` overrides the runner's streaming default for this
-        call; both settings produce bit-identical results and cache
-        entries.
         """
         specs = list(specs)
         for spec in specs:
@@ -455,7 +428,6 @@ class ParallelRunner:
             [(spec, spec.trials) for spec in specs],
             _run_simulation_shard,
             shards,
-            stream,
             span_name="runner.run_many",
         )
 
@@ -468,7 +440,6 @@ class ParallelRunner:
         checkpoints: Optional[Sequence[int]] = None,
         seed: SeedLike = None,
         shards: Optional[int] = None,
-        stream: Optional[bool] = None,
     ) -> EnsembleResult:
         """Run (or load) ``repeats`` node-level deployments of ``experiment``.
 
@@ -484,14 +455,13 @@ class ParallelRunner:
             seed=seed,
             reduce=self.reduce,
         )
-        return self.run_system_many([spec], shards=shards, stream=stream)[0]
+        return self.run_system_many([spec], shards=shards)[0]
 
     def run_system_many(
         self,
         specs: Sequence[SystemSpec],
         *,
         shards: Optional[int] = None,
-        stream: Optional[bool] = None,
     ) -> List[EnsembleResult]:
         """Run (or load) many node-level system ensembles at once.
 
@@ -509,7 +479,6 @@ class ParallelRunner:
             [(spec, spec.repeats) for spec in specs],
             _run_system_shard,
             shards,
-            stream,
             span_name="runner.run_system_many",
         )
 
@@ -534,7 +503,6 @@ class ParallelRunner:
         entries,
         shard_fn,
         shards: Optional[int],
-        stream: Optional[bool],
         span_name: str,
     ):
         tracer = get_tracer()
@@ -542,15 +510,14 @@ class ParallelRunner:
             with tracer.span(
                 span_name, specs=len(entries), workers=self.workers
             ) as root:
-                return self._dispatch(entries, shard_fn, shards, stream, root)
-        return self._dispatch(entries, shard_fn, shards, stream, None)
+                return self._dispatch(entries, shard_fn, shards, root)
+        return self._dispatch(entries, shard_fn, shards, None)
 
     def _dispatch(
         self,
         entries,
         shard_fn,
         shards: Optional[int],
-        stream: Optional[bool],
         root,
     ):
         merged: List[Optional[EnsembleResult]] = [None] * len(entries)
@@ -638,20 +605,12 @@ class ParallelRunner:
             ]
             root.set("tasks", len(tasks))
             root.set("cached_specs", len(entries) - len(pending) - len(duplicates))
-        use_stream = self.stream if stream is None else bool(stream)
-        # Duck-typed executors predating the streaming protocol only
-        # implement map(); fall back to the batch path for them.
-        use_stream = use_stream and hasattr(self.executor, "stream")
-        if root is not None:
-            root.set("stream", use_stream)
         if metrics.enabled:
             metrics.counter("runner.specs").inc(len(entries))
             metrics.counter("runner.shards_dispatched").inc(len(tasks))
         try:
-            if use_stream and tasks:
+            if tasks:
                 self._fold_streamed(tasks, pending, shard_fn, merged)
-            else:
-                self._merge_batch(tasks, pending, shard_fn, merged)
         finally:
             # Give line-oriented progress callbacks (e.g. the CLI's
             # carriage-return shard ticker) a chance to terminate their
@@ -663,33 +622,6 @@ class ParallelRunner:
             loaded = self.cache.get(key)
             merged[position] = loaded if loaded is not None else merged[original]
         return merged
-
-    def _merge_batch(self, tasks, pending, shard_fn, merged) -> None:
-        """The original path: collect every shard result, then merge."""
-        try:
-            results = self.executor.map(shard_fn, tasks, progress=self.progress)
-        except ShardExecutionError as error:
-            self._salvage_completed(pending, error)
-            raise
-        # Traced workers wrap payloads in ShardEnvelopes; unwrapping
-        # folds their spans/metrics into the ambient telemetry (a bare
-        # payload passes through untouched).
-        results = [ingest_envelope(result) for result in results]
-        tracer = get_tracer()
-        for entry in pending:
-            parts = dict(entry.preloaded)
-            for offset in range(entry.count):
-                parts[entry.ordinals[offset]] = results[entry.start + offset]
-            result = merge_parts(
-                [parts[ordinal] for ordinal in range(entry.shards)]
-            )
-            if tracer.enabled:
-                for index in range(entry.start, entry.start + entry.count):
-                    tracer.event("shard.merge", task=index)
-            if entry.key is not None:
-                self.cache.put(entry.key, result)
-                self._journal_spec_done(entry)
-            merged[entry.position] = result
 
     def _journal_shard(self, entry: _Pending, ordinal: int, part) -> None:
         """Checkpoint one completed shard for resume: artifact + record."""
@@ -717,13 +649,12 @@ class ParallelRunner:
         each released shard folds straight into its spec's
         :class:`~repro.core.results.MergeAccumulator` and is dropped —
         at most ``O(workers)`` shard results are ever held, against
-        ``O(shards)`` on the batch path, while the folded ensemble
-        stays bit-identical to ``EnsembleResult.merge``.
+        ``O(shards)`` for a collect-then-merge, while the folded
+        ensemble stays bit-identical to ``EnsembleResult.merge``.
 
         A spec whose shards all folded is finalized — and cached —
         immediately, so a later shard failure in another spec never
-        discards completed work (the same salvage guarantee the batch
-        path implements after the fact).  Progress fires once per
+        discards completed work.  Progress fires once per
         *merged* shard, in plan order, and therefore cannot overshoot
         the dispatch total when shards fail — and counts each shard's
         final outcome exactly once, however many retry attempts it
@@ -779,9 +710,9 @@ class ParallelRunner:
                 try:
                     accumulator.add(part)
                 except Exception as error:  # noqa: BLE001 - poisoned, re-raised
-                    # A malformed payload (e.g. from a duck-typed
-                    # executor) must fail its spec, not crash the whole
-                    # fold loop mid-grid.
+                    # A malformed payload (e.g. from a custom executor)
+                    # must fail its spec, not crash the whole fold loop
+                    # mid-grid.
                     poison(slot, task_index, error)
                     return
                 cursors[slot] += 1
@@ -839,58 +770,10 @@ class ParallelRunner:
                 "exactly once (as a failure if it did not run)"
             )
         if failures:
-            # Completed specs were already cached as they finalized, so
-            # parity with the batch path's salvage is built in; the
+            # Completed specs were already cached as they finalized; the
             # drained per-task results are deliberately not retained
             # (retaining them is exactly what streaming avoids).
             raise ShardExecutionError(failures)
-
-    def _salvage_completed(self, pending, error: ShardExecutionError) -> None:
-        """Cache the specs whose shards all completed despite the failure.
-
-        The per-spec loop this batches would have cached every cell
-        finished before the failing one; the single dispatch drains
-        every shard, so we can do one better and store every spec
-        untouched by the failure before the error propagates.
-        """
-        results = error.results
-        if results is None:
-            return
-        # Unwrap (and ingest) any telemetry envelopes among the drained
-        # results — the completed shards' spans survive the failure and
-        # callers catching the error see bare payloads.
-        results = [ingest_envelope(result) for result in results]
-        error.results = results
-        if self.cache is None:
-            return
-        failed = {index for index, _, _ in error.failures}
-        for entry in pending:
-            if entry.key is None:
-                continue
-            indices = range(entry.start, entry.start + entry.count)
-            if any(i in failed for i in indices):
-                # The spec itself failed, but its completed shards are
-                # still resume currency: checkpoint them so --resume
-                # recomputes only what actually failed.
-                if self.journal is not None:
-                    for offset, task_index in enumerate(indices):
-                        part = results[task_index]
-                        if task_index in failed or part is None:
-                            continue
-                        self._journal_shard(
-                            entry, entry.ordinals[offset], part
-                        )
-                continue
-            parts = dict(entry.preloaded)
-            for offset, task_index in enumerate(indices):
-                parts[entry.ordinals[offset]] = results[task_index]
-            self.cache.put(
-                entry.key,
-                merge_parts(
-                    [parts[ordinal] for ordinal in range(entry.shards)]
-                ),
-            )
-            self._journal_spec_done(entry)
 
     def __repr__(self) -> str:
         return (

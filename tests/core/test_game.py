@@ -165,18 +165,6 @@ class TestSimulateKnobForwarding:
         assert serial.terminal_stakes is None
         assert sharded.terminal_stakes is None
 
-    def test_backend_without_workers_raises(self, two_miners):
-        game = MiningGame(MultiLotteryPoS(0.01), two_miners)
-        with pytest.raises(ValueError, match="backend"):
-            game.simulate(horizon=50, trials=20, seed=1, backend="threads")
-
-    def test_threads_backend_accepted_with_workers(self, two_miners):
-        game = MiningGame(MultiLotteryPoS(0.01), two_miners)
-        result = game.simulate(
-            horizon=50, trials=20, seed=1, workers=2, backend="threads"
-        )
-        assert result.trials == 20
-
     def test_unknown_kernel_raises_both_paths(self, two_miners):
         game = MiningGame(MultiLotteryPoS(0.01), two_miners)
         with pytest.raises(ValueError, match="kernel"):

@@ -102,42 +102,6 @@ class TestCLI:
         assert code == 0
         capsys.readouterr()
 
-    def test_stream_is_the_default_runtime_mode(self, tmp_path):
-        from repro.experiments.runner import _build_runtime
-
-        args = build_parser().parse_args(
-            ["fig1", "--preset", "ci", "--workers", "2"]
-        )
-        assert args.stream is None  # flag untouched
-        assert _build_runtime(args).stream is True
-
-    def test_no_stream_flag_selects_batch_merge(self, tmp_path):
-        from repro.experiments.runner import _build_runtime
-
-        args = build_parser().parse_args([
-            "fig1", "--preset", "ci", "--workers", "2", "--no-stream",
-        ])
-        assert _build_runtime(args).stream is False
-        args = build_parser().parse_args([
-            "fig1", "--preset", "ci", "--cache", str(tmp_path), "--stream",
-        ])
-        assert _build_runtime(args).stream is True
-
-    def test_stream_flags_require_runtime(self):
-        # Like --backend: raise rather than silently dropping a knob
-        # that cannot take effect on the plain serial path.
-        for flag in ("--stream", "--no-stream"):
-            with pytest.raises(SystemExit, match="requires --workers"):
-                main(["fig1", "--preset", "ci", flag])
-
-    def test_main_runs_with_no_stream(self, tmp_path, capsys):
-        code = main([
-            "fig2", "--preset", "ci", "--workers", "2",
-            "--cache", str(tmp_path / "cache"), "--no-stream",
-        ])
-        assert code == 0
-        assert "Figure 2" in capsys.readouterr().out
-
 
 class TestFaultToleranceCLI:
     def test_retry_and_timeout_flags_flow_into_the_runner(self, tmp_path):

@@ -41,6 +41,10 @@ from repro.runtime import (
 from repro.chainsim.harness import SystemExperiment
 
 
+#: Worker counts of the two backends, under their backend ids.
+BACKENDS = [pytest.param(2, id="processes"), pytest.param(1, id="serial")]
+
+
 def make_specs(seeds=(5, 6)):
     return [
         SimulationSpec(
@@ -55,14 +59,12 @@ def make_specs(seeds=(5, 6)):
 
 
 class TestBitIdentityNeutrality:
-    @pytest.mark.parametrize("backend", ["processes", "threads"])
-    def test_traced_run_matches_untraced(self, backend):
+    @pytest.mark.parametrize("workers", BACKENDS)
+    def test_traced_run_matches_untraced(self, workers):
         specs = make_specs()
-        baseline = ParallelRunner(workers=2, backend=backend).run_many(
-            specs, shards=4
-        )
+        baseline = ParallelRunner(workers=workers).run_many(specs, shards=4)
         with using_tracer(Tracer()), using_metrics(MetricsRegistry()):
-            traced = ParallelRunner(workers=2, backend=backend).run_many(
+            traced = ParallelRunner(workers=workers).run_many(
                 specs, shards=4
             )
         for base, trace in zip(baseline, traced):
@@ -101,18 +103,16 @@ class TestFingerprintDoctrine:
 
 
 class TestTracedGridCoverage:
-    @pytest.mark.parametrize("backend", ["processes", "threads"])
-    def test_streamed_grid_covers_every_shard_phase(
-        self, tmp_path, backend
-    ):
+    @pytest.mark.parametrize("workers", BACKENDS)
+    def test_streamed_grid_covers_every_shard_phase(self, tmp_path, workers):
         specs = make_specs()
         shard_count = 4
         tracer = Tracer()
         with using_tracer(tracer):
-            ParallelRunner(
-                workers=2, backend=backend, cache=tmp_path / backend
-            ).run_many(specs, shards=shard_count)
-        path = tracer.write(tmp_path / f"{backend}.jsonl")
+            ParallelRunner(workers=workers, cache=tmp_path / "cache").run_many(
+                specs, shards=shard_count
+            )
+        path = tracer.write(tmp_path / "trace.jsonl")
         assert validate_trace(path) == []
         _, spans = read_trace(path)
         by_name = {}
@@ -134,15 +134,6 @@ class TestTracedGridCoverage:
         )
         (root,) = by_name["runner.run_many"]
         assert root["attrs"]["tasks"] == total_tasks
-
-    def test_batch_path_also_covers_every_phase(self):
-        specs = make_specs()
-        tracer = Tracer()
-        with using_tracer(tracer):
-            ParallelRunner(workers=2, stream=False).run_many(specs, shards=4)
-        names = {s["name"] for s in tracer.spans}
-        assert {"shard.submit", "shard.run", "shard.complete",
-                "shard.merge", "runner.run_many"} <= names
 
     def test_naive_kernel_spans_report_naive_mode(self):
         spec = SimulationSpec(
@@ -231,9 +222,7 @@ class TestEnvelopeTransport:
 
         tracer = Tracer()
         with using_tracer(tracer):
-            ParallelRunner(workers=2, backend="processes").run_many(
-                make_specs(), shards=4
-            )
+            ParallelRunner(workers=2).run_many(make_specs(), shards=4)
         run_pids = {
             s["pid"] for s in tracer.spans if s["name"] == "shard.run"
         }

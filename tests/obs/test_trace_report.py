@@ -12,7 +12,7 @@ from repro.obs.report import (
     render_summary,
     summarize_spans,
 )
-from repro.obs.trace import TRACE_SCHEMA, Tracer
+from repro.obs.trace import TRACE_SCHEMA, Tracer, using_tracer
 
 
 def _span(name, ts=0.0, dur=0.0, **attrs):
@@ -164,6 +164,29 @@ class TestSummarizeSpans:
         (run,) = summarize_spans(spans)["runs"]
         assert run["dur"] == 3.0
         assert run["attrs"]["specs"] == 4
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_phases_join_per_dispatch(self, workers, two_miners):
+        # Task indices restart at 0 in every dispatch: two run_many
+        # grids of 4 and 3 shards under one tracer are 7 shards, not 4.
+        from repro.protocols import MultiLotteryPoS
+        from repro.runtime import ParallelRunner, SimulationSpec
+
+        runner = ParallelRunner(workers=workers)
+        tracer = Tracer()
+        with using_tracer(tracer):
+            for seed, shards in ((1, 4), (2, 3)):
+                spec = SimulationSpec(
+                    MultiLotteryPoS(0.01), two_miners,
+                    trials=12, horizon=20, seed=seed,
+                )
+                runner.run_many([spec], shards=shards)
+        shards = summarize_spans(tracer.spans)["shards"]
+        assert shards["submitted"] == 7
+        assert shards["completed"] == 7
+        assert shards["wall"]["count"] == 7
+        assert shards["queue_wait"]["count"] == 7
+        assert shards["merge_lag"]["count"] == 7
 
 
 class TestRendering:

@@ -1,6 +1,6 @@
 """Property-based tests for the streaming merge machinery.
 
-Three algebraic guarantees behind ``ParallelRunner(stream=True)``:
+Three algebraic guarantees behind ``ParallelRunner``'s streaming fold:
 
 * **Order restoration** — pushing a dispatch's completions through the
   :class:`ReorderBuffer` in *any* completion order releases them in

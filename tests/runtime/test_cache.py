@@ -389,28 +389,6 @@ class TestConcurrency:
         assert stats["evictions"] > 0
         assert stats["bytes"] <= size * len(keys)
 
-    def test_threads_backend_grid_with_shared_cache(self, tmp_path, two_miners):
-        # End-to-end: a thread-pool grid run whose shards complete
-        # concurrently while the main thread populates the cache.
-        from repro.runtime import ParallelRunner, SimulationSpec
-
-        specs = [
-            SimulationSpec(
-                MultiLotteryPoS(0.01), two_miners,
-                trials=24, horizon=60, seed=seed,
-            )
-            for seed in range(6)
-        ]
-        runner = ParallelRunner(workers=4, backend="threads", cache=tmp_path)
-        first = runner.run_many(specs, shards=3)
-        second = runner.run_many(specs, shards=3)
-        assert runner.cache.hits == len(specs)
-        for cold, warm in zip(first, second):
-            assert (
-                cold.reward_fractions.tobytes()
-                == warm.reward_fractions.tobytes()
-            )
-
 
 class TestFingerprintIntegration:
     def test_spec_key_round_trip(self, cache, result, two_miners):

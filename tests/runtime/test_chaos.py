@@ -29,9 +29,8 @@ from repro.runtime.chaos import ChaosCorruption, ChaosFault, _ChaosCall
 ALL_PROTOCOLS = ("PoW", "ML-PoS", "SL-PoS", "C-PoS", "FSL-PoS")
 
 BACKENDS = [
-    pytest.param(1, "processes", id="serial"),
-    pytest.param(3, "threads", id="threads"),
-    pytest.param(3, "processes", id="processes"),
+    pytest.param(1, id="serial"),
+    pytest.param(3, id="processes"),
 ]
 
 #: Converges for any schedule with max_faults_per_task=2.
@@ -62,7 +61,7 @@ def assert_byte_equal(left, right):
     assert left.round_unit == right.round_unit
 
 
-def chaos_runner(tmp_path, tag, workers, backend, cache=None, **rates):
+def chaos_runner(tmp_path, tag, workers, cache=None, **rates):
     schedule = ChaosSchedule(
         seed=11,
         state_dir=str(tmp_path / f"state-{tag}"),
@@ -72,7 +71,7 @@ def chaos_runner(tmp_path, tag, workers, backend, cache=None, **rates):
         **rates,
     )
     inner = make_executor(
-        workers, backend=backend, retry=POLICY,
+        workers, retry=POLICY,
         timeout=0.4 if rates.get("hang_rate") or rates.get("crash_rate")
         else None,
     )
@@ -122,28 +121,26 @@ class TestScheduleDeterminism:
 
 class TestChaosDifferential:
     @pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
-    @pytest.mark.parametrize("workers,backend", BACKENDS)
-    def test_chaos_run_is_bit_identical(
-        self, protocol, workers, backend, tmp_path
-    ):
+    @pytest.mark.parametrize("workers", BACKENDS)
+    def test_chaos_run_is_bit_identical(self, protocol, workers, tmp_path):
         spec = make_spec(protocol)
         reference = ParallelRunner(workers=1).run(spec, shards=4)
         runner = chaos_runner(
-            tmp_path, f"{protocol}-{backend}-{workers}", workers, backend,
+            tmp_path, f"{protocol}-{workers}", workers,
             fail_rate=0.4, corrupt_rate=0.3, delay_rate=0.3,
         )
         chaotic = runner.run(spec, shards=4)
         assert_byte_equal(chaotic, reference)
         assert runner.shards_retried > 0
 
-    @pytest.mark.parametrize("workers,backend", BACKENDS)
-    def test_chaos_run_shares_cache_artifacts(self, workers, backend, tmp_path):
+    @pytest.mark.parametrize("workers", BACKENDS)
+    def test_chaos_run_shares_cache_artifacts(self, workers, tmp_path):
         spec = make_spec()
         clean_dir = tmp_path / "clean-cache"
         chaos_dir = tmp_path / "chaos-cache"
         ParallelRunner(workers=1, cache=clean_dir).run(spec, shards=4)
         runner = chaos_runner(
-            tmp_path, f"cache-{backend}-{workers}", workers, backend,
+            tmp_path, f"cache-{workers}", workers,
             cache=chaos_dir, fail_rate=0.4, corrupt_rate=0.3,
         )
         runner.run(spec, shards=4)
@@ -157,7 +154,7 @@ class TestChaosDifferential:
         spec = make_spec(trials=16, horizon=40)
         reference = ParallelRunner(workers=1).run(spec, shards=4)
         runner = chaos_runner(
-            tmp_path, "hang", 3, "processes", hang_rate=0.5,
+            tmp_path, "hang", 3, hang_rate=0.5,
         )
         assert_byte_equal(runner.run(spec, shards=4), reference)
 
@@ -165,7 +162,7 @@ class TestChaosDifferential:
         spec = make_spec(trials=16, horizon=40)
         reference = ParallelRunner(workers=1).run(spec, shards=4)
         runner = chaos_runner(
-            tmp_path, "crash", 3, "processes", crash_rate=0.5,
+            tmp_path, "crash", 3, crash_rate=0.5,
         )
         assert_byte_equal(runner.run(spec, shards=4), reference)
 

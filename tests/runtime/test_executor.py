@@ -1,16 +1,14 @@
-"""Tests for repro.runtime.executor — serial/process/thread backends."""
+"""Tests for repro.runtime.executor — serial and process backends."""
 
 import time
 
 import pytest
 
 from repro.runtime.executor import (
-    EXECUTOR_BACKENDS,
     Executor,
     MultiprocessingExecutor,
     SerialExecutor,
     ShardExecutionError,
-    ThreadExecutor,
     make_executor,
 )
 
@@ -95,42 +93,12 @@ class TestMultiprocessingExecutor:
             MultiprocessingExecutor(0)
 
 
-class TestThreadExecutor:
-    def test_matches_serial_results_in_order(self):
-        tasks = list(range(20))
-        assert ThreadExecutor(4).map(square, tasks) == [x * x for x in tasks]
-
-    def test_empty_tasks(self):
-        assert ThreadExecutor(4).map(square, []) == []
-
-    def test_single_task_degrades_to_serial(self):
-        assert ThreadExecutor(4).map(square, [3]) == [9]
-
-    def test_error_aggregation(self):
-        with pytest.raises(ShardExecutionError) as excinfo:
-            ThreadExecutor(2).map(fail_on_odd, [0, 1, 2, 3])
-        assert [index for index, _, _ in excinfo.value.failures] == [1, 3]
-        assert "odd input 3" in str(excinfo.value)
-
-    def test_progress_callback_fires_in_order(self):
-        seen = []
-        ThreadExecutor(2).map(
-            square,
-            list(range(4)),
-            progress=lambda done, total: seen.append((done, total)),
-        )
-        assert seen == [(1, 4), (2, 4), (3, 4), (4, 4)]
-
-    def test_rejects_non_positive_workers(self):
-        with pytest.raises(ValueError):
-            ThreadExecutor(0)
-
-
 STREAM_EXECUTORS = [
     pytest.param(SerialExecutor(), id="serial"),
-    pytest.param(ThreadExecutor(3), id="threads"),
     pytest.param(MultiprocessingExecutor(3), id="processes"),
 ]
+
+POOL_EXECUTORS = [pytest.param(MultiprocessingExecutor(2), id="processes")]
 
 
 class TestStream:
@@ -164,11 +132,7 @@ class TestStream:
         items = list(SerialExecutor().stream(square, list(range(6))))
         assert [index for index, _, _ in items] == list(range(6))
 
-    @pytest.mark.parametrize(
-        "executor",
-        [pytest.param(ThreadExecutor(2), id="threads"),
-         pytest.param(MultiprocessingExecutor(2), id="processes")],
-    )
+    @pytest.mark.parametrize("executor", POOL_EXECUTORS)
     def test_submission_gated_on_lowest_unyielded_index(self, executor):
         # Task 0 is slow while every later task is instant.  Submission
         # must stall at (lowest unyielded index) + window, so no more
@@ -181,93 +145,36 @@ class TestStream:
         assert sorted(order) == list(range(10))
         assert order.index(0) <= 3
 
-    def test_thread_stream_completes_out_of_order(self):
+    def test_process_stream_completes_out_of_order(self):
         # Task 0 sleeps; with 2 workers the later tasks finish (and
         # must be yielded) before it — the reorder buffer's raison
         # d'être.
-        items = list(ThreadExecutor(2).stream(slow_head, list(range(4))))
+        items = list(
+            MultiprocessingExecutor(2).stream(slow_head, list(range(4)))
+        )
         order = [index for index, _, _ in items]
         assert sorted(order) == [0, 1, 2, 3]
         assert order[0] != 0
 
-    @pytest.mark.parametrize(
-        "executor",
-        [pytest.param(ThreadExecutor(2), id="threads"),
-         pytest.param(MultiprocessingExecutor(2), id="processes")],
-    )
+    @pytest.mark.parametrize("executor", POOL_EXECUTORS)
     def test_window_smaller_than_pool_is_clamped(self, executor):
         tasks = list(range(8))
         items = list(executor.stream(square, tasks, window=1))
         assert sorted(index for index, _, _ in items) == tasks
 
-    def test_abandoned_thread_stream_cancels_queued_tasks(self):
-        # A consumer that raises mid-stream must not wait out the whole
-        # submission window: queued-but-unstarted tasks are cancelled
-        # when the generator is closed, so shutdown only waits for the
-        # tasks actually on a worker.
-        import threading
-
-        started = []
-        release = threading.Event()
-
-        def gated(x):
-            started.append(x)
-            if x != 0:
-                release.wait(timeout=5)
-            return x
-
-        stream = ThreadExecutor(2).stream(gated, list(range(12)), window=8)
-        index, ok, value = next(stream)  # submits the window; task 0 lands
-        assert (index, ok, value) == (0, True, 0)
-        # Unblock the in-flight workers shortly after close() starts
-        # waiting on them.
-        threading.Timer(0.15, release.set).start()
-        stream.close()  # what an exception in the consumer loop does
-        # Only task 0 and the tasks already picked up by the two
-        # workers ran; the queued remainder of the 8-task window was
-        # cancelled rather than executed during shutdown.
-        assert len(started) <= 5
-
     def test_single_worker_pools_degrade_to_serial_stream(self):
-        for executor in (ThreadExecutor(4), MultiprocessingExecutor(4)):
-            items = list(executor.stream(square, [5]))
-            assert items == [(0, True, 25)]
+        items = list(MultiprocessingExecutor(4).stream(square, [5]))
+        assert items == [(0, True, 25)]
 
-    def test_base_class_fallback_replays_map(self):
-        class MapOnly(Executor):
-            def map(self, fn, tasks, *, progress=None):
-                return [fn(task) for task in tasks]
+    def test_base_class_map_collects_stream_in_task_order(self):
+        # map() is one collect over stream() for every executor: a
+        # stream yielding in any order maps back to task order.
+        class Reversed(Executor):
+            def stream(self, fn, tasks, *, window=None):
+                for index in reversed(range(len(tasks))):
+                    yield index, True, fn(tasks[index])
 
-        items = list(MapOnly().stream(square, [1, 2, 3]))
-        assert items == [(0, True, 1), (1, True, 4), (2, True, 9)]
-
-    def test_base_class_fallback_replays_aggregated_failures(self):
-        class MapOnly(Executor):
-            def map(self, fn, tasks, *, progress=None):
-                return SerialExecutor().map(fn, tasks, progress=progress)
-
-        items = list(MapOnly().stream(fail_on_odd, [0, 1, 2]))
-        assert [index for index, _, _ in items] == [0, 1, 2]
-        assert [ok for _, ok, _ in items] == [True, False, True]
-        assert "odd input 1" in items[1][2][0]
-
-    def test_base_class_fallback_without_drained_results_yields_no_successes(
-        self,
-    ):
-        # A map() that raises ShardExecutionError without the optional
-        # drained results leaves the non-failed outcomes unknown; the
-        # fallback must report them as failures, never as successful
-        # None results (which would crash the streaming fold instead
-        # of propagating a ShardExecutionError).
-        class AbortingMap(Executor):
-            def map(self, fn, tasks, *, progress=None):
-                raise ShardExecutionError([(1, "ValueError('odd')", "tb")])
-
-        items = list(AbortingMap().stream(fail_on_odd, [0, 1, 2]))
-        assert [ok for _, ok, _ in items] == [False, False, False]
-        assert "odd" in items[1][2][0]
-        assert "result unavailable" in items[0][2][0]
-        assert "result unavailable" in items[2][2][0]
+        assert Reversed().map(square, [1, 2, 3]) == [1, 4, 9]
 
 
 class TestMakeExecutor:
@@ -278,19 +185,6 @@ class TestMakeExecutor:
         executor = make_executor(4)
         assert isinstance(executor, MultiprocessingExecutor)
         assert executor.workers == 4
-
-    def test_threads_backend(self):
-        executor = make_executor(4, backend="threads")
-        assert isinstance(executor, ThreadExecutor)
-        assert executor.workers == 4
-
-    def test_one_worker_is_serial_for_any_backend(self):
-        for backend in EXECUTOR_BACKENDS:
-            assert isinstance(make_executor(1, backend=backend), SerialExecutor)
-
-    def test_rejects_unknown_backend(self):
-        with pytest.raises(ValueError, match="backend"):
-            make_executor(4, backend="rayon")
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):

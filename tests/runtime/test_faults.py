@@ -8,19 +8,22 @@ the stream/ReorderBuffer failure-path contract the streaming merge
 relies on: each index yielded exactly once with its *final* outcome.
 """
 
+import json
 import os
 import pathlib
 import pickle
+import subprocess
+import sys
+import textwrap
 import time
 
 import pytest
 
+import repro
 from repro.runtime import ReorderBuffer
 from repro.runtime.executor import (
-    MultiprocessingExecutor,
     SerialExecutor,
     ShardExecutionError,
-    ThreadExecutor,
     make_executor,
 )
 from repro.runtime.faults import (
@@ -36,7 +39,7 @@ from repro.runtime.faults import (
 
 
 def _claim(root, task):
-    """The n-th call for ``task`` returns n — across threads and processes."""
+    """The n-th call for ``task`` returns n — across processes and pool respawns."""
     root = pathlib.Path(root)
     root.mkdir(parents=True, exist_ok=True)
     attempt = 1
@@ -54,8 +57,8 @@ def _claim(root, task):
 class Flaky:
     """Fail the first ``failures`` attempts of each task, then succeed.
 
-    Attempt counting lives on disk so the callable works identically in
-    threads, forked workers, and respawned pools.
+    Attempt counting lives on disk so the callable works identically
+    in-process, in forked workers, and in respawned pools.
     """
 
     def __init__(self, root, failures=1, error=TransientShardError):
@@ -105,18 +108,6 @@ class FailHead:
         _claim(self.root, x)
         if x == 0:
             raise ValueError("head always fails")
-        return x * x
-
-
-class HangAll:
-    """Every task's first attempt stalls (to wedge every pool slot)."""
-
-    def __init__(self, root):
-        self.root = str(root)
-
-    def __call__(self, x):
-        if _claim(self.root, x) == 1:
-            time.sleep(30.0)
         return x * x
 
 
@@ -231,15 +222,13 @@ class TestShardFailure:
 
 BACKENDS = [
     pytest.param("serial", id="serial"),
-    pytest.param("threads", id="threads"),
     pytest.param("processes", id="processes"),
 ]
 
 
 def _executor(backend, retry=None, timeout=None):
-    if backend == "serial":
-        return make_executor(1, retry=retry, timeout=timeout)
-    return make_executor(3, backend=backend, retry=retry, timeout=timeout)
+    workers = 1 if backend == "serial" else 3
+    return make_executor(workers, retry=retry, timeout=timeout)
 
 
 class TestExecutorRetries:
@@ -313,15 +302,37 @@ class TestExecutorRetries:
         assert plain == retried
 
 
-class TestTimeoutsAndCrashes:
-    def test_thread_timeout_abandons_and_retries(self, tmp_path):
-        executor = _executor("threads", retry=FAST, timeout=0.3)
-        assert executor.map(HangOnce(tmp_path), [0, 1, 2, 3]) == [0, 1, 4, 9]
+#: Runs MultiprocessingExecutor(2).stream over 4 tasks in a fresh
+#: interpreter, where task 1 kills its worker, and prints the items.
+#: Task 1 dies only after the other worker has had time to finish
+#: tasks 0, 2 and 3, so it is the only shard in flight at the crash.
+_CRASH_SCRIPT = textwrap.dedent("""
+    import json
+    import os
+    import time
 
-    def test_thread_timeout_without_retry_fails_with_timeout_error(
+    from repro.runtime.executor import MultiprocessingExecutor
+
+    def task(x):
+        if x == 1:
+            time.sleep(0.5)
+            os._exit(43)
+        return x * x
+
+    if __name__ == "__main__":
+        items = MultiprocessingExecutor(2).stream(task, [0, 1, 2, 3])
+        print(json.dumps([
+            [index, ok, payload if ok else payload[0]]
+            for index, ok, payload in items
+        ]))
+""")
+
+
+class TestTimeoutsAndCrashes:
+    def test_process_timeout_without_retry_fails_with_timeout_error(
         self, tmp_path
     ):
-        executor = _executor("threads", timeout=0.3)
+        executor = _executor("processes", timeout=0.3)
         with pytest.raises(ShardExecutionError) as excinfo:
             executor.map(HangOnce(tmp_path), [0, 1, 2, 3])
         (failure,) = excinfo.value.failures
@@ -336,6 +347,26 @@ class TestTimeoutsAndCrashes:
         executor = _executor("processes", retry=FAST)
         assert executor.map(CrashOnce(tmp_path), [0, 1, 2, 3]) == [0, 1, 4, 9]
 
+    def test_process_crash_without_knobs_fails_only_its_shard(self):
+        # No retry, no timeout: the dead worker's shard must still be
+        # reported, never awaited forever.  A subprocess bounds a hang.
+        src = pathlib.Path(repro.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run(
+            [sys.executable, "-c", _CRASH_SCRIPT],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert done.returncode == 0, done.stderr
+        items = {index: (ok, value) for index, ok, value in
+                 json.loads(done.stdout)}
+        assert sorted(items) == [0, 1, 2, 3]
+        assert items[0] == (True, 0)
+        assert items[2] == (True, 4)
+        assert items[3] == (True, 9)
+        ok, error = items[1]
+        assert not ok
+        assert "WorkerCrashError" in error
+
     def test_unrecoverable_pool_degrades_to_serial(self, tmp_path):
         executor = _executor("processes", retry=FAST, timeout=0.3)
         executor.max_respawns = 0
@@ -344,14 +375,6 @@ class TestTimeoutsAndCrashes:
         # Degraded serial execution ignores the deadline, so even the
         # stalling first attempt of task 0... is retried after its
         # timeout classification and completes in-process.
-        assert results == [0, 1, 4, 9]
-
-    def test_all_threads_hung_degrades_to_serial(self, tmp_path):
-        executor = ThreadExecutor(2)
-        executor.retry = FAST
-        executor.timeout = 0.2
-        with pytest.warns(PoolDegradedWarning):
-            results = executor.map(HangAll(tmp_path), [0, 1, 2, 3])
         assert results == [0, 1, 4, 9]
 
 

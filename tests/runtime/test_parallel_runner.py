@@ -66,21 +66,6 @@ class TestRunSimulation:
         result = ParallelRunner(workers=1).run(spec, shards=2)
         assert result.terminal_stakes is None
 
-    def test_threads_backend_matches_processes_bits(self):
-        spec = make_spec()
-        processes = ParallelRunner(workers=2, backend="processes").run(
-            spec, shards=4
-        )
-        threads = ParallelRunner(workers=2, backend="threads").run(
-            spec, shards=4
-        )
-        np.testing.assert_array_equal(
-            processes.reward_fractions, threads.reward_fractions
-        )
-        np.testing.assert_array_equal(
-            processes.terminal_stakes, threads.terminal_stakes
-        )
-
     def test_kernel_knob_does_not_change_merged_bits(self):
         # The spec's kernel selects the advance path per shard; results
         # (and hence cache addresses) are bit-identical either way.
@@ -174,11 +159,10 @@ class TestRunMany:
             make_spec(trials=30, seed=3),
         ]
 
-    @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+    @pytest.mark.parametrize("backend", ["serial", "processes"])
     def test_matches_per_spec_run_bit_for_bit(self, backend):
         workers = 1 if backend == "serial" else 3
-        kwargs = {} if backend == "serial" else {"backend": backend}
-        batched = ParallelRunner(workers=workers, **kwargs).run_many(
+        batched = ParallelRunner(workers=workers).run_many(
             self.grid(), shards=4
         )
         reference = [
@@ -194,14 +178,13 @@ class TestRunMany:
                 got.terminal_stakes, expected.terminal_stakes
             )
 
-    @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+    @pytest.mark.parametrize("backend", ["serial", "processes"])
     def test_mixed_cache_hit_miss_grid(self, backend, tmp_path):
         workers = 1 if backend == "serial" else 2
-        kwargs = {} if backend == "serial" else {"backend": backend}
         warmup = ParallelRunner(workers=1, cache=tmp_path)
         cached_result = warmup.run(self.grid()[1], shards=4)
 
-        runner = ParallelRunner(workers=workers, cache=tmp_path, **kwargs)
+        runner = ParallelRunner(workers=workers, cache=tmp_path)
         batched = runner.run_many(self.grid(), shards=4)
         assert runner.cache.hits == 1  # spec 1 loaded, specs 0/2 simulated
         np.testing.assert_array_equal(
@@ -377,12 +360,10 @@ class TestRunSystemMany:
             for index, protocol in enumerate(protocols)
         ]
 
-    @pytest.mark.parametrize("workers,backend", [
-        (1, "processes"), (2, "threads"), (2, "processes"),
+    @pytest.mark.parametrize("workers", [
+        pytest.param(1, id="1-processes"), pytest.param(2, id="2-processes"),
     ])
-    def test_mixed_cached_uncached_grid(
-        self, tmp_path, two_miners, workers, backend
-    ):
+    def test_mixed_cached_uncached_grid(self, tmp_path, two_miners, workers):
         # Warm exactly one cell, then run the whole grid: the warm cell
         # must load, the cold cells compute, and every result must be
         # bit-identical to the per-spec path — on every backend.
@@ -394,11 +375,11 @@ class TestRunSystemMany:
             )
             for spec in specs
         ]
-        cache = tmp_path / f"cache-{workers}-{backend}"
+        cache = tmp_path / f"cache-{workers}"
         ParallelRunner(workers=1, cache=cache).run_system_many(
             [specs[1]], shards=2
         )
-        runner = ParallelRunner(workers=workers, cache=cache, backend=backend)
+        runner = ParallelRunner(workers=workers, cache=cache)
         batched = runner.run_system_many(specs, shards=2)
         assert runner.cache.hits == 1
         assert runner.cache.misses == 2

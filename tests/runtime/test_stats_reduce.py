@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.chainsim.harness import SystemExperiment
 from repro.core.miners import Allocation
-from repro.core.results import EnsembleResult, MergeAccumulator
+from repro.core.results import EnsembleResult, MergeAccumulator, merge_parts
 from repro.core.stats import StatsSummary
 from repro.experiments._common import build_protocol
 from repro.protocols import MultiLotteryPoS, ProofOfWork
@@ -26,16 +26,17 @@ from repro.runtime import (
     ShardExecutionError,
     SimulationSpec,
     SystemSpec,
+    plan_shards,
     spec_fingerprint,
 )
 from repro.runtime.executor import SerialExecutor
+from repro.runtime.runner import _simulation_shard_body
 
 ALL_PROTOCOLS = ("PoW", "ML-PoS", "SL-PoS", "C-PoS", "FSL-PoS")
 
 BACKENDS = [
-    pytest.param(1, "processes", id="serial"),
-    pytest.param(3, "threads", id="threads"),
-    pytest.param(3, "processes", id="processes"),
+    pytest.param(1, id="serial"),
+    pytest.param(3, id="processes"),
 ]
 
 
@@ -50,6 +51,12 @@ def make_spec(protocol=None, trials=24, horizon=60, seed=7, **overrides):
     )
     defaults.update(overrides)
     return SimulationSpec(**defaults)
+
+
+def batch_reference(spec, shards):
+    """Run every shard of the plan in-process, then merge them at once."""
+    plan = plan_shards(spec.trials, spec.seed_sequence, min(spec.trials, shards))
+    return merge_parts([_simulation_shard_body(spec, shard) for shard in plan])
 
 
 def assert_stats_byte_equal(got, expected):
@@ -106,26 +113,21 @@ class TestGoldenSimulation:
         full = runner.run(full_spec, shards=4)
         assert_matches_full_reduction(stats, full)
 
-    @pytest.mark.parametrize("workers,backend", BACKENDS)
-    def test_every_backend_bit_identical_to_serial(self, workers, backend):
+    @pytest.mark.parametrize("workers", BACKENDS)
+    def test_every_backend_bit_identical_to_serial(self, workers):
         specs = [
             make_spec(seed=1),
             make_spec(protocol=ProofOfWork(0.01), seed=2),
             make_spec(trials=17, seed=3),  # uneven split across 4 shards
         ]
-        reference = ParallelRunner(workers=1, stream=False).run_many(
-            specs, shards=4
-        )
-        runner = ParallelRunner(workers=workers, backend=backend, stream=True)
-        streamed = runner.run_many(specs, shards=4)
-        for got, expected in zip(streamed, reference):
-            assert_stats_byte_equal(got, expected)
+        streamed = ParallelRunner(workers=workers).run_many(specs, shards=4)
+        for got, spec in zip(streamed, specs):
+            assert_stats_byte_equal(got, batch_reference(spec, shards=4))
 
     def test_streamed_fold_equals_batch_merge(self):
         spec = make_spec(seed=5)
-        streamed = ParallelRunner(workers=1, stream=True).run(spec, shards=3)
-        batch = ParallelRunner(workers=1, stream=False).run(spec, shards=3)
-        assert_stats_byte_equal(streamed, batch)
+        streamed = ParallelRunner(workers=1).run(spec, shards=3)
+        assert_stats_byte_equal(streamed, batch_reference(spec, shards=3))
 
     def test_no_terminal_stakes(self):
         spec = make_spec(seed=9, record_terminal_stakes=False)
@@ -153,14 +155,12 @@ class TestGoldenSystem:
             for index, protocol in enumerate(("ml-pos", "sl-pos", "pow"))
         ]
 
-    @pytest.mark.parametrize("workers,backend", BACKENDS)
-    def test_system_grid_matches_full_reduction(
-        self, two_miners, workers, backend
-    ):
+    @pytest.mark.parametrize("workers", BACKENDS)
+    def test_system_grid_matches_full_reduction(self, two_miners, workers):
         full = ParallelRunner(workers=1).run_system_many(
             self.sweep(two_miners, "full"), shards=2
         )
-        runner = ParallelRunner(workers=workers, backend=backend)
+        runner = ParallelRunner(workers=workers)
         stats = runner.run_system_many(self.sweep(two_miners, "stats"), shards=2)
         for got, expected in zip(stats, full):
             assert_matches_full_reduction(got, expected)
@@ -174,13 +174,13 @@ class TestGoldenCache:
             make_spec(trials=30, seed=3),
         ]
 
-    @pytest.mark.parametrize("workers,backend", BACKENDS)
-    def test_mixed_cached_uncached_grid(self, tmp_path, workers, backend):
-        cache = tmp_path / f"cache-{workers}-{backend}"
+    @pytest.mark.parametrize("workers", BACKENDS)
+    def test_mixed_cached_uncached_grid(self, tmp_path, workers):
+        cache = tmp_path / f"cache-{workers}"
         warm = ParallelRunner(workers=1, cache=cache)
         warm.run(self.grid()[1], shards=4)
 
-        runner = ParallelRunner(workers=workers, backend=backend, cache=cache)
+        runner = ParallelRunner(workers=workers, cache=cache)
         streamed = runner.run_many(self.grid(), shards=4)
         assert runner.cache.hits == 1
         reference = ParallelRunner(workers=1).run_many(self.grid(), shards=4)
@@ -301,7 +301,7 @@ class TestCLIWiring:
 
     def test_reduce_threads_through_workers(self):
         runner = self.build(
-            ["fig3", "--reduce", "stats", "--workers", "2", "--backend", "threads"]
+            ["fig3", "--reduce", "stats", "--workers", "2"]
         )
         assert runner.reduce == "stats"
         assert runner.workers == 2

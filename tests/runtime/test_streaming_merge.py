@@ -1,11 +1,12 @@
-"""Differential tests: the streaming merge vs the batch merge.
+"""Differential tests: the streaming merge vs a batch-merged reference.
 
-The streaming path (``ParallelRunner(stream=True)``, the default) must
-be *bit-identical* to the original collect-then-merge path for every
+The runner folds shard results as they stream in.  Its output must be
+*bit-identical* to the oracle built here — every shard of the plan run
+in-process, then merged at once with ``merge_parts`` — for every
 protocol, on every executor backend, through the cache, and across
-failures — these tests pin that contract.  The perf-marked memory test
+failures; these tests pin that contract.  The perf-marked memory test
 asserts the point of the exercise: peak working-set stays near one
-merged ensemble instead of two.
+merged ensemble.
 """
 
 import gc
@@ -16,21 +17,25 @@ import pytest
 
 from repro.chainsim.harness import SystemExperiment
 from repro.core.miners import Allocation
+from repro.core.results import merge_parts
 from repro.experiments._common import build_protocol
 from repro.protocols import MultiLotteryPoS, ProofOfWork
 from repro.runtime import (
     ParallelRunner,
+    ResultCache,
     ShardExecutionError,
     SimulationSpec,
     SystemSpec,
+    plan_shards,
+    spec_fingerprint,
 )
+from repro.runtime.runner import _simulation_shard_body, _system_shard_body
 
 ALL_PROTOCOLS = ("PoW", "ML-PoS", "SL-PoS", "C-PoS", "FSL-PoS")
 
 BACKENDS = [
-    pytest.param(1, "processes", id="serial"),
-    pytest.param(3, "threads", id="threads"),
-    pytest.param(3, "processes", id="processes"),
+    pytest.param(1, id="serial"),
+    pytest.param(3, id="processes"),
 ]
 
 
@@ -44,6 +49,16 @@ def make_spec(protocol=None, trials=24, horizon=60, seed=7, **overrides):
     )
     defaults.update(overrides)
     return SimulationSpec(**defaults)
+
+
+def batch_reference(spec, shards):
+    """Run every shard of the plan in-process, then merge them at once."""
+    if isinstance(spec, SystemSpec):
+        body, total = _system_shard_body, spec.repeats
+    else:
+        body, total = _simulation_shard_body, spec.trials
+    plan = plan_shards(total, spec.seed_sequence, min(total, shards))
+    return merge_parts([body(spec, shard) for shard in plan])
 
 
 def assert_byte_equal(streamed, batch):
@@ -64,39 +79,25 @@ class TestGoldenSimulation:
     @pytest.mark.parametrize("name", ALL_PROTOCOLS)
     def test_every_protocol_bit_identical(self, name):
         spec = make_spec(protocol=build_protocol(name, reward=0.01), seed=11)
-        batch = ParallelRunner(workers=1, stream=False).run(spec, shards=4)
-        streamed = ParallelRunner(workers=1, stream=True).run(spec, shards=4)
-        assert_byte_equal(streamed, batch)
+        streamed = ParallelRunner(workers=1).run(spec, shards=4)
+        assert_byte_equal(streamed, batch_reference(spec, shards=4))
 
-    @pytest.mark.parametrize("workers,backend", BACKENDS)
-    def test_every_backend_bit_identical(self, workers, backend):
+    @pytest.mark.parametrize("workers", BACKENDS)
+    def test_every_backend_bit_identical(self, workers):
         specs = [
             make_spec(seed=1),
             make_spec(protocol=ProofOfWork(0.01), seed=2),
             make_spec(trials=17, seed=3),  # uneven split across 4 shards
         ]
-        batch = ParallelRunner(workers=1, stream=False).run_many(
-            specs, shards=4
-        )
-        runner = ParallelRunner(workers=workers, backend=backend, stream=True)
-        streamed = runner.run_many(specs, shards=4)
-        for got, expected in zip(streamed, batch):
-            assert_byte_equal(got, expected)
-
-    def test_per_call_override_beats_runner_default(self):
-        spec = make_spec(seed=5)
-        runner = ParallelRunner(workers=1, stream=False)
-        assert_byte_equal(
-            runner.run(spec, shards=3, stream=True),
-            runner.run(spec, shards=3, stream=False),
-        )
+        streamed = ParallelRunner(workers=workers).run_many(specs, shards=4)
+        for got, spec in zip(streamed, specs):
+            assert_byte_equal(got, batch_reference(spec, shards=4))
 
     def test_no_terminal_stakes_streams_identically(self):
         spec = make_spec(seed=9, record_terminal_stakes=False)
-        batch = ParallelRunner(workers=1, stream=False).run(spec, shards=3)
-        streamed = ParallelRunner(workers=1, stream=True).run(spec, shards=3)
+        streamed = ParallelRunner(workers=1).run(spec, shards=3)
         assert streamed.terminal_stakes is None
-        assert_byte_equal(streamed, batch)
+        assert_byte_equal(streamed, batch_reference(spec, shards=3))
 
 
 class TestGoldenSystem:
@@ -111,16 +112,13 @@ class TestGoldenSystem:
             for index, protocol in enumerate(("ml-pos", "sl-pos", "pow"))
         ]
 
-    @pytest.mark.parametrize("workers,backend", BACKENDS)
-    def test_system_grid_bit_identical(self, two_miners, workers, backend):
+    @pytest.mark.parametrize("workers", BACKENDS)
+    def test_system_grid_bit_identical(self, two_miners, workers):
         specs = self.sweep(two_miners)
-        batch = ParallelRunner(workers=1, stream=False).run_system_many(
-            specs, shards=2
-        )
-        runner = ParallelRunner(workers=workers, backend=backend, stream=True)
+        runner = ParallelRunner(workers=workers)
         streamed = runner.run_system_many(specs, shards=2)
-        for got, expected in zip(streamed, batch):
-            assert_byte_equal(got, expected)
+        for got, spec in zip(streamed, specs):
+            assert_byte_equal(got, batch_reference(spec, shards=2))
 
 
 class TestGoldenCache:
@@ -131,52 +129,46 @@ class TestGoldenCache:
             make_spec(trials=30, seed=3),
         ]
 
-    @pytest.mark.parametrize("workers,backend", BACKENDS)
-    def test_mixed_cached_uncached_grid(self, tmp_path, workers, backend):
-        # Warm one cell, then run the grid streaming: the warm cell
-        # loads, the cold cells stream-fold, and every artifact (and
-        # counter) matches the batch path exactly.
-        cache = tmp_path / f"cache-{workers}-{backend}"
-        warm = ParallelRunner(workers=1, cache=cache, stream=False)
+    @pytest.mark.parametrize("workers", BACKENDS)
+    def test_mixed_cached_uncached_grid(self, tmp_path, workers):
+        # Warm one cell, then run the grid: the warm cell loads, the
+        # cold cells stream-fold, and every result matches the batch
+        # reference exactly.
+        cache = tmp_path / f"cache-{workers}"
+        warm = ParallelRunner(workers=1, cache=cache)
         warm.run(self.grid()[1], shards=4)
 
-        runner = ParallelRunner(
-            workers=workers, backend=backend, cache=cache, stream=True
-        )
+        runner = ParallelRunner(workers=workers, cache=cache)
         streamed = runner.run_many(self.grid(), shards=4)
         assert runner.cache.hits == 1
-        batch = ParallelRunner(workers=1, stream=False).run_many(
-            self.grid(), shards=4
-        )
-        for got, expected in zip(streamed, batch):
-            assert_byte_equal(got, expected)
+        for got, spec in zip(streamed, self.grid()):
+            assert_byte_equal(got, batch_reference(spec, shards=4))
         # The streamed run populated the cache for the misses too.
         rerun = ParallelRunner(workers=1, cache=cache)
         rerun.run_many(self.grid(), shards=4)
         assert rerun.cache.hits == 3
 
     def test_stream_and_batch_share_cache_entries(self, tmp_path):
-        # Same fingerprints, byte-identical artifacts: a batch-written
-        # entry answers a streaming run and vice versa.
+        # A batch-merged entry stored under the spec's fingerprint
+        # answers a streaming run, and the runner's own entry for a
+        # fresh run loads back byte-identical to it.
         spec = make_spec(seed=21)
-        batch_runner = ParallelRunner(
-            workers=1, cache=tmp_path / "c", stream=False
-        )
-        cold = batch_runner.run(spec, shards=4)
-        stream_runner = ParallelRunner(
-            workers=1, cache=tmp_path / "c", stream=True
-        )
-        warm = stream_runner.run(spec, shards=4)
-        assert stream_runner.cache.hits == 1
-        assert len(stream_runner.cache) == 1
-        assert_byte_equal(warm, cold)
+        batch = batch_reference(spec, shards=4)
+        ResultCache(tmp_path / "b").put(spec_fingerprint(spec, shards=4), batch)
+        runner = ParallelRunner(workers=1, cache=tmp_path / "b")
+        assert_byte_equal(runner.run(spec, shards=4), batch)
+        assert runner.cache.hits == 1
+        assert len(runner.cache) == 1
+
+        ParallelRunner(workers=1, cache=tmp_path / "s").run(spec, shards=4)
+        stored = ResultCache(tmp_path / "s").get(spec_fingerprint(spec, shards=4))
+        assert_byte_equal(stored, batch)
 
     def test_duplicate_specs_compute_once_streaming(self, tmp_path):
         seen = []
         runner = ParallelRunner(
             workers=1,
             cache=tmp_path,
-            stream=True,
             progress=lambda done, total: seen.append(total),
         )
         a, b = runner.run_many(
@@ -206,14 +198,9 @@ class TestFailureSalvageParity:
         bad = SystemSpec(_ExplodingExperiment(), 30, 4, seed=4)
         return good, bad
 
-    @pytest.mark.parametrize("stream", [True, False], ids=["stream", "batch"])
-    def test_completed_specs_cached_despite_failure(
-        self, tmp_path, two_miners, stream
-    ):
+    def test_completed_specs_cached_despite_failure(self, tmp_path, two_miners):
         good, bad = self.specs(two_miners)
-        runner = ParallelRunner(
-            workers=1, cache=tmp_path / ("s" if stream else "b"), stream=stream
-        )
+        runner = ParallelRunner(workers=1, cache=tmp_path)
         with pytest.raises(ShardExecutionError, match="boom"):
             runner.run_system_many([good, bad], shards=2)
         rerun = ParallelRunner(workers=1, cache=runner.cache.directory)
@@ -223,32 +210,25 @@ class TestFailureSalvageParity:
     def test_stream_and_batch_salvage_identical_entries(
         self, tmp_path, two_miners
     ):
+        # The salvage stores exactly the good spec's entry, holding the
+        # batch-merged reference's bytes.
         good, bad = self.specs(two_miners)
-        entries = {}
-        for label, stream in (("stream", True), ("batch", False)):
-            runner = ParallelRunner(
-                workers=1, cache=tmp_path / label, stream=stream
-            )
-            with pytest.raises(ShardExecutionError):
-                runner.run_system_many([good, bad], shards=2)
-            entries[label] = sorted(
-                p.name for p in runner.cache.directory.glob("*.npz")
-            )
-        assert entries["stream"] == entries["batch"]
-        assert len(entries["stream"]) == 1
+        runner = ParallelRunner(workers=1, cache=tmp_path)
+        with pytest.raises(ShardExecutionError):
+            runner.run_system_many([good, bad], shards=2)
+        key = spec_fingerprint(good, shards=2)
+        assert [p.stem for p in tmp_path.glob("*.npz")] == [key]
+        assert_byte_equal(
+            runner.cache.get(key), batch_reference(good, shards=2)
+        )
 
     def test_failure_indices_match_batch_path(self, two_miners):
+        # Failures carry dispatch task indices: the good spec's two
+        # shards are tasks 0-1, the failing spec's are tasks 2-3.
         good, bad = self.specs(two_miners)
-        collected = {}
-        for label, stream in (("stream", True), ("batch", False)):
-            with pytest.raises(ShardExecutionError) as excinfo:
-                ParallelRunner(workers=1, stream=stream).run_system_many(
-                    [good, bad], shards=2
-                )
-            collected[label] = [
-                index for index, _, _ in excinfo.value.failures
-            ]
-        assert collected["stream"] == collected["batch"] == [2, 3]
+        with pytest.raises(ShardExecutionError) as excinfo:
+            ParallelRunner(workers=1).run_system_many([good, bad], shards=2)
+        assert [index for index, _, _ in excinfo.value.failures] == [2, 3]
 
 
 class TestProgressCountsMergedShards:
@@ -256,15 +236,14 @@ class TestProgressCountsMergedShards:
         seen = []
         runner = ParallelRunner(
             workers=1,
-            stream=True,
             progress=lambda done, total: seen.append((done, total)),
         )
         runner.run_many([make_spec(seed=1), make_spec(seed=2)], shards=3)
         assert seen == [(i + 1, 6) for i in range(6)]
 
-    @pytest.mark.parametrize("workers,backend", BACKENDS)
+    @pytest.mark.parametrize("workers", BACKENDS)
     def test_never_overshoots_total_when_a_shard_fails(
-        self, two_miners, workers, backend
+        self, two_miners, workers
     ):
         good = SystemSpec(
             SystemExperiment("ml-pos", two_miners), 30, 4, seed=3
@@ -273,8 +252,6 @@ class TestProgressCountsMergedShards:
         seen = []
         runner = ParallelRunner(
             workers=workers,
-            backend=backend,
-            stream=True,
             progress=lambda done, total: seen.append((done, total)),
         )
         with pytest.raises(ShardExecutionError):
@@ -293,7 +270,6 @@ class TestProgressCountsMergedShards:
         warm = ParallelRunner(
             workers=1,
             cache=tmp_path,
-            stream=True,
             progress=lambda done, total: seen.append((done, total)),
         )
         warm.run_many(specs, shards=2)
@@ -314,7 +290,7 @@ class TestStreamContractGuard:
                         continue  # silently lose task 1
                     yield item
 
-        runner = ParallelRunner(executor=DroppingExecutor(), stream=True)
+        runner = ParallelRunner(executor=DroppingExecutor())
         with pytest.raises(RuntimeError, match="yielded 2 of 3 tasks"):
             runner.run(make_spec(seed=4), shards=3)
 
@@ -335,11 +311,11 @@ def _peak_bytes(fn):
 class TestStreamingPeakMemory:
     """The memory contract: streaming peaks near ONE merged ensemble.
 
-    The batch path materializes every shard result and then
-    concatenates — ~2x the merged footprint before per-shard overheads.
-    Streaming preallocates the merged arrays once and folds shards as
-    they land, so its peak must stay below a small multiple of the
-    final artifact and roughly flat as the shard count grows.
+    Collecting every shard result and then concatenating would cost
+    ~2x the merged footprint before per-shard overheads.  Streaming
+    preallocates the merged arrays once and folds shards as they land,
+    so its peak must stay below a small multiple of the final artifact
+    and roughly flat as the shard count grows.
     """
 
     TRIALS = 8000
@@ -360,25 +336,16 @@ class TestStreamingPeakMemory:
             self.TRIALS * len(self.CHECKPOINTS) * 2 * 8 + self.TRIALS * 2 * 8
         )
 
-    def test_streaming_peaks_below_batch_and_near_one_ensemble(self):
+    def test_streaming_peak_near_one_ensemble(self):
         spec = self.spec()
-        batch_peak = _peak_bytes(
-            lambda: ParallelRunner(workers=1, stream=False).run(
-                spec, shards=self.SHARDS
-            )
-        )
         stream_peak = _peak_bytes(
-            lambda: ParallelRunner(workers=1, stream=True).run(
-                spec, shards=self.SHARDS
-            )
+            lambda: ParallelRunner(workers=1).run(spec, shards=self.SHARDS)
         )
-        # Strictly cheaper than collect-then-merge...
-        assert stream_peak < batch_peak * 0.85, (stream_peak, batch_peak)
-        # ...and within a small multiple of the inherent output size:
-        # the accumulated arrays (adopted without a validating re-clip
+        # Within a small multiple of the inherent output size: the
+        # accumulated arrays (adopted without a validating re-clip
         # copy) plus one in-flight shard and simulation scratch —
-        # ~1.3x measured at 16 shards.  The batch path holds the full
-        # shard result list plus the concatenate+clip copies (~3x).
+        # ~1.3x measured at 16 shards.  Collecting the full shard
+        # result list plus the concatenate+clip copies costs ~3x.
         assert stream_peak < self.merged_nbytes() * 2.0, (
             stream_peak,
             self.merged_nbytes(),
@@ -388,9 +355,9 @@ class TestStreamingPeakMemory:
         spec = self.spec()
         peaks = {
             shards: _peak_bytes(
-                lambda shards=shards: ParallelRunner(
-                    workers=1, stream=True
-                ).run(spec, shards=shards)
+                lambda shards=shards: ParallelRunner(workers=1).run(
+                    spec, shards=shards
+                )
             )
             for shards in (4, 16, 64)
         }

@@ -45,6 +45,12 @@ DEFAULT_TRIALS = 600
 DEFAULT_HORIZON = 300
 SHARES = (0.1, 0.2, 0.3, 0.4, 0.5)
 
+#: Shards per cell, pinned.  The default plan gives a cell of fewer
+#: than 1,000 trials one shard, and a one-shard dispatch runs
+#: in-process, so the per-cell loop would never reach the pool and
+#: the comparison would stop measuring what batching saves.
+SHARDS = 8
+
 
 def figure3_grid(
     trials: int = DEFAULT_TRIALS, horizon: int = DEFAULT_HORIZON
@@ -79,11 +85,11 @@ def measure_grid(
     runner = ParallelRunner(workers=workers)
 
     start = time.perf_counter()
-    per_cell = [runner.run(spec) for spec in specs]
+    per_cell = [runner.run(spec, shards=SHARDS) for spec in specs]
     per_cell_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    batched = runner.run_many(specs)
+    batched = runner.run_many(specs, shards=SHARDS)
     batched_seconds = time.perf_counter() - start
 
     for cell_result, grid_result in zip(per_cell, batched):
@@ -106,6 +112,7 @@ def measure_grid(
         "workers": workers,
         "cells": len(specs),
         "trials_per_cell": trials,
+        "shards_per_cell": SHARDS,
         "horizon": horizon,
         "per_cell_seconds": round(per_cell_seconds, 4),
         "batched_seconds": round(batched_seconds, 4),

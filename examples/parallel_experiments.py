@@ -4,8 +4,8 @@ Demonstrates the ways to use the runtime layer:
 
 1. the high-level :class:`MiningGame` knobs (``workers=``, ``cache=``),
 2. an explicit :class:`ParallelRunner` over a :class:`SimulationSpec`
-   (pin ``shards`` to make merged results bit-identical across any
-   worker count),
+   (the default shard plan depends on the spec alone, so merged
+   results are bit-identical across any worker count),
 3. grid batching (``run_many``): a whole sweep of specs — every
    uncached shard of every cell — in a single pool dispatch,
    bit-identical to running the specs one at a time,
@@ -120,8 +120,9 @@ def main() -> None:
         print(f"E[lambda_A] = {report.expectational.sample_mean:.4f} "
               f"(cold {cold:.2f}s, warm cache hit {warm:.2f}s)")
 
-    # 2. Explicit specs: worker count never changes the merged bits for
-    #    a fixed shard plan.
+    # 2. Explicit specs: the default shard plan depends on the spec
+    #    alone (1,000 trials -> 2 shards of 500), so the worker count
+    #    never changes the merged bits.
     spec = SimulationSpec(
         protocol=MultiLotteryPoS(reward=0.01),
         allocation=allocation,
@@ -129,10 +130,10 @@ def main() -> None:
         horizon=500,
         seed=7,
     )
-    serial = ParallelRunner(workers=1).run(spec, shards=4)
-    parallel = ParallelRunner(workers=WORKERS).run(spec, shards=4)
+    serial = ParallelRunner(workers=1).run(spec)
+    parallel = ParallelRunner(workers=WORKERS).run(spec)
     identical = np.array_equal(serial.reward_fractions, parallel.reward_fractions)
-    print(f"workers=1 vs workers={WORKERS}, same 4-shard plan: "
+    print(f"workers=1 vs workers={WORKERS}, same default plan: "
           f"bit-identical = {identical}")
 
     # 3. Grid batching: a figure sweep is many small specs.  run_many
@@ -321,7 +322,7 @@ def main() -> None:
             cache=os.path.join(root, "cache"),
             journal=os.path.join(root, "cache", "journal.jsonl"),
         )
-        survived = chaotic_runner.run(spec, shards=4)
+        survived = chaotic_runner.run(spec)
         identical = np.array_equal(
             survived.reward_fractions, serial.reward_fractions
         )
@@ -334,7 +335,7 @@ def main() -> None:
             cache=os.path.join(root, "cache"),
             journal=os.path.join(root, "cache", "journal.jsonl"),
         )
-        resumed_runner.run(spec, shards=4)
+        resumed_runner.run(spec)
         print(f"rerun with the same cache+journal: "
               f"{resumed_runner.cache.hits} cache hit(s) — "
               f"nothing recomputed")

@@ -81,9 +81,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="N",
         help="fan Monte Carlo / system ensembles out over N processes "
-        "(each ensemble splits into max(8, N) shards, so sharded runs "
-        "agree for any N up to 8 and change above it; they also use a "
-        "different stream layout than the plain serial path)",
+        "(each ensemble splits into at most 8 shards, Monte Carlo "
+        "shards of at least 500 trials, whatever N, so sharded runs "
+        "agree for any N; they use a different stream layout than the "
+        "plain serial path)",
     )
     parser.add_argument(
         "--cache",

@@ -11,9 +11,10 @@ spec
     picklable descriptions of one ensemble run, plus the canonical
     fingerprint used as the cache key.
 sharding
-    Deterministic splitting of a spec into per-worker shards whose
-    seeds derive from :meth:`RandomSource.spawn`, so the merged result
-    is bit-identical for any worker count given a fixed shard plan.
+    Deterministic splitting of a spec into shards whose seeds derive
+    from :meth:`RandomSource.spawn`; the default shard count depends on
+    the spec alone, so the merged result is bit-identical for any
+    worker count.
 executor
     The :class:`Executor` base with serial and :mod:`multiprocessing`
     backends: one fault-tolerant streaming loop each, with progress

@@ -15,8 +15,9 @@ or a system experiment (node-level repeats) it
    ``O(shards)``.
 
 Because the plan and the merge order are independent of the executor,
-``workers=1`` and ``workers=8`` produce bit-identical merged arrays
-for the same spec and shard count.
+``workers=1`` and ``workers=16`` produce bit-identical merged arrays
+for the same spec and shard count — and the default shard count is a
+function of the spec alone.
 
 Grids of specs (the per-``(a, w, v)`` cells of the paper's figure
 sweeps) go through :meth:`ParallelRunner.run_many` /
@@ -62,7 +63,13 @@ from .executor import (
 )
 from .faults import RetryPolicy
 from .journal import RunJournal, shard_fingerprint
-from .sharding import DEFAULT_SHARD_COUNT, Shard, plan_shards
+from .sharding import (
+    MIN_SHARD_REPEATS,
+    MIN_SHARD_TRIALS,
+    Shard,
+    default_shard_count,
+    plan_shards,
+)
 from .spec import SimulationSpec, SystemSpec, spec_fingerprint
 
 __all__ = ["ParallelRunner", "ReorderBuffer"]
@@ -257,13 +264,13 @@ class ParallelRunner:
         A :class:`ResultCache`, a directory path to create one in, or
         None to disable caching.
     shards:
-        Default shard count per run; None uses
-        ``max(DEFAULT_SHARD_COUNT, workers)`` clamped to the trial
-        count, so plans are identical for any worker count up to
-        :data:`~repro.runtime.sharding.DEFAULT_SHARD_COUNT` while
-        larger pools still get one shard per worker.  The shard count
-        — not the worker count — determines the merged bits, so pin it
-        when comparing runs.
+        Default shard count per run, clamped to the trial count; None
+        uses :func:`~repro.runtime.sharding.default_shard_count`: at
+        most 8 shards of at least
+        :data:`~repro.runtime.sharding.MIN_SHARD_TRIALS` (500) trials
+        for a simulation spec, ``min(8, repeats)`` for a system spec.
+        The shard count — never the worker count — determines the
+        merged bits, so default plans agree at any worker count.
     progress:
         Optional ``callback(completed, total_shards)`` fired as shard
         results are *merged*, in plan order.  ``total_shards`` covers
@@ -428,6 +435,7 @@ class ParallelRunner:
             [(spec, spec.trials) for spec in specs],
             _run_simulation_shard,
             shards,
+            MIN_SHARD_TRIALS,
             span_name="runner.run_many",
         )
 
@@ -479,23 +487,25 @@ class ParallelRunner:
             [(spec, spec.repeats) for spec in specs],
             _run_system_shard,
             shards,
+            MIN_SHARD_REPEATS,
             span_name="runner.run_system_many",
         )
 
-    def _resolve_shards(self, total: int, shards: Optional[int]) -> int:
-        """The effective shard count for ``total`` trials.
+    def _resolve_shards(
+        self, total: int, shards: Optional[int], min_per_shard: int
+    ) -> int:
+        """The effective shard count for ``total`` trials or repeats.
 
-        Explicit counts (argument or ``default_shards``) are clamped to
-        the trial count like the default plan — 16 shards of a 4-trial
-        spec is 4 shards, not an error.
+        Explicit counts (argument or ``default_shards``) win and are
+        clamped to the trial count — 16 shards of a 4-trial spec is 4
+        shards, not an error.  Otherwise the spec gets
+        :func:`~repro.runtime.sharding.default_shard_count`, which the
+        worker count never enters.
         """
         if shards is None:
             shards = self.default_shards
         if shards is None:
-            # Workers above the default shard count would otherwise sit
-            # idle; give big pools one shard each (cache keys carry the
-            # shard count, so plans never silently collide).
-            shards = max(DEFAULT_SHARD_COUNT, self.workers)
+            return default_shard_count(total, min_per_shard)
         return min(total, ensure_positive_int("shards", shards))
 
     def _execute_many(
@@ -503,6 +513,7 @@ class ParallelRunner:
         entries,
         shard_fn,
         shards: Optional[int],
+        min_per_shard: int,
         span_name: str,
     ):
         tracer = get_tracer()
@@ -510,14 +521,17 @@ class ParallelRunner:
             with tracer.span(
                 span_name, specs=len(entries), workers=self.workers
             ) as root:
-                return self._dispatch(entries, shard_fn, shards, root)
-        return self._dispatch(entries, shard_fn, shards, None)
+                return self._dispatch(
+                    entries, shard_fn, shards, min_per_shard, root
+                )
+        return self._dispatch(entries, shard_fn, shards, min_per_shard, None)
 
     def _dispatch(
         self,
         entries,
         shard_fn,
         shards: Optional[int],
+        min_per_shard: int,
         root,
     ):
         merged: List[Optional[EnsembleResult]] = [None] * len(entries)
@@ -528,7 +542,9 @@ class ParallelRunner:
         metrics = get_metrics()
         for position, (spec, total) in enumerate(entries):
             plan = plan_shards(
-                total, spec.seed_sequence, self._resolve_shards(total, shards)
+                total,
+                spec.seed_sequence,
+                self._resolve_shards(total, shards, min_per_shard),
             )
             key = None
             preloaded: Tuple[Tuple[int, Any], ...] = ()

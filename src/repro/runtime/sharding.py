@@ -5,9 +5,10 @@ A *shard plan* divides a spec's ``trials`` (or a system experiment's
 spawned from the spec's :class:`~numpy.random.SeedSequence`.  Two
 invariants make parallelism safe:
 
-* the plan is a pure function of ``(total, seed, count)`` — it never
-  depends on the worker count, so the same plan executed serially or
-  on eight processes yields bit-identical shard results;
+* the plan is a pure function of ``(total, seed, count)``, and the
+  default ``count`` (:func:`default_shard_count`) depends on the spec
+  alone — never on the worker count — so the same plan executed
+  serially or on sixteen processes yields bit-identical shard results;
 * shard seeds come from :meth:`SeedSequence.spawn`, so the shards'
   random streams are provably non-overlapping and the merged ensemble
   is statistically indistinguishable from a single-stream run.
@@ -25,13 +26,61 @@ import numpy as np
 
 from .._validation import ensure_positive_int
 
-__all__ = ["DEFAULT_SHARD_COUNT", "Shard", "ShardPlan", "plan_shards", "split_evenly"]
+__all__ = [
+    "DEFAULT_SHARD_COUNT",
+    "MIN_SHARD_REPEATS",
+    "MIN_SHARD_TRIALS",
+    "Shard",
+    "ShardPlan",
+    "default_shard_count",
+    "plan_shards",
+    "split_evenly",
+]
 
-#: Default number of shards for a parallel run.  Deliberately a fixed
-#: constant rather than the worker count, so default plans (and hence
-#: merged results) are identical across machines with different
-#: parallelism.
+#: Most shards a default plan cuts.  Deliberately a fixed constant
+#: rather than the worker count, so default plans (and hence merged
+#: results) are identical across machines with different parallelism.
+#: Pools wider than a spec's plan still fill: ``run_many`` dispatches
+#: every shard of a grid's cells at once.
 DEFAULT_SHARD_COUNT = 8
+
+#: Fewest trials a default simulation shard carries.  Each kernel round
+#: pays a fixed NumPy dispatch cost whatever the shard's width, so
+#: narrow shards spend most of their time on it.  Cost per trial-round
+#: at 3,000 rounds, 2 vCPU:
+#:
+#:     ======  ==========  ==========
+#:     kernel  250 trials  500 trials
+#:     ======  ==========  ==========
+#:     ML-PoS     46.5 ns     23.4 ns
+#:     SL-PoS     51.3 ns     34.5 ns
+#:     C-PoS       356 ns      315 ns
+#:     ======  ==========  ==========
+#:
+#: A 1,000-trial minimum was faster still, but the dispatching process
+#: holds the larger unpickled shard payloads while it merges, and its
+#: peak memory rose by up to 4.6%.
+MIN_SHARD_TRIALS = 500
+
+#: Fewest repeats a default system shard carries.  Each repeat is a
+#: whole node-level deployment, heavy enough to be worth its own shard.
+MIN_SHARD_REPEATS = 1
+
+
+def default_shard_count(total: int, min_per_shard: int) -> int:
+    """The default shard count for ``total`` trials or repeats.
+
+    ``min(DEFAULT_SHARD_COUNT, max(1, total // min_per_shard))``: as
+    many shards as ``total`` fills with at least ``min_per_shard``
+    each, but never more than :data:`DEFAULT_SHARD_COUNT`.  A simulation
+    spec passes :data:`MIN_SHARD_TRIALS` (2,000 trials plan 4 shards
+    of 500, 300 trials one shard); a system spec passes
+    :data:`MIN_SHARD_REPEATS` (``min(8, repeats)``).  The count depends
+    on the spec alone, never on the worker count.
+    """
+    total = ensure_positive_int("total", total)
+    min_per_shard = ensure_positive_int("min_per_shard", min_per_shard)
+    return min(DEFAULT_SHARD_COUNT, max(1, total // min_per_shard))
 
 
 def split_evenly(total: int, parts: int) -> List[int]:
@@ -89,9 +138,12 @@ def plan_shards(
 ) -> ShardPlan:
     """Build the shard plan for ``total`` trials under ``seed``.
 
-    ``count`` defaults to :data:`DEFAULT_SHARD_COUNT` clamped to
-    ``total``.  Shard seeds are the first ``count`` spawned children of
-    ``seed``, assigned in order.
+    ``count`` defaults to ``default_shard_count(total,
+    MIN_SHARD_REPEATS)``, that is :data:`DEFAULT_SHARD_COUNT` clamped
+    to ``total``; pass ``default_shard_count(total, MIN_SHARD_TRIALS)``
+    to plan a simulation spec the way the runner does.  Shard seeds are
+    the first ``count`` spawned children of ``seed``, assigned in
+    order.
     """
     total = ensure_positive_int("total", total)
     if not isinstance(seed, np.random.SeedSequence):
@@ -99,7 +151,7 @@ def plan_shards(
             f"seed must be a numpy SeedSequence, got {type(seed).__name__}"
         )
     if count is None:
-        count = min(total, DEFAULT_SHARD_COUNT)
+        count = default_shard_count(total, MIN_SHARD_REPEATS)
     else:
         count = ensure_positive_int("count", count)
     sizes = split_evenly(total, count)

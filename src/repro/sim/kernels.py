@@ -178,6 +178,44 @@ def _uniform_blocks(
         done += count
 
 
+# -- per-trial totals on the transposed layout --------------------------------
+
+#: Entries NumPy's pairwise summation adds as one unrolled block.
+_PAIRWISE_BLOCK = 128
+
+
+def _row_totals(rows: np.ndarray, out: np.ndarray, partials: np.ndarray) -> None:
+    """``out[t] = rows[:, t].sum()`` bitwise as ``rows.T.sum(axis=1)``.
+
+    The naive loop's ``stakes.sum(axis=1)`` adds each trial's
+    contiguous row with NumPy's pairwise summation: under 8 entries one
+    running sum in index order; from 8 to 128 entries eight partial
+    sums (entry ``i`` into partial ``i % 8``, up to the last multiple
+    of 8) combined as ``((p0 + p1) + (p2 + p3)) + ((p4 + p5) + (p6 +
+    p7))``, then the remaining entries one by one; above 128 the sums
+    of two halves split at a multiple of 8.  ``np.sum(rows, axis=0)``
+    adds the ``(miners, trials)`` rows in index order, which agrees
+    only below 8 miners.  ``partials`` is ``(8, trials)`` scratch.
+    """
+    count = len(rows)
+    if count < 8:
+        np.sum(rows, axis=0, out=out)
+    elif count <= _PAIRWISE_BLOCK:
+        whole = count - count % 8
+        np.sum(rows[:whole].reshape(whole // 8, 8, -1), axis=0, out=partials)
+        np.add(partials[0::2], partials[1::2], out=partials[0::2])
+        np.add(partials[0::4], partials[2::4], out=partials[0::4])
+        np.add(partials[0], partials[4], out=out)
+        for row in rows[whole:]:
+            np.add(out, row, out=out)
+    else:
+        half = count // 2 - count // 2 % 8
+        _row_totals(rows[:half], out, partials)
+        rest = np.empty_like(out)
+        _row_totals(rows[half:], rest, partials)
+        np.add(out, rest, out=out)
+
+
 # -- registry -----------------------------------------------------------------
 
 KernelFn = Callable[
@@ -322,9 +360,14 @@ def _advance_polya_many(protocol, state, rounds, rng, scratch, chunk):
     """ML-PoS general-miner path on a transposed ``(miners, trials)``
     layout, so reductions and cumulative sums run along contiguous
     memory (axis-1 ops on ``(trials, miners)`` arrays are strided and
-    no faster than the naive loop).  Reductions over the miner axis
-    add elements in the same index order either way, so the transposed
-    arithmetic is bit-identical.
+    no faster than the naive loop).  The per-trial total is
+    ``np.sum(stakes_t, axis=0)``, which adds miners in index order;
+    from 8 miners on the naive ``stakes.sum(axis=1)`` sums pairwise
+    (see :func:`_row_totals`), so the totals can differ in the last
+    bit.  Outputs still match because the total reaches nothing but
+    the winner comparison ``draws > cdf``: a last-bit change in a CDF
+    entry moves a winner only if a uniform lands within an ulp of it.
+    The ten-miner differential tests pin the match at their seeds.
 
     Three identities carry the fusion beyond the one-hot formulation
     (all bitwise):
@@ -661,9 +704,10 @@ def _advance_eos(protocol, state, rounds, rng, scratch, chunk):
     stakes_t[...] = state.stakes.T
     rewards_t[...] = state.rewards.T
     total = scratch.get("eos_total", (trials,))
+    partials = scratch.get("eos_partials", (8, trials))
     income_t = scratch.get("eos_income_t", (miners, trials))
     for _ in range(rounds):
-        np.sum(stakes_t, axis=0, out=total)
+        _row_totals(stakes_t, total, partials)
         np.divide(stakes_t, total, out=income_t)
         np.multiply(income_t, inflation_reward, out=income_t)
         np.add(income_t, flat, out=income_t)

@@ -139,13 +139,14 @@ class TestSimulateKnobForwarding:
     def test_events_forwarded_on_sharded_path(self, two_miners, tmp_path):
         from repro.sim.events import StakeTopUp
 
+        # 1,000 trials plan two shards, so the events must reach both.
         game = MiningGame(ProofOfWork(0.01), two_miners)
         boosted = game.simulate(
-            horizon=200, trials=400, seed=5, cache=tmp_path,
+            horizon=200, trials=1000, seed=5, cache=tmp_path,
             events=(StakeTopUp(round_index=0, miner=0, amount=0.3),),
         )
         plain = game.simulate(
-            horizon=200, trials=400, seed=5, cache=tmp_path
+            horizon=200, trials=1000, seed=5, cache=tmp_path
         )
         assert (
             boosted.final_fractions().mean() > plain.final_fractions().mean()

@@ -87,18 +87,51 @@ class TestRunSimulation:
             make_spec(kernel="fused")
 
     def test_default_shard_plan_is_workers_independent(self):
-        spec = make_spec()
+        # 1,000 trials plan two shards, so workers=2 runs a real pool.
+        spec = make_spec(trials=1000)
         one = ParallelRunner(workers=1).run(spec)
         two = ParallelRunner(workers=2).run(spec)
         np.testing.assert_array_equal(one.reward_fractions, two.reward_fractions)
 
-    def test_large_pools_get_one_shard_per_worker(self):
+    def test_default_plan_identical_past_eight_workers(self):
+        spec = make_spec(trials=1500, horizon=40)
+        results = []
+        for workers in (1, 2, 12, 16):
+            seen = []
+            runner = ParallelRunner(
+                workers=workers, progress=lambda done, total: seen.append(total)
+            )
+            results.append(runner.run(spec))
+            assert seen[0] == 3  # 3 shards of 500 at every worker count
+        for result in results[1:]:
+            np.testing.assert_array_equal(
+                results[0].reward_fractions, result.reward_fractions
+            )
+            np.testing.assert_array_equal(
+                results[0].terminal_stakes, result.terminal_stakes
+            )
+
+    @pytest.mark.parametrize(
+        "trials, shards", [(300, 1), (2000, 4), (4000, 8), (10000, 8)]
+    )
+    def test_default_plan_follows_trial_count(self, trials, shards):
         seen = []
-        runner = ParallelRunner(
-            workers=12, progress=lambda done, total: seen.append(total)
-        )
-        runner.run(make_spec(trials=24))
-        assert seen[0] == 12  # default plan scales past DEFAULT_SHARD_COUNT
+        runner = ParallelRunner(progress=lambda done, total: seen.append(total))
+        runner.run(make_spec(trials=trials, horizon=5))
+        assert seen[0] == shards
+
+    def test_explicit_shards_beat_default_plan(self):
+        # 300 trials default to one shard; an explicit count still wins,
+        # from the run argument or the constructor.
+        spec = make_spec(trials=300, horizon=20)
+        for runner, kwargs in (
+            (ParallelRunner(), {"shards": 3}),
+            (ParallelRunner(shards=3), {}),
+        ):
+            seen = []
+            runner.progress = lambda done, total: seen.append(total)
+            runner.run(spec, **kwargs)
+            assert seen[0] == 3
 
     def test_progress_reports_every_shard(self):
         seen = []
@@ -320,6 +353,13 @@ class TestRunSystem:
             routed.reward_fractions, direct.reward_fractions
         )
 
+    def test_default_plan_is_min_of_eight_and_repeats(self, two_miners):
+        experiment = SystemExperiment("ml-pos", two_miners)
+        seen = []
+        runner = ParallelRunner(progress=lambda done, total: seen.append(total))
+        runner.run_system(experiment, 10, 3, seed=5)
+        assert seen[0] == 3  # system repeats keep one shard each, up to 8
+
     def test_explicit_shards_clamp_like_simulation_specs(self, tmp_path, two_miners):
         # shards=16 on a 4-repeat system spec must clamp to 4 — same
         # rule and same cache-entry sharing as simulation specs.
@@ -498,9 +538,10 @@ class TestAmbientContext:
 
 class TestMiningGameWiring:
     def test_workers_and_direct_runner_agree(self):
+        # 1,000 trials plan two shards, so workers=2 runs a real pool.
         game = MiningGame(MultiLotteryPoS(0.01), Allocation.two_miners(0.2))
-        via_game = game.simulate(120, trials=60, seed=42, workers=2)
-        spec = make_spec()
+        via_game = game.simulate(120, trials=1000, seed=42, workers=2)
+        spec = make_spec(trials=1000)
         via_runner = ParallelRunner(workers=1).run(spec)
         np.testing.assert_array_equal(
             via_game.reward_fractions, via_runner.reward_fractions

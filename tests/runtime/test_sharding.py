@@ -5,8 +5,11 @@ import pytest
 
 from repro.runtime.sharding import (
     DEFAULT_SHARD_COUNT,
+    MIN_SHARD_REPEATS,
+    MIN_SHARD_TRIALS,
     Shard,
     ShardPlan,
+    default_shard_count,
     plan_shards,
     split_evenly,
 )
@@ -36,10 +39,38 @@ class TestSplitEvenly:
             split_evenly(10, 0)
 
 
+class TestDefaultShardCount:
+    @pytest.mark.parametrize(
+        "trials, count",
+        [(1, 1), (300, 1), (999, 1), (1000, 2), (2000, 4), (4000, 8),
+         (10000, 8)],
+    )
+    def test_simulation_shards_hold_at_least_min_trials(self, trials, count):
+        assert default_shard_count(trials, MIN_SHARD_TRIALS) == count
+
+    def test_two_thousand_trials_plan_four_shards_of_500(self):
+        count = default_shard_count(2000, MIN_SHARD_TRIALS)
+        plan = plan_shards(2000, np.random.SeedSequence(1), count)
+        assert [s.trials for s in plan] == [500] * 4
+
+    @pytest.mark.parametrize("repeats, count", [(1, 1), (3, 3), (8, 8), (50, 8)])
+    def test_system_repeats_get_min_of_eight_and_repeats(self, repeats, count):
+        assert default_shard_count(repeats, MIN_SHARD_REPEATS) == count
+
+    def test_rejects_non_positive(self):
+        with pytest.raises(ValueError):
+            default_shard_count(0, MIN_SHARD_TRIALS)
+        with pytest.raises(ValueError):
+            default_shard_count(10, 0)
+
+
 class TestPlanShards:
     def test_default_count_is_workers_independent_constant(self):
+        # Without a count, plan_shards applies the repeat rule: capped
+        # at DEFAULT_SHARD_COUNT, a function of the total alone.
         plan = plan_shards(1000, np.random.SeedSequence(1))
         assert len(plan) == DEFAULT_SHARD_COUNT
+        assert len(plan) == default_shard_count(1000, MIN_SHARD_REPEATS)
 
     def test_default_count_clamped_to_trials(self):
         plan = plan_shards(3, np.random.SeedSequence(1))

@@ -129,11 +129,15 @@ class TestDifferentialGolden:
 
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
     @pytest.mark.parametrize(
-        "name", ["ml-pos", "sl-pos", "fsl-pos", "filecoin", "withhold-ml"]
+        "name",
+        ["ml-pos", "sl-pos", "fsl-pos", "c-pos", "eos", "filecoin",
+         "withhold-ml"],
     )
     def test_bit_identical_at_ten_miners(self, name, scenario):
         """The 10-miner grids drive the transposed scatter-credit
-        many-miner paths (miners > 2) the two-miner sweep never hits."""
+        many-miner paths (miners > 2) the two-miner sweep never hits,
+        and per-trial stake totals that NumPy sums pairwise (8 or more
+        miners) — C-PoS and EOS pay rewards proportional to them."""
         naive, batched = run_pair(PROTOCOL_FACTORIES[name], 10, scenario)
         np.testing.assert_array_equal(
             naive.reward_fractions, batched.reward_fractions
@@ -142,7 +146,21 @@ class TestDifferentialGolden:
             naive.terminal_stakes, batched.terminal_stakes
         )
 
-    @pytest.mark.parametrize("name", ["ml-pos", "sl-pos", "c-pos-block"])
+    @pytest.mark.parametrize("miners", [7, 8, 9, 17, 130, 300])
+    def test_eos_bit_identical_at_any_miner_count(self, miners):
+        """EOS pays rewards proportional to the per-trial stake total,
+        so it must add each trial's stakes in NumPy's pairwise order:
+        one running sum under 8 miners, eight partial sums up to 128,
+        split halves above."""
+        naive, batched = run_pair(PROTOCOL_FACTORIES["eos"], miners, "default")
+        np.testing.assert_array_equal(
+            naive.reward_fractions, batched.reward_fractions
+        )
+        np.testing.assert_array_equal(
+            naive.terminal_stakes, batched.terminal_stakes
+        )
+
+    @pytest.mark.parametrize("name", ["ml-pos", "sl-pos", "c-pos", "c-pos-block"])
     def test_generator_position_identical(self, name):
         # Both paths must consume the stream identically, so a draw
         # *after* the advance agrees too.

@@ -207,23 +207,20 @@ class SystemExperiment:
         ``rounds`` counts blocks for pow/ml-pos/sl-pos/fsl-pos and
         epochs for c-pos, matching the paper's axes.
 
-        When an ambient :class:`~repro.runtime.ParallelRunner` is
-        configured (the CLI's ``--workers``/``--cache`` flags), the
-        repeats are sharded/cached through it; otherwise they run
-        serially in-process.  ``rounds`` and ``repeats`` are validated
-        here, before any dispatch, so both paths reject bad values
-        identically.
+        The repeats run on the ambient
+        :class:`~repro.runtime.ParallelRunner` (the CLI's
+        ``--workers``/``--cache`` runner, or a serial, uncached one),
+        so the result depends on the seed and the shard plan alone.
+        ``rounds`` and ``repeats`` are validated here, before any
+        dispatch.
         """
         from ..runtime.context import get_default_runtime
 
         rounds = ensure_positive_int("rounds", rounds)
         repeats = ensure_positive_int("repeats", repeats)
-        runtime = get_default_runtime()
-        if runtime is not None:
-            return runtime.run_system(
-                self, rounds, repeats, checkpoints=checkpoints, seed=seed
-            )
-        return self._run_serial(rounds, repeats, checkpoints=checkpoints, seed=seed)
+        return get_default_runtime().run_system(
+            self, rounds, repeats, checkpoints=checkpoints, seed=seed
+        )
 
     def _run_serial(
         self,
@@ -233,7 +230,7 @@ class SystemExperiment:
         checkpoints: Optional[Sequence[int]] = None,
         seed: SeedLike = None,
     ) -> EnsembleResult:
-        """The in-process execution path (also the per-shard worker body)."""
+        """Run ``repeats`` deployments in-process: one shard's worker body."""
         rounds = ensure_positive_int("rounds", rounds)
         repeats = ensure_positive_int("repeats", repeats)
         if checkpoints is None:

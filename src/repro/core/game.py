@@ -224,54 +224,34 @@ class MiningGame:
         cache=None,
         kernel: str = "batched",
     ) -> EnsembleResult:
-        """Run the Monte Carlo engine and return the raw ensemble result.
+        """Run the Monte Carlo ensemble and return the raw result.
 
-        ``workers`` > 1 shards the ensemble across a process pool via
-        :class:`repro.runtime.ParallelRunner`; ``cache`` (a directory or
+        The ensemble always runs as a :class:`repro.runtime.SimulationSpec`
+        on a :class:`repro.runtime.ParallelRunner`, so its bits depend
+        on the spec and its shard plan alone.  ``workers`` > 1 fans the
+        shards out across a process pool; ``cache`` (a directory or
         :class:`repro.runtime.ResultCache`) memoises the merged result
-        under the spec's content address.  ``events`` and
-        ``record_terminal_stakes`` are forwarded on *both* the serial
-        and the sharded path; an unsupported knob combination raises
-        instead of being silently ignored.  ``kernel`` selects the
-        fused batched advance (default) or the naive per-round loop —
-        bit-identical outputs either way.
-
-        .. note::
-           Setting ``workers`` or ``cache`` switches to the *sharded*
-           random-stream layout: results are bit-identical across any
-           ``workers`` count (and across cache hits) but not
-           bit-identical to the plain single-stream run without these
-           knobs — the ensembles are statistically identical, the
-           per-trial draws differ.
+        under the spec's content address.  Neither changes a number.
+        An unsupported knob combination raises instead of being
+        silently ignored.  ``kernel`` selects the fused batched advance
+        (default) or the naive per-round loop — bit-identical outputs
+        either way.
         """
-        if workers > 1 or cache is not None:
-            from ..runtime.runner import ParallelRunner
-            from ..runtime.spec import SimulationSpec
+        from ..runtime.runner import ParallelRunner
+        from ..runtime.spec import SimulationSpec
 
-            spec = SimulationSpec(
-                protocol=self.protocol,
-                allocation=self.allocation,
-                trials=trials,
-                horizon=horizon,
-                checkpoints=None if checkpoints is None else tuple(checkpoints),
-                events=tuple(events),
-                seed=seed,
-                record_terminal_stakes=record_terminal_stakes,
-                kernel=kernel,
-            )
-            return ParallelRunner(workers=workers, cache=cache).run(spec)
-        from ..sim.engine import MonteCarloEngine
-
-        engine = MonteCarloEngine(
-            self.protocol, self.allocation, trials=trials, seed=seed,
+        spec = SimulationSpec(
+            protocol=self.protocol,
+            allocation=self.allocation,
+            trials=trials,
+            horizon=horizon,
+            checkpoints=None if checkpoints is None else tuple(checkpoints),
+            events=tuple(events),
+            seed=seed,
+            record_terminal_stakes=record_terminal_stakes,
             kernel=kernel,
         )
-        return engine.run(
-            horizon,
-            checkpoints,
-            events=events,
-            record_terminal_stakes=record_terminal_stakes,
-        )
+        return ParallelRunner(workers=workers, cache=cache).run(spec)
 
     def play(
         self,
@@ -290,9 +270,7 @@ class MiningGame:
     ) -> FairnessReport:
         """Simulate and return a full fairness report for the focal miner.
 
-        Accepts every :meth:`simulate` knob and forwards them all —
-        including ``events`` and ``record_terminal_stakes`` on the
-        sharded path.
+        Accepts every :meth:`simulate` knob and forwards them all.
         """
         result = self.simulate(
             horizon,

@@ -3,17 +3,16 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..core.miners import Allocation
-from ..core.results import EnsembleResult, SeriesSummary
+from ..core.results import EnsembleResult
 from ..protocols.base import IncentiveProtocol
 from ..protocols.c_pos import CompoundPoS
 from ..protocols.fsl_pos import FairSingleLotteryPoS
 from ..protocols.ml_pos import MultiLotteryPoS
 from ..protocols.pow import ProofOfWork
 from ..protocols.sl_pos import SingleLotteryPoS
-from ..sim.engine import MonteCarloEngine
 from ..sim.rng import RandomSource
 
 __all__ = [
@@ -72,15 +71,17 @@ def run_simulation_grid(
 
     One child stream of ``source`` is consumed per cell, in cell order
     — exactly like a loop of :func:`run_simulation` calls, so results
-    are bit-identical to the per-cell path.  When an ambient
-    :class:`~repro.runtime.ParallelRunner` is configured
-    (``--workers``/``--cache``), every uncached shard of the whole grid
-    goes to the pool in a single dispatch via
-    :meth:`~repro.runtime.ParallelRunner.run_many`: each cell's
-    shards fold as they complete and the cell's artifact is cached the
-    moment its last shard lands, so grid-wide peak memory holds
-    ``O(workers)`` shard results rather than every shard of every
-    cell.  Otherwise cells run serially in-process.
+    are bit-identical to the per-cell path.  Every cell becomes a
+    :class:`~repro.runtime.SimulationSpec` and the whole grid runs on
+    the ambient :class:`~repro.runtime.ParallelRunner` (a serial,
+    uncached one unless the CLI or :func:`~repro.runtime.using_runtime`
+    installed another) in a single
+    :meth:`~repro.runtime.ParallelRunner.run_many` dispatch: each
+    cell's shards fold as they complete and the cell's artifact is
+    cached the moment its last shard lands, so grid-wide peak memory
+    holds ``O(workers)`` shard results rather than every shard of
+    every cell.  The numbers depend on the seed and the shard plan
+    only, never on the worker count or the cache.
     """
     from ..runtime.context import get_default_runtime
     from ..runtime.spec import SimulationSpec
@@ -88,33 +89,24 @@ def run_simulation_grid(
     cells = list(cells)
     seeds = [source.spawn_one() for _ in cells]
     runtime = get_default_runtime()
-    if runtime is not None:
-        # The runtime's ambient ``reduce`` lands on every spec it
-        # builds — a physics knob, so it enters each spec's fingerprint
-        # and stats grids never collide with full ones in the cache.
-        specs = [
-            SimulationSpec(
-                protocol=cell.protocol,
-                allocation=cell.allocation,
-                trials=cell.trials,
-                horizon=cell.horizon,
-                checkpoints=(
-                    None
-                    if cell.checkpoints is None
-                    else tuple(cell.checkpoints)
-                ),
-                seed=seed,
-                reduce=getattr(runtime, "reduce", "full"),
-            )
-            for cell, seed in zip(cells, seeds)
-        ]
-        return runtime.run_many(specs)
-    return [
-        MonteCarloEngine(
-            cell.protocol, cell.allocation, trials=cell.trials, seed=seed
-        ).run(cell.horizon, cell.checkpoints)
+    # The runtime's ambient ``reduce`` lands on every spec it builds —
+    # a physics knob, so it enters each spec's fingerprint and stats
+    # grids never collide with full ones in the cache.
+    specs = [
+        SimulationSpec(
+            protocol=cell.protocol,
+            allocation=cell.allocation,
+            trials=cell.trials,
+            horizon=cell.horizon,
+            checkpoints=(
+                None if cell.checkpoints is None else tuple(cell.checkpoints)
+            ),
+            seed=seed,
+            reduce=runtime.reduce,
+        )
         for cell, seed in zip(cells, seeds)
     ]
+    return runtime.run_many(specs)
 
 
 def run_simulation(
@@ -128,8 +120,8 @@ def run_simulation(
     """Run one Monte Carlo configuration on a child random stream.
 
     The single-cell case of :func:`run_simulation_grid`: exactly one
-    child stream of ``source`` is consumed, and the ensemble is
-    sharded/cached through the ambient runtime when one is configured.
+    child stream of ``source`` is consumed, and the ensemble runs on
+    the ambient runtime.
     """
     cell = GridCell(protocol, allocation, horizon, trials, checkpoints)
     return run_simulation_grid([cell], source)[0]
@@ -159,14 +151,12 @@ def run_system_grid(
     :func:`run_simulation_grid`: one child stream of ``source`` is
     consumed per cell, in cell order — exactly like a loop of
     ``cell.experiment.run(...)`` calls, so results are bit-identical to
-    the per-cell path.  When an ambient
-    :class:`~repro.runtime.ParallelRunner` is configured
-    (``--workers``/``--cache``), every uncached shard of every cell —
-    e.g. all four protocols of Figure 2's system sweep — goes to the
-    pool in a *single* :meth:`~repro.runtime.ParallelRunner.run_system_many`
-    dispatch under the grid-wide shard progress line (streaming merge
-    by default, exactly like :func:`run_simulation_grid`); otherwise
-    cells run serially in-process.
+    the per-cell path.  Every uncached shard of every cell — e.g. all
+    four protocols of Figure 2's system sweep — goes to the ambient
+    runner in a *single*
+    :meth:`~repro.runtime.ParallelRunner.run_system_many` dispatch
+    under the grid-wide shard progress line, exactly like
+    :func:`run_simulation_grid`.
     """
     from ..runtime.context import get_default_runtime
     from ..runtime.spec import SystemSpec
@@ -174,32 +164,20 @@ def run_system_grid(
     cells = list(cells)
     seeds = [source.spawn_one() for _ in cells]
     runtime = get_default_runtime()
-    if runtime is not None:
-        specs = [
-            SystemSpec(
-                experiment=cell.experiment,
-                rounds=cell.rounds,
-                repeats=cell.repeats,
-                checkpoints=(
-                    None
-                    if cell.checkpoints is None
-                    else tuple(cell.checkpoints)
-                ),
-                seed=seed,
-                reduce=getattr(runtime, "reduce", "full"),
-            )
-            for cell, seed in zip(cells, seeds)
-        ]
-        return runtime.run_system_many(specs)
-    return [
-        cell.experiment.run(
-            cell.rounds,
-            cell.repeats,
-            checkpoints=cell.checkpoints,
+    specs = [
+        SystemSpec(
+            experiment=cell.experiment,
+            rounds=cell.rounds,
+            repeats=cell.repeats,
+            checkpoints=(
+                None if cell.checkpoints is None else tuple(cell.checkpoints)
+            ),
             seed=seed,
+            reduce=runtime.reduce,
         )
         for cell, seed in zip(cells, seeds)
     ]
+    return runtime.run_system_many(specs)
 
 
 def run_system(

@@ -148,9 +148,8 @@ def run(config: Figure2Config = Figure2Config()) -> Figure2Result:
 
     system: Dict[str, SeriesSummary] = {}
     if preset.include_system:
-        # One grid over all four protocols: with an ambient runtime the
-        # whole system sweep shares a single pool dispatch instead of
-        # one per protocol.
+        # One grid over all four protocols: the whole system sweep
+        # shares a single pool dispatch instead of one per protocol.
         system_cells = [
             SystemGridCell(
                 SystemExperiment(

@@ -129,7 +129,7 @@ def run(config: Figure6Config = Figure6Config()) -> Figure6Result:
     system_withholding = None
     if preset.include_system:
         # Both panels' node-level runs form one grid: a single pool
-        # dispatch covers them when an ambient runtime is configured.
+        # dispatch covers them.
         rounds = preset.horizon(1500)
         system_cells = [
             SystemGridCell(

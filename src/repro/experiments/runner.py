@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
 import sys
 import time
@@ -36,6 +37,18 @@ from .config import get_preset
 from .registry import EXPERIMENTS, get_experiment
 
 __all__ = ["main", "build_parser"]
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on.
+
+    The scheduler affinity mask where the platform reports one (it
+    honours ``taskset`` and container CPU sets), else the machine's
+    CPU count.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -78,13 +91,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--workers",
         type=int,
-        default=1,
+        default=_usable_cpus(),
         metavar="N",
-        help="fan Monte Carlo / system ensembles out over N processes "
-        "(each ensemble splits into at most 8 shards, Monte Carlo "
-        "shards of at least 500 trials, whatever N, so sharded runs "
-        "agree for any N; they use a different stream layout than the "
-        "plain serial path)",
+        help="fan Monte Carlo / system ensembles out over N processes; "
+        "1 runs every shard in this process (default: the CPUs this "
+        "process may use).  Each ensemble splits into at most 8 "
+        "shards, Monte Carlo shards of at least 500 trials, whatever "
+        "N, so the numbers are identical for any N",
     )
     parser.add_argument(
         "--cache",
@@ -131,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
         "timeouts, crashes, broken pools, I/O errors).  Shards are "
         "idempotent pure functions of the plan, so retried runs stay "
         "bit-identical and retry knobs never enter cache keys.  "
-        "Requires --workers > 1 or --cache",
+        "Valid at any worker count: a serial run retries inline",
     )
     parser.add_argument(
         "--shard-timeout",
@@ -141,7 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-shard deadline: a worker process that exceeds it "
         "is killed, its pool respawned, and the shard counted as a "
         "transient failure, retryable under --retries.  Requires "
-        "--workers > 1 or --cache",
+        "--workers above 1: a shard running in this process cannot be "
+        "stopped",
     )
     parser.add_argument(
         "--resume",
@@ -265,8 +279,8 @@ def _parse_bytes(text: str) -> int:
     return value * scale
 
 
-def _build_runtime(args) -> Optional[ParallelRunner]:
-    """The ParallelRunner the CLI flags ask for, or None for the old path."""
+def _build_runtime(args) -> ParallelRunner:
+    """The ParallelRunner the CLI flags ask for."""
     if args.workers < 1:
         raise SystemExit(f"--workers must be >= 1, got {args.workers}")
     if args.cache_budget is not None and args.cache is None:
@@ -277,23 +291,14 @@ def _build_runtime(args) -> Optional[ParallelRunner]:
         raise SystemExit(
             f"--shard-timeout must be positive, got {args.shard_timeout}"
         )
+    if args.shard_timeout is not None and args.workers == 1:
+        # The serial executor cannot preempt a shard running in this
+        # process; refuse rather than silently drop the deadline.
+        raise SystemExit("--shard-timeout requires --workers above 1")
     if args.resume and args.cache is None:
         raise SystemExit("--resume requires --cache")
     if args.no_verify and args.cache is None:
         raise SystemExit("--no-verify requires --cache")
-    if args.workers == 1 and args.cache is None and args.reduce == "full":
-        # --reduce stats is excepted: the serial fallback would
-        # silently ignore the knob, so it always gets a runner (the
-        # runtime path is where stats shards are produced and merged).
-        # Raise rather than silently dropping a knob that cannot take
-        # effect on the in-process path.
-        if args.retries is not None:
-            raise SystemExit("--retries requires --workers > 1 or --cache")
-        if args.shard_timeout is not None:
-            raise SystemExit(
-                "--shard-timeout requires --workers > 1 or --cache"
-            )
-        return None
     cache = args.cache
     if cache is not None and (args.cache_budget is not None or args.no_verify):
         from ..runtime import ResultCache

@@ -31,7 +31,8 @@ runner
 context
     An ambient default runtime consulted by the experiment layer so
     ``--workers``/``--cache`` flags reach every figure without
-    threading arguments through each config.
+    threading arguments through each config; a serial, uncached
+    runner stands in when none is installed.
 faults
     :class:`RetryPolicy` and the fault vocabulary: shards are
     idempotent pure functions of the plan, so transient failures are

@@ -258,8 +258,10 @@ class ParallelRunner:
     Parameters
     ----------
     workers:
-        Worker count; 1 runs in-process, more fan out across a process
-        pool.  Either way the merged bits depend only on the shard plan.
+        Worker count (default 1): 1 runs the shards one after another
+        in this process, more fan them out across a process pool.
+        Every ensemble runs through a runner, and either way the merged
+        bits depend only on the spec and its shard plan.
     cache:
         A :class:`ResultCache`, a directory path to create one in, or
         None to disable caching.
@@ -393,11 +395,6 @@ class ParallelRunner:
     def workers(self) -> int:
         """Degree of parallelism of the configured executor."""
         return self.executor.workers
-
-    @property
-    def is_parallel(self) -> bool:
-        """Whether this runner fans work out across processes."""
-        return self.executor.workers > 1
 
     # -- execution -------------------------------------------------------
 

@@ -115,11 +115,26 @@ class TestFaultToleranceCLI:
         assert runner.executor.retry.max_attempts == 4
         assert runner.executor.timeout == 2.5
 
-    def test_fault_flags_require_runtime(self):
-        with pytest.raises(SystemExit, match="requires --workers"):
-            main(["fig1", "--preset", "ci", "--retries", "3"])
-        with pytest.raises(SystemExit, match="requires --workers"):
-            main(["fig1", "--preset", "ci", "--shard-timeout", "5"])
+    def test_retries_at_one_worker_timeout_refused(self):
+        from repro.experiments.runner import _build_runtime
+        from repro.runtime import SerialExecutor
+
+        args = build_parser().parse_args([
+            "fig1", "--preset", "ci", "--workers", "1", "--retries", "3",
+        ])
+        runner = _build_runtime(args)
+        assert isinstance(runner.executor, SerialExecutor)
+        assert runner.executor.retry.max_attempts == 3
+        with pytest.raises(SystemExit, match="requires --workers above 1"):
+            main(["fig1", "--preset", "ci", "--workers", "1",
+                  "--shard-timeout", "5"])
+
+    def test_timeout_with_cache_at_one_worker_refused(self, tmp_path):
+        # A serial executor cannot enforce the deadline, so a cache
+        # must not smuggle the flag past the worker-count check.
+        with pytest.raises(SystemExit, match="requires --workers above 1"):
+            main(["fig1", "--preset", "ci", "--workers", "1",
+                  "--cache", str(tmp_path), "--shard-timeout", "5"])
 
     def test_fault_flag_validation(self, tmp_path):
         with pytest.raises(SystemExit, match="--retries must be"):
@@ -263,3 +278,30 @@ class TestCacheStatsCLI:
         assert main(["cache-stats", "--cache", str(tmp_path / "fresh")]) == 0
         output = capsys.readouterr().out
         assert "entries" in output
+
+
+class TestFlagIndependence:
+    """Execution flags change how a figure runs, never its numbers."""
+
+    @pytest.mark.parametrize("experiment", ["fig2", "fig3"])
+    def test_json_is_byte_identical_across_flags(
+        self, experiment, tmp_path, capsys
+    ):
+        flag_sets = {
+            "none": [],
+            "workers1": ["--workers", "1"],
+            "workers2": ["--workers", "2"],
+            "cache": ["--cache", str(tmp_path / "cache-a")],
+            "resume": ["--workers", "2", "--cache", str(tmp_path / "cache-b"),
+                       "--resume"],
+        }
+        outputs = {}
+        for name, flags in flag_sets.items():
+            json_dir = tmp_path / name
+            argv = [experiment, "--preset", "ci", "--json", str(json_dir)]
+            assert main(argv + flags) == 0
+            outputs[name] = (json_dir / f"{experiment}.json").read_bytes()
+        capsys.readouterr()
+        reference = outputs.pop("none")
+        for name, payload in outputs.items():
+            assert payload == reference, name

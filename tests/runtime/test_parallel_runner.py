@@ -15,8 +15,16 @@ from repro.runtime import (
     set_default_runtime,
     using_runtime,
 )
-from repro.sim.engine import MonteCarloEngine
 from repro.sim.events import StakeTopUp
+
+
+def assert_no_runtime_installed():
+    """Nothing is installed: each lookup hands out a fresh serial runner."""
+    runtime = get_default_runtime()
+    assert isinstance(runtime, ParallelRunner)
+    assert runtime.workers == 1
+    assert runtime.cache is None
+    assert get_default_runtime() is not runtime
 
 
 def make_spec(trials=60, horizon=120, seed=42, **overrides):
@@ -517,8 +525,8 @@ class TestCacheIntegration:
 
 
 class TestAmbientContext:
-    def test_default_is_none(self):
-        assert get_default_runtime() is None
+    def test_default_is_a_fresh_serial_runner(self):
+        assert_no_runtime_installed()
 
     def test_using_runtime_scopes_and_restores(self):
         runner = ParallelRunner()
@@ -528,7 +536,7 @@ class TestAmbientContext:
             with using_runtime(inner):
                 assert get_default_runtime() is inner
             assert get_default_runtime() is runner
-        assert get_default_runtime() is None
+        assert_no_runtime_installed()
 
     def test_set_returns_previous(self):
         runner = ParallelRunner()
@@ -553,15 +561,19 @@ class TestMiningGameWiring:
         second = game.play(200, trials=80, seed=5, cache=tmp_path)
         assert first.expectational.sample_mean == second.expectational.sample_mean
 
-    def test_serial_path_unchanged_without_runtime_args(self):
+    def test_no_knobs_equal_the_serial_runner(self):
+        # 1,000 trials plan two shards, so the knob-free call must
+        # split and merge exactly as the runner does.
         game = MiningGame(MultiLotteryPoS(0.01), Allocation.two_miners(0.2))
-        via_game = game.simulate(120, trials=60, seed=42)
-        engine = MonteCarloEngine(
-            game.protocol, game.allocation, trials=60, seed=42
+        via_game = game.simulate(120, trials=1000, seed=42)
+        via_runner = ParallelRunner(workers=1).run(make_spec(trials=1000))
+        assert (
+            via_game.reward_fractions.tobytes()
+            == via_runner.reward_fractions.tobytes()
         )
-        direct = engine.run(120)
-        np.testing.assert_array_equal(
-            via_game.reward_fractions, direct.reward_fractions
+        assert (
+            via_game.terminal_stakes.tobytes()
+            == via_runner.terminal_stakes.tobytes()
         )
 
 
@@ -589,7 +601,7 @@ class TestExperimentLayerWiring:
         )
         assert code == 0
         assert "Figure 2" in capsys.readouterr().out
-        assert get_default_runtime() is None  # context restored
+        assert_no_runtime_installed()  # context restored
         assert len(list(cache_dir.glob("*.npz"))) > 0
 
     def test_cli_rejects_bad_workers(self):
@@ -605,4 +617,4 @@ class TestExperimentLayerWiring:
         runner = ParallelRunner(workers=1, cache=tmp_path)
         run_experiment("fig2", CI, seed=1, runtime=runner)
         assert len(runner.cache) > 0
-        assert get_default_runtime() is None
+        assert_no_runtime_installed()

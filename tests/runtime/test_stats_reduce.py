@@ -10,6 +10,8 @@ regressions: zero-total terminal rows, accumulator finalization, and
 zero-trial part rejection.
 """
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -289,12 +291,17 @@ class TestCLIWiring:
 
         return _build_runtime(build_parser().parse_args(argv))
 
-    def test_serial_default_stays_on_old_path(self):
-        assert self.build(["fig3"]) is None
+    def test_no_flags_build_a_full_runner_on_usable_cpus(self):
+        if hasattr(os, "sched_getaffinity"):
+            usable = len(os.sched_getaffinity(0))
+        else:
+            usable = os.cpu_count() or 1
+        runner = self.build(["fig3"])
+        assert runner.reduce == "full"
+        assert runner.workers == usable
 
     def test_reduce_stats_alone_forces_a_runner(self):
-        # Without this, the serial fallback would silently ignore the
-        # knob — stats mode must always go through the runtime.
+        # The flag alone reaches the runner at any worker count.
         runner = self.build(["fig3", "--reduce", "stats"])
         assert runner is not None
         assert runner.reduce == "stats"

@@ -13,7 +13,11 @@ Standalone (the acceptance report; writes the JSON)::
         [--trials N] [--rounds N] [--protocols ml_pos,sl_pos,...]
         [--output BENCH_kernels.json]
 
-CI sanity check (~seconds; asserts batched >= 2x naive on ML-PoS)::
+CI sanity check (a few seconds; asserts the :data:`SMOKE_FLOORS`
+speedups: batched >= 1.35x naive on two-miner C-PoS at 10,000 trials
+x 300 epochs, where the kernel's one ``rng.binomial`` draw per
+trial-epoch replaces the naive step's ``rng.multinomial``, and >= 2x
+on ML-PoS at 4,000 trials x 600 rounds)::
 
     PYTHONPATH=src python benchmarks/bench_kernels.py --smoke
 
@@ -68,6 +72,20 @@ PROTOCOLS = {
     ),
     "filecoin": (lambda: FilecoinStorage(0.01, storage_weight=0.5), 2, 1_000),
     "eos": (lambda: EOSDelegatedPoS(0.01, 0.05), 2, 2_000),
+}
+
+
+#: ``--smoke`` floors: key -> (trials, rounds, least batched/naive
+#: speedup), checked in this order.  The C-PoS floor sits between the
+#: two-miner binomial kernel (1.42-1.78x on a 2-vCPU host) and the
+#: per-epoch multinomial call it replaced (1.00-1.17x), so losing the
+#: fast path fails CI.  C-PoS goes first, in a fresh interpreter, where
+#: both ranges were measured: at 10,000 trials the naive loop's
+#: per-epoch temporaries regrow the heap every epoch, and how much of
+#: that a later measurement pays depends on what ran before it.
+SMOKE_FLOORS = {
+    "c_pos": (10_000, 300, 1.35),
+    "ml_pos": (4_000, 600, 2.0),
 }
 
 
@@ -182,8 +200,9 @@ def render(report: Dict[str, object]) -> str:
 
 def test_ml_pos_batched_beats_naive_2x():
     """The CI sanity floor: conservative vs the ~8x standalone number."""
-    row = measure_protocol("ml_pos", trials=4_000, rounds=600)
-    assert row["speedup"] >= 2.0, row
+    trials, rounds, floor = SMOKE_FLOORS["ml_pos"]
+    row = measure_protocol("ml_pos", trials=trials, rounds=rounds)
+    assert row["speedup"] >= floor, row
 
 
 def test_every_kernel_bit_identical_at_bench_scale():
@@ -228,20 +247,25 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--smoke", action="store_true",
-        help="fast sanity check: ML-PoS only, small sizes, assert >= 2x, "
-        "no JSON written",
+        help="fast sanity check: assert the SMOKE_FLOORS speedups "
+        "(C-PoS >= 1.35x, ML-PoS >= 2x), no JSON written",
     )
     args = parser.parse_args(argv)
 
     if args.smoke:
-        row = measure_protocol("ml_pos", trials=4_000, rounds=600)
-        print(
-            f"ML-PoS smoke: naive {row['naive_rounds_per_sec']:,.0f} r/s, "
-            f"batched {row['batched_rounds_per_sec']:,.0f} r/s "
-            f"({row['speedup']:.2f}x, bit-identical={row['bit_identical']})"
-        )
-        if row["speedup"] < 2.0:
-            print("FAIL: expected batched >= 2x naive")
+        failed = False
+        for key, (trials, rounds, floor) in SMOKE_FLOORS.items():
+            row = measure_protocol(key, trials=trials, rounds=rounds)
+            print(
+                f"{key} smoke ({trials:,} trials x {rounds} rounds): "
+                f"naive {row['naive_rounds_per_sec']:,.0f} r/s, "
+                f"batched {row['batched_rounds_per_sec']:,.0f} r/s "
+                f"({row['speedup']:.2f}x, bit-identical={row['bit_identical']})"
+            )
+            if row["speedup"] < floor:
+                print(f"FAIL: expected {key} batched >= {floor}x naive")
+                failed = True
+        if failed:
             return 1
         print("PASS")
         return 0

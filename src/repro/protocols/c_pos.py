@@ -95,6 +95,9 @@ class CompoundPoS(IncentiveProtocol):
     def step(self, state: EnsembleState, rng: np.random.Generator) -> None:
         shares = state.stake_shares()
         # Proposer lottery: P shard proposers drawn proportionally.
+        # Keep multinomial even for two miners: this step is the
+        # reference the two-miner kernel's rng.binomial draw is tested
+        # against (see the repro.sim.kernels module docstring).
         shard_wins = rng.multinomial(self.shards, shares)
         proposer_income = self._proposer_reward * shard_wins / self.shards
         # Inflation: exactly proportional to current stakes.

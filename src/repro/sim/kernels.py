@@ -25,6 +25,20 @@ while staying **bit-identical** to the per-round loop:
   kernel replaces a scatter ``a[rows, winners] += w`` with a one-hot
   masked add, the non-winning lanes receive ``+0.0``, which is a
   bitwise no-op for the non-negative stakes/rewards arrays.
+* **Identical sampler calls** — kernels draw only through
+  ``rng.random``, ``rng.multinomial`` and ``rng.binomial``.  The naive
+  loop never calls ``binomial``; the two-miner C-PoS kernel does,
+  because for two columns ``rng.multinomial(P, shares)`` makes one
+  C-level binomial draw per row, on ``shares[:, 0]``, and sets column
+  1 to ``P`` minus it — exactly the draws ``rng.binomial(P,
+  shares[:, 0])`` makes, in the same order.  That identity lives in
+  NumPy, not here: ``test_c_pos_two_miner_binomial_on_every_branch``
+  pins it on every branch of NumPy's binomial sampler, so a NumPy
+  release that breaks it fails that test rather than silently
+  changing bits.  Do not switch the naive ``CompoundPoS.step`` to
+  ``binomial`` as well: it is the reference the differential tests
+  compare against, and it would then agree with the kernel whatever
+  NumPy does.
 
 Kernels are registered per concrete protocol class.  Lookup is by
 *exact type* (plus explicitly registered aliases such as
@@ -614,12 +628,58 @@ def _advance_fsl_pos(protocol, state, rounds, rng, scratch, chunk):
 # -- compound PoS -------------------------------------------------------------
 
 
+def _advance_c_pos_two(protocol, state, rounds, rng, scratch):
+    """Two-miner C-PoS fast path: every headline C-PoS figure.
+
+    One ``rng.binomial(P, share_a)`` draw per epoch, with ``P -
+    wins_a`` credited to miner B, makes the naive loop's two-column
+    ``rng.multinomial`` draws and leaves the generator where it does
+    (module docstring, "Identical sampler calls").  The rest is the
+    naive arithmetic on contiguous ``(2, trials)`` rows:
+    ``stakes.sum(axis=1)`` for two columns is ``s0 + s1``, bitwise."""
+    trials = state.trials
+    proposer_reward = protocol.proposer_reward
+    inflation_reward = protocol.inflation_reward
+    shards = protocol.shards
+    stakes_t = scratch.get("cpos2_stakes_t", (2, trials))
+    rewards_t = scratch.get("cpos2_rewards_t", (2, trials))
+    stakes_t[...] = state.stakes.T
+    rewards_t[...] = state.rewards.T
+    stake_a, stake_b = stakes_t[0], stakes_t[1]
+    total = scratch.get("cpos2_total", (trials,))
+    shares_t = scratch.get("cpos2_shares_t", (2, trials))
+    share_a = shares_t[0]
+    wins_t = scratch.get("cpos2_wins_t", (2, trials), np.int64)
+    wins_a, wins_b = wins_t[0], wins_t[1]
+    income_t = scratch.get("cpos2_income_t", (2, trials))
+    inflation_t = scratch.get("cpos2_inflation_t", (2, trials))
+    for _ in range(rounds):
+        np.add(stake_a, stake_b, out=total)
+        np.divide(stakes_t, total, out=shares_t)
+        wins_a[...] = rng.binomial(shards, share_a)
+        np.subtract(shards, wins_a, out=wins_b)
+        np.multiply(wins_t, proposer_reward, out=income_t)
+        np.divide(income_t, shards, out=income_t)
+        np.multiply(shares_t, inflation_reward, out=inflation_t)
+        np.add(income_t, inflation_t, out=income_t)
+        np.add(rewards_t, income_t, out=rewards_t)
+        np.add(stakes_t, income_t, out=stakes_t)
+    state.stakes[...] = stakes_t.T
+    state.rewards[...] = rewards_t.T
+    state.round_index += rounds
+
+
 @register_kernel(CompoundPoS)
 def _advance_c_pos(protocol, state, rounds, rng, scratch, chunk):
-    """C-PoS epoch loop with scratch reuse.  The multinomial proposer
-    draw depends on the evolving shares, so it stays a per-epoch
-    ``rng.multinomial`` call (same consumption as the naive loop); the
-    share/income arithmetic runs allocation-free."""
+    """C-PoS epoch loop with scratch reuse.  The proposer draw depends
+    on the evolving shares, so it is one sampler call per epoch.  Two
+    miners draw through ``rng.binomial`` (:func:`_advance_c_pos_two`);
+    more miners keep the naive loop's ``rng.multinomial`` call, which
+    is most of their cost.  The share/income arithmetic runs
+    allocation-free apart from the sampler's output."""
+    if state.miners == 2:
+        _advance_c_pos_two(protocol, state, rounds, rng, scratch)
+        return
     trials, miners = state.trials, state.miners
     proposer_reward = protocol.proposer_reward
     inflation_reward = protocol.inflation_reward

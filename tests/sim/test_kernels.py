@@ -179,6 +179,39 @@ class TestDifferentialGolden:
         np.testing.assert_array_equal(outcomes[0][0], outcomes[1][0])
         np.testing.assert_array_equal(outcomes[0][1], outcomes[1][1])
 
+    @pytest.mark.parametrize(
+        "shards, share",
+        [(4, 0.7), (32, 0.2), (128, 0.4), (128, 0.7), (1, 0.3)],
+        ids=[
+            "inversion-p-above-half",
+            "figures-shard-count",
+            "btpe",
+            "btpe-p-above-half",
+            "one-shard",
+        ],
+    )
+    def test_c_pos_two_miner_binomial_on_every_branch(self, shards, share):
+        """The two-miner C-PoS kernel draws ``rng.binomial`` where the
+        naive step draws ``rng.multinomial``.  They must agree bit for
+        bit on every branch of NumPy's binomial sampler: inversion
+        (``n * min(p, 1 - p) <= 30``) and BTPE rejection (above 30),
+        each with ``p`` on both sides of 1/2, plus a single shard.  A
+        NumPy release that breaks the two-column identity fails here
+        rather than silently changing C-PoS bits."""
+        allocation = Allocation.two_miners(share)
+        outcomes = []
+        for kernel in KERNEL_MODES:
+            protocol = CompoundPoS(0.01, 0.1, shards=shards)
+            state = protocol.make_state(allocation, TRIALS)
+            rng = np.random.default_rng(23)
+            if kernel == "batched":
+                batched_advance(protocol, state, HORIZON, rng)
+            else:
+                protocol.advance_many(state, HORIZON, rng)
+            outcomes.append((state.rewards, state.stakes, rng.random(4)))
+        for naive, batched in zip(*outcomes):
+            np.testing.assert_array_equal(naive, batched)
+
     def test_withholding_pending_identical(self):
         # The wrapper's vesting buffer is part of the dynamics; it must
         # match exactly (vesting_period 7 leaves a mid-period residue).

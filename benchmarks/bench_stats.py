@@ -3,11 +3,11 @@
 Full mode materializes the ``(trials, checkpoints, miners)`` cube, so
 its working set grows linearly in the trial count — ~176 MB at the
 1M-trial scale for the headline workload.  Stats mode folds each shard
-straight into mergeable sufficient statistics (moments + fixed-grid
-sketches + exact event counters), so at a constant shard *size* the
-parent's working set is bounded by one shard plus the O(checkpoints x
-miners x bins) sketch state — **flat in the trial count**, and more
-than an order of magnitude below full mode at 1M trials.
+straight into mergeable sufficient statistics (moments + exact event
+counters, no sketch), so at a constant shard *size* the parent's
+working set is bounded by one shard plus O(checkpoints x miners)
+state — **flat in the trial count**, and more than an order of
+magnitude below full mode at 1M trials.
 
 Every row first verifies the physics: the unfair-probability series
 (the Figure 3/5 numbers) must be bit-identical between the two modes
@@ -148,7 +148,7 @@ def collect(trial_counts, horizon: int) -> Dict[str, object]:
         ),
         "peak_rss_bytes": _peak_rss_bytes(),
         # Flat: at constant shard size the stats peak is bounded by one
-        # shard plus the sketch state, so it must not scale with the
+        # shard plus the moments and counters, so it must not scale with the
         # trial count the way the full cube does.
         "stats_peak_flat": stats_peaks[-1] <= stats_peaks[0] * 1.25,
         "reduction_at_max_trials": rows[-1]["reduction"],

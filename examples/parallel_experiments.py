@@ -67,14 +67,14 @@ Demonstrates the ways to use the runtime layer:
     warning instead of failing the run; ``repro-fsck --repair``
     scans and heals a cache+journal tree offline,
 
-12. sufficient-statistics ensembles (``reduce="stats"``, the CLI's
-    ``--reduce stats``): shards fold straight into mergeable moments,
-    fixed-grid CDF sketches, and exact event counters instead of the
-    ``(trials, checkpoints, miners)`` trajectory cube, so
-    population-scale trial counts run in memory bounded by one shard
-    — and the figure-facing numbers (unfair-probability series at the
-    recorded epsilon, win/monopolisation counters) are bit-identical
-    to full mode at the same shard plan.  ``reduce`` is a *physics*
+12. sufficient-statistics ensembles (``reduce="stats"``, what the
+    CLI's fig3 and fig5 run): shards fold straight into mergeable
+    moments and exact event counters instead of the ``(trials,
+    checkpoints, miners)`` trajectory cube, so population-scale trial
+    counts run in memory bounded by one shard — and the figure-facing
+    numbers (unfair-probability series at the recorded epsilon,
+    win/monopolisation counters) are bit-identical to full mode at the
+    same shard plan.  Anything else raises.  ``reduce`` is a *physics*
     knob: unlike ``kernel``/``fast``/``workers`` it enters cache
     fingerprints, so the two artifact shapes never share an entry.
 
@@ -397,15 +397,16 @@ def main() -> None:
 
     # 12. Sufficient statistics: the same big ensemble as section 7,
     #     but the shards never assemble into a trajectory cube —
-    #     each folds into count/mean/M2 moments, 1024-bin CDF
-    #     sketches, and exact unfair/win/monopolisation counters, so
-    #     the parent's peak memory is bounded by one shard no matter
-    #     the trial count.  The figure queries come back exact: at
-    #     the recorded epsilon the unfair series is bit-identical to
-    #     full mode at the same shard plan.  This is what
-    #     `repro-experiments fig3 --workers 4 --reduce stats` does.
-    #     Asking a stats artifact for raw trajectories raises with a
-    #     hint to rerun under reduce='full' — no silent approximation.
+    #     each folds into count/mean/M2 moments and exact
+    #     unfair/win/monopolisation counters, so the parent's peak
+    #     memory is bounded by one shard no matter the trial count.
+    #     The figure queries come back exact: at the recorded epsilon
+    #     the unfair series is bit-identical to full mode at the same
+    #     shard plan.  This is what `repro-experiments fig3` does,
+    #     since fig3 plots only those counters.  Asking a stats
+    #     artifact for raw trajectories, percentile bands or another
+    #     epsilon raises with a hint to rerun under reduce='full' — no
+    #     silent approximation.
     import dataclasses
 
     full_big = ParallelRunner(workers=1).run(big, shards=32)

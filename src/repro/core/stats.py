@@ -3,41 +3,36 @@
 A :class:`StatsSummary` is the ``reduce="stats"`` counterpart of
 :class:`~repro.core.results.EnsembleResult`.  Instead of the full
 ``(trials, checkpoints, miners)`` trajectory cube (~17.6 MB per 100k
-trials, ~1.8 GB at the 10M-trial scale) it keeps only the sufficient
-statistics every paper figure actually consumes:
+trials, ~1.8 GB at the 10M-trial scale) it keeps only exact state:
 
 * per-(checkpoint, miner) ``count``/``mean``/``M2`` moments, merged
-  across shards with Chan's parallel-variance update — the Figure 2
-  mean line, the Table 1 averages, and Definition 3.1 verdicts;
-* a fixed-grid CDF sketch (histogram over [0, 1], ``bins`` cells) per
-  (checkpoint, miner) — the Figure 2 percentile envelope, with
-  absolute quantile error bounded by one bin width (``1 / bins``);
-* **exact** integer counters for unfair events (Figures 3/5,
-  Definition 4.1 verdicts, convergence times) at the recorded
-  ``epsilon``, and for terminal win/monopolisation events at the
-  recorded ``margin``.
+  across shards with Chan's parallel-variance update — sample means,
+  standard errors and Definition 3.1 verdicts;
+* integer counters of unfair events at the recorded ``epsilon``
+  (Figures 3/5, Definition 4.1 verdicts, convergence times), and of
+  terminal win/monopolisation events at the recorded ``margin``.
 
-Exactness contract (the golden differential suite pins this):
+Contract: exact or raise (the golden differential suite pins this).
 
 * ``unfair_probabilities`` / ``robust_verdict`` / ``convergence_time``
   at the recorded ``epsilon`` and ``monopolisation_probability`` at
   the recorded ``margin`` are **bit-identical** to full mode — they
   are computed from exact counters with the same final arithmetic.
-* ``summary().mean`` and ``final_fractions().mean()`` match full mode
-  to float tolerance (shard-local means are exact; cross-shard Chan
-  merges reassociate the sum).
-* ``summary().lower/.upper`` (and off-recorded ``epsilon``/``margin``
-  queries) carry a documented bounded error of at most ``2 / bins``
-  in the value domain.
+* ``final_fractions().mean()`` and the expectational verdict match
+  full mode to float tolerance (shard-local means are exact;
+  cross-shard Chan merges reassociate the sum).
+* Every query full mode answers from per-trial samples — trajectories,
+  the ``summary()`` percentile bands, and any other ``epsilon`` or
+  ``margin`` — raises with a pointer at ``reduce="full"``.  Nothing is
+  answered approximately.
 
 Merging is associative exactly for the integer counters and up to
 float rounding for the moments; the runtime always folds shards
 left-to-right in plan order, so merged summaries are bit-reproducible
 for a fixed shard plan regardless of worker count or backend.
 
-The sketch parameters (``bins``, ``epsilon``, ``margin``) are part of
-the artifact's content, so they are folded into the spec fingerprint
-payload by :func:`repro.runtime.spec.spec_fingerprint` — changing the
+The recorded ``epsilon`` and ``margin`` are part of the artifact's
+content, so they are folded into the spec fingerprint payload by :func:`repro.runtime.spec.spec_fingerprint` — changing the
 defaults below invalidates stats-mode cache entries, never corrupts
 them.
 """
@@ -46,7 +41,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -62,10 +57,8 @@ from .fairness import (
 )
 from .metrics import convergence_time
 from .miners import Allocation
-from .results import SeriesSummary
 
 __all__ = [
-    "DEFAULT_BINS",
     "DEFAULT_MARGIN",
     "REDUCE_MODES",
     "MomentView",
@@ -88,16 +81,8 @@ def ensure_reduce_mode(value: str) -> str:
         )
     return value
 
-#: Cells of the fixed-grid CDF sketch over [0, 1].  Quantile queries
-#: carry an absolute error of at most one bin width (~0.001).  Part of
-#: the artifact content: bumping this changes stats-mode fingerprints
-#: (see ``spec_fingerprint``), so cached artifacts can never silently
-#: disagree with the code that reads them.
-DEFAULT_BINS = 1024
-
 #: Dominance threshold whose monopolisation counter is recorded
-#: exactly (the Theorem 4.9 default).  Other margins are answered from
-#: the max-share sketch with bounded error.
+#: exactly (the Theorem 4.9 default).  Other margins need ``reduce="full"``.
 DEFAULT_MARGIN = 0.99
 
 _TRAJECTORY_HINT = (
@@ -159,65 +144,14 @@ class MomentView:
         )
 
 
-def _value_bins(values: np.ndarray, bins: int) -> np.ndarray:
-    """Grid-cell index of each value in [0, 1]; 1.0 lands in the last cell."""
-    return np.minimum((values * bins).astype(np.int64), bins - 1)
-
-
-def _histogram_quantile(counts: np.ndarray, total: int, pct: float) -> float:
-    """Quantile estimate from one fixed-grid histogram row.
-
-    Mirrors ``np.percentile``'s default linear interpolation between
-    the two bracketing order statistics; each order statistic is
-    located by inverting the sketch CDF and spread uniformly inside
-    its cell, so the absolute error is bounded by one bin width.
-    """
-    bins = counts.shape[0]
-    cumulative = np.cumsum(counts)
-
-    def order_value(index: int) -> float:
-        target = index + 1  # order statistics are 1-based in the CDF
-        cell = int(np.searchsorted(cumulative, target, side="left"))
-        before = int(cumulative[cell - 1]) if cell > 0 else 0
-        inside = target - before
-        return (cell + (inside - 0.5) / float(counts[cell])) / bins
-
-    rank = pct / 100.0 * (total - 1)
-    low_index = int(math.floor(rank))
-    high_index = int(math.ceil(rank))
-    low_value = order_value(low_index)
-    if high_index == low_index:
-        return low_value
-    high_value = order_value(high_index)
-    return low_value + (rank - low_index) * (high_value - low_value)
-
-
-def _interval_mass(counts: np.ndarray, total: int, lower: float, upper: float) -> float:
-    """Approximate probability mass of ``[lower, upper]`` from a sketch row.
-
-    Cells fully inside the interval contribute exactly; the two
-    straddling cells contribute pro rata, so the error is bounded by
-    the mass of two cells.
-    """
-    bins = counts.shape[0]
-    lower = min(max(lower, 0.0), 1.0)
-    upper = min(max(upper, 0.0), 1.0)
-    if upper <= lower:
-        return 0.0
-    edges = np.arange(bins + 1) / bins
-    left = np.clip((np.minimum(edges[1:], upper) - np.maximum(edges[:-1], lower)), 0.0, None)
-    weights = left * bins  # fraction of each cell inside the interval
-    return float(np.dot(weights, counts) / total)
-
-
 class StatsSummary:
     """Mergeable sufficient statistics of a Monte Carlo ensemble.
 
     API-compatible with :class:`~repro.core.results.EnsembleResult`
-    for every aggregate consumer (``summary``,
-    ``unfair_probabilities``, fairness verdicts, ``convergence_time``,
-    ``monopolisation_probability``, ``to_dict``); per-trial accessors
-    raise with a pointer at ``reduce="full"``.
+    for every exact aggregate consumer (``unfair_probabilities``,
+    fairness verdicts, ``convergence_time``,
+    ``monopolisation_probability``, ``to_dict``); queries that need
+    per-trial samples raise with a pointer at ``reduce="full"``.
 
     Build instances with :class:`StatsCollector` (streaming, used by
     the engine) or :meth:`from_ensemble` (reduction of an existing
@@ -233,16 +167,12 @@ class StatsSummary:
         round_unit: str,
         trials: int,
         epsilon: float,
-        bins: int,
         margin: float,
         mean: np.ndarray,
         m2: np.ndarray,
-        hist: np.ndarray,
         unfair: np.ndarray,
         terminal_mean: Optional[np.ndarray] = None,
         terminal_m2: Optional[np.ndarray] = None,
-        terminal_hist: Optional[np.ndarray] = None,
-        max_share_hist: Optional[np.ndarray] = None,
         monopolised: int = 0,
         wins: Optional[np.ndarray] = None,
         zero_stake_trials: int = 0,
@@ -262,29 +192,21 @@ class StatsSummary:
             raise ValueError(f"trials must be positive, got {trials!r}")
         eps, _ = ensure_epsilon_delta(epsilon, 0.5)
         self.epsilon = eps
-        self.bins = int(bins)
-        if self.bins <= 0:
-            raise ValueError(f"bins must be positive, got {bins!r}")
         if not 0.5 < margin <= 1.0:
             raise ValueError("margin must be in (0.5, 1]")
         self.margin = float(margin)
         shape = (self.checkpoints.size, allocation.size)
         self.mean = np.asarray(mean, dtype=float)
         self.m2 = np.asarray(m2, dtype=float)
-        self.hist = np.asarray(hist, dtype=np.int64)
         self.unfair = np.asarray(unfair, dtype=np.int64)
         if self.mean.shape != shape or self.m2.shape != shape:
             raise ValueError(
                 f"mean/m2 must have shape {shape}, got "
                 f"{self.mean.shape}/{self.m2.shape}"
             )
-        if self.hist.shape != shape + (self.bins,):
-            raise ValueError(
-                f"hist must have shape {shape + (self.bins,)}, got {self.hist.shape}"
-            )
         if self.unfair.shape != shape:
             raise ValueError(f"unfair must have shape {shape}, got {self.unfair.shape}")
-        terminal_fields = (terminal_mean, terminal_m2, terminal_hist, max_share_hist, wins)
+        terminal_fields = (terminal_mean, terminal_m2, wins)
         if any(f is not None for f in terminal_fields):
             if any(f is None for f in terminal_fields):
                 raise ValueError(
@@ -292,14 +214,10 @@ class StatsSummary:
                 )
             self.terminal_mean = np.asarray(terminal_mean, dtype=float)
             self.terminal_m2 = np.asarray(terminal_m2, dtype=float)
-            self.terminal_hist = np.asarray(terminal_hist, dtype=np.int64)
-            self.max_share_hist = np.asarray(max_share_hist, dtype=np.int64)
             self.wins = np.asarray(wins, dtype=np.int64)
         else:
             self.terminal_mean = None
             self.terminal_m2 = None
-            self.terminal_hist = None
-            self.max_share_hist = None
             self.wins = None
         self.monopolised = int(monopolised)
         self.zero_stake_trials = int(zero_stake_trials)
@@ -344,69 +262,36 @@ class StatsSummary:
         if not 0 <= miner < self.miners:
             raise IndexError(f"miner index {miner} out of range")
 
+    @staticmethod
+    def _check_recorded(name: str, value: float, recorded: float) -> None:
+        """Raise unless ``value`` is the parameter the counters were kept at."""
+        if value != recorded:
+            raise ValueError(
+                f"stats-reduced results count events at the recorded "
+                f"{name}={recorded!r} only, not {value!r}; rerun with "
+                "reduce='full' for other values"
+            )
+
     # -- figure series ------------------------------------------------------
 
-    def _unfair_series(self, miner: int, epsilon: float) -> np.ndarray:
-        """Unfair probability per checkpoint; exact at the recorded epsilon."""
-        share = float(self.allocation.shares[miner])
-        area = FairArea(share=share, epsilon=epsilon)
-        if area.epsilon == self.epsilon:
-            # Exact counters, final arithmetic identical to the full
-            # mode path (1 - mean of the fair indicator).
-            fair = (self.trials - self.unfair[:, miner]).astype(float)
-            return 1.0 - fair / self.trials
-        fair = np.array(
-            [
-                _interval_mass(self.hist[c, miner], self.trials, area.lower, area.upper)
-                for c in range(self.checkpoints.size)
-            ]
-        )
-        return 1.0 - fair
-
-    def summary(
-        self,
-        miner: int = 0,
-        *,
-        epsilon: float = DEFAULT_EPSILON,
-        percentiles: Tuple[float, float] = (5.0, 95.0),
-    ) -> SeriesSummary:
-        """The Figure 2 style series for one miner.
-
-        The mean matches full mode to float tolerance and the unfair
-        probability exactly (at the recorded epsilon); the percentile
-        envelope comes from the CDF sketch with absolute error bounded
-        by ``2 / bins``.
-        """
-        self._check_miner(miner)
-        low_pct, high_pct = percentiles
-        if not 0.0 <= low_pct < high_pct <= 100.0:
-            raise ValueError("percentiles must satisfy 0 <= low < high <= 100")
-        lower = np.array(
-            [
-                _histogram_quantile(self.hist[c, miner], self.trials, low_pct)
-                for c in range(self.checkpoints.size)
-            ]
-        )
-        upper = np.array(
-            [
-                _histogram_quantile(self.hist[c, miner], self.trials, high_pct)
-                for c in range(self.checkpoints.size)
-            ]
-        )
-        return SeriesSummary(
-            checkpoints=self.checkpoints.copy(),
-            mean=self.mean[:, miner].copy(),
-            lower=lower,
-            upper=upper,
-            unfair_probability=self._unfair_series(miner, epsilon),
-        )
+    def summary(self, *args, **kwargs):
+        """Refused: the Figure 2 percentile bands need per-trial samples."""
+        raise TypeError(f"percentile bands: {_TRAJECTORY_HINT}")
 
     def unfair_probabilities(
         self, miner: int = 0, *, epsilon: float = DEFAULT_EPSILON
     ) -> np.ndarray:
-        """Unfair probability at every checkpoint (Figures 3 and 5)."""
+        """Unfair probability at every checkpoint (Figures 3 and 5).
+
+        Exact, and only answered, at the recorded epsilon.
+        """
         self._check_miner(miner)
-        return self._unfair_series(miner, epsilon)
+        eps, _ = ensure_epsilon_delta(epsilon, 0.5)
+        self._check_recorded("epsilon", eps, self.epsilon)
+        # Final arithmetic identical to the full mode path (1 - mean
+        # of the fair indicator).
+        fair = (self.trials - self.unfair[:, miner]).astype(float)
+        return 1.0 - fair / self.trials
 
     # -- fairness verdicts ----------------------------------------------------
 
@@ -452,15 +337,10 @@ class StatsSummary:
         self._check_miner(miner)
         share = float(self.allocation.shares[miner])
         checker = RobustFairness(share, epsilon, delta)
-        if checker.epsilon == self.epsilon:
-            # Same arithmetic order as RobustFairness.evaluate: the
-            # exact fair mass first, then one subtraction.
-            fair = (self.trials - int(self.unfair[-1, miner])) / self.trials
-        else:
-            area = checker.fair_area
-            fair = _interval_mass(
-                self.hist[-1, miner], self.trials, area.lower, area.upper
-            )
+        self._check_recorded("epsilon", checker.epsilon, self.epsilon)
+        # Same arithmetic order as RobustFairness.evaluate: the exact
+        # fair mass first, then one subtraction.
+        fair = (self.trials - int(self.unfair[-1, miner])) / self.trials
         unfair = 1.0 - fair
         return RobustVerdict(
             fair_area=checker.fair_area,
@@ -478,7 +358,7 @@ class StatsSummary:
         epsilon: float = DEFAULT_EPSILON,
         delta: float = DEFAULT_DELTA,
     ) -> float:
-        """Table 1 "Cvg. Time"; exact at the recorded epsilon."""
+        """Table 1 "Cvg. Time"; exact, and only answered, at the recorded epsilon."""
         ensure_epsilon_delta(epsilon, delta)
         return convergence_time(
             self.checkpoints,
@@ -489,24 +369,14 @@ class StatsSummary:
     def monopolisation_probability(self, *, margin: float = 0.99) -> float:
         """Fraction of trials ending in near-monopoly (Theorem 4.9 check).
 
-        Exact at the recorded margin; other margins are answered from
-        the max-share sketch with error bounded by two cell masses.
+        Exact, and only answered, at the recorded margin.
         """
         if not self.has_terminal:
             raise ValueError("this result did not record terminal stakes")
         if not 0.5 < margin <= 1.0:
             raise ValueError("margin must be in (0.5, 1]")
-        if margin == self.margin:
-            return self.monopolised / self.trials
-        return self._max_share_tail(margin)
-
-    def _max_share_tail(self, margin: float) -> float:
-        """P(max terminal share >= margin) from the sketch, pro-rata cell."""
-        cell = int(_value_bins(np.array([margin]), self.bins)[0])
-        above = int(self.max_share_hist[cell + 1:].sum())
-        cell_right = (cell + 1) / self.bins
-        inside = float(self.max_share_hist[cell]) * (cell_right - margin) * self.bins
-        return (above + inside) / self.trials
+        self._check_recorded("margin", margin, self.margin)
+        return self.monopolised / self.trials
 
     def win_probabilities(self) -> np.ndarray:
         """Fraction of trials each miner ends with the strictly largest stake.
@@ -522,7 +392,7 @@ class StatsSummary:
 
     @staticmethod
     def _ensure_mergeable(first: "StatsSummary", part: "StatsSummary") -> None:
-        """Raise unless ``part`` describes the same game and sketch grid."""
+        """Raise unless ``part`` describes the same game and recorded events."""
         if part.protocol_name != first.protocol_name:
             raise ValueError(
                 f"cannot merge results of different protocols: "
@@ -538,13 +408,10 @@ class StatsSummary:
             raise ValueError(
                 "cannot merge results that disagree on terminal stake recording"
             )
-        if (part.epsilon, part.bins, part.margin) != (
-            first.epsilon,
-            first.bins,
-            first.margin,
-        ):
+        if (part.epsilon, part.margin) != (first.epsilon, first.margin):
             raise ValueError(
-                "cannot merge stats summaries with different sketch parameters"
+                "cannot merge stats summaries recorded at different "
+                "epsilon/margin"
             )
 
     def _merged_with(self, other: "StatsSummary") -> "StatsSummary":
@@ -566,8 +433,6 @@ class StatsSummary:
                     + other.terminal_m2
                     + t_delta * t_delta * (n_a * n_b / total)
                 ),
-                terminal_hist=self.terminal_hist + other.terminal_hist,
-                max_share_hist=self.max_share_hist + other.max_share_hist,
                 wins=self.wins + other.wins,
             )
         return StatsSummary(
@@ -577,11 +442,9 @@ class StatsSummary:
             round_unit=self.round_unit,
             trials=total,
             epsilon=self.epsilon,
-            bins=self.bins,
             margin=self.margin,
             mean=mean,
             m2=m2,
-            hist=self.hist + other.hist,
             unfair=self.unfair + other.unfair,
             monopolised=self.monopolised + other.monopolised,
             zero_stake_trials=self.zero_stake_trials + other.zero_stake_trials,
@@ -617,7 +480,6 @@ class StatsSummary:
         result,
         *,
         epsilon: float = DEFAULT_EPSILON,
-        bins: int = DEFAULT_BINS,
         margin: float = DEFAULT_MARGIN,
     ) -> "StatsSummary":
         """Reduce a full :class:`EnsembleResult` to its statistics.
@@ -632,7 +494,6 @@ class StatsSummary:
             checkpoints=result.checkpoints,
             round_unit=result.round_unit,
             epsilon=epsilon,
-            bins=bins,
             margin=margin,
         )
         for position in range(result.checkpoints.size):
@@ -644,44 +505,37 @@ class StatsSummary:
     # -- persistence / interchange ---------------------------------------------
 
     def to_dict(self) -> dict:
-        """Plain-Python summary, same shape as ``EnsembleResult.to_dict``."""
-        summary = self.summary()
+        """``EnsembleResult.to_dict`` without its ``p5``/``p95`` bands."""
         return {
             "protocol": self.protocol_name,
             "round_unit": self.round_unit,
             "trials": self.trials,
             "shares": self.allocation.shares.tolist(),
             "checkpoints": self.checkpoints.tolist(),
-            "mean": summary.mean.tolist(),
-            "p5": summary.lower.tolist(),
-            "p95": summary.upper.tolist(),
-            "unfair_probability": summary.unfair_probability.tolist(),
+            "mean": self.mean[:, 0].tolist(),
+            "unfair_probability": self.unfair_probabilities().tolist(),
         }
 
     def state_arrays(self) -> dict:
-        """The mergeable sketch state as plain arrays (for .npz storage)."""
+        """The mergeable state as plain arrays (for .npz storage)."""
         arrays = {
             "stats_mean": self.mean,
             "stats_m2": self.m2,
-            "stats_hist": self.hist,
             "stats_unfair": self.unfair,
         }
         if self.has_terminal:
             arrays.update(
                 stats_terminal_mean=self.terminal_mean,
                 stats_terminal_m2=self.terminal_m2,
-                stats_terminal_hist=self.terminal_hist,
-                stats_max_share_hist=self.max_share_hist,
                 stats_wins=self.wins,
             )
         return arrays
 
     def state_meta(self) -> dict:
-        """Scalar sketch state for the .npz metadata record."""
+        """Scalar state for the .npz metadata record."""
         return {
             "trials": self.trials,
             "epsilon": self.epsilon,
-            "bins": self.bins,
             "margin": self.margin,
             "monopolised": self.monopolised,
             "zero_stake_trials": self.zero_stake_trials,
@@ -690,8 +544,7 @@ class StatsSummary:
     def __repr__(self) -> str:
         return (
             f"StatsSummary({self.protocol_name!r}, trials={self.trials}, "
-            f"miners={self.miners}, horizon={self.horizon} {self.round_unit}s, "
-            f"bins={self.bins})"
+            f"miners={self.miners}, horizon={self.horizon} {self.round_unit}s)"
         )
 
 
@@ -714,7 +567,6 @@ class StatsCollector:
         *,
         round_unit: str = "block",
         epsilon: float = DEFAULT_EPSILON,
-        bins: int = DEFAULT_BINS,
         margin: float = DEFAULT_MARGIN,
     ) -> None:
         self.protocol_name = str(protocol_name)
@@ -723,13 +575,11 @@ class StatsCollector:
         self.round_unit = round_unit
         eps, _ = ensure_epsilon_delta(epsilon, 0.5)
         self.epsilon = eps
-        self.bins = int(bins)
         self.margin = float(margin)
         miners = allocation.size
         shape = (self.checkpoints.size, miners)
         self._mean = np.zeros(shape)
         self._m2 = np.zeros(shape)
-        self._hist = np.zeros(shape + (self.bins,), dtype=np.int64)
         self._unfair = np.zeros(shape, dtype=np.int64)
         self._areas = [
             FairArea(share=float(allocation.shares[m]), epsilon=eps)
@@ -737,8 +587,6 @@ class StatsCollector:
         ]
         self._terminal_mean: Optional[np.ndarray] = None
         self._terminal_m2: Optional[np.ndarray] = None
-        self._terminal_hist: Optional[np.ndarray] = None
-        self._max_share_hist: Optional[np.ndarray] = None
         self._wins: Optional[np.ndarray] = None
         self._monopolised = 0
         self._zero_stake_trials = 0
@@ -770,12 +618,6 @@ class StatsCollector:
         mean = values.mean(axis=0)
         self._mean[position] = mean
         self._m2[position] = ((values - mean) ** 2).sum(axis=0)
-        cells = _value_bins(values, self.bins)
-        miners = self.allocation.size
-        flat = cells + (np.arange(miners, dtype=np.int64) * self.bins)[None, :]
-        self._hist[position] += np.bincount(
-            flat.ravel(), minlength=miners * self.bins
-        ).reshape(miners, self.bins)
         for m, area in enumerate(self._areas):
             self._unfair[position, m] = int(
                 self._trials - np.count_nonzero(area.contains(values[:, m]))
@@ -810,16 +652,7 @@ class StatsCollector:
         mean = shares.mean(axis=0)
         self._terminal_mean = mean
         self._terminal_m2 = ((shares - mean) ** 2).sum(axis=0)
-        cells = _value_bins(shares, self.bins)
-        miners = self.allocation.size
-        flat = cells + (np.arange(miners, dtype=np.int64) * self.bins)[None, :]
-        self._terminal_hist = np.bincount(
-            flat.ravel(), minlength=miners * self.bins
-        ).reshape(miners, self.bins)
         max_shares = shares.max(axis=1)
-        self._max_share_hist = np.bincount(
-            _value_bins(max_shares, self.bins), minlength=self.bins
-        ).astype(np.int64)
         self._monopolised = int(np.count_nonzero(max_shares >= self.margin))
         # A miner "wins" when it holds strictly more than every rival;
         # ties and zero-stake rows have no winner.
@@ -842,8 +675,6 @@ class StatsCollector:
             kwargs = dict(
                 terminal_mean=self._terminal_mean,
                 terminal_m2=self._terminal_m2,
-                terminal_hist=self._terminal_hist,
-                max_share_hist=self._max_share_hist,
                 wins=self._wins,
             )
         return StatsSummary(
@@ -853,11 +684,9 @@ class StatsCollector:
             round_unit=self.round_unit,
             trials=self._trials,
             epsilon=self.epsilon,
-            bins=self.bins,
             margin=self.margin,
             mean=self._mean,
             m2=self._m2,
-            hist=self._hist,
             unfair=self._unfair,
             monopolised=self._monopolised,
             zero_stake_trials=self._zero_stake_trials,

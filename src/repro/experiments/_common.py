@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
+from ..core.fairness import DEFAULT_EPSILON
 from ..core.miners import Allocation
 from ..core.results import EnsembleResult
 from ..protocols.base import IncentiveProtocol
@@ -20,6 +21,7 @@ __all__ = [
     "GridCell",
     "SystemGridCell",
     "build_protocol",
+    "counter_reduce",
     "run_simulation",
     "run_simulation_grid",
     "run_system",
@@ -53,6 +55,18 @@ def build_protocol(
     raise ValueError(f"unknown protocol key {key!r}")
 
 
+def counter_reduce(epsilon: float) -> str:
+    """The ``reduce`` mode of a grid whose figure plots only unfair counts.
+
+    A ``"stats"`` artifact counts unfair trials exactly at the recorded
+    epsilon (``DEFAULT_EPSILON``) and refuses every other epsilon
+    (:mod:`repro.core.stats`), so such a grid folds to ``"stats"`` only
+    at that epsilon and keeps the ``"full"`` cube otherwise.  Either
+    way its numbers are exact, never approximate.
+    """
+    return "stats" if epsilon == DEFAULT_EPSILON else "full"
+
+
 @dataclass(frozen=True)
 class GridCell:
     """One Monte Carlo configuration in an experiment grid."""
@@ -65,7 +79,7 @@ class GridCell:
 
 
 def run_simulation_grid(
-    cells: Sequence[GridCell], source: RandomSource
+    cells: Sequence[GridCell], source: RandomSource, *, reduce: str = "full"
 ) -> List[EnsembleResult]:
     """Run a grid of Monte Carlo configurations on child random streams.
 
@@ -82,6 +96,12 @@ def run_simulation_grid(
     holds ``O(workers)`` shard results rather than every shard of
     every cell.  The numbers depend on the seed and the shard plan
     only, never on the worker count or the cache.
+
+    ``reduce`` is the artifact shape the calling figure needs:
+    ``"full"`` trajectory cubes, or ``"stats"`` moments and exact
+    counters (see :func:`counter_reduce`).  It lands on every spec and
+    enters its fingerprint, so stats grids never collide with full ones
+    in the cache.
     """
     from ..runtime.context import get_default_runtime
     from ..runtime.spec import SimulationSpec
@@ -89,9 +109,6 @@ def run_simulation_grid(
     cells = list(cells)
     seeds = [source.spawn_one() for _ in cells]
     runtime = get_default_runtime()
-    # The runtime's ambient ``reduce`` lands on every spec it builds —
-    # a physics knob, so it enters each spec's fingerprint and stats
-    # grids never collide with full ones in the cache.
     specs = [
         SimulationSpec(
             protocol=cell.protocol,
@@ -102,7 +119,7 @@ def run_simulation_grid(
                 None if cell.checkpoints is None else tuple(cell.checkpoints)
             ),
             seed=seed,
-            reduce=runtime.reduce,
+            reduce=reduce,
         )
         for cell, seed in zip(cells, seeds)
     ]
@@ -173,7 +190,6 @@ def run_system_grid(
                 None if cell.checkpoints is None else tuple(cell.checkpoints)
             ),
             seed=seed,
-            reduce=runtime.reduce,
         )
         for cell, seed in zip(cells, seeds)
     ]

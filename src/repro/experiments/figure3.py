@@ -30,6 +30,7 @@ from ._common import (
     PAPER_PROTOCOL_ORDER,
     GridCell,
     build_protocol,
+    counter_reduce,
     run_simulation_grid,
 )
 from .config import DEFAULT, Preset
@@ -135,7 +136,9 @@ def run(config: Figure3Config = Figure3Config()) -> Figure3Result:
         )
         for protocol_name, share in grid
     ]
-    results = run_simulation_grid(cells, source)
+    results = run_simulation_grid(
+        cells, source, reduce=counter_reduce(config.epsilon)
+    )
 
     series: Dict[Tuple[str, float], np.ndarray] = {}
     convergence: Dict[Tuple[str, float], float] = {}

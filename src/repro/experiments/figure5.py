@@ -26,7 +26,7 @@ from ..protocols.ml_pos import MultiLotteryPoS
 from ..protocols.sl_pos import SingleLotteryPoS
 from ..sim.checkpoints import geometric_checkpoints
 from ..sim.rng import RandomSource
-from ._common import GridCell, run_simulation_grid
+from ._common import GridCell, counter_reduce, run_simulation_grid
 from .config import DEFAULT, Preset
 from .report import render_table, subsample_rows
 
@@ -137,7 +137,9 @@ def run(config: Figure5Config = Figure5Config()) -> Figure5Result:
     ]
     unfair = [
         result.unfair_probabilities(epsilon=config.epsilon)
-        for result in run_simulation_grid(cells, source)
+        for result in run_simulation_grid(
+            cells, source, reduce=counter_reduce(config.epsilon)
+        )
     ]
 
     panels = iter(unfair)

@@ -105,7 +105,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="DIR",
         help="content-addressed result cache; reruns of an identical "
-        "spec load instead of simulating",
+        "spec load instead of simulating.  Each experiment decides "
+        "what it stores: a figure that plots only unfair-trial counts "
+        "(fig3, fig5) keeps those, the others whole trajectories",
     )
     parser.add_argument(
         "--cache-budget",
@@ -122,17 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
         "default: artifacts whose bytes no longer match their recorded "
         "digest are quarantined and recomputed).  Requires --cache; "
         "never changes results or cache keys",
-    )
-    parser.add_argument(
-        "--reduce",
-        default="full",
-        choices=["full", "stats"],
-        help="ensemble artifact shape: 'full' (default) keeps every "
-        "trial's trajectory; 'stats' folds shards straight into "
-        "mergeable sufficient statistics, so figure-scale series come "
-        "out in bounded memory at population-scale trial counts.  A "
-        "physics knob — unlike --workers/--retries it enters cache "
-        "fingerprints, so the two modes never share cache entries",
     )
     parser.add_argument(
         "--retries",
@@ -325,7 +316,6 @@ def _build_runtime(args) -> ParallelRunner:
             retry=args.retries,
             timeout=args.shard_timeout,
             journal=journal,
-            reduce=args.reduce,
         )
     except ValueError as error:
         raise SystemExit(str(error))

@@ -88,7 +88,7 @@ class ResultCache:
     """A directory of content-addressed result artifacts.
 
     Artifacts are :class:`EnsembleResult` trajectories or
-    ``reduce="stats"`` :class:`StatsSummary` sketches — the fingerprint
+    ``reduce="stats"`` :class:`StatsSummary` counters — the fingerprint
     carries the ``reduce`` knob, so one key only ever maps to one kind.
 
     Parameters

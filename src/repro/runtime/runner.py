@@ -47,7 +47,6 @@ from typing import (
 
 from .._validation import ensure_positive_int
 from ..core.results import EnsembleResult, MergeAccumulator, merge_parts
-from ..core.stats import ensure_reduce_mode
 from ..obs import ShardEnvelope, ingest_envelope
 from ..obs.metrics import MetricsRegistry, get_metrics, using_worker_metrics
 from ..obs.trace import Tracer, get_tracer, using_worker_tracer
@@ -232,7 +231,7 @@ def _system_shard_body(spec: SystemSpec, shard: Shard):
     if spec.reduce == "stats":
         # The node-level harness produces full per-repeat results; the
         # shard reduces them before they cross the process boundary, so
-        # only sketch state is pickled and merged.
+        # only moments and counters are pickled and merged.
         from ..core.stats import StatsSummary
 
         return StatsSummary.from_ensemble(result)
@@ -302,15 +301,11 @@ class ParallelRunner:
         re-running with the same journal.  None of ``retry``,
         ``timeout`` or ``journal`` enters cache fingerprints: a
         fault-tolerant run shares its artifacts with a plain one.
-    reduce:
-        Ambient default for the specs this runner *builds* (grid
-        helpers, :meth:`run_system`): ``"full"`` keeps whole
-        trajectories, ``"stats"`` keeps mergeable sufficient
-        statistics in O(1) memory per shard.  Unlike every knob above
-        this one is *physics* — it lands on the specs and enters their
-        fingerprints, so stats and full runs never share artifacts.
-        :meth:`run`/:meth:`run_many` honour each spec's own ``reduce``
-        field and ignore this default.
+
+    The runner never chooses an artifact shape: each spec's own
+    ``reduce`` field does, and it enters the spec's fingerprint, so
+    stats and full runs never share artifacts.  The experiment modules
+    decide it per grid (:mod:`repro.experiments._common`).
 
     Examples
     --------
@@ -335,7 +330,6 @@ class ParallelRunner:
         retry: Union[RetryPolicy, int, None] = None,
         timeout: Optional[float] = None,
         journal: Union[RunJournal, str, pathlib.Path, None] = None,
-        reduce: str = "full",
     ) -> None:
         if executor is not None and (retry is not None or timeout is not None):
             raise ValueError(
@@ -363,11 +357,6 @@ class ParallelRunner:
             )
         self.default_shards = shards
         self.progress = progress
-        # Ambient default for spec builders (the experiments grid
-        # helpers, run_system).  A *physics* knob: it lands on the
-        # specs themselves and enters their fingerprints — run()/
-        # run_many() honour each spec's own ``reduce`` field.
-        self.reduce = ensure_reduce_mode(reduce)
         # Tally counters are shared state: one runner may serve
         # dispatches from several threads, so updates must hold this
         # lock or concurrent completions lose increments.
@@ -458,7 +447,6 @@ class ParallelRunner:
             repeats=repeats,
             checkpoints=None if checkpoints is None else tuple(checkpoints),
             seed=seed,
-            reduce=self.reduce,
         )
         return self.run_system_many([spec], shards=shards)[0]
 

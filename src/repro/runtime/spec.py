@@ -80,7 +80,8 @@ class SimulationSpec:
     #: (EnsembleResult), "stats" keeps mergeable sufficient statistics
     #: (StatsSummary) in O(1) memory per shard.  A *physics* knob — the
     #: two modes produce different bytes, so unlike ``kernel`` it DOES
-    #: enter the fingerprint (with the sketch parameters it bakes in).
+    #: enter the fingerprint (with the epsilon/margin its counters
+    #: are recorded at).
     reduce: str = "full"
 
     def __post_init__(self) -> None:
@@ -230,19 +231,18 @@ def _reduce_payload(reduce_mode: str) -> Any:
     """Canonical fingerprint payload of the ``reduce`` physics knob.
 
     ``reduce`` changes the produced bytes, so it must enter the content
-    address.  Stats mode additionally bakes the sketch parameters into
-    the artifact (grid resolution, recorded epsilon/margin), so they
-    are folded in too: changing the defaults in :mod:`repro.core.stats`
-    invalidates stats-mode cache entries instead of corrupting them.
+    address.  Stats mode additionally bakes the recorded epsilon and
+    margin into the artifact's counters, so they are folded in too:
+    changing the defaults in :mod:`repro.core.stats` invalidates
+    stats-mode cache entries instead of corrupting them.
     """
     if reduce_mode == "full":
         return "full"
     from ..core.fairness import DEFAULT_EPSILON
-    from ..core.stats import DEFAULT_BINS, DEFAULT_MARGIN
+    from ..core.stats import DEFAULT_MARGIN
 
     return {
         "mode": "stats",
-        "bins": DEFAULT_BINS,
         "epsilon": _canonical(DEFAULT_EPSILON),
         "margin": _canonical(DEFAULT_MARGIN),
     }

@@ -8,10 +8,13 @@ metadata (protocol name, miner names, round unit) as a JSON string.
 Two artifact kinds share the format: full
 :class:`~repro.core.results.EnsembleResult` trajectories (the original
 layout, readable by every prior release) and ``reduce="stats"``
-:class:`~repro.core.stats.StatsSummary` sketch state, marked by a
-``kind`` field in the metadata record.  Both round-trip bit-identically
-— ``.npz`` stores the arrays verbatim — which is what lets the result
-cache and the resume journal treat either kind as shard currency.
+:class:`~repro.core.stats.StatsSummary` moments and event counters,
+marked by a ``kind`` field in the metadata record.  Both round-trip
+bit-identically — ``.npz`` stores the arrays verbatim — which is what
+lets the result cache and the resume journal treat either kind as shard
+currency.  Archives are compressed (``savez_compressed``): that pays
+for the trajectory cubes of full-mode figures, while a stats artifact
+is a few kilobytes either way.
 """
 
 from __future__ import annotations
@@ -36,8 +39,6 @@ PathLike = Union[str, pathlib.Path]
 _STATS_TERMINAL_KEYS = (
     "stats_terminal_mean",
     "stats_terminal_m2",
-    "stats_terminal_hist",
-    "stats_max_share_hist",
     "stats_wins",
 )
 
@@ -81,14 +82,12 @@ def save_result(
 
 
 def _load_stats(archive, metadata: dict, allocation: Allocation) -> StatsSummary:
-    """Rebuild a :class:`StatsSummary` from its sketch-state arrays."""
+    """Rebuild a :class:`StatsSummary` from its state arrays."""
     kwargs = {}
     if _STATS_TERMINAL_KEYS[0] in archive.files:
         kwargs = {
             "terminal_mean": archive["stats_terminal_mean"],
             "terminal_m2": archive["stats_terminal_m2"],
-            "terminal_hist": archive["stats_terminal_hist"],
-            "max_share_hist": archive["stats_max_share_hist"],
             "wins": archive["stats_wins"],
         }
     return StatsSummary(
@@ -98,11 +97,9 @@ def _load_stats(archive, metadata: dict, allocation: Allocation) -> StatsSummary
         round_unit=metadata["round_unit"],
         trials=metadata["trials"],
         epsilon=metadata["epsilon"],
-        bins=metadata["bins"],
         margin=metadata["margin"],
         mean=archive["stats_mean"],
         m2=archive["stats_m2"],
-        hist=archive["stats_hist"],
         unfair=archive["stats_unfair"],
         monopolised=metadata["monopolised"],
         zero_stake_trials=metadata["zero_stake_trials"],

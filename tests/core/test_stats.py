@@ -1,11 +1,13 @@
 """Tests for repro.core.stats — sufficient-statistics ensembles.
 
-Pins the exactness contract of :class:`StatsSummary` against full
-:class:`EnsembleResult` trajectories: exact counters reproduce the
+Pins the exact-or-raise contract of :class:`StatsSummary` against
+full :class:`EnsembleResult` trajectories: exact counters reproduce the
 unfair/monopolisation/verdict numbers bit-for-bit, moments match to
-float tolerance, and sketch quantiles stay within the documented
-``2 / bins`` bound.  Hypothesis drives the merge laws: counters are
-associative exactly, splits of one ensemble merge back to the whole.
+float tolerance, and every query full mode answers from per-trial
+samples (percentile bands, other epsilons or margins) raises with a
+pointer at ``reduce='full'``.  Hypothesis drives the merge laws:
+counters are associative exactly, splits of one ensemble merge back to
+the whole.
 """
 
 import math
@@ -19,7 +21,6 @@ from hypothesis import strategies as st
 from repro.core.miners import Allocation
 from repro.core.results import EnsembleResult, merge_parts
 from repro.core.stats import (
-    DEFAULT_BINS,
     MomentView,
     StatsCollector,
     StatsSummary,
@@ -80,20 +81,18 @@ class TestExactnessContract:
         full = full_result()
         stats = StatsSummary.from_ensemble(full)
         np.testing.assert_allclose(
-            stats.summary().mean, full.summary().mean, rtol=1e-12
+            stats.mean[:, 0], full.summary().mean, rtol=1e-12
         )
         assert stats.final_fractions().mean() == pytest.approx(
             float(np.mean(full.final_fractions())), rel=1e-12
         )
 
-    def test_quantile_envelope_within_two_bin_widths(self):
-        full = full_result(trials=200)
-        stats = StatsSummary.from_ensemble(full)
-        got = stats.summary()
-        expected = full.summary()
-        bound = 2.0 / stats.bins
-        assert np.max(np.abs(got.lower - expected.lower)) <= bound
-        assert np.max(np.abs(got.upper - expected.upper)) <= bound
+    def test_percentile_envelope_refuses(self):
+        stats = StatsSummary.from_ensemble(full_result(trials=200))
+        with pytest.raises(TypeError, match="reduce='full'"):
+            stats.summary()
+        with pytest.raises(TypeError, match="reduce='full'"):
+            stats.summary(1, percentiles=(10.0, 90.0))
 
     def test_robust_verdict_bit_identical(self):
         full = full_result()
@@ -130,22 +129,18 @@ class TestExactnessContract:
             margin=0.99
         ) == full.monopolisation_probability(margin=0.99)
 
-    def test_off_margin_query_answers_from_sketch_with_bound(self):
+    def test_off_margin_query_refuses(self):
         rng = np.random.default_rng(5)
-        full = synthetic_result(rng, trials=400)
-        stats = StatsSummary.from_ensemble(full)
+        stats = StatsSummary.from_ensemble(synthetic_result(rng, trials=400))
         for margin in (0.6, 0.75, 0.9):
-            got = stats.monopolisation_probability(margin=margin)
-            expected = full.monopolisation_probability(margin=margin)
-            assert abs(got - expected) <= 2.0 / stats.bins + 1e-12
+            with pytest.raises(ValueError, match="reduce='full'"):
+                stats.monopolisation_probability(margin=margin)
 
-    def test_off_epsilon_query_answers_from_sketch_with_bound(self):
+    def test_off_epsilon_query_refuses(self):
         rng = np.random.default_rng(6)
-        full = synthetic_result(rng, trials=400)
-        stats = StatsSummary.from_ensemble(full)
-        got = stats.unfair_probabilities(0, epsilon=0.25)
-        expected = full.unfair_probabilities(0, epsilon=0.25)
-        assert np.max(np.abs(got - expected)) <= 2.0 / stats.bins + 1e-12
+        stats = StatsSummary.from_ensemble(synthetic_result(rng, trials=400))
+        with pytest.raises(ValueError, match="reduce='full'"):
+            stats.unfair_probabilities(0, epsilon=0.25)
 
     def test_win_probabilities_match_strict_argmax(self):
         rng = np.random.default_rng(7)
@@ -160,7 +155,8 @@ class TestExactnessContract:
     def test_to_dict_same_keys_as_ensemble(self):
         full = full_result()
         stats = StatsSummary.from_ensemble(full)
-        assert set(stats.to_dict()) == set(full.to_dict())
+        # Everything but the percentile bands, which stats mode refuses.
+        assert set(stats.to_dict()) == set(full.to_dict()) - {"p5", "p95"}
         assert stats.to_dict()["unfair_probability"] == (
             full.to_dict()["unfair_probability"]
         )
@@ -230,11 +226,7 @@ class TestMergeLaws:
         merged = StatsSummary.merge(self.split(full, cuts))
         assert merged.trials == whole.trials
         np.testing.assert_array_equal(merged.unfair, whole.unfair)
-        np.testing.assert_array_equal(merged.hist, whole.hist)
         np.testing.assert_array_equal(merged.wins, whole.wins)
-        np.testing.assert_array_equal(
-            merged.max_share_hist, whole.max_share_hist
-        )
         assert merged.monopolised == whole.monopolised
         assert merged.zero_stake_trials == whole.zero_stake_trials
         np.testing.assert_allclose(merged.mean, whole.mean, rtol=1e-9)
@@ -272,9 +264,9 @@ class TestMergeLaws:
         with pytest.raises(ValueError, match="different checkpoints"):
             StatsSummary.merge([a, b])
         c = StatsSummary.from_ensemble(
-            synthetic_result(rng, trials=10), bins=128
+            synthetic_result(rng, trials=10), epsilon=0.2
         )
-        with pytest.raises(ValueError, match="sketch parameters"):
+        with pytest.raises(ValueError, match="different epsilon/margin"):
             StatsSummary.merge([a, c])
 
     def test_rejects_terminal_disagreement(self):
@@ -293,44 +285,38 @@ class TestMergeLaws:
             StatsSummary.merge([])
 
 
-class TestQuantileSketch:
+class TestApproximateQueriesRefuse:
+    """Exact or raise: no query is answered from anything but counters."""
+
     @settings(max_examples=25, deadline=None)
     @given(
-        seed=st.integers(min_value=0, max_value=2**16),
-        n=st.integers(min_value=2, max_value=400),
-        pct=st.floats(min_value=0.0, max_value=100.0),
+        epsilon=st.floats(min_value=0.0, max_value=1.0).filter(
+            lambda value: value != 0.1
+        ),
+        margin=st.floats(
+            min_value=0.5, max_value=1.0, exclude_min=True
+        ).filter(lambda value: value != 0.99),
     )
-    def test_quantile_error_bounded_by_one_bin_width(self, seed, n, pct):
-        from repro.core.stats import _histogram_quantile, _value_bins
+    def test_any_unrecorded_parameter_refuses(self, epsilon, margin):
+        stats = StatsSummary.from_ensemble(full_result(trials=20))
+        with pytest.raises(ValueError, match="reduce='full'"):
+            stats.unfair_probabilities(0, epsilon=epsilon)
+        with pytest.raises(ValueError, match="reduce='full'"):
+            stats.monopolisation_probability(margin=margin)
 
-        rng = np.random.default_rng(seed)
-        values = rng.random(n)
-        counts = np.bincount(
-            _value_bins(values, DEFAULT_BINS), minlength=DEFAULT_BINS
-        ).astype(np.int64)
-        got = _histogram_quantile(counts, n, pct)
-        expected = float(np.percentile(values, pct))
-        assert abs(got - expected) <= 1.0 / DEFAULT_BINS + 1e-12
+    def test_off_epsilon_verdicts_refuse(self):
+        stats = StatsSummary.from_ensemble(full_result(trials=20))
+        with pytest.raises(ValueError, match="recorded epsilon=0.1"):
+            stats.robust_verdict(epsilon=0.2)
+        with pytest.raises(ValueError, match="reduce='full'"):
+            stats.convergence_time(epsilon=0.05)
 
-    def test_interval_mass_whole_line_is_one(self):
-        from repro.core.stats import _interval_mass
-
-        rng = np.random.default_rng(1)
-        values = rng.random(100)
-        from repro.core.stats import _value_bins
-
-        counts = np.bincount(
-            _value_bins(values, DEFAULT_BINS), minlength=DEFAULT_BINS
-        ).astype(np.int64)
-        assert _interval_mass(counts, 100, 0.0, 1.0) == pytest.approx(1.0)
-        assert _interval_mass(counts, 100, 0.7, 0.3) == 0.0
-
-    def test_value_one_lands_in_last_cell(self):
-        from repro.core.stats import _value_bins
-
-        cells = _value_bins(np.array([0.0, 0.5, 1.0]), DEFAULT_BINS)
-        assert cells[0] == 0
-        assert cells[-1] == DEFAULT_BINS - 1
+    def test_margin_one_refuses(self):
+        # Full monopoly, the top edge of the share domain, is no
+        # exception: only the recorded margin is counted.
+        stats = StatsSummary.from_ensemble(full_result(trials=20))
+        with pytest.raises(ValueError, match="recorded margin=0.99"):
+            stats.monopolisation_probability(margin=1.0)
 
 
 class TestZeroStakeAndWins:
@@ -415,11 +401,9 @@ class TestSummaryValidation:
             checkpoints=stats.checkpoints,
             round_unit=stats.round_unit,
             epsilon=stats.epsilon,
-            bins=stats.bins,
             margin=stats.margin,
             mean=stats.mean,
             m2=stats.m2,
-            hist=stats.hist,
             unfair=stats.unfair,
         )
         with pytest.raises(ValueError, match="trials must be positive"):
@@ -430,22 +414,22 @@ class TestSummaryValidation:
             StatsSummary(
                 trials=10, terminal_mean=stats.terminal_mean, **kwargs
             )
-        with pytest.raises(ValueError, match="hist must have shape"):
+        with pytest.raises(ValueError, match="unfair must have shape"):
             StatsSummary(
-                trials=10, **{**kwargs, "hist": stats.hist[..., :-1]}
+                trials=10, **{**kwargs, "unfair": stats.unfair[:-1]}
             )
 
     def test_miner_index_checked(self):
         stats = StatsSummary.from_ensemble(full_result(trials=10))
         with pytest.raises(IndexError, match="out of range"):
             stats.final_fractions(5)
-        with pytest.raises(ValueError, match="percentiles"):
-            stats.summary(percentiles=(95.0, 5.0))
+        with pytest.raises(IndexError, match="out of range"):
+            stats.unfair_probabilities(5)
 
     def test_repr_mentions_scale(self):
         stats = StatsSummary.from_ensemble(full_result(trials=10))
         assert "trials=10" in repr(stats)
-        assert "bins=1024" in repr(stats)
+        assert "miners=2" in repr(stats)
 
 
 class TestPersistenceRoundTrip:
@@ -456,7 +440,6 @@ class TestPersistenceRoundTrip:
         assert isinstance(loaded, StatsSummary)
         assert loaded.trials == stats.trials
         assert loaded.epsilon == stats.epsilon
-        assert loaded.bins == stats.bins
         assert loaded.margin == stats.margin
         assert loaded.monopolised == stats.monopolised
         assert loaded.zero_stake_trials == stats.zero_stake_trials
@@ -519,7 +502,6 @@ class TestEngineStatsPath:
         assert isinstance(stats, StatsSummary)
         reduced = StatsSummary.from_ensemble(full)
         np.testing.assert_array_equal(stats.unfair, reduced.unfair)
-        np.testing.assert_array_equal(stats.hist, reduced.hist)
         assert stats.mean.tobytes() == reduced.mean.tobytes()
         assert stats.m2.tobytes() == reduced.m2.tobytes()
         assert stats.monopolised == reduced.monopolised

@@ -10,8 +10,18 @@ import math
 import numpy as np
 import pytest
 
-from repro.experiments import figure1, figure2, figure3, figure4, figure5, figure6
+from repro.experiments import (
+    _common,
+    figure1,
+    figure2,
+    figure3,
+    figure4,
+    figure5,
+    figure6,
+)
 from repro.experiments.config import CI
+from repro.experiments.registry import EXPERIMENTS
+from repro.runtime import ParallelRunner, using_runtime
 
 
 @pytest.fixture(scope="module")
@@ -172,3 +182,72 @@ class TestFigure6:
         text = result.render()
         assert "Figure 6(a)" in text
         assert "withholding" in text
+
+
+class RecordingRunner(ParallelRunner):
+    """A serial runner that remembers every spec it was handed."""
+
+    def __init__(self):
+        super().__init__()
+        self.specs = []
+
+    def run_many(self, specs, **kwargs):
+        specs = list(specs)
+        self.specs.extend(specs)
+        return super().run_many(specs, **kwargs)
+
+    def run_system_many(self, specs, **kwargs):
+        specs = list(specs)
+        self.specs.extend(specs)
+        return super().run_system_many(specs, **kwargs)
+
+
+class TestReduceDeclarations:
+    """Each experiment decides its artifact shape; folding never moves a number."""
+
+    @pytest.mark.parametrize("epsilon, declared", [(0.1, "stats"), (0.05, "full")])
+    @pytest.mark.parametrize(
+        "module, config_type",
+        [
+            pytest.param(figure3, figure3.Figure3Config, id="fig3"),
+            pytest.param(figure5, figure5.Figure5Config, id="fig5"),
+        ],
+    )
+    def test_declared_mode_matches_forced_full(
+        self, monkeypatch, module, config_type, epsilon, declared
+    ):
+        config = config_type(preset=CI, seed=7, epsilon=epsilon)
+        modes = []
+
+        def recording(cells, source, *, reduce="full"):
+            modes.append(reduce)
+            return _common.run_simulation_grid(cells, source, reduce=reduce)
+
+        def forced_full(cells, source, **kwargs):
+            return _common.run_simulation_grid(cells, source, reduce="full")
+
+        monkeypatch.setattr(module, "run_simulation_grid", recording)
+        declared_dict = module.run(config).to_dict()
+        monkeypatch.setattr(module, "run_simulation_grid", forced_full)
+        assert module.run(config).to_dict() == declared_dict
+        assert modes == [declared]
+
+    def test_each_experiment_declares_its_reduce(self):
+        expected = {
+            "fig1": set(),  # no ensemble
+            "fig2": {"full"},
+            "fig3": {"stats"},
+            "fig4": {"full"},
+            "fig5": {"stats"},
+            "fig6": {"full"},
+            "tab1": {"full"},
+            "sec64": {"full"},
+        }
+        assert set(EXPERIMENTS) == set(expected)
+        declared = {}
+        for key, experiment in EXPERIMENTS.items():
+            runner = RecordingRunner()
+            with using_runtime(runner):
+                experiment.run_with_preset(CI)
+            declared[key] = {spec.reduce for spec in runner.specs}
+        assert declared == expected

@@ -3,9 +3,9 @@
 Mirrors ``test_streaming_merge.py`` for the stats reduction: every
 protocol, every executor backend, mixed cached/uncached grids, and
 journal resume must produce StatsSummary artifacts whose exact
-counters (unfair/win/monopolisation events, histograms) equal the
-reduction of the full-mode run at the same shard plan, with moments
-matching to float tolerance.  Also home to the merge-layer bug-sweep
+counters (unfair/win/monopolisation events) equal the reduction of
+the full-mode run at the same shard plan, with moments matching to
+float tolerance.  Also home to the merge-layer bug-sweep
 regressions: zero-total terminal rows, accumulator finalization, and
 zero-trial part rejection.
 """
@@ -86,15 +86,11 @@ def assert_matches_full_reduction(stats, full):
     """
     reduced = StatsSummary.from_ensemble(full)
     np.testing.assert_array_equal(stats.unfair, reduced.unfair)
-    np.testing.assert_array_equal(stats.hist, reduced.hist)
     assert stats.trials == reduced.trials
     assert stats.monopolised == reduced.monopolised
     assert stats.zero_stake_trials == reduced.zero_stake_trials
     if reduced.has_terminal:
         np.testing.assert_array_equal(stats.wins, reduced.wins)
-        np.testing.assert_array_equal(
-            stats.max_share_hist, reduced.max_share_hist
-        )
     np.testing.assert_allclose(stats.mean, reduced.mean, rtol=1e-9)
     # Exact counters imply bit-identical figure series.
     assert (
@@ -137,11 +133,16 @@ class TestGoldenSimulation:
         assert isinstance(stats, StatsSummary)
         assert not stats.has_terminal
 
-    def test_runner_default_reduce_flows_into_system_specs(self):
-        runner = ParallelRunner(workers=1, reduce="stats")
-        assert runner.reduce == "stats"
-        with pytest.raises(ValueError, match="reduce must be one of"):
-            ParallelRunner(workers=1, reduce="bogus")
+    def test_each_spec_decides_its_artifact_shape(self):
+        # The runner has no reduce knob of its own: one grid may mix
+        # both shapes, and each spec gets the kind it asked for.
+        with pytest.raises(TypeError):
+            ParallelRunner(workers=1, reduce="stats")
+        stats, full = ParallelRunner(workers=1).run_many(
+            [make_spec(seed=6), make_spec(seed=6, reduce="full")], shards=2
+        )
+        assert isinstance(stats, StatsSummary)
+        assert isinstance(full, EnsembleResult)
 
 
 class TestGoldenSystem:
@@ -297,31 +298,16 @@ class TestCLIWiring:
         else:
             usable = os.cpu_count() or 1
         runner = self.build(["fig3"])
-        assert runner.reduce == "full"
         assert runner.workers == usable
-
-    def test_reduce_stats_alone_forces_a_runner(self):
-        # The flag alone reaches the runner at any worker count.
-        runner = self.build(["fig3", "--reduce", "stats"])
-        assert runner is not None
-        assert runner.reduce == "stats"
-
-    def test_reduce_threads_through_workers(self):
-        runner = self.build(
-            ["fig3", "--reduce", "stats", "--workers", "2"]
-        )
-        assert runner.reduce == "stats"
-        assert runner.workers == 2
-
-    def test_full_is_the_default(self):
-        runner = self.build(["fig3", "--workers", "2"])
-        assert runner.reduce == "full"
 
     def test_rejects_unknown_mode(self):
         from repro.experiments.runner import build_parser
 
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["fig3", "--reduce", "moments"])
+        # The experiment modules decide the artifact shape, so the CLI
+        # accepts no reduce mode at all.
+        for mode in ("moments", "stats", "full"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["fig3", "--reduce", mode])
 
 
 # -- merge-layer bug sweep regressions ----------------------------------------

@@ -241,10 +241,11 @@ def main() -> None:
     # 7. Streaming merge on a large ensemble: collecting every shard
     #    result and then concatenating would hold both at its peak;
     #    the runner preallocates the merged arrays once and folds each
-    #    shard as it completes (out-of-order completions wait in a
-    #    bounded reorder buffer), so peak memory stays near one merged
-    #    ensemble no matter how many shards the run splits into.  This
-    #    is what every `repro-experiments fig3 --workers 4` run does.
+    #    shard as it completes (a shard that finishes before an earlier
+    #    one of its spec waits, at most the executor's window of them),
+    #    so peak memory stays near one merged ensemble no matter how
+    #    many shards the run splits into.  This is what every
+    #    `repro-experiments fig3 --workers 4` run does.
     import tracemalloc
 
     big = SimulationSpec(

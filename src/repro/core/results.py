@@ -22,7 +22,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .._validation import ensure_epsilon_delta
+from .._validation import ensure_epsilon_delta, ensure_positive_int
 from .fairness import (
     DEFAULT_DELTA,
     DEFAULT_EPSILON,
@@ -238,17 +238,6 @@ class EnsembleResult:
             round_unit=first.round_unit,
         )
 
-    def merge_into(self, accumulator: "MergeAccumulator") -> "MergeAccumulator":
-        """Fold this result into ``accumulator``; returns the accumulator.
-
-        ``acc = part.merge_into(acc)`` is the streaming spelling of
-        ``EnsembleResult.merge([... , part])`` — feed parts in plan
-        order and the accumulator's final result is byte-identical to
-        the batch merge of the same sequence.
-        """
-        accumulator.add(self)
-        return accumulator
-
     # -- basic accessors --------------------------------------------------
 
     @property
@@ -420,13 +409,15 @@ class _MergeTemplate:
 class MergeAccumulator:
     """Incremental, bounded-memory equivalent of the batch merge.
 
-    Feed shard results in plan order through :meth:`add` (or
-    :meth:`EnsembleResult.merge_into`); :meth:`result` returns the
-    merged ensemble.  The folded output is **byte-identical** to
-    ``merge_parts(parts)`` for the same part order.  For
-    :class:`EnsembleResult` parts the accumulator writes each part's
-    trials into their final position as they arrive instead of holding
-    every part alive until a terminal concatenate; for
+    Feed shard results in plan order through :meth:`add`;
+    :meth:`result` returns the merged ensemble.  The folded output is
+    **byte-identical** to ``merge_parts(parts)`` for the same part
+    order.  For :class:`EnsembleResult` parts the merged arrays are
+    preallocated once, at the first part, and each part's trials are
+    copied into their final position as it arrives, after which the
+    caller can release the part: peak memory is one merged ensemble
+    plus a single in-flight part, which is what keeps the runner's
+    fold ``O(workers)`` instead of ``O(shards)`` in working-set.  For
     :class:`~repro.core.stats.StatsSummary` parts it keeps one running
     summary, so the whole fold is O(1) in the trial count.
 
@@ -444,14 +435,8 @@ class MergeAccumulator:
     ----------
     expected_trials:
         Total trial count of the finished ensemble (the shard plan's
-        ``total``).  When given, the merged arrays are preallocated
-        once and each part is copied into place and can then be
-        released by the caller, so peak memory is one merged ensemble
-        plus a single in-flight part — this is what makes the runtime's
-        streaming merge O(workers) instead of O(shards) in working-set.
-        When None, full parts are staged and folded by a terminal
-        :meth:`EnsembleResult.merge` (no memory bound, same bytes);
-        stats parts fold incrementally either way.
+        ``total``).  Parts that overflow it, and a :meth:`result` that
+        falls short of it, raise.
 
     Examples
     --------
@@ -462,17 +447,14 @@ class MergeAccumulator:
     >>> # merged = acc.result()
     """
 
-    def __init__(self, expected_trials: Optional[int] = None) -> None:
-        if expected_trials is not None and expected_trials <= 0:
-            raise ValueError(
-                f"expected_trials must be positive, got {expected_trials!r}"
-            )
-        self.expected_trials = expected_trials
+    def __init__(self, expected_trials: int) -> None:
+        self.expected_trials = ensure_positive_int(
+            "expected_trials", expected_trials
+        )
         # Metadata of the first part only — retaining the part itself
         # would keep its trial arrays alive for the whole fold and
         # break the one-in-flight-part memory bound.
         self._template: Optional["_MergeTemplate"] = None
-        self._parts: list = []  # staging for the unbounded fallback
         self._fractions: Optional[np.ndarray] = None
         self._terminal: Optional[np.ndarray] = None
         self._stats = None  # running StatsSummary fold
@@ -493,8 +475,6 @@ class MergeAccumulator:
     @property
     def complete(self) -> bool:
         """Whether the accumulated trials match ``expected_trials``."""
-        if self.expected_trials is None:
-            return self._count > 0
         return self._offset == self.expected_trials
 
     @property
@@ -539,11 +519,6 @@ class MergeAccumulator:
             )
         else:
             EnsembleResult._ensure_mergeable(self._template, part)
-        if self.expected_trials is None:
-            self._parts.append(part)
-            self._offset += part.trials
-            self._count += 1
-            return self
         if self._offset + part.trials > self.expected_trials:
             raise ValueError(
                 f"accumulated {self._offset + part.trials} trials, more than "
@@ -572,14 +547,11 @@ class MergeAccumulator:
 
     def _add_stats(self, part) -> "MergeAccumulator":
         """Fold a StatsSummary part: one running summary, O(1) memory."""
-        if self._template is not None or self._parts:
+        if self._template is not None:
             raise TypeError(
                 "cannot mix StatsSummary parts into an EnsembleResult fold"
             )
-        if (
-            self.expected_trials is not None
-            and self._offset + part.trials > self.expected_trials
-        ):
+        if self._offset + part.trials > self.expected_trials:
             raise ValueError(
                 f"accumulated {self._offset + part.trials} trials, more than "
                 f"the expected {self.expected_trials}"
@@ -598,27 +570,22 @@ class MergeAccumulator:
     def result(self):
         """The merged ensemble; byte-identical to the batch merge.
 
-        Raises if nothing was folded, or if ``expected_trials`` was
-        given and the folded trials fall short of it.  The first call
-        finalizes the accumulator: later calls return the same object
-        and :meth:`add` refuses further parts.
+        Raises if nothing was folded, or if the folded trials fall
+        short of ``expected_trials``.  The first call finalizes the
+        accumulator: later calls return the same object and :meth:`add`
+        refuses further parts.
         """
         if self._final is not None:
             return self._final
         if self._count == 0:
             raise ValueError("cannot merge an empty sequence of results")
-        if (
-            self.expected_trials is not None
-            and self._offset != self.expected_trials
-        ):
+        if self._offset != self.expected_trials:
             raise ValueError(
                 f"accumulated {self._offset} of the expected "
                 f"{self.expected_trials} trials"
             )
         if self._stats is not None:
             self._final = self._stats
-        elif self.expected_trials is None:
-            self._final = EnsembleResult.merge(self._parts)
         else:
             # Every block was copied out of a validated (clipped)
             # EnsembleResult, so adopt the buffers instead of paying the
@@ -637,12 +604,9 @@ class MergeAccumulator:
         return self._final
 
     def __repr__(self) -> str:
-        expected = (
-            "?" if self.expected_trials is None else str(self.expected_trials)
-        )
         return (
             f"MergeAccumulator(parts={self._count}, "
-            f"trials={self._offset}/{expected})"
+            f"trials={self._offset}/{self.expected_trials})"
         )
 
 

@@ -467,11 +467,6 @@ class StatsSummary:
             merged = merged._merged_with(part)
         return merged
 
-    def merge_into(self, accumulator) -> "MergeAccumulator":
-        """Fold this summary into a results ``MergeAccumulator``."""
-        accumulator.add(self)
-        return accumulator
-
     # -- construction -------------------------------------------------------
 
     @classmethod
@@ -484,9 +479,8 @@ class StatsSummary:
     ) -> "StatsSummary":
         """Reduce a full :class:`EnsembleResult` to its statistics.
 
-        Used by the system-experiment shard path (whose serial runner
-        produces full results) and as the ground-truth reduction in
-        the differential tests.
+        The ground-truth reduction of the differential tests: a
+        stats-mode run must equal this reduction of the full run.
         """
         collector = StatsCollector(
             protocol_name=result.protocol_name,

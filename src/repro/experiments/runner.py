@@ -201,10 +201,10 @@ class _ShardProgress:
     A whole figure grid goes through a single pool dispatch, so the
     line counts shards across every cell of the grid; it is rewritten
     in place (carriage return) and finished with a newline when the
-    dispatch completes.  The count is of *merged* shards — the
-    plan-order fold cursor — not dispatched ones, so ``k`` can never
-    overshoot ``N`` when a shard fails mid-grid and the completed specs
-    are salvaged.
+    dispatch completes.  ``k`` counts shards whose final outcome has
+    arrived, in arrival order, so it is monotone and never overshoots
+    ``N``, even when a shard fails mid-grid and the completed specs are
+    salvaged.
 
     Retried shards never double-count: ``k`` advances once per shard's
     *final* outcome, while retries accumulate in a separate tally that

@@ -55,8 +55,8 @@ EXECUTION_KNOBS: FrozenSet[str] = frozenset({
 #: fingerprint: listing one in ``_fingerprint_exclude_`` would alias
 #: distinct artifacts under one cache key (FPR005).
 PHYSICS_KNOBS: FrozenSet[str] = frozenset({
-    "reduce",       # SimulationSpec/SystemSpec: full trajectory cube
-                    # vs sufficient statistics — different artifact
+    "reduce",       # SimulationSpec: full trajectory cube vs
+                    # sufficient statistics — different artifact
                     # bytes, never one cache entry
 })
 

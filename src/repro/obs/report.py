@@ -2,8 +2,8 @@
 
 :func:`summarize_spans` turns a span list into the numbers the paper's
 perf story cares about: per-shard wall time, queue wait (submit →
-worker start) and merge lag (worker complete → folded into the
-accumulator) percentiles, cache hit/miss/eviction traffic, and the
+worker start) and merge lag (worker complete → handed to its spec's
+fold) percentiles, cache hit/miss/eviction traffic, and the
 kernel-vs-naive time split.  :func:`render_summary` prints it as an
 aligned table; ``repro-trace summarize PATH`` does both from a trace
 file, and ``--check`` validates the JSONL schema (the CI trace-smoke

@@ -23,11 +23,12 @@ cache
     :class:`ResultCache` — content-addressed ``.npz`` storage layered
     on :mod:`repro.sim.persistence`.
 runner
-    :class:`ParallelRunner` — plan, fan out, merge, cache.  Shard
-    results fold into a :class:`~repro.core.results.MergeAccumulator`
-    in plan order as they complete (out-of-order completions staged in
-    a bounded :class:`ReorderBuffer`), capping in-flight shard results
-    at ``O(workers)`` while staying bit-identical to a one-shot merge.
+    :class:`ParallelRunner` — plan, fan out, merge, cache.  Each shard
+    result goes, as it arrives, to its spec's fold, which journals it
+    and folds every part that is next in plan order into a
+    :class:`~repro.core.results.MergeAccumulator`: one merge path,
+    ``O(workers)`` shard results held, bit-identical to a one-shot
+    merge.
 context
     An ambient default runtime consulted by the experiment layer so
     ``--workers``/``--cache`` flags reach every figure without
@@ -90,7 +91,7 @@ from .faults import (
 )
 from .journal import RunJournal, shard_fingerprint
 from ..core.results import MergeAccumulator
-from .runner import ParallelRunner, ReorderBuffer
+from .runner import ParallelRunner
 from .sharding import DEFAULT_SHARD_COUNT, Shard, ShardPlan, plan_shards, split_evenly
 from .spec import SimulationSpec, SystemSpec, spec_fingerprint
 
@@ -124,7 +125,6 @@ __all__ = [
     "ShardExecutionError",
     "make_executor",
     "ParallelRunner",
-    "ReorderBuffer",
     "DEFAULT_SHARD_COUNT",
     "Shard",
     "ShardPlan",

@@ -5,8 +5,8 @@ one primitive is :meth:`Executor.stream`: completions yielded as
 ``(task_index, ok, payload)`` the moment tasks finish, every index
 exactly once with its *final* outcome, with a bounded submission window
 so at most ``O(workers)`` results exist between the pool and the
-consumer.  The runner's streaming merge folds these through a reorder
-buffer in plan order, which is how 100k-trial ensembles merge without
+consumer.  The runner hands each completion to its spec's plan-order
+fold as it arrives, which is how 100k-trial ensembles merge without
 ever materializing every shard result at once.  :meth:`Executor.map` is
 a collect over the stream that returns results *in task order* and
 aggregates failures rather than raising at the first: every shard runs,
@@ -184,11 +184,11 @@ class Executor:
 
         Every task runs (failures are yielded as data, never raised),
         and each index appears exactly once — with its *final* outcome
-        when retries are configured.  At most ``window`` tasks are in
-        flight (default ``2 * workers``), so the number of
-        completed-but-unconsumed results — and hence the reorder buffer
-        a plan-order consumer needs — is bounded by the window, not the
-        task count.
+        when retries are configured.  No task more than ``window``
+        (default ``2 * workers``) past the lowest index not yet yielded
+        is started, so the results a plan-order consumer must hold
+        while it waits for an earlier index are bounded by the window,
+        not the task count.
         """
         raise NotImplementedError
 
@@ -417,12 +417,12 @@ class MultiprocessingExecutor(Executor):
     ) -> Iterator[StreamItem]:
         """Yield completions as worker processes finish, out of order.
 
-        Windowed ``apply_async`` submission gated on the lowest
-        *unfinalized* index — the plan-order cursor a reorder-buffer
-        consumer is waiting on — not on raw completion count: if one
-        early shard is slow, submission stalls at its index + window,
-        so no more than ``window`` completions can ever pile up ahead
-        of the cursor, even under extreme shard-time skew.
+        Windowed ``apply_async`` submission gated on the lowest index
+        not yet yielded — the earliest part a plan-order consumer can
+        be waiting on — not on raw completion count: if one early shard
+        is slow, submission stalls at its index + window, so no more
+        than ``window`` completions can ever pile up behind it, even
+        under extreme shard-time skew.
         """
         tasks = list(tasks)
         if not tasks:

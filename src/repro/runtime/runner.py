@@ -8,11 +8,10 @@ or a system experiment (node-level repeats) it
 2. splits the work into a worker-count-independent shard plan,
 3. streams the shards through the configured executor (serial or
    processes), and
-4. folds each shard into a
-   :class:`~repro.core.results.MergeAccumulator` in plan order the
-   moment it clears the :class:`ReorderBuffer`, so at most
-   ``O(workers)`` shard results are in flight instead of
-   ``O(shards)``.
+4. hands each shard, as it arrives, to its spec's fold, which
+   journals it and folds every part that is next in plan order into a
+   :class:`~repro.core.results.MergeAccumulator`, so at most
+   ``O(workers)`` shard results wait instead of ``O(shards)``.
 
 Because the plan and the merge order are independent of the executor,
 ``workers=1`` and ``workers=16`` produce bit-identical merged arrays
@@ -34,19 +33,10 @@ from __future__ import annotations
 
 import pathlib
 import threading
-from typing import (
-    Any,
-    Dict,
-    List,
-    NamedTuple,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from .._validation import ensure_positive_int
-from ..core.results import EnsembleResult, MergeAccumulator, merge_parts
+from ..core.results import EnsembleResult, MergeAccumulator
 from ..obs import ShardEnvelope, ingest_envelope
 from ..obs.metrics import MetricsRegistry, get_metrics, using_worker_metrics
 from ..obs.trace import Tracer, get_tracer, using_worker_tracer
@@ -66,95 +56,46 @@ from .sharding import (
     MIN_SHARD_REPEATS,
     MIN_SHARD_TRIALS,
     Shard,
+    ShardPlan,
     default_shard_count,
     plan_shards,
 )
 from .spec import SimulationSpec, SystemSpec, spec_fingerprint
 
-__all__ = ["ParallelRunner", "ReorderBuffer"]
+__all__ = ["ParallelRunner"]
 
 
-class ReorderBuffer:
-    """Stage out-of-order completions, releasing them in index order.
+class _Fold:
+    """The plan-order fold of one uncached spec.
 
-    The streaming merge must fold shard results in *plan* order (the
-    order that makes merged bits worker-count-independent), but a pool
-    completes shards in whatever order they finish.  The buffer holds
-    the completions that arrived early; :meth:`push` returns every item
-    that just became consumable, in index order.
-
-    Occupancy is bounded by the executor's submission window, not the
-    task count: at most ``window`` tasks are in flight, so at most
-    ``window - 1`` completions can be staged ahead of the next index.
-
-    Parameters
-    ----------
-    total:
-        Number of indices the buffer will see (0..total-1, each exactly
-        once).
+    Parts arrive in any order — journal preloads while the dispatch is
+    planned, shard results as the executor yields them — and wait in
+    ``staged`` under their plan ordinal until every earlier ordinal has
+    folded; ``cursor`` is the next ordinal to fold.  A failed spec drops
+    its partial fold and ignores later parts.
     """
 
-    def __init__(self, total: int) -> None:
-        if total < 0:
-            raise ValueError(f"total must be non-negative, got {total}")
-        self.total = total
-        self._next = 0
-        self._staged: Dict[int, Any] = {}
-
-    @property
-    def staged(self) -> int:
-        """Completions held waiting for an earlier index."""
-        return len(self._staged)
-
-    @property
-    def released(self) -> int:
-        """Completions already handed out in index order."""
-        return self._next
-
-    @property
-    def complete(self) -> bool:
-        """Whether every index has been pushed and released."""
-        return self._next == self.total and not self._staged
-
-    def push(self, index: int, item: Any) -> List[Tuple[int, Any]]:
-        """Stage one completion; return the items now consumable, in order."""
-        if not 0 <= index < self.total:
-            raise IndexError(
-                f"index {index} out of range for a {self.total}-item buffer"
-            )
-        if index < self._next or index in self._staged:
-            raise ValueError(f"index {index} was already pushed")
-        self._staged[index] = item
-        released: List[Tuple[int, Any]] = []
-        while self._next in self._staged:
-            released.append((self._next, self._staged.pop(self._next)))
-            self._next += 1
-        return released
-
-    def __repr__(self) -> str:
-        return (
-            f"ReorderBuffer(next={self._next}, total={self.total}, "
-            f"staged={self.staged})"
+    def __init__(
+        self, position: int, key: Optional[str], plan: ShardPlan
+    ) -> None:
+        self.position = position  # slot in the caller's result list
+        self.key = key  # cache fingerprint, None when caching is off
+        self.shards = len(plan)
+        self.staged: Dict[int, Any] = {}
+        self.cursor = 0
+        self.accumulator: Optional[MergeAccumulator] = MergeAccumulator(
+            expected_trials=plan.total
         )
+        self.failed = False
 
-
-class _Pending(NamedTuple):
-    """One uncached spec of a dispatch: where its dispatched shards live
-    in the task list, which plan ordinals they map to, and where its
-    merged result goes.  With a journal, shards recovered from a prior
-    (interrupted) run ride along as ``preloaded`` and are *not*
-    dispatched — ``ordinals`` maps each dispatched task offset back to
-    its plan ordinal so the merge interleaves both sources in plan
-    order."""
-
-    position: int  # slot in the caller's result list
-    key: Optional[str]  # cache fingerprint, None when caching is off
-    start: int  # first task index of this spec's dispatched shards
-    count: int  # number of dispatched shards
-    trials: int  # total trials across the shards (the plan total)
-    shards: int  # total shards in the plan (count + preloaded)
-    ordinals: Tuple[int, ...]  # dispatched offset -> plan ordinal
-    preloaded: Tuple[Tuple[int, Any], ...]  # (ordinal, result) recovered
+    def add(self, ordinal: int, part) -> bool:
+        """Stage one part and fold every part now next in plan order;
+        True once the last ordinal has folded."""
+        self.staged[ordinal] = part
+        while self.cursor in self.staged:
+            self.accumulator.add(self.staged.pop(self.cursor))
+            self.cursor += 1
+        return self.cursor == self.shards
 
 
 def _traced_shard(body, spec, shard, index: int, kind: str) -> ShardEnvelope:
@@ -222,20 +163,12 @@ def _system_shard_body(spec: SystemSpec, shard: Shard):
     # Calls the experiment's serial path directly — never its public
     # ``run`` — so a forked worker that inherited an ambient runtime
     # cannot recurse into the pool.
-    result = spec.experiment._run_serial(
+    return spec.experiment._run_serial(
         spec.rounds,
         shard.trials,
         checkpoints=spec.checkpoints,
         seed=RandomSource(shard.seed),
     )
-    if spec.reduce == "stats":
-        # The node-level harness produces full per-repeat results; the
-        # shard reduces them before they cross the process boundary, so
-        # only moments and counters are pickled and merged.
-        from ..core.stats import StatsSummary
-
-        return StatsSummary.from_ensemble(result)
-    return result
 
 
 def _run_system_shard(task) -> Any:
@@ -264,22 +197,14 @@ class ParallelRunner:
     cache:
         A :class:`ResultCache`, a directory path to create one in, or
         None to disable caching.
-    shards:
-        Default shard count per run, clamped to the trial count; None
-        uses :func:`~repro.runtime.sharding.default_shard_count`: at
-        most 8 shards of at least
-        :data:`~repro.runtime.sharding.MIN_SHARD_TRIALS` (500) trials
-        for a simulation spec, ``min(8, repeats)`` for a system spec.
-        The shard count — never the worker count — determines the
-        merged bits, so default plans agree at any worker count.
     progress:
-        Optional ``callback(completed, total_shards)`` fired as shard
-        results are *merged*, in plan order.  ``total_shards`` covers
-        the whole dispatch — for :meth:`run_many` that is every
-        uncached shard of every spec in the grid.  Counting merged
-        (not dispatched) shards means the count can never overshoot
-        the total, even when a shard fails mid-grid and the completed
-        specs are salvaged.
+        Optional ``callback(completed, total_shards)`` fired once per
+        dispatched shard, on its final outcome, as it arrives.
+        ``total_shards`` covers the whole dispatch — for
+        :meth:`run_many` that is every uncached shard of every spec in
+        the grid.  The count is monotone and never exceeds the total,
+        even when a shard fails mid-grid and the completed specs are
+        salvaged; retried shards count once.
     retry:
         Optional :class:`~repro.runtime.faults.RetryPolicy` (or an int
         shorthand for ``RetryPolicy(max_attempts=n)``): transiently
@@ -296,14 +221,22 @@ class ParallelRunner:
     journal:
         A :class:`~repro.runtime.journal.RunJournal` (or a path to
         one); requires a cache.  Completed shards are checkpointed as
-        cache artifacts and journaled as they fold, so an interrupted
+        cache artifacts and journaled as they arrive, so an interrupted
         grid resumes — recomputing only unjournaled shards — by
         re-running with the same journal.  None of ``retry``,
         ``timeout`` or ``journal`` enters cache fingerprints: a
         fault-tolerant run shares its artifacts with a plain one.
 
-    The runner never chooses an artifact shape: each spec's own
-    ``reduce`` field does, and it enters the spec's fingerprint, so
+    The shard count of a run is the ``shards`` argument of
+    :meth:`run` / :meth:`run_many` (clamped to the trial count), else
+    :func:`~repro.runtime.sharding.default_shard_count`: at most 8
+    shards of at least :data:`~repro.runtime.sharding.MIN_SHARD_TRIALS`
+    (500) trials for a simulation spec, ``min(8, repeats)`` for a
+    system spec.  The shard count — never the worker count —
+    determines the merged bits.
+
+    The runner never chooses an artifact shape: a simulation spec's
+    own ``reduce`` field does, and it enters the spec's fingerprint, so
     stats and full runs never share artifacts.  The experiment modules
     decide it per grid (:mod:`repro.experiments._common`).
 
@@ -324,7 +257,6 @@ class ParallelRunner:
         workers: int = 1,
         cache: Union[ResultCache, str, pathlib.Path, None] = None,
         *,
-        shards: Optional[int] = None,
         progress: Optional[ProgressCallback] = None,
         executor: Optional[Executor] = None,
         retry: Union[RetryPolicy, int, None] = None,
@@ -355,7 +287,6 @@ class ParallelRunner:
                 "journal requires a cache: resume checkpoints are stored "
                 "as cache artifacts"
             )
-        self.default_shards = shards
         self.progress = progress
         # Tally counters are shared state: one runner may serve
         # dispatches from several threads, so updates must hold this
@@ -481,14 +412,12 @@ class ParallelRunner:
     ) -> int:
         """The effective shard count for ``total`` trials or repeats.
 
-        Explicit counts (argument or ``default_shards``) win and are
-        clamped to the trial count — 16 shards of a 4-trial spec is 4
-        shards, not an error.  Otherwise the spec gets
+        An explicit count wins and is clamped to the trial count — 16
+        shards of a 4-trial spec is 4 shards, not an error.  Otherwise
+        the spec gets
         :func:`~repro.runtime.sharding.default_shard_count`, which the
         worker count never enters.
         """
-        if shards is None:
-            shards = self.default_shards
         if shards is None:
             return default_shard_count(total, min_per_shard)
         return min(total, ensure_positive_int("shards", shards))
@@ -521,7 +450,8 @@ class ParallelRunner:
     ):
         merged: List[Optional[EnsembleResult]] = [None] * len(entries)
         tasks: List[Tuple[Any, Shard]] = []
-        pending: List[_Pending] = []
+        routes: List[_Fold] = []  # task index -> the fold it feeds
+        folds = 0
         first_pending: dict = {}
         duplicates: List[Tuple[int, int, str]] = []
         metrics = get_metrics()
@@ -532,8 +462,7 @@ class ParallelRunner:
                 self._resolve_shards(total, shards, min_per_shard),
             )
             key = None
-            preloaded: Tuple[Tuple[int, Any], ...] = ()
-            ordinals: Tuple[int, ...] = tuple(range(len(plan)))
+            recovered: Dict[int, Any] = {}
             if self.cache is not None:
                 key = spec_fingerprint(spec, shards=len(plan))
                 if key in first_pending:
@@ -548,52 +477,21 @@ class ParallelRunner:
                 if cached is not None:
                     merged[position] = cached
                     continue
-                if self.journal is not None:
-                    # Resume: shards an interrupted run journaled load
-                    # from their checkpoint artifacts instead of
-                    # dispatching.  The journal is advisory — a
-                    # journaled shard whose artifact was evicted (the
-                    # get counts a miss) simply recomputes.
-                    recovered: Dict[int, Any] = {}
-                    journaled = self.journal.completed_shards(key)
-                    for ordinal, shard_key in journaled.items():
-                        if not 0 <= ordinal < len(plan):
-                            continue
-                        part = self.cache.get(shard_key)
-                        if part is not None:
-                            recovered[ordinal] = part
-                    if recovered:
-                        preloaded = tuple(sorted(recovered.items()))
-                        ordinals = tuple(
-                            o for o in range(len(plan)) if o not in recovered
-                        )
-                        with self._retry_lock:
-                            self.shards_resumed += len(recovered)
-                        if metrics.enabled:
-                            metrics.counter("runner.shards_resumed").inc(
-                                len(recovered)
-                            )
-                    if not ordinals:
-                        # Every shard was journaled: finalize without
-                        # dispatching anything.
-                        result = merge_parts(
-                            [part for _, part in preloaded]
-                        )
-                        self.cache.put(key, result)
-                        self.journal.record_spec(key)
-                        for ordinal in range(len(plan)):
-                            self.cache.discard(shard_fingerprint(key, ordinal))
-                        merged[position] = result
-                        continue
                 first_pending[key] = position
-            shard_list = list(plan)
-            pending.append(
-                _Pending(
-                    position, key, len(tasks), len(ordinals), plan.total,
-                    len(plan), ordinals, preloaded,
-                )
-            )
-            tasks.extend((spec, shard_list[ordinal]) for ordinal in ordinals)
+                if self.journal is not None:
+                    recovered = self._recover_shards(key, len(plan))
+            fold = _Fold(position, key, plan)
+            folds += 1
+            for shard in plan:
+                if shard.index in recovered:
+                    # Resume: a journaled shard folds like any other
+                    # part.  A spec whose every shard was journaled
+                    # finalizes here, with nothing dispatched.
+                    if fold.add(shard.index, recovered.pop(shard.index)):
+                        self._finish(fold, merged)
+                else:
+                    tasks.append((spec, shard))
+                    routes.append(fold)
         if root is not None:
             # Traced dispatches widen tasks to (spec, shard, task_index)
             # so workers can stamp shard.run spans with the index the
@@ -605,13 +503,13 @@ class ParallelRunner:
                 for index, (spec, shard) in enumerate(tasks)
             ]
             root.set("tasks", len(tasks))
-            root.set("cached_specs", len(entries) - len(pending) - len(duplicates))
+            root.set("cached_specs", len(entries) - folds - len(duplicates))
         if metrics.enabled:
             metrics.counter("runner.specs").inc(len(entries))
             metrics.counter("runner.shards_dispatched").inc(len(tasks))
         try:
             if tasks:
-                self._fold_streamed(tasks, pending, shard_fn, merged)
+                self._fold_streamed(tasks, routes, shard_fn, merged)
         finally:
             # Give line-oriented progress callbacks (e.g. the CLI's
             # carriage-return shard ticker) a chance to terminate their
@@ -624,160 +522,137 @@ class ParallelRunner:
             merged[position] = loaded if loaded is not None else merged[original]
         return merged
 
-    def _journal_shard(self, entry: _Pending, ordinal: int, part) -> None:
-        """Checkpoint one completed shard for resume: artifact + record."""
-        if self.journal is None or entry.key is None:
-            return
-        shard_key = shard_fingerprint(entry.key, ordinal)
-        self.cache.put(shard_key, part)
-        self.journal.record_shard(entry.key, ordinal, shard_key)
+    def _recover_shards(self, key: str, shards: int) -> Dict[int, Any]:
+        """Shards an interrupted run journaled for ``key``, by ordinal.
 
-    def _journal_spec_done(self, entry: _Pending) -> None:
-        """Journal a finalized spec and drop its shard checkpoints (the
-        merged artifact supersedes them)."""
-        if self.journal is None or entry.key is None:
-            return
-        self.journal.record_spec(entry.key)
-        for ordinal in range(entry.shards):
-            self.cache.discard(shard_fingerprint(entry.key, ordinal))
+        They load from their checkpoint artifacts instead of
+        dispatching.  The journal is advisory — a journaled shard whose
+        artifact was evicted (the get counts a miss) simply recomputes.
+        """
+        recovered: Dict[int, Any] = {}
+        for ordinal, shard_key in self.journal.completed_shards(key).items():
+            if 0 <= ordinal < shards:
+                part = self.cache.get(shard_key)
+                if part is not None:
+                    recovered[ordinal] = part
+        if recovered:
+            with self._retry_lock:
+                self.shards_resumed += len(recovered)
+            metrics = get_metrics()
+            if metrics.enabled:
+                metrics.counter("runner.shards_resumed").inc(len(recovered))
+        return recovered
 
-    def _fold_streamed(self, tasks, pending, shard_fn, merged) -> None:
-        """Fold shard results in plan order as they complete.
+    def _finish(self, fold: _Fold, merged) -> None:
+        """Cache a spec whose last ordinal has folded."""
+        result = fold.accumulator.result()
+        if fold.key is not None:
+            self.cache.put(fold.key, result)
+            if self.journal is not None:
+                # The merged artifact supersedes the shard checkpoints.
+                self.journal.record_spec(fold.key)
+                for index in range(fold.shards):
+                    self.cache.discard(shard_fingerprint(fold.key, index))
+        merged[fold.position] = result
+
+    def _fold_streamed(self, tasks, routes, shard_fn, merged) -> None:
+        """Hand each completion to its spec's fold as it arrives.
 
         Completions arrive from :meth:`Executor.stream` in whatever
-        order the pool finishes them; a :class:`ReorderBuffer` (bounded
-        by the executor's submission window) restores plan order, and
-        each released shard folds straight into its spec's
-        :class:`~repro.core.results.MergeAccumulator` and is dropped —
-        at most ``O(workers)`` shard results are ever held, against
-        ``O(shards)`` for a collect-then-merge, while the folded
-        ensemble stays bit-identical to ``EnsembleResult.merge``.
+        order the pool finishes them.  Each one goes straight to its
+        spec's :class:`_Fold`: a fresh shard is checkpointed (artifact +
+        journal record) at once, then staged and folded in plan order,
+        so the merged ensemble stays bit-identical to
+        :func:`~repro.core.results.merge_parts` of the plan's parts.  A
+        part waits in staging only for an earlier shard of its own spec
+        that has not arrived, and the executor never runs more than its
+        window past the lowest index it has not yielded, so at most
+        ``O(workers)`` shard results are held, against ``O(shards)``
+        for a collect-then-merge.
 
         A spec whose shards all folded is finalized — and cached —
         immediately, so a later shard failure in another spec never
-        discards completed work.  Progress fires once per
-        *merged* shard, in plan order, and therefore cannot overshoot
-        the dispatch total when shards fail — and counts each shard's
-        final outcome exactly once, however many retry attempts it
-        took.
-
-        With a journal, shards recovered from a prior run (``entry
-        .preloaded``) interleave with dispatched completions at their
-        plan ordinals, and every fresh shard is checkpointed (artifact
-        + journal record) the moment it arrives — including shards of
-        specs already poisoned by a failure, so an aborted grid leaves
-        the maximum behind for ``--resume``.
+        discards completed work; shards of a spec that already failed
+        are still journaled, so an aborted grid leaves the maximum
+        behind for ``--resume``.  Progress fires once per shard, on its
+        final outcome, as it arrives: the count is monotone, never
+        exceeds the dispatch total, and counts a retried shard once.
         """
-        owner: Dict[int, int] = {}
-        for slot, entry in enumerate(pending):
-            for index in range(entry.start, entry.start + entry.count):
-                owner[index] = slot
-        accumulators: List[Optional[MergeAccumulator]] = [None] * len(pending)
-        # Per-slot plan-order fold state: `cursors` is the next ordinal
-        # to fold, `staged` maps ordinal -> result for parts that cannot
-        # fold yet (journal preloads ahead of the dispatched cursor).
-        cursors = [0] * len(pending)
-        staged: List[Dict[int, Any]] = [
-            dict(entry.preloaded) for entry in pending
-        ]
-        poisoned = [False] * len(pending)
         failures: List[Tuple[int, str, str]] = []
-        buffer = ReorderBuffer(len(tasks))
+        arrived = [False] * len(tasks)
         tracer = get_tracer()
         metrics = get_metrics()
-        folded = 0
-
-        def poison(slot: int, task_index: int, error: Exception) -> None:
-            failures.append((
-                task_index,
-                repr(error),
-                _format_exception(error),
-            ))
-            poisoned[slot] = True
-            accumulators[slot] = None
-            staged[slot].clear()
-
-        def advance(slot: int, task_index: int) -> None:
-            """Fold every consumable staged part; finalize when done."""
-            entry = pending[slot]
-            while not poisoned[slot] and cursors[slot] in staged[slot]:
-                part = staged[slot].pop(cursors[slot])
-                accumulator = accumulators[slot]
-                if accumulator is None:
-                    accumulator = MergeAccumulator(
-                        expected_trials=entry.trials
-                    )
-                    accumulators[slot] = accumulator
-                try:
-                    accumulator.add(part)
-                except Exception as error:  # noqa: BLE001 - poisoned, re-raised
-                    # A malformed payload (e.g. from a custom executor)
-                    # must fail its spec, not crash the whole fold loop
-                    # mid-grid.
-                    poison(slot, task_index, error)
-                    return
-                cursors[slot] += 1
-            if cursors[slot] == entry.shards and not poisoned[slot]:
-                result = accumulators[slot].result()
-                accumulators[slot] = None
-                if entry.key is not None:
-                    self.cache.put(entry.key, result)
-                    self._journal_spec_done(entry)
-                merged[entry.position] = result
-
-        for slot in range(len(pending)):
-            # A resumed spec may already be able to fold its leading
-            # preloaded shards; folding them up front keeps the staging
-            # dict (and peak memory) bounded by the reorder window.
-            if staged[slot]:
-                advance(slot, pending[slot].start)
+        done = 0
         for index, ok, payload in self.executor.stream(shard_fn, tasks):
-            for task_index, (item_ok, item) in buffer.push(index, (ok, payload)):
-                slot = owner[task_index]
-                entry = pending[slot]
-                ordinal = entry.ordinals[task_index - entry.start]
-                if item_ok:
-                    # Traced workers ship telemetry with the payload;
-                    # unwrap (a bare payload passes through) before it
-                    # reaches the accumulator.
-                    item = ingest_envelope(item)
-                if not item_ok:
-                    failures.append(_failure_triple(task_index, item))
-                    poisoned[slot] = True
-                    accumulators[slot] = None  # free the partial fold
-                    staged[slot].clear()
-                    if metrics.enabled:
-                        metrics.counter("runner.shards_failed").inc()
-                else:
-                    # Checkpoint before folding: even shards of a spec
-                    # that already failed are worth journaling — resume
-                    # will not recompute them.
-                    self._journal_shard(entry, ordinal, item)
-                    if not poisoned[slot]:
-                        staged[slot][ordinal] = item
-                        advance(slot, task_index)
-                folded += 1
-                if tracer.enabled:
-                    tracer.event("shard.merge", task=task_index, ok=item_ok)
-                if self.progress is not None:
-                    self.progress(folded, len(tasks))
-        if not buffer.complete:
+            if not 0 <= index < len(tasks):
+                raise RuntimeError(
+                    f"executor stream yielded task {index}, out of range "
+                    f"for {len(tasks)} tasks"
+                )
+            if arrived[index]:
+                raise RuntimeError(
+                    f"executor stream yielded task {index} twice — every "
+                    "task must be yielded exactly once"
+                )
+            arrived[index] = True
+            fold = routes[index]
+            failure = None
+            if ok:
+                # Traced workers ship telemetry with the payload; unwrap
+                # (a bare payload passes through) before it is stored.
+                payload = ingest_envelope(payload)
+                ordinal = tasks[index][1].index
+                self._journal_shard(fold, ordinal, payload)
+                if not fold.failed:
+                    try:
+                        complete = fold.add(ordinal, payload)
+                    except Exception as error:  # noqa: BLE001 - reported
+                        # A malformed payload (e.g. from a custom
+                        # executor) must fail its spec, not crash the
+                        # whole loop mid-grid.
+                        failure = (
+                            index, repr(error), _format_exception(error)
+                        )
+                    else:
+                        if complete:
+                            self._finish(fold, merged)
+            else:
+                failure = _failure_triple(index, payload)
+                if metrics.enabled:
+                    metrics.counter("runner.shards_failed").inc()
+            if failure is not None:
+                failures.append(failure)
+                fold.failed = True
+                fold.accumulator = None  # free the partial fold
+                fold.staged.clear()
+            done += 1
+            if tracer.enabled:
+                tracer.event("shard.merge", task=index, ok=ok)
+            if self.progress is not None:
+                self.progress(done, len(tasks))
+        if done < len(tasks):
             # A custom stream() that drops tasks instead of yielding
             # them as failures would otherwise surface as silent None
             # results far downstream.
             raise RuntimeError(
-                f"executor stream yielded {buffer.released + buffer.staged} "
-                f"of {buffer.total} tasks — every task must be yielded "
-                "exactly once (as a failure if it did not run)"
+                f"executor stream yielded {done} of {len(tasks)} tasks — "
+                "every task must be yielded exactly once (as a failure if "
+                "it did not run)"
             )
         if failures:
             # Completed specs were already cached as they finalized; the
             # drained per-task results are deliberately not retained
             # (retaining them is exactly what streaming avoids).
+            failures.sort(key=lambda failure: failure[0])
             raise ShardExecutionError(failures)
 
+    def _journal_shard(self, fold: _Fold, ordinal: int, part) -> None:
+        """Checkpoint one completed shard for resume: artifact + record."""
+        if self.journal is None or fold.key is None:
+            return
+        shard_key = shard_fingerprint(fold.key, ordinal)
+        self.cache.put(shard_key, part)
+        self.journal.record_shard(fold.key, ordinal, shard_key)
+
     def __repr__(self) -> str:
-        return (
-            f"ParallelRunner(workers={self.workers}, "
-            f"cache={self.cache!r}, shards={self.default_shards})"
-        )
+        return f"ParallelRunner(workers={self.workers}, cache={self.cache!r})"

@@ -134,7 +134,8 @@ class SystemSpec:
     ``experiment`` is a :class:`repro.chainsim.harness.SystemExperiment`
     (duck-typed here to keep :mod:`repro.runtime` independent of
     :mod:`repro.chainsim`); ``repeats`` plays the role ``trials`` plays
-    for simulations.
+    for simulations.  A system ensemble always keeps every repeat's
+    full result.
     """
 
     experiment: Any
@@ -142,17 +143,12 @@ class SystemSpec:
     repeats: int
     checkpoints: Optional[Tuple[int, ...]] = None
     seed: SeedLike = None
-    #: Artifact shape, as on :class:`SimulationSpec`: fingerprinted.
-    reduce: str = "full"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rounds", ensure_positive_int("rounds", self.rounds))
         object.__setattr__(
             self, "repeats", ensure_positive_int("repeats", self.repeats)
         )
-        from ..core.stats import ensure_reduce_mode
-
-        ensure_reduce_mode(self.reduce)
         if self.checkpoints is not None:
             from ..sim.checkpoints import validate_checkpoints
 
@@ -257,9 +253,9 @@ def spec_fingerprint(spec: Any, *, shards: Optional[int] = None) -> str:
 
     ``SimulationSpec.kernel`` is deliberately absent from the payload:
     batched and naive advances produce bit-identical arrays, so one
-    cached artifact correctly answers both.  ``reduce`` is deliberately
-    *present*: full and stats artifacts hold different bytes, so the
-    two modes must never share a cache entry.
+    cached artifact correctly answers both.  ``SimulationSpec.reduce``
+    is deliberately *present*: full and stats artifacts hold different
+    bytes, so the two modes must never share a cache entry.
     """
     if isinstance(spec, SimulationSpec):
         payload = {
@@ -282,7 +278,6 @@ def spec_fingerprint(spec: Any, *, shards: Optional[int] = None) -> str:
             "repeats": spec.repeats,
             "checkpoints": _canonical(spec.checkpoints),
             "seed": _canonical(spec.seed_sequence),
-            "reduce": _reduce_payload(spec.reduce),
         }
     else:
         raise TypeError(

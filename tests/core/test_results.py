@@ -149,54 +149,49 @@ class TestSeriesSummaryValidation:
             )
 
 
-def varied_result(seed, trials):
+def varied_result(seed, trials, terminal=True):
     """A result with non-constant fractions, for byte-level comparisons."""
     rng = np.random.default_rng(seed)
     allocation = Allocation.two_miners(0.2)
     fractions = rng.random((trials, 3, 2))
-    terminal = rng.random((trials, 2)) + 0.05
+    stakes = rng.random((trials, 2)) + 0.05 if terminal else None
     return EnsembleResult(
-        "test", allocation, (10, 20, 30), fractions, terminal
+        "test", allocation, (10, 20, 30), fractions, stakes
     )
 
 
 class TestMergeAccumulator:
-    def parts(self):
-        return [varied_result(seed, trials) for seed, trials in
+    def parts(self, terminal=True):
+        return [varied_result(seed, trials, terminal) for seed, trials in
                 ((1, 3), (2, 5), (3, 2))]
 
-    @pytest.mark.parametrize("preallocate", [True, False])
-    def test_matches_batch_merge_byte_for_byte(self, preallocate):
-        parts = self.parts()
-        expected = sum(p.trials for p in parts) if preallocate else None
-        accumulator = MergeAccumulator(expected_trials=expected)
+    @pytest.mark.parametrize("terminal", [True, False])
+    def test_matches_batch_merge_byte_for_byte(self, terminal):
+        parts = self.parts(terminal)
+        accumulator = MergeAccumulator(
+            expected_trials=sum(p.trials for p in parts)
+        )
         for part in parts:
             accumulator.add(part)
+        assert accumulator.count == 3
+        assert accumulator.trials == 10
+        assert accumulator.complete
         folded = accumulator.result()
         reference = EnsembleResult.merge(parts)
         assert folded.reward_fractions.tobytes() == (
             reference.reward_fractions.tobytes()
         )
-        assert folded.terminal_stakes.tobytes() == (
-            reference.terminal_stakes.tobytes()
-        )
+        if terminal:
+            assert folded.terminal_stakes.tobytes() == (
+                reference.terminal_stakes.tobytes()
+            )
+        else:
+            assert folded.terminal_stakes is None
         assert folded.checkpoints.tobytes() == reference.checkpoints.tobytes()
         assert folded.protocol_name == reference.protocol_name
         assert folded.allocation == reference.allocation
 
-    def test_merge_into_chains(self):
-        parts = self.parts()
-        accumulator = MergeAccumulator(expected_trials=10)
-        for part in parts:
-            assert part.merge_into(accumulator) is accumulator
-        assert accumulator.count == 3
-        assert accumulator.trials == 10
-        assert accumulator.complete
-        assert accumulator.result().trials == 10
-
     def test_empty_result_raises_like_merge(self):
-        with pytest.raises(ValueError, match="empty"):
-            MergeAccumulator().result()
         with pytest.raises(ValueError, match="empty"):
             MergeAccumulator(expected_trials=4).result()
 
@@ -212,7 +207,7 @@ class TestMergeAccumulator:
             accumulator.add(mismatched)
 
     def test_terminal_stake_disagreement_raises(self):
-        accumulator = MergeAccumulator()
+        accumulator = MergeAccumulator(expected_trials=5)
         accumulator.add(varied_result(1, 3))
         without_terminal = EnsembleResult(
             "test", Allocation.two_miners(0.2), (10, 20, 30),
@@ -236,17 +231,22 @@ class TestMergeAccumulator:
 
     def test_rejects_non_result(self):
         with pytest.raises(TypeError, match="EnsembleResult"):
-            MergeAccumulator().add("shard")
+            MergeAccumulator(expected_trials=4).add("shard")
 
     def test_rejects_non_positive_expected_trials(self):
         with pytest.raises(ValueError, match="expected_trials"):
             MergeAccumulator(expected_trials=0)
 
+    def test_expected_trials_is_required(self):
+        with pytest.raises(TypeError):
+            MergeAccumulator()
+        with pytest.raises(TypeError, match="expected_trials"):
+            MergeAccumulator(expected_trials=None)
+
     def test_repr_shows_progress(self):
         accumulator = MergeAccumulator(expected_trials=8)
         accumulator.add(varied_result(1, 3))
         assert "3/8" in repr(accumulator)
-        assert "?" in repr(MergeAccumulator())
 
     def test_preallocated_fold_releases_folded_parts(self):
         # The memory bound depends on parts being collectable once

@@ -6,7 +6,10 @@ headline protocol).  The instrumented entry point
 :data:`~repro.obs.NULL_TRACER`) is timed against calling the registered
 kernel directly — the exact code the tracer guard wraps — so the
 measured gap *is* the telemetry overhead, not run-to-run noise in the
-kernel itself.  Min-of-N timing discards scheduler jitter.
+kernel itself.  The two paths are timed in pairs, back to back, with
+the order alternating from pair to pair: host speed that drifts over
+the run moves both calls of a pair alike and cancels in the pair's
+ratio, and the median ratio discards the pairs a scheduler hiccup hit.
 
 Excluded from the default run by the ``-m "not perf"`` addopts; CI's
 perf-smoke job runs it explicitly.
@@ -30,17 +33,29 @@ pytestmark = pytest.mark.perf
 TRIALS = 4_000
 ROUNDS = 600
 SEGMENTS = 1
-REPEATS = 7
+PAIRS = 21
 MAX_OVERHEAD = 0.02
 
 
-def _min_time(fn, repeats=REPEATS):
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
+def _elapsed(fn):
+    start = time.perf_counter()
+    fn()
+    return time.perf_counter() - start
+
+
+def _paired_ratios(instrumented, direct, pairs=PAIRS):
+    """``instrumented / direct`` time ratios, one per back-to-back pair,
+    alternating which path runs first."""
+    ratios = []
+    for pair in range(pairs):
+        if pair % 2:
+            direct_s = _elapsed(direct)
+            instrumented_s = _elapsed(instrumented)
+        else:
+            instrumented_s = _elapsed(instrumented)
+            direct_s = _elapsed(direct)
+        ratios.append(instrumented_s / direct_s)
+    return ratios
 
 
 class TestDisabledTracerOverhead:
@@ -77,13 +92,12 @@ class TestDisabledTracerOverhead:
             run_instrumented().stakes, run_direct().stakes
         )
 
-        # Warm-up, then min-of-N for both paths.
+        # Warm-up, then the median of the paired ratios.
         run_instrumented(), run_direct()
-        instrumented = _min_time(run_instrumented)
-        direct = _min_time(run_direct)
-        overhead = (instrumented - direct) / direct
+        ratios = _paired_ratios(run_instrumented, run_direct)
+        overhead = float(np.median(ratios)) - 1.0
         assert overhead < MAX_OVERHEAD, (
             f"disabled-tracer overhead {overhead:.2%} exceeds "
-            f"{MAX_OVERHEAD:.0%} (instrumented {instrumented * 1e3:.1f}ms "
-            f"vs direct {direct * 1e3:.1f}ms)"
+            f"{MAX_OVERHEAD:.0%} (median of {len(ratios)} paired ratios; "
+            f"range {min(ratios):.3f}-{max(ratios):.3f})"
         )

@@ -2,11 +2,10 @@
 
 Three algebraic guarantees behind ``ParallelRunner``'s streaming fold:
 
-* **Order restoration** — pushing a dispatch's completions through the
-  :class:`ReorderBuffer` in *any* completion order releases them in
-  plan order, each exactly once; folding the released sequence through
-  a :class:`MergeAccumulator` is byte-identical to
-  :meth:`EnsembleResult.merge` of the full list.
+* **Order restoration** — whatever order the executor yields a grid's
+  completions in, with or without journal preloads, each spec's
+  result is byte-identical to ``merge_parts`` of its shard bodies in
+  plan order.
 * **Identity** — an accumulator fed a single shard reproduces that
   shard byte-for-byte.
 * **Associativity** — folding chunk-merged parts equals folding the
@@ -14,14 +13,27 @@ Three algebraic guarantees behind ``ParallelRunner``'s streaming fold:
   changes bits, so any grouping of shards along the way is safe.
 """
 
+import tempfile
+
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.miners import Allocation
-from repro.core.results import EnsembleResult, MergeAccumulator
-from repro.runtime import ReorderBuffer
+from repro.core.results import EnsembleResult, MergeAccumulator, merge_parts
+from repro.core.stats import StatsSummary
+from repro.protocols import MultiLotteryPoS
+from repro.runtime import (
+    ParallelRunner,
+    ResultCache,
+    RunJournal,
+    SimulationSpec,
+    plan_shards,
+    shard_fingerprint,
+    spec_fingerprint,
+)
+from repro.runtime.executor import SerialExecutor
+from repro.runtime.runner import _simulation_shard_body
 
 LIGHT_SETTINGS = settings(
     max_examples=30,
@@ -61,57 +73,105 @@ def assert_byte_equal(a: EnsembleResult, b: EnsembleResult) -> None:
     assert a.checkpoints.tobytes() == b.checkpoints.tobytes()
 
 
-@LIGHT_SETTINGS
-@given(
-    sizes=st.lists(st.integers(min_value=1, max_value=7), min_size=1, max_size=8),
-    order_seed=st.integers(min_value=0, max_value=2**31 - 1),
-)
-def test_any_completion_order_folds_to_the_batch_merge(sizes, order_seed):
-    parts, total = parts_and_total(sizes)
-    completion_order = np.random.default_rng(order_seed).permutation(len(parts))
-    buffer = ReorderBuffer(len(parts))
-    accumulator = MergeAccumulator(expected_trials=total)
-    released_indices = []
-    for index in completion_order:
-        for plan_index, part in buffer.push(int(index), parts[index]):
-            released_indices.append(plan_index)
-            accumulator.add(part)
-    assert buffer.complete
-    assert released_indices == list(range(len(parts)))
-    assert_byte_equal(accumulator.result(), EnsembleResult.merge(parts))
+class PermutedExecutor(SerialExecutor):
+    """Runs every task, then yields the completions in a given order."""
+
+    def __init__(self, order):
+        self.order = order
+
+    def stream(self, fn, tasks, *, window=None):
+        items = list(super().stream(fn, tasks, window=window))
+        assert sorted(self.order) == list(range(len(items)))
+        for index in self.order:
+            yield items[index]
 
 
-@LIGHT_SETTINGS
-@given(
-    total=st.integers(min_value=1, max_value=40),
-    order_seed=st.integers(min_value=0, max_value=2**31 - 1),
+SHARDS = 3
+
+
+def grid_spec(trials, seed, reduce):
+    return SimulationSpec(
+        protocol=MultiLotteryPoS(0.01),
+        allocation=Allocation.two_miners(0.2),
+        trials=trials,
+        horizon=20,
+        checkpoints=(5, 10, 20),
+        seed=seed,
+        reduce=reduce,
+    )
+
+
+def shard_bodies(spec):
+    plan = plan_shards(
+        spec.trials, spec.seed_sequence, min(spec.trials, SHARDS)
+    )
+    return [_simulation_shard_body(spec, shard) for shard in plan]
+
+
+def assert_same_artifact(got, expected):
+    assert type(got) is type(expected)
+    if isinstance(expected, StatsSummary):
+        arrays = expected.state_arrays()
+        assert got.state_meta() == expected.state_meta()
+        assert set(got.state_arrays()) == set(arrays)
+        for name, array in arrays.items():
+            assert got.state_arrays()[name].tobytes() == array.tobytes()
+        assert got.checkpoints.tobytes() == expected.checkpoints.tobytes()
+    else:
+        assert_byte_equal(got, expected)
+
+
+# Trials 2..7 over 3 shards: uneven splits, and 2-trial specs whose
+# plan clamps to 2 shards.
+GRID = st.lists(
+    st.tuples(st.integers(min_value=2, max_value=7), st.booleans()),
+    min_size=1,
+    max_size=3,
 )
-def test_reorder_buffer_releases_every_index_once_in_order(total, order_seed):
-    order = np.random.default_rng(order_seed).permutation(total)
-    buffer = ReorderBuffer(total)
-    released = []
-    for index in order:
-        batch = buffer.push(int(index), f"item-{index}")
-        released.extend(batch)
-        # Staging never exceeds what has been pushed but not released.
-        assert buffer.staged <= total - len(released)
-    assert buffer.complete
-    assert [index for index, _ in released] == list(range(total))
-    assert [item for _, item in released] == [f"item-{i}" for i in range(total)]
+
+
+@settings(max_examples=20, deadline=None)
+@given(grid=GRID, data=st.data())
+def test_any_completion_order_folds_to_the_batch_merge(grid, data):
+    specs = [
+        grid_spec(trials, seed=40 + index, reduce="stats" if stats else "full")
+        for index, (trials, stats) in enumerate(grid)
+    ]
+    bodies = [shard_bodies(spec) for spec in specs]
+    with tempfile.TemporaryDirectory() as directory:
+        cache = ResultCache(directory)
+        journal = RunJournal(f"{directory}/journal.jsonl")
+        # Optionally journal some shards, as an interrupted run would
+        # have: the resumed dispatch folds them as preloads.
+        preloaded = 0
+        for spec, parts in zip(specs, bodies):
+            key = spec_fingerprint(spec, shards=len(parts))
+            for ordinal, part in enumerate(parts):
+                if data.draw(st.booleans(), label="journaled"):
+                    shard_key = shard_fingerprint(key, ordinal)
+                    cache.put(shard_key, part)
+                    journal.record_shard(key, ordinal, shard_key)
+                    preloaded += 1
+        dispatched = sum(len(parts) for parts in bodies) - preloaded
+        order = data.draw(st.permutations(range(dispatched)), label="order")
+        runner = ParallelRunner(
+            executor=PermutedExecutor(order), cache=cache, journal=journal
+        )
+        results = runner.run_many(specs, shards=SHARDS)
+        journal.close()
+    assert runner.shards_resumed == preloaded
+    for result, parts in zip(results, bodies):
+        assert_same_artifact(result, merge_parts(parts))
 
 
 @LIGHT_SETTINGS
 @given(
     seed=st.integers(min_value=0, max_value=2**31 - 1),
     trials=st.integers(min_value=1, max_value=20),
-    preallocate=st.booleans(),
 )
-def test_accumulator_of_one_shard_is_that_shard(seed, trials, preallocate):
+def test_accumulator_of_one_shard_is_that_shard(seed, trials):
     part = synthetic_part(seed=seed, trials=trials)
-    accumulator = MergeAccumulator(
-        expected_trials=trials if preallocate else None
-    )
-    folded = part.merge_into(accumulator).result()
+    folded = MergeAccumulator(expected_trials=trials).add(part).result()
     assert folded.trials == part.trials
     assert_byte_equal(folded, EnsembleResult.merge([part]))
     # Clipping is idempotent on already-valid data, so the single-shard
@@ -143,28 +203,3 @@ def test_chunked_folds_compose_associatively(sizes, data):
     reference = EnsembleResult.merge(parts)
     assert_byte_equal(chunked.result(), reference)
     assert_byte_equal(flat.result(), reference)
-
-
-class TestReorderBufferEdges:
-    def test_rejects_out_of_range_index(self):
-        buffer = ReorderBuffer(2)
-        with pytest.raises(IndexError, match="out of range"):
-            buffer.push(2, "x")
-        with pytest.raises(IndexError, match="out of range"):
-            buffer.push(-1, "x")
-
-    def test_rejects_duplicate_pushes(self):
-        buffer = ReorderBuffer(3)
-        buffer.push(1, "staged")  # held, not yet released
-        with pytest.raises(ValueError, match="already pushed"):
-            buffer.push(1, "again")
-        buffer.push(0, "released")  # releases 0 and 1
-        with pytest.raises(ValueError, match="already pushed"):
-            buffer.push(0, "again")
-
-    def test_rejects_negative_total(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            ReorderBuffer(-1)
-
-    def test_empty_buffer_is_complete(self):
-        assert ReorderBuffer(0).complete

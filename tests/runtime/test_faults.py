@@ -4,8 +4,8 @@ Covers the retry-policy unit behavior, the ShardFailure payload (which
 must keep unpacking as the historical ``(error, traceback)`` pair and
 survive pickling back from worker processes), and the executor-level
 retry / timeout / crash / degrade machinery on every backend — plus
-the stream/ReorderBuffer failure-path contract the streaming merge
-relies on: each index yielded exactly once with its *final* outcome.
+the stream failure-path contract the runner's plan-order fold relies
+on: each index yielded exactly once with its *final* outcome.
 """
 
 import json
@@ -20,7 +20,6 @@ import time
 import pytest
 
 import repro
-from repro.runtime import ReorderBuffer
 from repro.runtime.executor import (
     SerialExecutor,
     ShardExecutionError,
@@ -379,15 +378,16 @@ class TestTimeoutsAndCrashes:
 
 
 class TestStreamReorderContract:
-    """The stream → ReorderBuffer contract under injected faults."""
+    """The stream contract under injected faults: every index arrives
+    exactly once, so a plan-order consumer can restore the order."""
 
     def _release_plan_order(self, executor, fn, tasks):
-        buffer = ReorderBuffer(len(tasks))
-        released = []
+        arrived = {}
         for index, ok, payload in executor.stream(fn, tasks):
-            released.extend(buffer.push(index, (ok, payload)))
-        assert buffer.complete
-        return released
+            assert index not in arrived, f"task {index} yielded twice"
+            arrived[index] = (ok, payload)
+        assert sorted(arrived) == list(range(len(tasks)))
+        return sorted(arrived.items())
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_mid_window_failure_still_releases_every_index(
@@ -406,9 +406,9 @@ class TestStreamReorderContract:
     def test_lowest_unyielded_failure_does_not_stall_the_window(
         self, backend, tmp_path
     ):
-        # Task 0 (the plan-order cursor) fails permanently while later
-        # tasks succeed: the stream must still finalize 0 and the
-        # buffer must release everything in order.
+        # Task 0 (the lowest index, which gates the submission
+        # window) fails permanently while later tasks succeed: the
+        # stream must still finalize 0 and yield every other index.
         executor = _executor(backend, retry=FAST)
         released = self._release_plan_order(
             executor, FailHead(tmp_path), list(range(8))

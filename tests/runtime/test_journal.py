@@ -251,6 +251,40 @@ class TestResume:
         assert_byte_equal(result, reference)
         assert resumed.shards_resumed == 4
 
+    def test_shards_are_journaled_on_arrival(self, tmp_path):
+        # A pool finishes tasks 3, 2 and 1 while task 0 is still running,
+        # then the run is killed.  Every finished shard must already be
+        # journaled — none may wait, unjournaled, behind task 0.
+        class KilledAfterLateShards(SerialExecutor):
+            def stream(self, fn, tasks, *, window=None):
+                for index in (3, 2, 1):
+                    yield index, True, fn(tasks[index])
+                raise KeyboardInterrupt
+
+        spec = make_spec()
+        reference = ParallelRunner(workers=1).run(spec, shards=4)
+        cache_dir = tmp_path / "cache"
+        journal_path = cache_dir / "journal.jsonl"
+        killed = ParallelRunner(
+            executor=KilledAfterLateShards(), cache=cache_dir,
+            journal=journal_path,
+        )
+        with pytest.raises(KeyboardInterrupt):
+            killed.run(spec, shards=4)
+        killed.journal.close()
+        key = spec_fingerprint(spec, shards=4)
+        assert set(RunJournal(journal_path).completed_shards(key)) == {1, 2, 3}
+
+        resumed = ParallelRunner(
+            workers=1, cache=cache_dir, journal=journal_path
+        )
+        result = resumed.run(spec, shards=4)
+        assert resumed.shards_resumed == 3
+        assert_byte_equal(result, reference)
+        assert result.terminal_stakes.tobytes() == (
+            reference.terminal_stakes.tobytes()
+        )
+
     def test_multi_spec_grid_resumes_each_spec_independently(self, tmp_path):
         specs = [
             make_spec(seed=7),

@@ -129,17 +129,11 @@ class TestRunSimulation:
         assert seen[0] == shards
 
     def test_explicit_shards_beat_default_plan(self):
-        # 300 trials default to one shard; an explicit count still wins,
-        # from the run argument or the constructor.
-        spec = make_spec(trials=300, horizon=20)
-        for runner, kwargs in (
-            (ParallelRunner(), {"shards": 3}),
-            (ParallelRunner(shards=3), {}),
-        ):
-            seen = []
-            runner.progress = lambda done, total: seen.append(total)
-            runner.run(spec, **kwargs)
-            assert seen[0] == 3
+        # 300 trials default to one shard; an explicit count still wins.
+        seen = []
+        runner = ParallelRunner(progress=lambda done, total: seen.append(total))
+        runner.run(make_spec(trials=300, horizon=20), shards=3)
+        assert seen[0] == 3
 
     def test_progress_reports_every_shard(self):
         seen = []
@@ -155,16 +149,12 @@ class TestRunSimulation:
 
     def test_explicit_shards_clamped_to_trials(self):
         # Regression: shards=16 on a 4-trial spec used to raise
-        # "ValueError: cannot split 4 items into 16 shards"; now both
-        # the constructor default and the per-run argument clamp like
-        # the default plan, so the merged bits match shards=4.
+        # "ValueError: cannot split 4 items into 16 shards"; now the
+        # count clamps like the default plan, so the merged bits match
+        # shards=4.
         spec = make_spec(trials=4)
-        constructor = ParallelRunner(shards=16).run(spec)
         per_run = ParallelRunner().run(spec, shards=16)
         reference = ParallelRunner().run(spec, shards=4)
-        np.testing.assert_array_equal(
-            constructor.reward_fractions, reference.reward_fractions
-        )
         np.testing.assert_array_equal(
             per_run.reward_fractions, reference.reward_fractions
         )

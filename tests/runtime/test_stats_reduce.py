@@ -17,7 +17,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.chainsim.harness import SystemExperiment
 from repro.core.miners import Allocation
 from repro.core.results import EnsembleResult, MergeAccumulator, merge_parts
 from repro.core.stats import StatsSummary
@@ -27,7 +26,6 @@ from repro.runtime import (
     ParallelRunner,
     ShardExecutionError,
     SimulationSpec,
-    SystemSpec,
     plan_shards,
     spec_fingerprint,
 )
@@ -143,30 +141,6 @@ class TestGoldenSimulation:
         )
         assert isinstance(stats, StatsSummary)
         assert isinstance(full, EnsembleResult)
-
-
-class TestGoldenSystem:
-    def sweep(self, two_miners, reduce, seed=17):
-        return [
-            SystemSpec(
-                experiment=SystemExperiment(protocol, two_miners),
-                rounds=30,
-                repeats=4,
-                seed=seed + index,
-                reduce=reduce,
-            )
-            for index, protocol in enumerate(("ml-pos", "sl-pos", "pow"))
-        ]
-
-    @pytest.mark.parametrize("workers", BACKENDS)
-    def test_system_grid_matches_full_reduction(self, two_miners, workers):
-        full = ParallelRunner(workers=1).run_system_many(
-            self.sweep(two_miners, "full"), shards=2
-        )
-        runner = ParallelRunner(workers=workers)
-        stats = runner.run_system_many(self.sweep(two_miners, "stats"), shards=2)
-        for got, expected in zip(stats, full):
-            assert_matches_full_reduction(got, expected)
 
 
 class TestGoldenCache:
@@ -369,19 +343,17 @@ class warnings_as_errors:
 class TestAccumulatorFinalization:
     """Regression: result() used to leave the accumulator live."""
 
-    @pytest.mark.parametrize("preallocate", [True, False], ids=["prealloc", "unbounded"])
-    def test_repeated_result_returns_the_same_object(self, preallocate):
+    def test_repeated_result_returns_the_same_object(self):
         parts = [tiny_result(seed=s) for s in (1, 2)]
-        acc = MergeAccumulator(expected_trials=8 if preallocate else None)
+        acc = MergeAccumulator(expected_trials=8)
         for part in parts:
             acc.add(part)
         first = acc.result()
         assert acc.finalized
         assert acc.result() is first
 
-    @pytest.mark.parametrize("preallocate", [True, False], ids=["prealloc", "unbounded"])
-    def test_add_after_result_raises(self, preallocate):
-        acc = MergeAccumulator(expected_trials=4 if preallocate else None)
+    def test_add_after_result_raises(self):
+        acc = MergeAccumulator(expected_trials=4)
         acc.add(tiny_result(seed=1))
         merged = acc.result()
         baseline = merged.reward_fractions.copy()
@@ -391,7 +363,7 @@ class TestAccumulatorFinalization:
         np.testing.assert_array_equal(merged.reward_fractions, baseline)
 
     def test_stats_fold_finalizes_too(self):
-        acc = MergeAccumulator()
+        acc = MergeAccumulator(expected_trials=4)
         acc.add(StatsSummary.from_ensemble(tiny_result(seed=1)))
         first = acc.result()
         assert acc.result() is first
@@ -405,7 +377,7 @@ class TestAccumulatorRejectsBadParts:
     def test_zero_trial_part_is_rejected(self):
         empty = tiny_result(trials=0)
         assert empty.trials == 0
-        acc = MergeAccumulator()
+        acc = MergeAccumulator(expected_trials=4)
         with pytest.raises(ValueError, match="zero-trial part"):
             acc.add(empty)
         assert acc.count == 0  # nothing was staged
@@ -416,11 +388,11 @@ class TestAccumulatorRejectsBadParts:
             acc.add(tiny_result(trials=0))
 
     def test_kind_mixing_raises_both_directions(self):
-        full_first = MergeAccumulator()
+        full_first = MergeAccumulator(expected_trials=8)
         full_first.add(tiny_result(seed=1))
         with pytest.raises(TypeError, match="cannot mix StatsSummary"):
             full_first.add(StatsSummary.from_ensemble(tiny_result(seed=2)))
-        stats_first = MergeAccumulator()
+        stats_first = MergeAccumulator(expected_trials=8)
         stats_first.add(StatsSummary.from_ensemble(tiny_result(seed=1)))
         with pytest.raises(TypeError, match="cannot mix EnsembleResult"):
             stats_first.add(tiny_result(seed=2))
@@ -446,18 +418,15 @@ class TestAccumulatorProperties:
         sizes=st.lists(
             st.integers(min_value=1, max_value=12), min_size=1, max_size=5
         ),
-        preallocate=st.booleans(),
         seed=st.integers(min_value=0, max_value=2**16),
     )
-    def test_any_split_matches_batch_merge(self, sizes, preallocate, seed):
+    def test_any_split_matches_batch_merge(self, sizes, seed):
         parts = [
             tiny_result(trials=size, seed=seed + index)
             for index, size in enumerate(sizes)
         ]
         expected = EnsembleResult.merge(parts)
-        acc = MergeAccumulator(
-            expected_trials=sum(sizes) if preallocate else None
-        )
+        acc = MergeAccumulator(expected_trials=sum(sizes))
         for part in parts:
             acc.add(part)
         merged = acc.result()
@@ -483,7 +452,7 @@ class TestAccumulatorProperties:
             tiny_result(trials=3, seed=seed + index, terminal=flag)
             for index, flag in enumerate(flags)
         ]
-        acc = MergeAccumulator()
+        acc = MergeAccumulator(expected_trials=3 * len(flags))
         if len(set(flags)) == 1:
             for part in parts:
                 acc.add(part)
@@ -510,7 +479,7 @@ class TestAccumulatorProperties:
             for index, size in enumerate(sizes)
         ]
         expected = StatsSummary.merge(parts)
-        acc = MergeAccumulator()
+        acc = MergeAccumulator(expected_trials=sum(sizes))
         for part in parts:
             acc.add(part)
         assert_stats_byte_equal(acc.result(), expected)

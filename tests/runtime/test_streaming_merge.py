@@ -294,6 +294,27 @@ class TestStreamContractGuard:
         with pytest.raises(RuntimeError, match="yielded 2 of 3 tasks"):
             runner.run(make_spec(seed=4), shards=3)
 
+    @pytest.mark.parametrize(
+        "bad_index, message",
+        [(0, "yielded task 0 twice"), (3, "task 3, out of range")],
+        ids=["twice", "out_of_range"],
+    )
+    def test_repeated_or_unknown_task_raises(self, bad_index, message):
+        # A stream that yields one task twice, or an index the dispatch
+        # never had, must not fold a part into the wrong place.
+        from repro.runtime.executor import SerialExecutor
+
+        class RepeatingExecutor(SerialExecutor):
+            def stream(self, fn, tasks, *, window=None):
+                for item in super().stream(fn, tasks, window=window):
+                    yield item
+                    if item[0] == 1:
+                        yield (bad_index,) + item[1:]
+
+        runner = ParallelRunner(executor=RepeatingExecutor())
+        with pytest.raises(RuntimeError, match=message):
+            runner.run(make_spec(seed=4), shards=3)
+
 
 def _peak_bytes(fn):
     """Peak traced allocation of ``fn()`` in bytes."""

@@ -8,7 +8,10 @@ Demonstrates the ways to use the runtime layer:
    results are bit-identical across any worker count),
 3. grid batching (``run_many``): a whole sweep of specs — every
    uncached shard of every cell — in a single pool dispatch,
-   bit-identical to running the specs one at a time,
+   bit-identical to running the specs one at a time; shards whose
+   cells share a kernel signature (everything but allocation, trials
+   and seed) run as one fused engine per task, each shard still
+   drawing from its own seed,
 
 4. the ambient runtime that the ``repro-experiments`` CLI flags map
    to (figure grids go through ``run_many``, with a per-shard
@@ -32,9 +35,10 @@ Demonstrates the ways to use the runtime layer:
 
 8. runtime telemetry (``repro.obs``, the CLI's ``--trace PATH`` and
    ``--metrics``): install an ambient span tracer + metrics registry
-   around any run and get per-shard submit/run/complete/merge spans
-   (worker telemetry ships home inside the shard payloads, even
-   across process boundaries), cache hit/miss/eviction counters, and
+   around any run and get per-task submit/run/complete/merge spans
+   (a task's ``shard.run`` span counts the shards it fused; worker
+   telemetry ships home inside the task payloads, even across
+   process boundaries), cache hit/miss/eviction counters, and
    kernel batched-vs-naive timings — summarized as a table, written
    as JSONL for ``repro-trace summarize``.  Telemetry never enters
    cache fingerprints and never touches random state: traced and
@@ -140,6 +144,9 @@ def main() -> None:
     #    checks the cache per spec, then ships every uncached shard of
     #    every cell to the pool in ONE dispatch — same bits as a
     #    per-cell loop of run(), without paying pool latency per cell.
+    #    The five cells differ only in allocation and seed, so their
+    #    125-trial shards fuse into tasks of up to 500 trials (the cap
+    #    of a full-mode task), one kernel call per segment for each.
     grid = [
         SimulationSpec(
             protocol=MultiLotteryPoS(reward=0.01),
@@ -267,11 +274,11 @@ def main() -> None:
 
     # 8. Telemetry: wrap any run in an ambient tracer + metrics
     #    registry and every layer underneath reports in — the runner
-    #    emits a root span and per-shard submit/merge events, the
-    #    executors stamp completions, workers trace their shard.run
-    #    (and the cache/kernel spans inside it) into a private buffer
-    #    that ships home WITH the shard payload, so nothing is lost to
-    #    process boundaries.  This is what
+    #    emits a root span (counting tasks and shards) and per-task
+    #    submit/merge events, the executors stamp completions, workers
+    #    trace each task's shard.run (and the cache/kernel spans inside
+    #    it) into a private buffer that ships home WITH the task
+    #    payload, so nothing is lost to process boundaries.  This is what
     #    `repro-experiments fig2 --workers 2 --trace run.jsonl --metrics`
     #    does; `repro-trace summarize run.jsonl` reads it back later.
     #    Doctrine: telemetry never enters cache fingerprints and never
@@ -295,7 +302,7 @@ def main() -> None:
         mode["calls"] for mode in summary["kernel"].values()
     )
     print(f"traced rerun of the 5-cell grid: {len(tracer)} spans, "
-          f"{shards['completed']} shards "
+          f"{shards['completed']} tasks "
           f"(queue-wait p90 {shards['queue_wait']['p90'] * 1e3:.1f}ms, "
           f"merge-lag p90 {shards['merge_lag']['p90'] * 1e3:.1f}ms), "
           f"{kernel_calls} kernel calls, "

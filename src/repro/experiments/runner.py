@@ -130,8 +130,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="retry each failed shard up to N total attempts with "
-        "exponential backoff (transient failures only: worker "
+        help="retry each failed task (with every shard it runs) up to "
+        "N total attempts with exponential backoff (transient "
+        "failures only: worker "
         "timeouts, crashes, broken pools, I/O errors).  Shards are "
         "idempotent pure functions of the plan, so retried runs stay "
         "bit-identical and retry knobs never enter cache keys.  "
@@ -142,9 +143,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="per-shard deadline: a worker process that exceeds it "
-        "is killed, its pool respawned, and the shard counted as a "
-        "transient failure, retryable under --retries.  Requires "
+        help="per-shard deadline, so a task running k shards gets k "
+        "of them: a worker process that exceeds it is killed, its "
+        "pool respawned, and the task counted as a transient failure, "
+        "retryable under --retries.  Requires "
         "--workers above 1: a shard running in this process cannot be "
         "stopped",
     )

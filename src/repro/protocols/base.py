@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Sequence
 
 import numpy as np
 
@@ -117,6 +117,33 @@ class EnsembleState:
     round_index: int = 0
     extra: Dict[str, np.ndarray] = field(default_factory=dict)
     scratch: Optional[Any] = field(default=None, repr=False, compare=False)
+
+    @classmethod
+    def concatenate(cls, states: Sequence["EnsembleState"]) -> "EnsembleState":
+        """One state whose trial axis runs through ``states`` in order.
+
+        Every array — stakes, rewards and each ``extra`` entry — carries
+        trials on axis 0, so the states must share their miner count,
+        their ``extra`` keys and their round index.
+        """
+        first = states[0]
+        for state in states[1:]:
+            if state.round_index != first.round_index or (
+                state.extra.keys() != first.extra.keys()
+            ):
+                raise ValueError(
+                    "states to concatenate must share their round index "
+                    "and extra arrays"
+                )
+        return cls(
+            stakes=np.concatenate([state.stakes for state in states]),
+            rewards=np.concatenate([state.rewards for state in states]),
+            round_index=first.round_index,
+            extra={
+                key: np.concatenate([state.extra[key] for state in states])
+                for key in first.extra
+            },
+        )
 
     @property
     def trials(self) -> int:

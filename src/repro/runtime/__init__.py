@@ -23,11 +23,15 @@ cache
     :class:`ResultCache` — content-addressed ``.npz`` storage layered
     on :mod:`repro.sim.persistence`.
 runner
-    :class:`ParallelRunner` — plan, fan out, merge, cache.  Each shard
-    result goes, as it arrives, to its spec's fold, which journals it
-    and folds every part that is next in plan order into a
+    :class:`ParallelRunner` — plan, fan out, merge, cache.  Uncached
+    simulation shards that share a kernel signature run as one fused
+    engine per task (one kernel call per segment for the whole task),
+    each shard still drawing from its own seed.  Each task's result is
+    split back into its shards, and each shard goes, as it arrives, to
+    its spec's fold, which journals it and folds every part that is
+    next in plan order into a
     :class:`~repro.core.results.MergeAccumulator`: one merge path,
-    ``O(workers)`` shard results held, bit-identical to a one-shot
+    ``O(workers)`` task results held, bit-identical to a one-shot
     merge.
 context
     An ambient default runtime consulted by the experiment layer so

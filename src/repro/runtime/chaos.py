@@ -30,7 +30,17 @@ import os
 import pathlib
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from .executor import Executor, StreamItem
 from .faults import RetryPolicy, TransientShardError
@@ -167,6 +177,18 @@ class ChaosSchedule:
             return attempt
 
 
+class _Tagged(NamedTuple):
+    """A task with its dispatch index, as the sabotaging call sees it."""
+
+    index: int
+    task: Any
+
+    @property
+    def shard_count(self) -> int:
+        """The wrapped task's shard count, so deadlines scale as unwrapped."""
+        return getattr(self.task, "shard_count", 1)
+
+
 class _ChaosCall:
     """The picklable worker-side wrapper: sabotage, then run the task.
 
@@ -264,8 +286,8 @@ class ChaosExecutor(Executor):
 
     def _wrap(
         self, fn: Callable[[Any], Any], tasks: Sequence[Any]
-    ) -> Tuple[_ChaosCall, List[Tuple[int, Any]]]:
-        tagged = [(index, task) for index, task in enumerate(list(tasks))]
+    ) -> Tuple[_ChaosCall, List[_Tagged]]:
+        tagged = [_Tagged(index, task) for index, task in enumerate(list(tasks))]
         return _ChaosCall(fn, self.schedule, os.getpid()), tagged
 
     def stream(

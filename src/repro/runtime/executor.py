@@ -4,20 +4,22 @@ An executor runs a picklable task function over a list of tasks.  Its
 one primitive is :meth:`Executor.stream`: completions yielded as
 ``(task_index, ok, payload)`` the moment tasks finish, every index
 exactly once with its *final* outcome, with a bounded submission window
-so at most ``O(workers)`` results exist between the pool and the
-consumer.  The runner hands each completion to its spec's plan-order
-fold as it arrives, which is how 100k-trial ensembles merge without
-ever materializing every shard result at once.  :meth:`Executor.map` is
-a collect over the stream that returns results *in task order* and
-aggregates failures rather than raising at the first: every shard runs,
-then a single :class:`ShardExecutionError` reports all failing shards
-with their tracebacks.
+so at most ``O(workers)`` task results exist between the pool and the
+consumer.  A runner task may carry several shards (a fused engine run);
+the runner splits each completion into its shards and hands each to its
+spec's plan-order fold as it arrives, which is how 100k-trial ensembles
+merge without ever materializing every shard result at once.
+:meth:`Executor.map` is a collect over the stream that returns results
+*in task order* and aggregates failures rather than raising at the
+first: every task runs, then a single :class:`ShardExecutionError`
+reports all failures with their tracebacks.
 
 Each backend runs every dispatch through one fault-tolerant loop.
 :func:`make_executor`'s ``retry`` and ``timeout`` knobs (see
-:mod:`repro.runtime.faults`) give each shard up to
+:mod:`repro.runtime.faults`) give each task up to
 ``RetryPolicy.max_attempts`` attempts with deterministic exponential
-backoff and a per-shard deadline that kills hung workers.  With or
+backoff and a per-shard deadline that kills hung workers (a task that
+declares a ``shard_count`` gets that many deadlines).  With or
 without them, dead worker processes are detected and the pool
 respawned, and an unrecoverable pool degrades the remaining shards to
 serial in-process execution behind a loud :class:`PoolDegradedWarning`.
@@ -82,20 +84,40 @@ class ShardExecutionError(RuntimeError):
     Attributes
     ----------
     failures:
-        List of ``(task_index, error_repr, traceback_text)`` tuples.
-        When retries were enabled, the ``error_repr`` of a shard that
-        exhausted its attempts is suffixed with the attempt count.
+        List of ``(shard, error_repr, traceback_text)`` tuples.  A
+        :class:`~repro.runtime.runner.ParallelRunner` dispatch names
+        each shard ``(spec position, plan ordinal)`` and reports every
+        shard of a failed task, which all share its traceback;
+        :meth:`Executor.map` names a task by its index.  When retries
+        were enabled, the ``error_repr`` of a task that exhausted its
+        attempts is suffixed with the attempt count.
     """
 
-    def __init__(self, failures: Sequence[Tuple[int, str, str]]) -> None:
+    def __init__(self, failures: Sequence[Tuple[Any, str, str]]) -> None:
         self.failures = list(failures)
         summary = "; ".join(
-            f"shard {index}: {error}" for index, error, _ in self.failures
+            f"{_shard_name(shard)}: {error}" for shard, error, _ in self.failures
         )
-        details = "\n\n".join(tb for _, _, tb in self.failures)
+        # Shards of one failed task repeat its traceback: print it once.
+        details = "\n\n".join(dict.fromkeys(tb for _, _, tb in self.failures))
         super().__init__(
             f"{len(self.failures)} shard(s) failed — {summary}\n{details}"
         )
+
+
+def _shard_name(shard) -> str:
+    """``spec P shard O`` for a runner's ``(position, ordinal)``, else
+    ``shard I`` for a task index."""
+    if isinstance(shard, tuple):
+        position, ordinal = shard
+        return f"spec {position} shard {ordinal}"
+    return f"shard {shard}"
+
+
+def _task_shards(task) -> int:
+    """Shards ``task`` runs, each owed the per-shard deadline: its
+    ``shard_count`` when it declares one (a fused runner task), else 1."""
+    return getattr(task, "shard_count", 1)
 
 
 def _format_exception(error: BaseException) -> str:
@@ -155,11 +177,12 @@ class Executor:
         whose exception classifies as transient are re-run with
         deterministic backoff before being reported.
     ``timeout``
-        Per-shard deadline in seconds.  Enforced by the process backend
-        (an expired shard's pool is killed and respawned, and the shard
-        counts as a :class:`WorkerTimeoutError` failure, retryable
-        under the policy); the serial backend cannot preempt in-process
-        work and ignores it.
+        Per-shard deadline in seconds; a task that declares a
+        ``shard_count`` of ``k`` gets ``k`` times it.  Enforced by the
+        process backend (an expired task's pool is killed and
+        respawned, and the task counts as a :class:`WorkerTimeoutError`
+        failure, retryable under the policy); the serial backend cannot
+        preempt in-process work and ignores it.
     ``retry_listener``
         Optional ``callback(task_index, attempt)`` fired once per
         retry — the runner uses it to keep its retry tally without
@@ -185,10 +208,10 @@ class Executor:
         Every task runs (failures are yielded as data, never raised),
         and each index appears exactly once — with its *final* outcome
         when retries are configured.  No task more than ``window``
-        (default ``2 * workers``) past the lowest index not yet yielded
-        is started, so the results a plan-order consumer must hold
-        while it waits for an earlier index are bounded by the window,
-        not the task count.
+        tasks (default ``2 * workers``) past the lowest index not yet
+        yielded is started, so the task results a plan-order consumer
+        must hold while it waits for an earlier index are bounded by
+        the window, not the task count.
         """
         raise NotImplementedError
 
@@ -458,7 +481,11 @@ class MultiprocessingExecutor(Executor):
         def submit(index: int, attempt: int) -> None:
             if tracer.enabled:
                 tracer.event("shard.submit", task=index, attempt=attempt)
-            deadline = None if timeout is None else time.monotonic() + timeout
+            deadline = None
+            if timeout is not None:
+                deadline = (
+                    time.monotonic() + timeout * _task_shards(tasks[index])
+                )
             in_flight[index] = (attempt, deadline)
             pool.apply_async(
                 _guarded_call,
@@ -531,9 +558,11 @@ class MultiprocessingExecutor(Executor):
                             "shard.complete", task=index, ok=False,
                             timeout=True,
                         )
+                    shards = _task_shards(tasks[index])
                     failure = self._synthetic_failure(WorkerTimeoutError(
-                        f"shard task {index} exceeded the {timeout:.4g}s "
-                        f"deadline on attempt {attempt}"
+                        f"shard task {index} exceeded the "
+                        f"{timeout * shards:.4g}s deadline of its {shards} "
+                        f"shard(s) on attempt {attempt}"
                     ))
                 elif crashed:
                     if tracer.enabled:
@@ -665,8 +694,8 @@ def make_executor(
 
     ``retry`` (a :class:`~repro.runtime.faults.RetryPolicy`, or an int
     shorthand for ``RetryPolicy(max_attempts=n)``) and ``timeout``
-    (per-shard deadline, seconds) are both off by default: each shard
-    then runs once, and a shard whose worker dies fails with a
+    (per-shard deadline, seconds) are both off by default: each task
+    then runs once, and a task whose worker dies fails with a
     :class:`~repro.runtime.faults.WorkerCrashError`.
     """
     workers = ensure_positive_int("workers", workers)

@@ -6,17 +6,24 @@ or a system experiment (node-level repeats) it
 
 1. checks the content-addressed cache for a previous merged result,
 2. splits the work into a worker-count-independent shard plan,
-3. streams the shards through the configured executor (serial or
+3. cuts the uncached simulation shards into tasks: shards that share a
+   kernel signature (:func:`~repro.runtime.spec.kernel_signature`) run
+   as one fused engine, one kernel call per segment for the whole
+   task,
+4. streams the tasks through the configured executor (serial or
    processes), and
-4. hands each shard, as it arrives, to its spec's fold, which
-   journals it and folds every part that is next in plan order into a
+5. splits each task's result back into its shards and hands each
+   shard, as it arrives, to its spec's fold, which journals it and
+   folds every part that is next in plan order into a
    :class:`~repro.core.results.MergeAccumulator`, so at most
-   ``O(workers)`` shard results wait instead of ``O(shards)``.
+   ``O(workers)`` task results wait instead of ``O(shards)``.
 
-Because the plan and the merge order are independent of the executor,
-``workers=1`` and ``workers=16`` produce bit-identical merged arrays
-for the same spec and shard count — and the default shard count is a
-function of the spec alone.
+The shard plan fixes every random stream (each shard draws from its
+own seed inside a fused task), and the merge order is plan order, so
+neither the task cut nor the executor moves a bit: ``workers=1`` and
+``workers=16`` produce bit-identical merged arrays for the same spec
+and shard count — and the default shard count is a function of the
+spec alone.
 
 Grids of specs (the per-``(a, w, v)`` cells of the paper's figure
 sweeps) go through :meth:`ParallelRunner.run_many` /
@@ -33,7 +40,7 @@ from __future__ import annotations
 
 import pathlib
 import threading
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .._validation import ensure_positive_int
 from ..core.results import EnsembleResult, MergeAccumulator
@@ -59,8 +66,9 @@ from .sharding import (
     ShardPlan,
     default_shard_count,
     plan_shards,
+    pristine_seed,
 )
-from .spec import SimulationSpec, SystemSpec, spec_fingerprint
+from .spec import SimulationSpec, SystemSpec, kernel_signature, spec_fingerprint
 
 __all__ = ["ParallelRunner"]
 
@@ -98,8 +106,34 @@ class _Fold:
         return self.cursor == self.shards
 
 
-def _traced_shard(body, spec, shard, index: int, kind: str) -> ShardEnvelope:
-    """Run one shard under a fresh worker-local tracer and registry.
+class _Task(NamedTuple):
+    """One executor task: shards that run as one fused engine.
+
+    ``index`` is the task's dispatch index on a traced dispatch (the
+    worker stamps its ``shard.run`` span with it), None otherwise.
+    """
+
+    members: Tuple[Tuple[Any, Shard], ...]
+    index: Optional[int] = None
+
+    @property
+    def shard_count(self) -> int:
+        """Shards this task runs; each is owed the per-shard deadline."""
+        return len(self.members)
+
+
+def _shard_source(shard: Shard) -> RandomSource:
+    """A random source for ``shard`` that no earlier run has spawned from.
+
+    Spawning is stateful, so a serial rerun of a task that failed
+    mid-run must not reuse the first attempt's seed object.
+    """
+    return RandomSource(pristine_seed(shard.seed))
+
+
+def _run_task(body, task: _Task, kind: str) -> Any:
+    """Run one task, under a fresh worker-local tracer and registry when
+    the dispatch is traced.
 
     The worker must not record into a forked copy of the parent's
     tracer (its buffer dies with the child) nor — on the serial
@@ -108,32 +142,25 @@ def _traced_shard(body, spec, shard, index: int, kind: str) -> ShardEnvelope:
     overrides so nested kernel/cache/chainsim instrumentation lands in
     it, sidesteps both; the envelope carries everything home.
     """
+    if task.index is None:
+        return body(task.members)
     tracer = Tracer()
     metrics = MetricsRegistry()
     with using_worker_tracer(tracer), using_worker_metrics(metrics):
         with tracer.span(
             "shard.run",
-            task=index,
-            shard=shard.index,
-            trials=shard.trials,
+            task=task.index,
+            shards=task.shard_count,
+            trials=sum(shard.trials for _, shard in task.members),
             kind=kind,
         ):
-            payload = body(spec, shard)
+            payload = body(task.members)
     return ShardEnvelope(payload, tracer.drain(), metrics.snapshot())
 
 
-def _simulation_shard_body(spec: SimulationSpec, shard: Shard):
-    from ..sim.engine import MonteCarloEngine
-
-    engine = MonteCarloEngine(
-        spec.protocol,
-        spec.allocation,
-        trials=shard.trials,
-        seed=RandomSource(shard.seed),
-        kernel=spec.kernel,
-    )
+def _run_engine(engine, spec: SimulationSpec):
     # Under reduce="stats" the engine folds checkpoints straight into a
-    # StatsSummary — the shard's trajectory cube is never allocated.
+    # StatsSummary — the trajectory cube is never allocated.
     return engine.run(
         spec.horizon,
         spec.checkpoints,
@@ -143,20 +170,47 @@ def _simulation_shard_body(spec: SimulationSpec, shard: Shard):
     )
 
 
-def _run_simulation_shard(task) -> Any:
-    """Worker entry point: run one chunk of a Monte Carlo ensemble.
+def _simulation_shard_body(spec: SimulationSpec, shard: Shard):
+    """One shard on its own: what every member of a fused task equals."""
+    from ..sim.engine import MonteCarloEngine
 
-    ``task`` is ``(spec, shard)`` on an untraced dispatch (identical
-    pickle profile to every prior release) or ``(spec, shard,
-    task_index)`` when telemetry is on, in which case the return value
-    is a :class:`~repro.obs.ShardEnvelope` carrying the worker's spans
-    and metrics alongside the result.
+    engine = MonteCarloEngine(
+        spec.protocol,
+        spec.allocation,
+        trials=shard.trials,
+        seed=_shard_source(shard),
+        kernel=spec.kernel,
+    )
+    return _run_engine(engine, spec)
+
+
+def _simulation_task_body(members) -> list:
+    """The parts of one task's shards, in member order."""
+    if len(members) == 1:
+        return [_simulation_shard_body(*members[0])]
+    from ..sim.engine import MonteCarloEngine
+
+    spec = members[0][0]
+    engine = MonteCarloEngine.fused(
+        spec.protocol,
+        [
+            (member.allocation, shard.trials, _shard_source(shard))
+            for member, shard in members
+        ],
+        kernel=spec.kernel,
+    )
+    return _run_engine(engine, spec)
+
+
+def _run_simulation_shard(task: _Task) -> Any:
+    """Worker entry point: run one task of a Monte Carlo dispatch.
+
+    Returns the list of the task's shard parts in member order; on a
+    traced dispatch it comes wrapped in a
+    :class:`~repro.obs.ShardEnvelope` carrying the worker's spans and
+    metrics alongside.
     """
-    if len(task) == 2:
-        spec, shard = task
-        return _simulation_shard_body(spec, shard)
-    spec, shard, index = task
-    return _traced_shard(_simulation_shard_body, spec, shard, index, "sim")
+    return _run_task(_simulation_task_body, task, "sim")
 
 
 def _system_shard_body(spec: SystemSpec, shard: Shard):
@@ -167,21 +221,52 @@ def _system_shard_body(spec: SystemSpec, shard: Shard):
         spec.rounds,
         shard.trials,
         checkpoints=spec.checkpoints,
-        seed=RandomSource(shard.seed),
+        seed=_shard_source(shard),
     )
 
 
-def _run_system_shard(task) -> Any:
-    """Worker entry point: run one chunk of node-level system repeats.
+def _system_task_body(members) -> list:
+    return [_system_shard_body(spec, shard) for spec, shard in members]
 
-    Task shapes and envelope semantics mirror
+
+def _run_system_shard(task: _Task) -> Any:
+    """Worker entry point: run one task of node-level system repeats.
+
+    A system task carries one shard; the return value mirrors
     :func:`_run_simulation_shard`.
     """
-    if len(task) == 2:
-        spec, shard = task
-        return _system_shard_body(spec, shard)
-    spec, shard, index = task
-    return _traced_shard(_system_shard_body, spec, shard, index, "system")
+    return _run_task(_system_task_body, task, "system")
+
+
+#: Most trials a fused stats task carries, unless it is one wider shard.
+#: A stats task ships a few KB home whatever its width, so the worker
+#: bounds it: past about 10,000 trials a wider kernel call saves no
+#: per-call cost (two-miner ns per trial-round at 2,000 vs 10,000
+#: trials: ML-PoS 8.3-13 vs 6.7-7.2, C-PoS 154-157 vs 144-152), while
+#: the fused state keeps growing.  A full-mode task is capped at
+#: MIN_SHARD_TRIALS instead, because the parent holds its unpickled
+#: trajectory cubes.
+STATS_TASK_TRIALS = 10_000
+
+
+def _strided(members: list, ways: int, cap: int) -> List[list]:
+    """Cut one signature group into ``ways`` tasks, member ``i`` into
+    task ``i mod ways``.
+
+    Striding balances tasks whose members' costs rise along the group
+    (C-PoS grows costlier with the share), which a contiguous cut would
+    stack into one task.  A task carries one shard or at most ``cap``
+    trials; more tasks are cut until every task fits.
+    """
+    ways = min(ways, len(members))
+    while True:
+        tasks = [members[start::ways] for start in range(ways)]
+        if all(
+            len(task) == 1 or sum(shard.trials for _, shard, _ in task) <= cap
+            for task in tasks
+        ):
+            return tasks
+        ways += 1
 
 
 class ParallelRunner:
@@ -199,7 +284,7 @@ class ParallelRunner:
         None to disable caching.
     progress:
         Optional ``callback(completed, total_shards)`` fired once per
-        dispatched shard, on its final outcome, as it arrives.
+        dispatched shard, on its task's final outcome, as it arrives.
         ``total_shards`` covers the whole dispatch — for
         :meth:`run_many` that is every uncached shard of every spec in
         the grid.  The count is monotone and never exceeds the total,
@@ -213,9 +298,10 @@ class ParallelRunner:
         retried runs stay bit-identical.  Only valid when the runner
         builds its own executor; configure a custom executor directly.
     timeout:
-        Optional per-shard deadline in seconds (process pool only):
-        a hung worker's pool is killed and respawned, the failure
-        classifies as a retryable
+        Optional per-shard deadline in seconds (process pool only): a
+        task that runs ``k`` shards gets ``k`` deadlines.  A hung
+        worker's pool is killed and respawned, the failure classifies
+        as a retryable
         :class:`~repro.runtime.faults.WorkerTimeoutError`, and an
         unrecoverable pool degrades to serial with a warning.
     journal:
@@ -239,6 +325,19 @@ class ParallelRunner:
     own ``reduce`` field does, and it enters the spec's fingerprint, so
     stats and full runs never share artifacts.  The experiment modules
     decide it per grid (:mod:`repro.experiments._common`).
+
+    Execution width is the runner's own choice, and never moves a bit.
+    Uncached simulation shards that share a
+    :func:`~repro.runtime.spec.kernel_signature` run as one fused
+    engine per task: one task per signature group on one worker, and
+    each group strided over ``workers`` tasks on a pool.  A task carries
+    one shard or at most a cap of trials:
+    :data:`~repro.runtime.sharding.MIN_SHARD_TRIALS` in full mode,
+    where the parent holds every part's cube, and
+    :data:`STATS_TASK_TRIALS` in stats mode, where the worker's fused
+    state is the cost.  Every shard still draws from its own seed, and
+    the journal, the cache and each spec's fold see the same per-shard
+    parts either way.  System shards run one per task.
 
     Examples
     --------
@@ -354,6 +453,7 @@ class ParallelRunner:
             shards,
             MIN_SHARD_TRIALS,
             span_name="runner.run_many",
+            fuse=True,
         )
 
     def run_system(
@@ -405,6 +505,7 @@ class ParallelRunner:
             shards,
             MIN_SHARD_REPEATS,
             span_name="runner.run_system_many",
+            fuse=False,
         )
 
     def _resolve_shards(
@@ -429,6 +530,7 @@ class ParallelRunner:
         shards: Optional[int],
         min_per_shard: int,
         span_name: str,
+        fuse: bool,
     ):
         tracer = get_tracer()
         if tracer.enabled:
@@ -436,9 +538,11 @@ class ParallelRunner:
                 span_name, specs=len(entries), workers=self.workers
             ) as root:
                 return self._dispatch(
-                    entries, shard_fn, shards, min_per_shard, root
+                    entries, shard_fn, shards, min_per_shard, fuse, root
                 )
-        return self._dispatch(entries, shard_fn, shards, min_per_shard, None)
+        return self._dispatch(
+            entries, shard_fn, shards, min_per_shard, fuse, None
+        )
 
     def _dispatch(
         self,
@@ -446,11 +550,11 @@ class ParallelRunner:
         shard_fn,
         shards: Optional[int],
         min_per_shard: int,
+        fuse: bool,
         root,
     ):
         merged: List[Optional[EnsembleResult]] = [None] * len(entries)
-        tasks: List[Tuple[Any, Shard]] = []
-        routes: List[_Fold] = []  # task index -> the fold it feeds
+        pending: List[Tuple[Any, Shard, _Fold]] = []  # uncached, in plan order
         folds = 0
         first_pending: dict = {}
         duplicates: List[Tuple[int, int, str]] = []
@@ -490,23 +594,29 @@ class ParallelRunner:
                     if fold.add(shard.index, recovered.pop(shard.index)):
                         self._finish(fold, merged)
                 else:
-                    tasks.append((spec, shard))
-                    routes.append(fold)
+                    pending.append((spec, shard, fold))
+        groups = self._fuse(pending) if fuse else [[unit] for unit in pending]
+        # Traced dispatches stamp each task with its index so workers can
+        # label their shard.run spans with the index the executor's
+        # submit/complete events carry.
+        tasks = [
+            _Task(
+                tuple((spec, shard) for spec, shard, _ in group),
+                None if root is None else index,
+            )
+            for index, group in enumerate(groups)
+        ]
+        routes = [
+            [(fold, shard.index) for _, shard, fold in group]
+            for group in groups
+        ]
         if root is not None:
-            # Traced dispatches widen tasks to (spec, shard, task_index)
-            # so workers can stamp shard.run spans with the index the
-            # executor's submit/complete events carry; untraced
-            # dispatches keep the bare 2-tuples (identical pickle
-            # payloads and worker code path to the untraced runtime).
-            tasks = [
-                (spec, shard, index)
-                for index, (spec, shard) in enumerate(tasks)
-            ]
             root.set("tasks", len(tasks))
+            root.set("shards", len(pending))
             root.set("cached_specs", len(entries) - folds - len(duplicates))
         if metrics.enabled:
             metrics.counter("runner.specs").inc(len(entries))
-            metrics.counter("runner.shards_dispatched").inc(len(tasks))
+            metrics.counter("runner.shards_dispatched").inc(len(pending))
         try:
             if tasks:
                 self._fold_streamed(tasks, routes, shard_fn, merged)
@@ -521,6 +631,24 @@ class ParallelRunner:
             loaded = self.cache.get(key)
             merged[position] = loaded if loaded is not None else merged[original]
         return merged
+
+    def _fuse(self, pending) -> List[list]:
+        """Cut uncached simulation shards into tasks of one fused engine.
+
+        Shards group by :func:`~repro.runtime.spec.kernel_signature`, in
+        order of each group's first shard.  Grouping is execution, not
+        physics: one worker runs each group as one task, a pool strides
+        each group over ``workers`` tasks (:func:`_strided`).
+        """
+        groups: Dict[Any, list] = {}
+        for unit in pending:
+            groups.setdefault(kernel_signature(unit[0]), []).append(unit)
+        tasks: List[list] = []
+        for group in groups.values():
+            full = group[0][0].reduce == "full"
+            cap = MIN_SHARD_TRIALS if full else STATS_TASK_TRIALS
+            tasks.extend(_strided(group, self.workers, cap))
+        return tasks
 
     def _recover_shards(self, key: str, shards: int) -> Dict[int, Any]:
         """Shards an interrupted run journaled for ``key``, by ordinal.
@@ -556,32 +684,36 @@ class ParallelRunner:
         merged[fold.position] = result
 
     def _fold_streamed(self, tasks, routes, shard_fn, merged) -> None:
-        """Hand each completion to its spec's fold as it arrives.
+        """Hand each task's shards to their specs' folds as it arrives.
 
         Completions arrive from :meth:`Executor.stream` in whatever
-        order the pool finishes them.  Each one goes straight to its
-        spec's :class:`_Fold`: a fresh shard is checkpointed (artifact +
+        order the pool finishes them.  Each one is split into its
+        shards' parts, and each part goes straight to its spec's
+        :class:`_Fold`: a fresh shard is checkpointed (artifact +
         journal record) at once, then staged and folded in plan order,
         so the merged ensemble stays bit-identical to
         :func:`~repro.core.results.merge_parts` of the plan's parts.  A
         part waits in staging only for an earlier shard of its own spec
         that has not arrived, and the executor never runs more than its
-        window past the lowest index it has not yielded, so at most
-        ``O(workers)`` shard results are held, against ``O(shards)``
-        for a collect-then-merge.
+        window of tasks past the lowest task index it has not yielded,
+        so at most ``O(workers)`` task results are held, against
+        ``O(shards)`` for a collect-then-merge.
 
         A spec whose shards all folded is finalized — and cached —
-        immediately, so a later shard failure in another spec never
-        discards completed work; shards of a spec that already failed
-        are still journaled, so an aborted grid leaves the maximum
-        behind for ``--resume``.  Progress fires once per shard, on its
-        final outcome, as it arrives: the count is monotone, never
-        exceeds the dispatch total, and counts a retried shard once.
+        immediately, so a later failure in another spec never discards
+        completed work; shards of a spec that already failed are still
+        journaled, so an aborted grid leaves the maximum behind for
+        ``--resume``.  A failed task fails every shard it carries, each
+        reported as ``(spec position, plan ordinal)``.  Progress fires
+        once per shard, on its task's final outcome, as it arrives: the
+        count is monotone, never exceeds the dispatch total, and counts
+        a retried shard once.
         """
-        failures: List[Tuple[int, str, str]] = []
+        failures: List[Tuple[Tuple[int, int], str, str]] = []
         arrived = [False] * len(tasks)
         tracer = get_tracer()
         metrics = get_metrics()
+        total = sum(len(members) for members in routes)
         done = 0
         for index, ok, payload in self.executor.stream(shard_fn, tasks):
             if not 0 <= index < len(tasks):
@@ -595,49 +727,66 @@ class ParallelRunner:
                     "task must be yielded exactly once"
                 )
             arrived[index] = True
-            fold = routes[index]
-            failure = None
+            members = routes[index]
+            failed = []  # (fold, ordinal, error, traceback) of this task
             if ok:
-                # Traced workers ship telemetry with the payload; unwrap
-                # (a bare payload passes through) before it is stored.
-                payload = ingest_envelope(payload)
-                ordinal = tasks[index][1].index
-                self._journal_shard(fold, ordinal, payload)
-                if not fold.failed:
+                # Traced workers ship telemetry with the parts; unwrap
+                # (bare parts pass through) before they are stored.
+                parts = ingest_envelope(payload)
+                if not isinstance(parts, list) or len(parts) != len(members):
+                    error = ValueError(
+                        f"task {index} returned {type(parts).__name__} "
+                        f"for {len(members)} shard(s), not a list of "
+                        "their parts"
+                    )
+                    failed = [
+                        (fold, ordinal, repr(error), _format_exception(error))
+                        for fold, ordinal in members
+                    ]
+                    parts = []
+                for (fold, ordinal), part in zip(members, parts):
+                    self._journal_shard(fold, ordinal, part)
+                    if fold.failed:
+                        continue
                     try:
-                        complete = fold.add(ordinal, payload)
+                        complete = fold.add(ordinal, part)
                     except Exception as error:  # noqa: BLE001 - reported
-                        # A malformed payload (e.g. from a custom
-                        # executor) must fail its spec, not crash the
-                        # whole loop mid-grid.
-                        failure = (
-                            index, repr(error), _format_exception(error)
-                        )
+                        # A malformed part (e.g. from a custom executor)
+                        # must fail its spec, not crash the whole loop
+                        # mid-grid.
+                        failed.append((
+                            fold, ordinal, repr(error),
+                            _format_exception(error),
+                        ))
                     else:
                         if complete:
                             self._finish(fold, merged)
             else:
-                failure = _failure_triple(index, payload)
+                _, error, trace = _failure_triple(index, payload)
+                failed = [
+                    (fold, ordinal, error, trace) for fold, ordinal in members
+                ]
                 if metrics.enabled:
-                    metrics.counter("runner.shards_failed").inc()
-            if failure is not None:
-                failures.append(failure)
+                    metrics.counter("runner.shards_failed").inc(len(members))
+            for fold, ordinal, error, trace in failed:
+                failures.append(((fold.position, ordinal), error, trace))
                 fold.failed = True
                 fold.accumulator = None  # free the partial fold
                 fold.staged.clear()
-            done += 1
             if tracer.enabled:
                 tracer.event("shard.merge", task=index, ok=ok)
-            if self.progress is not None:
-                self.progress(done, len(tasks))
-        if done < len(tasks):
+            for _ in members:
+                done += 1
+                if self.progress is not None:
+                    self.progress(done, total)
+        if not all(arrived):
             # A custom stream() that drops tasks instead of yielding
             # them as failures would otherwise surface as silent None
             # results far downstream.
             raise RuntimeError(
-                f"executor stream yielded {done} of {len(tasks)} tasks — "
-                "every task must be yielded exactly once (as a failure if "
-                "it did not run)"
+                f"executor stream yielded {sum(arrived)} of {len(tasks)} "
+                "tasks — every task must be yielded exactly once (as a "
+                "failure if it did not run)"
             )
         if failures:
             # Completed specs were already cached as they finalized; the

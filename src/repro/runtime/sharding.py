@@ -34,6 +34,7 @@ __all__ = [
     "ShardPlan",
     "default_shard_count",
     "plan_shards",
+    "pristine_seed",
     "split_evenly",
 ]
 
@@ -97,6 +98,22 @@ def split_evenly(total: int, parts: int) -> List[int]:
     return [base + (1 if i < remainder else 0) for i in range(parts)]
 
 
+def pristine_seed(seed: np.random.SeedSequence) -> np.random.SeedSequence:
+    """A copy of ``seed`` that has spawned no children yet.
+
+    :meth:`SeedSequence.spawn` is stateful (``n_children_spawned``):
+    spawning twice from one sequence hands out different children.
+    Plans and shard runs spawn from a copy, so re-planning a spec, or
+    rerunning a shard that failed after it spawned, sees the same
+    streams.
+    """
+    return np.random.SeedSequence(
+        entropy=seed.entropy,
+        spawn_key=seed.spawn_key,
+        pool_size=seed.pool_size,
+    )
+
+
 @dataclass(frozen=True)
 class Shard:
     """One unit of ensemble work: a chunk of trials with its own seed."""
@@ -155,15 +172,9 @@ def plan_shards(
     else:
         count = ensure_positive_int("count", count)
     sizes = split_evenly(total, count)
-    # Spawn from a pristine copy: SeedSequence.spawn is stateful
-    # (n_children_spawned), and the plan must be a pure function of the
-    # spec — re-planning the same spec has to yield the same shards.
-    root = np.random.SeedSequence(
-        entropy=seed.entropy,
-        spawn_key=seed.spawn_key,
-        pool_size=seed.pool_size,
-    )
-    children = root.spawn(count)
+    # The plan must be a pure function of the spec: re-planning the
+    # same spec has to yield the same shards.
+    children = pristine_seed(seed).spawn(count)
     shards = tuple(
         Shard(index=i, trials=size, seed=child)
         for i, (size, child) in enumerate(zip(sizes, children))

@@ -37,6 +37,7 @@ __all__ = [
     "SimulationSpec",
     "SystemSpec",
     "as_seed_sequence",
+    "kernel_signature",
     "spec_fingerprint",
 ]
 
@@ -287,3 +288,28 @@ def spec_fingerprint(spec: Any, *, shards: Optional[int] = None) -> str:
     payload["shards"] = shards
     encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
+
+
+def kernel_signature(spec: SimulationSpec) -> Tuple[type, str]:
+    """What simulation shards must share to run as one fused engine.
+
+    Every :class:`SimulationSpec` field except ``allocation``,
+    ``trials`` and ``seed`` — the protocol by exact type and by its
+    canonical parameters, as :func:`spec_fingerprint` encodes it — plus
+    the miner count.  Shards with equal signatures advance the same
+    dynamics over the same segments, fire the same events and record
+    the same artifact shape, so one ensemble state can carry them all
+    while each draws from its own seed.
+    """
+    payload = {
+        "protocol": _canonical(spec.protocol),
+        "miners": spec.allocation.size,
+        "horizon": spec.horizon,
+        "checkpoints": _canonical(spec.checkpoints),
+        "events": _canonical(spec.events),
+        "record_terminal_stakes": spec.record_terminal_stakes,
+        "kernel": spec.kernel,
+        "reduce": spec.reduce,
+    }
+    encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return type(spec.protocol), encoded

@@ -16,7 +16,7 @@ differ.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,9 +29,12 @@ from ..protocols.base import EnsembleState, IncentiveProtocol
 from .checkpoints import linear_checkpoints, validate_checkpoints
 from .events import GameEvent, plan_segments
 from .kernels import batched_advance, ensure_kernel_mode
-from .rng import RandomSource, SeedLike
+from .rng import RandomSource, SeedLike, TrialSplitGenerator
 
 __all__ = ["MonteCarloEngine", "simulate"]
+
+#: One ensemble of an engine: ``(allocation, trials, seed source)``.
+_Member = Tuple[Allocation, int, RandomSource]
 
 
 class MonteCarloEngine:
@@ -87,7 +90,53 @@ class MonteCarloEngine:
         self.allocation = allocation
         self.trials = ensure_positive_int("trials", trials)
         self.kernel = ensure_kernel_mode(kernel)
-        self._source = seed if isinstance(seed, RandomSource) else RandomSource(seed)
+        source = seed if isinstance(seed, RandomSource) else RandomSource(seed)
+        self._members: Tuple[_Member, ...] = ((allocation, self.trials, source),)
+        self._fused = False
+
+    @classmethod
+    def fused(
+        cls,
+        protocol: IncentiveProtocol,
+        members: Sequence[Tuple[Allocation, int, SeedLike]],
+        kernel: str = "batched",
+    ) -> "MonteCarloEngine":
+        """One engine over several independent ensembles of ``protocol``.
+
+        ``members`` lists ``(allocation, trials, seed)`` triples whose
+        allocations share a miner count.  :meth:`run` advances them as
+        one :class:`~repro.protocols.base.EnsembleState` whose trial
+        axis concatenates the members, so every segment is one kernel
+        call at the summed width, while each member draws its own
+        trials' variates from its own seed's stream through a
+        :class:`~repro.sim.rng.TrialSplitGenerator`.  It returns a list
+        of per-member results, each bit-identical to
+        ``MonteCarloEngine(protocol, allocation, trials, seed).run(...)``.
+        """
+        members = list(members)
+        if not members:
+            raise ValueError("a fused engine needs at least one member")
+        engine = cls(protocol, members[0][0], members[0][1], members[0][2], kernel)
+        fused = []
+        for allocation, trials, seed in members:
+            if not isinstance(allocation, Allocation):
+                raise TypeError(
+                    f"allocation must be an Allocation, got "
+                    f"{type(allocation).__name__}"
+                )
+            if allocation.size != engine.allocation.size:
+                raise ValueError(
+                    f"fused members must share a miner count, got "
+                    f"{allocation.size} and {engine.allocation.size}"
+                )
+            source = seed if isinstance(seed, RandomSource) else RandomSource(seed)
+            fused.append(
+                (allocation, ensure_positive_int("trials", trials), source)
+            )
+        engine._members = tuple(fused)
+        engine.trials = sum(trials for _, trials, _ in fused)
+        engine._fused = True
+        return engine
 
     def run(
         self,
@@ -124,6 +173,8 @@ class MonteCarloEngine:
         Returns
         -------
         EnsembleResult or StatsSummary
+            One per member, in a list, for an engine built by
+            :meth:`fused`.
         """
         horizon = ensure_positive_int("horizon", horizon)
         ensure_reduce_mode(reduce)
@@ -138,18 +189,40 @@ class MonteCarloEngine:
                     f"event at round {event.round_index} exceeds horizon {horizon}"
                 )
 
-        rng = self._source.spawn_one().generator()
-        state = self.protocol.make_state(self.allocation, self.trials)
+        rows = []
+        start = 0
+        for _, trials, _ in self._members:
+            rows.append(slice(start, start + trials))
+            start += trials
+        generators = [
+            source.spawn_one().generator() for _, _, source in self._members
+        ]
+        states = [
+            self.protocol.make_state(allocation, trials)
+            for allocation, trials, _ in self._members
+        ]
+        if len(states) == 1:
+            rng = generators[0]
+            state = states[0]
+        else:
+            rng = TrialSplitGenerator(
+                generators, [trials for _, trials, _ in self._members]
+            )
+            state = EnsembleState.concatenate(states)
+        del states  # a fused state copied the members' arrays
 
-        collector: Optional[StatsCollector] = None
+        collectors: Optional[List[StatsCollector]] = None
         fractions: Optional[np.ndarray] = None
         if reduce == "stats":
-            collector = StatsCollector(
-                protocol_name=self.protocol.name,
-                allocation=self.allocation,
-                checkpoints=checkpoint_list,
-                round_unit=self.protocol.round_unit,
-            )
+            collectors = [
+                StatsCollector(
+                    protocol_name=self.protocol.name,
+                    allocation=allocation,
+                    checkpoints=checkpoint_list,
+                    round_unit=self.protocol.round_unit,
+                )
+                for allocation, _, _ in self._members
+            ]
         else:
             fractions = np.empty(
                 (self.trials, len(checkpoint_list), self.allocation.size)
@@ -173,24 +246,35 @@ class MonteCarloEngine:
             position = checkpoint_positions.get(boundary)
             if position is not None:
                 issued = self.protocol.total_issued(boundary)
-                if collector is not None:
-                    collector.observe(position, state.rewards / issued)
+                if collectors is not None:
+                    for collector, member in zip(collectors, rows):
+                        collector.observe(position, state.rewards[member] / issued)
                 else:
                     fractions[:, position, :] = state.rewards / issued
 
-        if collector is not None:
-            if record_terminal_stakes:
-                collector.observe_terminal(state.stakes)
-            return collector.build(self.trials)
-        terminal = state.stakes.copy() if record_terminal_stakes else None
-        return EnsembleResult(
-            protocol_name=self.protocol.name,
-            allocation=self.allocation,
-            checkpoints=checkpoint_list,
-            reward_fractions=fractions,
-            terminal_stakes=terminal,
-            round_unit=self.protocol.round_unit,
-        )
+        if collectors is not None:
+            results = []
+            for collector, member in zip(collectors, rows):
+                if record_terminal_stakes:
+                    collector.observe_terminal(state.stakes[member])
+                results.append(collector.build(member.stop - member.start))
+        else:
+            results = [
+                EnsembleResult(
+                    protocol_name=self.protocol.name,
+                    allocation=allocation,
+                    checkpoints=checkpoint_list,
+                    reward_fractions=fractions[member],
+                    terminal_stakes=(
+                        state.stakes[member].copy()
+                        if record_terminal_stakes
+                        else None
+                    ),
+                    round_unit=self.protocol.round_unit,
+                )
+                for (allocation, _, _), member in zip(self._members, rows)
+            ]
+        return results if self._fused else results[0]
 
     def _advance(
         self, state: EnsembleState, rounds: int, rng: np.random.Generator

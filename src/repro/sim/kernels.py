@@ -96,9 +96,14 @@ KERNEL_MODES = ("batched", "naive")
 #: Upper bound on rounds per pre-drawn uniform block.
 DEFAULT_CHUNK_ROUNDS = 256
 
-#: Cap on the bytes a single pre-drawn block may occupy; at 100k-trial
-#: scale this, not DEFAULT_CHUNK_ROUNDS, bounds the chunk.
-DEFAULT_CHUNK_BUDGET_BYTES = 64 << 20
+#: Cap on the bytes a single pre-drawn block may occupy; at wide trial
+#: counts this, not DEFAULT_CHUNK_ROUNDS, bounds the chunk.  A fused
+#: task runs thousands of trials in one call, and a larger block is
+#: worker memory, not speed: at 64 MiB a 5,000-trial SL-PoS call drew
+#: 20.5 MB blocks, which would lift a pool worker's peak RSS past the
+#: dispatching process's.  At 2 MiB a 500-trial two-miner shard keeps
+#: its 256-round block, and fused calls ran as fast or faster.
+DEFAULT_CHUNK_BUDGET_BYTES = 2 << 20
 
 
 def ensure_kernel_mode(kernel: str) -> str:

@@ -118,11 +118,20 @@ class TestTracedGridCoverage:
         by_name = {}
         for span in spans:
             by_name.setdefault(span["name"], []).append(span)
-        total_tasks = len(specs) * shard_count
+        # Phases join on tasks; the shards of a fused task ride one
+        # shard.run span, which counts them.
+        (root,) = by_name["runner.run_many"]
+        total_tasks = root["attrs"]["tasks"]
+        assert root["attrs"]["shards"] == len(specs) * shard_count
         for phase in ("shard.submit", "shard.run", "shard.complete",
                       "shard.merge"):
             tasks = sorted(s["attrs"]["task"] for s in by_name[phase])
             assert tasks == list(range(total_tasks)), phase
+        runs = by_name["shard.run"]
+        assert sum(s["attrs"]["shards"] for s in runs) == len(specs) * shard_count
+        assert sum(s["attrs"]["trials"] for s in runs) == sum(
+            spec.trials for spec in specs
+        )
         # One planning-time get (miss) and one store per spec.
         assert len(by_name["cache.get"]) == len(specs)
         assert all(not s["attrs"]["hit"] for s in by_name["cache.get"])
@@ -132,8 +141,6 @@ class TestTracedGridCoverage:
         assert all(
             s["attrs"]["mode"] == "batched" for s in by_name["kernel.advance"]
         )
-        (root,) = by_name["runner.run_many"]
-        assert root["attrs"]["tasks"] == total_tasks
 
     def test_naive_kernel_spans_report_naive_mode(self):
         spec = SimulationSpec(

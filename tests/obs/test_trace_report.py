@@ -168,7 +168,9 @@ class TestSummarizeSpans:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_phases_join_per_dispatch(self, workers, two_miners):
         # Task indices restart at 0 in every dispatch: two run_many
-        # grids of 4 and 3 shards under one tracer are 7 shards, not 4.
+        # grids of 4 and 3 shards under one tracer run one fused task
+        # each on one worker (2 tasks, not 1) and two each on two.
+        tasks = {1: 2, 2: 4}[workers]
         from repro.protocols import MultiLotteryPoS
         from repro.runtime import ParallelRunner, SimulationSpec
 
@@ -181,12 +183,14 @@ class TestSummarizeSpans:
                     trials=12, horizon=20, seed=seed,
                 )
                 runner.run_many([spec], shards=shards)
-        shards = summarize_spans(tracer.spans)["shards"]
-        assert shards["submitted"] == 7
-        assert shards["completed"] == 7
-        assert shards["wall"]["count"] == 7
-        assert shards["queue_wait"]["count"] == 7
-        assert shards["merge_lag"]["count"] == 7
+        summary = summarize_spans(tracer.spans)
+        assert [run["attrs"]["shards"] for run in summary["runs"]] == [4, 3]
+        shards = summary["shards"]
+        assert shards["submitted"] == tasks
+        assert shards["completed"] == tasks
+        assert shards["wall"]["count"] == tasks
+        assert shards["queue_wait"]["count"] == tasks
+        assert shards["merge_lag"]["count"] == tasks
 
 
 class TestRendering:

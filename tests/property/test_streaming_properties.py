@@ -74,15 +74,19 @@ def assert_byte_equal(a: EnsembleResult, b: EnsembleResult) -> None:
 
 
 class PermutedExecutor(SerialExecutor):
-    """Runs every task, then yields the completions in a given order."""
+    """Reports ``workers`` slots (the runner's task width), runs every
+    task, then yields the completions in a drawn order."""
 
-    def __init__(self, order):
-        self.order = order
+    def __init__(self, data, workers):
+        self.data = data
+        self.workers = workers
 
     def stream(self, fn, tasks, *, window=None):
         items = list(super().stream(fn, tasks, window=window))
-        assert sorted(self.order) == list(range(len(items)))
-        for index in self.order:
+        order = self.data.draw(
+            st.permutations(range(len(items))), label="order"
+        )
+        for index in order:
             yield items[index]
 
 
@@ -152,10 +156,10 @@ def test_any_completion_order_folds_to_the_batch_merge(grid, data):
                     cache.put(shard_key, part)
                     journal.record_shard(key, ordinal, shard_key)
                     preloaded += 1
-        dispatched = sum(len(parts) for parts in bodies) - preloaded
-        order = data.draw(st.permutations(range(dispatched)), label="order")
+        workers = data.draw(st.integers(1, 4), label="workers")
         runner = ParallelRunner(
-            executor=PermutedExecutor(order), cache=cache, journal=journal
+            executor=PermutedExecutor(data, workers), cache=cache,
+            journal=journal,
         )
         results = runner.run_many(specs, shards=SHARDS)
         journal.close()

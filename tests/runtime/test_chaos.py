@@ -123,14 +123,18 @@ class TestChaosDifferential:
     @pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
     @pytest.mark.parametrize("workers", BACKENDS)
     def test_chaos_run_is_bit_identical(self, protocol, workers, tmp_path):
-        spec = make_spec(protocol)
-        reference = ParallelRunner(workers=1).run(spec, shards=4)
+        # Four horizons are four kernel signatures, so even one worker,
+        # which fuses each signature's shards into one task, runs four
+        # tasks for the schedule to sabotage.
+        specs = [make_spec(protocol, horizon=60 + cell) for cell in range(4)]
+        reference = ParallelRunner(workers=1).run_many(specs, shards=4)
         runner = chaos_runner(
             tmp_path, f"{protocol}-{workers}", workers,
             fail_rate=0.4, corrupt_rate=0.3, delay_rate=0.3,
         )
-        chaotic = runner.run(spec, shards=4)
-        assert_byte_equal(chaotic, reference)
+        chaotic = runner.run_many(specs, shards=4)
+        for result, expected in zip(chaotic, reference):
+            assert_byte_equal(result, expected)
         assert runner.shards_retried > 0
 
     @pytest.mark.parametrize("workers", BACKENDS)

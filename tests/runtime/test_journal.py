@@ -38,10 +38,16 @@ def make_spec(trials=40, horizon=50, seed=7, protocol=None):
 
 
 class BombExecutor(SerialExecutor):
-    """Serial executor that permanently fails the given task indices."""
+    """Serial executor that permanently fails the given task indices.
 
-    def __init__(self, fail_indices):
+    It reports ``workers`` slots, so the runner strides each spec's
+    shards over that many tasks: a 4-shard spec is four one-shard
+    tasks, and task ``i`` of it is shard ``i``.
+    """
+
+    def __init__(self, fail_indices, workers=4):
         self.fail_indices = set(fail_indices)
+        self.workers = workers
 
     def stream(self, fn, tasks, *, window=None):
         for index, task in enumerate(list(tasks)):
@@ -256,6 +262,8 @@ class TestResume:
         # then the run is killed.  Every finished shard must already be
         # journaled — none may wait, unjournaled, behind task 0.
         class KilledAfterLateShards(SerialExecutor):
+            workers = 4  # one shard per task
+
             def stream(self, fn, tasks, *, window=None):
                 for index in (3, 2, 1):
                     yield index, True, fn(tasks[index])

@@ -223,12 +223,14 @@ class TestFailureSalvageParity:
         )
 
     def test_failure_indices_match_batch_path(self, two_miners):
-        # Failures carry dispatch task indices: the good spec's two
-        # shards are tasks 0-1, the failing spec's are tasks 2-3.
+        # Failures name shards as (spec position, plan ordinal): the
+        # failing spec is position 1, and both its shards fail.
         good, bad = self.specs(two_miners)
         with pytest.raises(ShardExecutionError) as excinfo:
             ParallelRunner(workers=1).run_system_many([good, bad], shards=2)
-        assert [index for index, _, _ in excinfo.value.failures] == [2, 3]
+        assert [shard for shard, _, _ in excinfo.value.failures] == [
+            (1, 0), (1, 1),
+        ]
 
 
 class TestProgressCountsMergedShards:
@@ -284,6 +286,8 @@ class TestStreamContractGuard:
         from repro.runtime.executor import SerialExecutor
 
         class DroppingExecutor(SerialExecutor):
+            workers = 3  # one shard per task
+
             def stream(self, fn, tasks, *, window=None):
                 for item in super().stream(fn, tasks, window=window):
                     if item[0] == 1:
@@ -305,6 +309,8 @@ class TestStreamContractGuard:
         from repro.runtime.executor import SerialExecutor
 
         class RepeatingExecutor(SerialExecutor):
+            workers = 3  # one shard per task
+
             def stream(self, fn, tasks, *, window=None):
                 for item in super().stream(fn, tasks, window=window):
                     yield item

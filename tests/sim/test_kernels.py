@@ -29,8 +29,14 @@ from repro.protocols import (
     VixifyPoS,
     WavePoS,
 )
+from repro.core.results import EnsembleResult
 from repro.sim.engine import MonteCarloEngine, simulate
-from repro.sim.events import StakeTopUp, StakeWithdrawal
+from repro.sim.events import (
+    MinerOutage,
+    MinerRecovery,
+    StakeTopUp,
+    StakeWithdrawal,
+)
 from repro.sim.kernels import (
     DEFAULT_CHUNK_ROUNDS,
     KERNEL_MODES,
@@ -245,6 +251,136 @@ class TestDifferentialGolden:
             batched_advance(protocol, pieces, gap, rng)
         np.testing.assert_array_equal(whole.rewards, pieces.rewards)
         np.testing.assert_array_equal(whole.stakes, pieces.stakes)
+
+
+#: Fused member widths: uneven, with a one-trial member.
+FUSED_TRIALS = (5, 1, 11)
+
+
+def fused_allocations(miners):
+    """One allocation per fused member, all with ``miners`` miners."""
+    if miners == 2:
+        return [Allocation.two_miners(share) for share in (0.2, 0.5, 0.35)]
+    return [
+        Allocation.focal_vs_equal(share, miners) for share in (0.2, 0.5, 0.35)
+    ]
+
+
+def assert_same_part(got, expected):
+    """Byte equality of two EnsembleResults or two StatsSummaries."""
+    assert type(got) is type(expected)
+    if isinstance(expected, EnsembleResult):
+        assert got.allocation == expected.allocation
+        assert got.reward_fractions.tobytes() == expected.reward_fractions.tobytes()
+        if expected.terminal_stakes is None:
+            assert got.terminal_stakes is None
+        else:
+            assert (
+                got.terminal_stakes.tobytes() == expected.terminal_stakes.tobytes()
+            )
+        return
+    assert got.state_meta() == expected.state_meta()
+    arrays = expected.state_arrays()
+    assert set(got.state_arrays()) == set(arrays)
+    for name, array in arrays.items():
+        assert got.state_arrays()[name].tobytes() == array.tobytes(), name
+
+
+def run_fused(factory, miners, scenario, kernel, reduce, seed=29):
+    """Each member fused, and each member run on its own."""
+    members = [
+        (allocation, trials, seed + index)
+        for index, (allocation, trials) in enumerate(
+            zip(fused_allocations(miners), FUSED_TRIALS)
+        )
+    ]
+    kwargs = dict(SCENARIOS[scenario], reduce=reduce)
+    fused = MonteCarloEngine.fused(factory(), members, kernel=kernel).run(
+        HORIZON, **kwargs
+    )
+    alone = [
+        MonteCarloEngine(
+            factory(), allocation, trials=trials, seed=seed, kernel=kernel
+        ).run(HORIZON, **kwargs)
+        for allocation, trials, seed in members
+    ]
+    return fused, alone
+
+
+class TestFusedMembers:
+    """Every member of a fused engine is bit-identical to its own run:
+    one ensemble state carries them all, and each draws from its own
+    stream through a TrialSplitGenerator."""
+
+    @pytest.mark.parametrize("reduce", ["full", "stats"])
+    @pytest.mark.parametrize("kernel", KERNEL_MODES)
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    @pytest.mark.parametrize("miners", [2, 5])
+    @pytest.mark.parametrize("name", sorted(PROTOCOL_FACTORIES))
+    def test_members_match_their_own_runs(
+        self, name, miners, scenario, kernel, reduce
+    ):
+        if name == "ml-pos-exact" and miners != 2:
+            pytest.skip("exact_race is only defined for two-miner games")
+        fused, alone = run_fused(
+            PROTOCOL_FACTORIES[name], miners, scenario, kernel, reduce
+        )
+        assert len(fused) == len(alone)
+        for got, expected in zip(fused, alone):
+            assert_same_part(got, expected)
+
+    @pytest.mark.parametrize(
+        "name",
+        ["ml-pos", "sl-pos", "fsl-pos", "c-pos", "eos", "filecoin",
+         "withhold-ml"],
+    )
+    def test_members_match_at_ten_miners(self, name):
+        # The many-miner transposed paths and pairwise stake totals.
+        fused, alone = run_fused(
+            PROTOCOL_FACTORIES[name], 10, "events", "batched", "full"
+        )
+        for got, expected in zip(fused, alone):
+            assert_same_part(got, expected)
+
+    def test_outage_events_restore_each_members_stakes(self):
+        # MinerOutage parks per-trial stakes in state.extra; a fused
+        # state parks and restores every member's rows.
+        events = (
+            MinerOutage(round_index=10, miner=0),
+            MinerRecovery(round_index=30, miner=0),
+        )
+        members = [
+            (allocation, trials, 3 + index)
+            for index, (allocation, trials) in enumerate(
+                zip(fused_allocations(2), FUSED_TRIALS)
+            )
+        ]
+        fused = MonteCarloEngine.fused(MultiLotteryPoS(0.01), members).run(
+            HORIZON, events=events
+        )
+        for got, (allocation, trials, seed) in zip(fused, members):
+            alone = MonteCarloEngine(
+                MultiLotteryPoS(0.01), allocation, trials=trials, seed=seed
+            ).run(HORIZON, events=events)
+            assert_same_part(got, alone)
+
+    def test_one_member_returns_a_list_of_the_plain_run(self, two_miners):
+        (fused,) = MonteCarloEngine.fused(
+            MultiLotteryPoS(0.01), [(two_miners, 8, 4)]
+        ).run(HORIZON)
+        alone = MonteCarloEngine(
+            MultiLotteryPoS(0.01), two_miners, trials=8, seed=4
+        ).run(HORIZON)
+        assert_same_part(fused, alone)
+
+    def test_members_must_share_a_miner_count(self):
+        members = [(allocation_for(2), 4, 1), (allocation_for(5), 4, 2)]
+        with pytest.raises(ValueError, match="miner count"):
+            MonteCarloEngine.fused(MultiLotteryPoS(0.01), members)
+
+    def test_needs_a_member(self):
+        with pytest.raises(ValueError, match="at least one member"):
+            MonteCarloEngine.fused(MultiLotteryPoS(0.01), [])
 
 
 class TestChunking:

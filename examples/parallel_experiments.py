@@ -335,7 +335,7 @@ def main() -> None:
             survived.reward_fractions, serial.reward_fractions
         )
         print(f"chaos run (fail_rate=0.4, corrupt_rate=0.3): "
-              f"{chaotic_runner.shards_retried} retries absorbed, "
+              f"{chaotic_runner.shards_retried} shard reruns absorbed, "
               f"bit-identical to the clean run = {identical}")
 
         resumed_runner = ParallelRunner(

@@ -209,9 +209,10 @@ class _ShardProgress:
     salvaged.
 
     Retried shards never double-count: ``k`` advances once per shard's
-    *final* outcome, while retries accumulate in a separate tally that
-    is appended to the line (``[shards k/N, retries R]``) once any
-    shard has been retried.
+    *final* outcome, while retries accumulate in a separate tally of
+    retried tasks (a task reruns every shard it carries) that is
+    appended to the line (``[shards k/N, retries R]``) once any shard
+    has been retried.
     """
 
     def __init__(self, stream=None) -> None:
@@ -232,7 +233,7 @@ class _ShardProgress:
         self._render(completed, total)
 
     def retry(self, task: int, attempt: int) -> None:
-        """Tally one shard retry (called by the runner's retry listener)."""
+        """Tally one task retry (called by the runner's retry listener)."""
         self.retries += 1
         if self._open_line:
             self._render(*self._last)

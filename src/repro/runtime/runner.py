@@ -171,7 +171,8 @@ def _run_engine(engine, spec: SimulationSpec):
 
 
 def _simulation_shard_body(spec: SimulationSpec, shard: Shard):
-    """One shard on its own: what every member of a fused task equals."""
+    """One shard on its own: the reference every member of a fused task
+    equals, bit for bit (the runner itself only runs tasks)."""
     from ..sim.engine import MonteCarloEngine
 
     engine = MonteCarloEngine(
@@ -185,9 +186,11 @@ def _simulation_shard_body(spec: SimulationSpec, shard: Shard):
 
 
 def _simulation_task_body(members) -> list:
-    """The parts of one task's shards, in member order."""
-    if len(members) == 1:
-        return [_simulation_shard_body(*members[0])]
+    """The parts of one task's shards, in member order.
+
+    A one-member engine runs the member's own generator and state, so a
+    one-shard task is the plain engine call.
+    """
     from ..sim.engine import MonteCarloEngine
 
     spec = members[0][0]
@@ -391,7 +394,8 @@ class ParallelRunner:
         # dispatches from several threads, so updates must hold this
         # lock or concurrent completions lose increments.
         self._retry_lock = threading.Lock()
-        #: Retry attempts consumed across this runner's dispatches.
+        #: Shards rerun by retries across this runner's dispatches: a
+        #: retried task adds every shard it carries.
         self.shards_retried = 0
         #: Shards recovered from journal checkpoints instead of dispatched.
         self.shards_resumed = 0
@@ -399,13 +403,19 @@ class ParallelRunner:
         # care) without ever touching the per-shard completion counts —
         # retried shards must not double-count.
         self.executor.retry_listener = self._on_retry
+        # The tasks of the dispatch this thread is streaming, so a retry
+        # (fired by the executor in the thread that drives its stream)
+        # can count the shards of its task.
+        self._streaming = threading.local()
 
     def _on_retry(self, index: int, attempt: int) -> None:
+        tasks = getattr(self._streaming, "tasks", ())
+        shards = tasks[index].shard_count if 0 <= index < len(tasks) else 1
         with self._retry_lock:
-            self.shards_retried += 1
+            self.shards_retried += shards
         metrics = get_metrics()
         if metrics.enabled:
-            metrics.counter("runner.shards_retried").inc()
+            metrics.counter("runner.shards_retried").inc(shards)
         note = getattr(self.progress, "retry", None)
         if note is not None:
             note(index, attempt)
@@ -619,8 +629,10 @@ class ParallelRunner:
             metrics.counter("runner.shards_dispatched").inc(len(pending))
         try:
             if tasks:
+                self._streaming.tasks = tasks
                 self._fold_streamed(tasks, routes, shard_fn, merged)
         finally:
+            self._streaming.tasks = ()
             # Give line-oriented progress callbacks (e.g. the CLI's
             # carriage-return shard ticker) a chance to terminate their
             # output even when a shard failure propagates out.

@@ -113,26 +113,26 @@ class MonteCarloEngine:
         of per-member results, each bit-identical to
         ``MonteCarloEngine(protocol, allocation, trials, seed).run(...)``.
         """
-        members = list(members)
-        if not members:
-            raise ValueError("a fused engine needs at least one member")
-        engine = cls(protocol, members[0][0], members[0][1], members[0][2], kernel)
-        fused = []
+        fused: List[_Member] = []
         for allocation, trials, seed in members:
             if not isinstance(allocation, Allocation):
                 raise TypeError(
                     f"allocation must be an Allocation, got "
                     f"{type(allocation).__name__}"
                 )
-            if allocation.size != engine.allocation.size:
+            if fused and allocation.size != fused[0][0].size:
                 raise ValueError(
                     f"fused members must share a miner count, got "
-                    f"{allocation.size} and {engine.allocation.size}"
+                    f"{allocation.size} and {fused[0][0].size}"
                 )
+            # Wrap each seed once: wrapping a Generator draws from it.
             source = seed if isinstance(seed, RandomSource) else RandomSource(seed)
             fused.append(
                 (allocation, ensure_positive_int("trials", trials), source)
             )
+        if not fused:
+            raise ValueError("a fused engine needs at least one member")
+        engine = cls(protocol, *fused[0], kernel)
         engine._members = tuple(fused)
         engine.trials = sum(trials for _, trials, _ in fused)
         engine._fused = True

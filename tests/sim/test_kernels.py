@@ -45,6 +45,7 @@ from repro.sim.kernels import (
     ensure_kernel_mode,
     find_kernel,
 )
+from repro.sim.rng import RandomSource
 
 TRIALS = 48
 HORIZON = 60
@@ -372,6 +373,34 @@ class TestFusedMembers:
             MultiLotteryPoS(0.01), two_miners, trials=8, seed=4
         ).run(HORIZON)
         assert_same_part(fused, alone)
+
+    @pytest.mark.parametrize("trials", [(8,), FUSED_TRIALS])
+    def test_generator_seeds_are_drawn_from_once(self, trials):
+        # Wrapping a Generator in a RandomSource draws from it, so each
+        # member's generator must be wrapped exactly once, as the plain
+        # engine wraps it.
+        allocations = fused_allocations(2)
+        members = [
+            (allocation, width, np.random.default_rng(40 + index))
+            for index, (allocation, width) in enumerate(
+                zip(allocations, trials)
+            )
+        ]
+        fused = MonteCarloEngine.fused(MultiLotteryPoS(0.01), members).run(
+            HORIZON
+        )
+        for index, (got, (allocation, width, seed)) in enumerate(
+            zip(fused, members)
+        ):
+            alone = MonteCarloEngine(
+                MultiLotteryPoS(0.01), allocation, trials=width,
+                seed=np.random.default_rng(40 + index),
+            ).run(HORIZON)
+            assert_same_part(got, alone)
+            # Both wrappings left their generator at the same position.
+            fresh = np.random.default_rng(40 + index)
+            RandomSource(fresh)
+            assert seed.random(4).tobytes() == fresh.random(4).tobytes()
 
     def test_members_must_share_a_miner_count(self):
         members = [(allocation_for(2), 4, 1), (allocation_for(5), 4, 2)]

@@ -34,13 +34,14 @@ Demonstrates the ways to use the runtime layer:
    memory — bit-identical to merging every shard at once,
 
 8. runtime telemetry (``repro.obs``, the CLI's ``--trace PATH`` and
-   ``--metrics``): install an ambient span tracer + metrics registry
-   around any run and get per-task submit/run/complete/merge spans
-   (a task's ``shard.run`` span counts the shards it fused; worker
-   telemetry ships home inside the task payloads, even across
-   process boundaries), cache hit/miss/eviction counters, and
-   kernel batched-vs-naive timings — summarized as a table, written
-   as JSONL for ``repro-trace summarize``.  Telemetry never enters
+   ``--metrics``): install an ambient span tracer around any run and
+   get per-task submit/run/complete/merge spans (a task's
+   ``shard.run`` span counts the shards it fused; worker telemetry
+   ships home inside the task payloads, even across process
+   boundaries), cache hit/miss/eviction records, and kernel
+   batched-vs-naive timings — summarized as a table, counted as the
+   ``--metrics`` counters, written as JSONL for ``repro-trace
+   summarize``.  Telemetry never enters
    cache fingerprints and never touches random state: traced and
    untraced runs are bit-identical and share cache artifacts,
 
@@ -272,41 +273,40 @@ def main() -> None:
           f"{stream_peak / 1e6:.0f} MB for a {merged_bytes / 1e6:.0f} MB "
           f"merged ensemble ({result.trials} trials)")
 
-    # 8. Telemetry: wrap any run in an ambient tracer + metrics
-    #    registry and every layer underneath reports in — the runner
-    #    emits a root span (counting tasks and shards) and per-task
-    #    submit/merge events, the executors stamp completions, workers
-    #    trace each task's shard.run (and the cache/kernel spans inside
-    #    it) into a private buffer that ships home WITH the task
-    #    payload, so nothing is lost to process boundaries.  This is what
-    #    `repro-experiments fig2 --workers 2 --trace run.jsonl --metrics`
-    #    does; `repro-trace summarize run.jsonl` reads it back later.
-    #    Doctrine: telemetry never enters cache fingerprints and never
-    #    touches random state — a traced run is bit-identical to an
-    #    untraced one and loads the same cache artifacts.
-    from repro.obs import (
-        MetricsRegistry, Tracer, summarize_spans,
-        using_metrics, using_tracer,
-    )
+    # 8. Telemetry: wrap any run in an ambient tracer and every layer
+    #    underneath reports in — the runner emits a root span (counting
+    #    tasks and shards) and per-task submit/merge events, the
+    #    executors stamp completions, workers trace each task's
+    #    shard.run (and the cache/kernel spans inside it) into a
+    #    private buffer that ships home WITH the task payload, so
+    #    nothing is lost to process boundaries.  The same records are
+    #    the --metrics counters.  This is what `repro-experiments fig2
+    #    --workers 2 --trace run.jsonl --metrics` does; `repro-trace
+    #    summarize run.jsonl` reads it back later.  Doctrine: telemetry
+    #    never enters cache fingerprints and never touches random
+    #    state — a traced run is bit-identical to an untraced one and
+    #    loads the same cache artifacts.
+    from repro.obs import Tracer, metric_counters, summarize_spans, using_tracer
 
-    tracer, metrics = Tracer(), MetricsRegistry()
-    with using_tracer(tracer), using_metrics(metrics):
+    tracer = Tracer()
+    with using_tracer(tracer):
         traced = ParallelRunner(workers=WORKERS).run_many(grid, shards=4)
     identical = all(
         np.array_equal(a.reward_fractions, b.reward_fractions)
         for a, b in zip(per_cell, traced)
     )
     summary = summarize_spans(tracer.spans)
-    shards = summary["shards"]
+    tasks = summary["tasks"]
     kernel_calls = sum(
         mode["calls"] for mode in summary["kernel"].values()
     )
+    counters = metric_counters(tracer.spans)
     print(f"traced rerun of the 5-cell grid: {len(tracer)} spans, "
-          f"{shards['completed']} tasks "
-          f"(queue-wait p90 {shards['queue_wait']['p90'] * 1e3:.1f}ms, "
-          f"merge-lag p90 {shards['merge_lag']['p90'] * 1e3:.1f}ms), "
+          f"{tasks['completed']} tasks "
+          f"(queue-wait p90 {tasks['queue_wait']['p90'] * 1e3:.1f}ms, "
+          f"merge-lag p90 {tasks['merge_lag']['p90'] * 1e3:.1f}ms), "
           f"{kernel_calls} kernel calls, "
-          f"{metrics.counter('runner.shards_dispatched').value} shards "
+          f"{counters['runner.shards_dispatched']} shards "
           f"dispatched, bit-identical to untraced = {identical}")
 
     # 9. Fault tolerance: wrap an executor in seeded chaos — injected

@@ -23,13 +23,12 @@ import time
 from typing import List, Optional
 
 from ..obs import (
-    MetricsRegistry,
     Tracer,
+    metric_counters,
     render_cache_stats,
     render_metrics,
     render_summary,
     summarize_spans,
-    using_metrics,
     using_tracer,
 )
 from ..runtime import ParallelRunner, using_runtime
@@ -64,8 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
         "experiment",
         choices=sorted(EXPERIMENTS) + ["all", "cache-stats"],
         help="experiment id, 'all', or 'cache-stats' (print the "
-        "hit/miss/eviction/occupancy stats of a --cache directory and "
-        "exit)",
+        "entries and bytes a --cache directory holds and exit)",
     )
     parser.add_argument(
         "--preset",
@@ -172,9 +170,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--metrics",
         action="store_true",
-        help="collect runtime metrics (counters/histograms across "
-        "runner, cache and kernels) and print the registry at the "
-        "end of the run",
+        help="print a table of runtime counters at the end of the run "
+        "(specs and shards dispatched, retried, resumed and failed; "
+        "cache hits, misses, puts, evictions and quarantines; task "
+        "retries, timeouts and pool respawns; swallowed storage "
+        "errors), counted from the run's span trace, which it keeps in "
+        "memory.  Never changes results or cache keys",
     )
     return parser
 
@@ -347,13 +348,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.no_system:
         preset = preset.with_system(False)
     keys = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-    tracer = Tracer() if args.trace is not None else None
-    metrics = MetricsRegistry() if args.metrics else None
-    with using_tracer(tracer), using_metrics(metrics):
+    # --metrics counts the trace's records, so it traces too.
+    tracer = Tracer() if args.trace is not None or args.metrics else None
+    with using_tracer(tracer):
         with using_runtime(_build_runtime(args)):
             for key in keys:
                 print(_run_one(key, preset, args.seed, args.json))
-    if tracer is not None:
+    if args.trace is not None:
         spans = tracer.spans
         tracer.write(args.trace)
         print(render_summary(summarize_spans(spans)))
@@ -361,8 +362,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"[trace] wrote {len(spans)} spans to {args.trace}",
             file=sys.stderr,
         )
-    if metrics is not None:
-        print(render_metrics(metrics.snapshot()))
+    if args.metrics:
+        print(render_metrics(metric_counters(tracer.spans)))
     return 0
 
 

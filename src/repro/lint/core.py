@@ -2,7 +2,7 @@
 
 The linter is a zero-dependency, AST-based static-analysis pass.  Each
 rule is a small class registered under a stable id (``DET001``,
-``LCK002``, ...); the engine parses each file once, hands every
+``LCK001``, ...); the engine parses each file once, hands every
 applicable rule a :class:`LintContext`, and folds the produced
 :class:`Finding`\\ s through the file's inline waivers.
 

@@ -24,7 +24,6 @@ __all__ = [
     "EXECUTION_KNOBS",
     "FINGERPRINTED_CLASS_MODULES",
     "LOCK_GUARDED",
-    "METRIC_INSTRUMENT_ATTRS",
     "LOCK_MODULES",
     "MUTATOR_METHODS",
     "NUMPY_RANDOM_ALLOWED",
@@ -118,7 +117,6 @@ LOCK_MODULES: Tuple[str, ...] = (
     "repro/runtime/runner.py",
     "repro/runtime/integrity.py",
     "repro/runtime/diskchaos.py",
-    "repro/obs/metrics.py",
     "repro/obs/trace.py",
 )
 
@@ -138,24 +136,11 @@ LOCK_GUARDED: Dict[str, Tuple[str, FrozenSet[str]]] = {
         "compactions",
     })),
     "DiskChaos": ("_lock", frozenset({"hits", "_counts", "_total"})),
-    "MetricsRegistry": ("_lock", frozenset({
-        "_counters", "_gauges", "_histograms",
-    })),
-    "Counter": ("_lock", frozenset({"value"})),
-    "Gauge": ("_lock", frozenset({"value"})),
-    "Histogram": ("_lock", frozenset({"buckets", "count", "sum"})),
     "Tracer": ("_lock", frozenset({"_records"})),
     "ParallelRunner": ("_retry_lock", frozenset({
         "shards_retried", "shards_resumed",
     })),
 }
-
-#: Instrument attributes that may be written on *other* objects (the
-#: registry merge path folds worker snapshots into instruments it does
-#: not own) — such writes must hold that instrument's ``_lock``.
-METRIC_INSTRUMENT_ATTRS: FrozenSet[str] = frozenset({
-    "value", "buckets", "count", "sum",
-})
 
 #: Method names that mutate their receiver in place; calling one on a
 #: guarded attribute counts as a write.
@@ -175,7 +160,7 @@ SWALLOW_MODULES: Tuple[str, ...] = (
 #: Durable-layer modules where an ``except OSError`` that drops the
 #: error on the floor hides disk trouble (a full disk that silently
 #: stops caching, a write that never landed).  Handlers there must
-#: count a metric (``note_storage_error``), warn, re-raise, or at
+#: record it (``note_storage_error``), warn, re-raise, or at
 #: least bind a fallback value — never just ``pass`` (EXC004).  Narrow
 #: expected-condition catches (``FileNotFoundError``/``FileExistsError``)
 #: are exempt.

@@ -107,8 +107,8 @@ class SwallowedBroadExcept(Rule):
 def _body_discards_error(handler: ast.ExceptHandler) -> bool:
     """Whether the handler drops the error without any trace: only
     pass/continue/constant expressions and value-free or constant
-    ``return`` statements.  A handler that binds a fallback, counts a
-    metric, warns, or re-raises is substantive."""
+    ``return`` statements.  A handler that binds a fallback, records the
+    error, warns, or re-raises is substantive."""
     for stmt in handler.body:
         if isinstance(stmt, (ast.Pass, ast.Continue)):
             continue

@@ -1,22 +1,17 @@
 """LCK: shared mutable state must be written under its owning lock.
 
 Any caller sharing one :class:`~repro.runtime.cache.ResultCache`,
-metrics registry or run journal across threads hits their counters
-from every thread at once; an unlocked read-modify-write there loses
-updates silently.  Two rules enforce the discipline statically:
-
-* **LCK001** — inside a lock-owning class, writes to guarded
-  attributes of ``self`` must sit lexically inside ``with
-  self.<lock>:``.  Guarded attributes come from the explicit doctrine
-  table (:data:`repro.lint.doctrine.LOCK_GUARDED`) *plus* inference:
-  any attribute the class writes under its lock somewhere is guarded
-  everywhere (so new shared state is covered without a config edit).
-  The init-family methods are exempt — construction happens before
-  the object is shared.
-* **LCK002** — in the metrics module, writes to instrument attributes
-  (``value``/``buckets``/``count``/``sum``) on objects *other than
-  self* (the snapshot-merge path) must hold that instrument's
-  ``_lock``.
+tracer or run journal across threads hits their state from every
+thread at once; an unlocked read-modify-write there loses updates
+silently.  **LCK001** enforces the discipline statically: inside a
+lock-owning class, writes to guarded attributes of ``self`` must sit
+lexically inside ``with self.<lock>:``.  Guarded attributes come from
+the explicit doctrine table
+(:data:`repro.lint.doctrine.LOCK_GUARDED`) *plus* inference: any
+attribute the class writes under its lock somewhere is guarded
+everywhere (so new shared state is covered without a config edit).
+The init-family methods are exempt — construction happens before the
+object is shared.
 """
 
 from __future__ import annotations
@@ -25,14 +20,9 @@ import ast
 from typing import Iterable, Iterator, List, Optional, Set, Tuple
 
 from .core import Finding, LintContext, Rule, dotted_name, register
-from .doctrine import (
-    LOCK_GUARDED,
-    LOCK_MODULES,
-    METRIC_INSTRUMENT_ATTRS,
-    MUTATOR_METHODS,
-)
+from .doctrine import LOCK_GUARDED, LOCK_MODULES, MUTATOR_METHODS
 
-__all__ = ["UnlockedSharedWrite", "UnlockedForeignWrite"]
+__all__ = ["UnlockedSharedWrite"]
 
 _INIT_METHODS = ("__init__", "__new__", "__post_init__")
 
@@ -174,15 +164,12 @@ def _self_writes(node: ast.AST) -> Iterator[Tuple[str, ast.AST]]:
             yield "*", node
 
 
-class _LockRule(Rule):
-    scope = LOCK_MODULES
-
-
 @register
-class UnlockedSharedWrite(_LockRule):
+class UnlockedSharedWrite(Rule):
     id = "LCK001"
     summary = ("guarded shared attributes must be written under the "
                "owning class lock")
+    scope = LOCK_MODULES
 
     def check(self, ctx: LintContext) -> Iterable[Finding]:
         for cls in ast.walk(ctx.tree):
@@ -230,64 +217,3 @@ class UnlockedSharedWrite(_LockRule):
                                 f"self.{lock_attr}': concurrent shard "
                                 "completions would lose updates",
                             )
-
-
-@register
-class UnlockedForeignWrite(Rule):
-    id = "LCK002"
-    summary = ("instrument state written on another object must hold "
-               "that object's _lock")
-    scope = ("repro/obs/metrics.py",)
-
-    def check(self, ctx: LintContext) -> Iterable[Finding]:
-        yield from self._scan(ctx, ctx.tree.body, frozenset())
-
-    def _scan(
-        self, ctx: LintContext, body: Iterable[ast.stmt], held: frozenset
-    ) -> Iterator[Finding]:
-        for stmt in body:
-            if isinstance(stmt, _SCOPE_STMTS):
-                yield from self._scan(ctx, stmt.body, frozenset())
-                continue
-            for node in _own_nodes(stmt):
-                yield from self._flag_writes(ctx, node, held)
-            now_held = held
-            if isinstance(stmt, ast.With):
-                for item in stmt.items:
-                    expr = item.context_expr
-                    if (
-                        isinstance(expr, ast.Attribute)
-                        and expr.attr == "_lock"
-                        and isinstance(expr.value, ast.Name)
-                    ):
-                        now_held = now_held | {expr.value.id}
-            for child in _child_bodies(stmt):
-                yield from self._scan(ctx, child, now_held)
-
-    def _flag_writes(
-        self, ctx: LintContext, node: ast.AST, held: frozenset
-    ) -> Iterator[Finding]:
-        targets: List[ast.expr] = []
-        if isinstance(node, ast.Assign):
-            targets = list(node.targets)
-        elif isinstance(node, ast.AugAssign):
-            targets = [node.target]
-        for target in targets:
-            base = target
-            if isinstance(base, ast.Subscript):
-                base = base.value
-            if not (
-                isinstance(base, ast.Attribute)
-                and base.attr in METRIC_INSTRUMENT_ATTRS
-                and isinstance(base.value, ast.Name)
-                and base.value.id != "self"
-            ):
-                continue
-            receiver = base.value.id
-            if receiver not in held:
-                yield ctx.finding(
-                    self, node,
-                    f"write to {receiver}.{base.attr} without holding "
-                    f"{receiver}._lock: merge folds from other threads "
-                    "would race",
-                )

@@ -1,7 +1,10 @@
-"""Runtime observability: span tracing, metrics, and reporting.
+"""Runtime observability: span tracing and reporting.
 
-Zero-dependency telemetry for the parallel runtime.  Three doctrine
-rules bind every instrument in this package:
+Zero-dependency telemetry for the parallel runtime.  One recorder, the
+span :class:`Tracer`, holds every record of a run: timed spans, point
+events, and the facts the ``--metrics`` counter table counts
+(:func:`metric_counters` computes that table from the records).  Three
+doctrine rules bind it:
 
 1. **Never in fingerprints.**  Telemetry objects and flags are
    execution knobs, not part of an experiment's identity — they must
@@ -9,37 +12,23 @@ rules bind every instrument in this package:
 2. **Bit-identity-neutral.**  Instrumentation reads clocks and
    counters, never random state; a traced run produces byte-identical
    results to an untraced one.
-3. **Disabled means free.**  The ambient defaults are null objects;
+3. **Disabled means free.**  The ambient default is the null tracer;
    hot paths guard on ``tracer.enabled`` so disabled telemetry costs
    one attribute read (<2% on the kernel bench smoke config, enforced
    by a perf test) and allocates nothing.
 
-Worker processes ship their telemetry home in a :class:`ShardEnvelope`
-— a picklable (payload, spans, metrics-snapshot) triple the runner
-unwraps and ingests (the cross-process analogue of
+Worker processes ship their records home in a :class:`ShardEnvelope`
+— a picklable (payload, spans) pair the runner unwraps and ingests
+(the cross-process analogue of
 :class:`~repro.core.results.MergeAccumulator` folding).
 """
 
 from __future__ import annotations
 
-from typing import Any, List, NamedTuple, Optional
+from typing import Any, List, NamedTuple
 
-from .metrics import (
-    DEFAULT_LATENCY_BUCKETS,
-    NULL_METRICS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullMetrics,
-    get_metrics,
-    histogram_quantile,
-    merge_snapshots,
-    set_metrics,
-    using_metrics,
-    using_worker_metrics,
-)
 from .report import (
+    metric_counters,
     render_cache_stats,
     render_metrics,
     render_summary,
@@ -60,33 +49,21 @@ from .trace import (
 )
 
 __all__ = [
-    "DEFAULT_LATENCY_BUCKETS",
-    "NULL_METRICS",
     "NULL_TRACER",
     "TRACE_SCHEMA",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "NullMetrics",
     "NullTracer",
     "ShardEnvelope",
     "Tracer",
-    "get_metrics",
     "get_tracer",
-    "histogram_quantile",
     "ingest_envelope",
-    "merge_snapshots",
+    "metric_counters",
     "read_trace",
     "render_cache_stats",
     "render_metrics",
     "render_summary",
-    "set_metrics",
     "set_tracer",
     "summarize_spans",
-    "using_metrics",
     "using_tracer",
-    "using_worker_metrics",
     "using_worker_tracer",
     "validate_trace",
     "write_trace",
@@ -94,21 +71,19 @@ __all__ = [
 
 
 class ShardEnvelope(NamedTuple):
-    """A shard payload plus the telemetry its worker recorded.
+    """A task's payload plus the span records its worker made.
 
-    Plain data all the way down (result object, span dicts, metrics
-    snapshot dict), so it pickles across the processes backend exactly
-    like a bare payload.
+    Plain data all the way down (result objects and span dicts), so it
+    pickles across the processes backend exactly like a bare payload.
     """
 
     payload: Any
     spans: List[dict]
-    metrics: Optional[dict]
 
 
 def ingest_envelope(envelope: "ShardEnvelope") -> Any:
-    """Fold an envelope's telemetry into the ambient tracer/metrics
-    and return the bare payload.
+    """Fold an envelope's spans into the ambient tracer and return the
+    bare payload.
 
     Tolerates a bare (non-envelope) payload so the runner can unwrap
     unconditionally — untraced workers return payloads directly.
@@ -117,6 +92,4 @@ def ingest_envelope(envelope: "ShardEnvelope") -> Any:
         return envelope
     if envelope.spans:
         get_tracer().ingest(envelope.spans)
-    if envelope.metrics is not None:
-        get_metrics().merge(envelope.metrics)
     return envelope.payload

@@ -1,15 +1,17 @@
 """End-of-run telemetry reporting and the ``repro-trace`` CLI.
 
 :func:`summarize_spans` turns a span list into the numbers the paper's
-perf story cares about: per-shard wall time, queue wait (submit →
-worker start) and merge lag (worker complete → handed to its spec's
-fold) percentiles, cache hit/miss/eviction traffic, and the
+perf story cares about: per-task wall time, queue wait (submit →
+worker start) and merge lag (worker complete → handed to its specs'
+folds) percentiles, cache hit/miss/eviction traffic, and the
 kernel-vs-naive time split.  :func:`render_summary` prints it as an
 aligned table; ``repro-trace summarize PATH`` does both from a trace
 file, and ``--check`` validates the JSONL schema (the CI trace-smoke
-step runs exactly that).
+step runs exactly that).  :func:`metric_counters` reads the same
+records as the ``--metrics`` counter table, which
+:func:`render_metrics` prints.
 
-Shard phases are joined on the ``task`` attribute: the runner stamps
+Task phases are joined on the ``task`` attribute: the runner stamps
 ``shard.submit`` / ``shard.complete`` / ``shard.merge`` events and the
 worker stamps its ``shard.run`` span with the same task index, so the
 report can line them up even though worker spans carry a different
@@ -33,6 +35,7 @@ from .trace import TRACE_SCHEMA, read_trace, validate_trace
 
 __all__ = [
     "main",
+    "metric_counters",
     "percentile",
     "render_cache_stats",
     "render_metrics",
@@ -74,8 +77,9 @@ def summarize_spans(spans: Sequence[dict]) -> dict:
     """Aggregate a span list into the end-of-run summary structure.
 
     Returns a dict with (present only when the trace has the relevant
-    spans): ``runs`` (root dispatch spans), ``shards`` (wall/queue
-    wait/merge lag stats), ``cache`` (hit/miss/eviction/put counts and
+    spans): ``runs`` (root dispatch spans), ``tasks`` (wall/queue
+    wait/merge lag stats of the executor's tasks, each of which may
+    run several shards), ``cache`` (hit/miss/eviction/put counts and
     bytes), ``kernel`` (batched vs naive time split) and ``chainsim``
     (fast vs naive network time split).
     """
@@ -96,7 +100,7 @@ def summarize_spans(spans: Sequence[dict]) -> dict:
             for s in roots
         ]
 
-    # -- shard phase join on (dispatch, attrs["task"]) -------------------
+    # -- task phase join on (dispatch, attrs["task"]) --------------------
     starts = sorted(s["ts"] for s in roots)
 
     def phase(name: str) -> Dict[Tuple[int, object], dict]:
@@ -121,52 +125,47 @@ def summarize_spans(spans: Sequence[dict]) -> dict:
         for key in merges
         if key in runs
     ]
-    shards: dict = {}
+    tasks: dict = {}
     if walls:
-        shards["wall"] = _phase_stats(walls)
+        tasks["wall"] = _phase_stats(walls)
     if queue_waits:
         # Cross-process wall-clock deltas can go slightly negative
         # under clock skew; clamp rather than report nonsense.
-        shards["queue_wait"] = _phase_stats([max(0.0, w) for w in queue_waits])
+        tasks["queue_wait"] = _phase_stats([max(0.0, w) for w in queue_waits])
     if merge_lags:
-        shards["merge_lag"] = _phase_stats([max(0.0, w) for w in merge_lags])
+        tasks["merge_lag"] = _phase_stats([max(0.0, w) for w in merge_lags])
     retries = by_name.get("shard.retry", ())
     if submits or completes:
         # The task-keyed dicts above collapse repeat attempts of one
-        # shard, so retried shards never double-count in submitted /
+        # task, so retried tasks never double-count in submitted /
         # completed; retries are tallied separately from their events.
-        shards["submitted"] = len(submits)
-        shards["completed"] = len(completes)
-        shards["failed"] = sum(
+        tasks["submitted"] = len(submits)
+        tasks["completed"] = len(completes)
+        tasks["failed"] = sum(
             1 for s in completes.values() if not s["attrs"].get("ok", True)
         )
-        shards["retries"] = len(retries)
-    if shards:
-        summary["shards"] = shards
+        tasks["retries"] = len(retries)
+    if tasks:
+        summary["tasks"] = tasks
 
     # -- cache ------------------------------------------------------------
     gets = by_name.get("cache.get", ())
     puts = by_name.get("cache.put", ())
-    evictions = by_name.get("cache.evict", ())
-    quarantines = by_name.get("cache.quarantine", ())
-    degradations = by_name.get("cache.degraded", ())
-    if gets or puts or evictions or quarantines or degradations:
-        hits = [s for s in gets if s["attrs"].get("hit")]
+    if gets or puts or any(
+        name in by_name
+        for name in ("cache.evict", "cache.quarantine", "cache.degraded")
+    ):
+        # Counted exactly as the --metrics table counts them.
+        counts = metric_counters(spans)
         summary["cache"] = {
             "gets": len(gets),
-            "hits": len(hits),
-            "misses": len(gets) - len(hits),
-            "puts": len(puts),
-            "put_bytes": sum(s["attrs"].get("bytes", 0) for s in puts),
-            "evictions": len(evictions),
-            "evicted_bytes": sum(
-                s["attrs"].get("bytes", 0) for s in evictions
-            ),
-            "quarantined": len(quarantines),
-            "quarantined_bytes": sum(
-                s["attrs"].get("bytes", 0) for s in quarantines
-            ),
-            "degraded": bool(degradations),
+            **{
+                key: counts.get(f"cache.{key}", 0)
+                for key in ("hits", "misses", "puts", "put_bytes",
+                            "evictions", "evicted_bytes", "quarantined",
+                            "quarantined_bytes")
+            },
+            "degraded": "cache.degraded" in counts,
             "get_seconds": sum(s["dur"] for s in gets),
             "put_seconds": sum(s["dur"] for s in puts),
         }
@@ -200,6 +199,74 @@ def summarize_spans(spans: Sequence[dict]) -> dict:
         summary["chainsim"] = split
 
     return summary
+
+
+#: ``--metrics`` rows that count one record each: record name -> row.
+_COUNTED = {
+    "shard.retry": "executor.retries",
+    "pool.degraded": "executor.degraded",
+    "pool.respawn": "executor.respawns",
+    "cache.evict": "cache.evictions",
+    "cache.quarantine": "cache.quarantined",
+    "cache.degraded": "cache.degraded",
+    "cache.sum_adopted": "cache.sums_adopted",
+    "cache.put_skipped": "cache.puts_skipped_degraded",
+    "cache.io_error": "cache.io_errors",
+}
+
+#: ``--metrics`` rows that sum an attribute over the records that carry
+#: it: record name -> ((attribute, row), ...).  Both dispatch root spans
+#: carry their dispatch's spec and shard counts.
+_DISPATCH_SUMS = (
+    ("specs", "runner.specs"), ("shards", "runner.shards_dispatched"),
+)
+_SUMMED = {
+    "runner.run_many": _DISPATCH_SUMS,
+    "runner.run_system_many": _DISPATCH_SUMS,
+    "shards.retried": (("shards", "runner.shards_retried"),),
+    "shards.resumed": (("shards", "runner.shards_resumed"),),
+    "shards.failed": (("shards", "runner.shards_failed"),),
+    "cache.put": (("bytes", "cache.put_bytes"),),
+    "cache.evict": (("bytes", "cache.evicted_bytes"),),
+    "cache.quarantine": (("bytes", "cache.quarantined_bytes"),),
+}
+
+
+def metric_counters(spans: Sequence[dict]) -> Dict[str, int]:
+    """The ``--metrics`` counter table, computed from recorded spans.
+
+    Each row counts one kind of record, or sums one attribute over the
+    records that carry it, and appears once such a record exists: a
+    dispatch with nothing left to run still prints
+    ``runner.shards_dispatched 0``.  Four kinds of record are read by
+    an attribute instead: a ``cache.get``'s ``hit`` splits hits from
+    misses, a ``cache.put`` that carries ``bytes`` stored an artifact,
+    a ``shard.complete`` with ``timeout`` is a task past its deadline,
+    and a ``storage.os_error`` names its ``<component>.os_errors.<op>``
+    row.  A run's tracer holds its workers' records too, so the table
+    covers the whole run.
+    """
+    counters: Dict[str, int] = {}
+
+    def add(row: str, amount: int = 1) -> None:
+        counters[row] = counters.get(row, 0) + amount
+
+    for span in spans:
+        name, attrs = span["name"], span["attrs"]
+        if name in _COUNTED:
+            add(_COUNTED[name])
+        for attr, row in _SUMMED.get(name, ()):
+            if attr in attrs:
+                add(row, attrs[attr])
+        if name == "cache.get" and "hit" in attrs:
+            add("cache.hits" if attrs["hit"] else "cache.misses")
+        elif name == "cache.put" and "bytes" in attrs:
+            add("cache.puts")
+        elif name == "shard.complete" and attrs.get("timeout"):
+            add("executor.timeouts")
+        elif name == "storage.os_error":
+            add(f"{attrs['component']}.os_errors.{attrs['op']}")
+    return counters
 
 
 # -- rendering ----------------------------------------------------------------
@@ -245,18 +312,18 @@ def render_summary(summary: dict) -> str:
             + (f" ({detail})" if detail else "")
         )
 
-    shards = summary.get("shards")
-    if shards:
-        lines.append("shards")
-        if "submitted" in shards:
+    tasks = summary.get("tasks")
+    if tasks:
+        lines.append("tasks")
+        if "submitted" in tasks:
             lines.append(
-                f"  submitted={shards['submitted']} "
-                f"completed={shards['completed']} failed={shards['failed']} "
-                f"retries={shards.get('retries', 0)}"
+                f"  submitted={tasks['submitted']} "
+                f"completed={tasks['completed']} failed={tasks['failed']} "
+                f"retries={tasks.get('retries', 0)}"
             )
         rows = [("phase", "count", "p50", "p90", "p99", "max", "total")]
         for phase in ("wall", "queue_wait", "merge_lag"):
-            stats = shards.get(phase)
+            stats = tasks.get(phase)
             if stats:
                 rows.append((
                     phase,
@@ -313,54 +380,25 @@ def render_summary(summary: dict) -> str:
     return "\n".join(lines)
 
 
-def render_metrics(snapshot: dict) -> str:
-    """Render a :meth:`MetricsRegistry.snapshot` as aligned text."""
-    from .metrics import histogram_quantile
-
-    lines: List[str] = ["metrics"]
-    counters = snapshot.get("counters", {})
-    gauges = snapshot.get("gauges", {})
-    histograms = snapshot.get("histograms", {})
-    if counters:
-        rows = [
-            (name, str(counters[name])) for name in sorted(counters)
-        ]
-        lines.append(_rows_to_table([("counter", "value")] + rows))
-    if gauges:
-        rows = [(name, str(gauges[name])) for name in sorted(gauges)]
-        lines.append(_rows_to_table([("gauge", "value")] + rows))
-    if histograms:
-        rows = [("histogram", "count", "p50", "p99", "sum")]
-        for name in sorted(histograms):
-            state = histograms[name]
-            p50 = histogram_quantile(state, 0.5)
-            p99 = histogram_quantile(state, 0.99)
-            rows.append((
-                name,
-                str(state["count"]),
-                "-" if p50 is None else _seconds(p50),
-                "-" if p99 is None else _seconds(p99),
-                _seconds(state["sum"]),
-            ))
-        lines.append(_rows_to_table(rows))
-    if len(lines) == 1:
-        lines.append("  (empty)")
-    return "\n".join(lines)
+def render_metrics(counters: Dict[str, int]) -> str:
+    """Render a :func:`metric_counters` table as aligned text."""
+    if not counters:
+        return "metrics\n  (empty)"
+    rows = [(name, str(counters[name])) for name in sorted(counters)]
+    return "metrics\n" + _rows_to_table([("counter", "value")] + rows)
 
 
 def render_cache_stats(stats: dict) -> str:
-    """Render :meth:`ResultCache.stats` output as aligned text."""
-    rows = [("stat", "value")]
-    for key in ("entries", "hits", "misses", "evictions", "quarantined",
-                "io_errors"):
-        if key in stats:
-            rows.append((key, str(stats[key])))
-    if "bytes" in stats:
-        rows.append(("bytes", _bytes(stats["bytes"])))
+    """Render what a cache directory holds, from :meth:`ResultCache.stats`.
+
+    Only the directory's entries and bytes (and a configured budget):
+    the hit, miss and eviction counts of the run that filled it live in
+    that run's ``--metrics`` table, not on disk.
+    """
+    rows = [("stat", "value"), ("entries", str(stats["entries"])),
+            ("bytes", _bytes(stats["bytes"]))]
     if stats.get("max_bytes") is not None:
         rows.append(("max_bytes", _bytes(stats["max_bytes"])))
-    if stats.get("degraded"):
-        rows.append(("degraded", "yes (pass-through after ENOSPC)"))
     return "cache stats\n" + _rows_to_table(rows)
 
 

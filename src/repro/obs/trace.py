@@ -1,8 +1,12 @@
 """Structured span tracing for the runtime.
 
 A :class:`Tracer` records *spans* — named, timed regions with
-parent/child nesting and free-form attributes — into an in-memory
-buffer that serialises to JSON-lines trace files.  The design is
+parent/child nesting and free-form attributes — and zero-duration
+*events* into an in-memory buffer that serialises to JSON-lines trace
+files.  It is the runtime's only telemetry recorder: an event marks
+each fact worth counting (a retry, an eviction, a swallowed storage
+error), so ``--metrics`` counts records instead of keeping counters
+of its own (:func:`repro.obs.report.metric_counters`).  The design is
 shaped by three hard constraints inherited from the runtime's
 doctrine:
 
@@ -15,10 +19,10 @@ doctrine:
 * **Bit-identity-neutral.**  Tracing reads clocks and counters only —
   never a random generator — so traced and untraced runs produce
   byte-identical ensembles and identical cache fingerprints.
-* **Process- and thread-safe.**  Each shard worker records into its
+* **Process- and thread-safe.**  Each task's worker records into its
   own private :class:`Tracer` (installed as a thread-local override by
   the runner's worker entry points) and ships the finished span
-  records back with the shard payload; the parent
+  records back with the task's payload; the parent
   :meth:`Tracer.ingest`\\ s them.  Buffer appends are lock-protected,
   and the active-span stack used for parent/child nesting is
   thread-local, so several threads can trace into one tracer at once.

@@ -41,11 +41,10 @@ import threading
 import time
 import uuid
 import warnings
-from typing import Optional, Union
+from typing import Any, Optional, Union
 
 from ..core.results import EnsembleResult
 from ..core.stats import StatsSummary
-from ..obs.metrics import get_metrics
 from ..obs.trace import get_tracer
 from ..sim.persistence import load_result, save_result
 from .diskchaos import crashpoint
@@ -281,9 +280,9 @@ class ResultCache:
                 write_digest(self.directory, key, actual)
             except OSError:
                 note_storage_error("cache", "sum_write")
-            metrics = get_metrics()
-            if metrics.enabled:
-                metrics.counter("cache.sums_adopted").inc()
+            tracer = get_tracer()
+            if tracer.enabled:
+                tracer.event("cache.sum_adopted", key=key[:12])
             return True
         if actual == expected:
             return True
@@ -309,21 +308,15 @@ class ResultCache:
             self.quarantined += 1
             if size and self._approx_bytes is not None:
                 self._approx_bytes = max(0, self._approx_bytes - size)
-        metrics = get_metrics()
-        if metrics.enabled:
-            metrics.counter("cache.quarantined").inc()
-            if size:
-                metrics.counter("cache.quarantined_bytes").inc(size)
         tracer = get_tracer()
         if tracer.enabled:
-            tracer.event("cache.quarantine", key=key[:12], bytes=size)
+            # Only a budgeted cache measures the bytes it moves out.
+            measured = {"bytes": size} if size else {}
+            tracer.event("cache.quarantine", key=key[:12], **measured)
 
     def _count(self, counter: str) -> None:
         with self._stats_lock:
             setattr(self, counter, getattr(self, counter) + 1)
-        metrics = get_metrics()
-        if metrics.enabled:
-            metrics.counter(f"cache.{counter}").inc()
 
     def put(
         self, key: str, result: Union[EnsembleResult, StatsSummary]
@@ -340,39 +333,39 @@ class ResultCache:
 
         A full disk (``ENOSPC``) degrades the cache to pass-through
         behind a :class:`CacheDegradedWarning`: this and every further
-        put returns the would-be path without storing anything.
+        put returns the would-be path without storing anything.  The
+        traced ``cache.put`` span carries the artifact's ``bytes`` only
+        when this put stored it.
         """
         tracer = get_tracer()
         if tracer.enabled:
             with tracer.span("cache.put", key=key[:12]) as span:
-                path = self._put(key, result)
-                try:
-                    span.set("bytes", path.stat().st_size)
-                except OSError:
-                    note_storage_error("cache", "stat")
-            return path
-        return self._put(key, result)
+                return self._put(key, result, span)
+        return self._put(key, result, None)
 
     def _put(
-        self, key: str, result: Union[EnsembleResult, StatsSummary]
+        self,
+        key: str,
+        result: Union[EnsembleResult, StatsSummary],
+        span: Optional[Any],
     ) -> pathlib.Path:
         path = self.path_for(key)
         if self.degraded:
-            metrics = get_metrics()
-            if metrics.enabled:
-                metrics.counter("cache.puts_skipped_degraded").inc()
+            tracer = get_tracer()
+            if tracer.enabled:
+                tracer.event("cache.put_skipped", key=key[:12])
             return path
         try:
-            return self._write(key, result, path)
+            return self._write(key, result, path, span)
         except OSError as error:
             if error.errno == errno.ENOSPC:
                 self._degrade(error)
                 return path
             with self._stats_lock:
                 self.io_errors += 1
-            metrics = get_metrics()
-            if metrics.enabled:
-                metrics.counter("cache.io_errors").inc()
+            tracer = get_tracer()
+            if tracer.enabled:
+                tracer.event("cache.io_error", key=key[:12])
             raise
 
     def _write(
@@ -380,6 +373,7 @@ class ResultCache:
         key: str,
         result: Union[EnsembleResult, StatsSummary],
         path: pathlib.Path,
+        span: Optional[Any],
     ) -> pathlib.Path:
         staging = self.directory / ".tmp"
         staging.mkdir(parents=True, exist_ok=True)
@@ -428,11 +422,9 @@ class ResultCache:
                 note_storage_error("cache", "staging_cleanup")
             raise
         _fsync_path(self.directory, point="cache.put.dirsync")
-        metrics = get_metrics()
-        if metrics.enabled:
-            metrics.counter("cache.puts").inc()
+        if span is not None:
             try:
-                metrics.counter("cache.put_bytes").inc(path.stat().st_size)
+                span.set("bytes", path.stat().st_size)
             except OSError:
                 note_storage_error("cache", "stat")
         if self.max_bytes is not None:
@@ -464,9 +456,6 @@ class ResultCache:
             CacheDegradedWarning,
             stacklevel=4,
         )
-        metrics = get_metrics()
-        if metrics.enabled:
-            metrics.counter("cache.degraded").inc()
         tracer = get_tracer()
         if tracer.enabled:
             tracer.event("cache.degraded")
@@ -520,9 +509,6 @@ class ResultCache:
                 clear_digest(self.directory, path.stem)
                 total -= size
                 self._count("evictions")
-                metrics = get_metrics()
-                if metrics.enabled:
-                    metrics.counter("cache.evicted_bytes").inc(size)
                 if tracer.enabled:
                     tracer.event(
                         "cache.evict", key=path.stem[:12], bytes=size

@@ -44,7 +44,6 @@ import warnings
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 from .._validation import ensure_positive_int
-from ..obs.metrics import get_metrics
 from ..obs.trace import get_tracer
 from .faults import (
     PoolDegradedWarning,
@@ -187,6 +186,12 @@ class Executor:
         Optional ``callback(task_index, attempt)`` fired once per
         retry — the runner uses it to keep its retry tally without
         double-counting shards.
+
+    Under an enabled tracer the stream records each attempt's
+    ``shard.submit`` and ``shard.complete`` events (``timeout=True`` or
+    ``crashed=True`` on a task the pool lost) and a ``shard.retry``,
+    ``pool.respawn`` or ``pool.degraded`` event where one happens;
+    ``--metrics`` counts those records.
     """
 
     workers: int = 1
@@ -255,9 +260,6 @@ class Executor:
             tracer.event(
                 "shard.retry", task=index, attempt=attempt, delay=delay
             )
-        metrics = get_metrics()
-        if metrics.enabled:
-            metrics.counter("executor.retries").inc()
         listener = self.retry_listener
         if listener is not None:
             listener(index, attempt)
@@ -354,9 +356,6 @@ class Executor:
             tracer.event(
                 "pool.degraded", reason=reason, remaining=len(remaining)
             )
-        metrics = get_metrics()
-        if metrics.enabled:
-            metrics.counter("executor.degraded").inc()
         for index, attempt in remaining:
             yield self._run_with_retries(
                 fn, tasks[index], index, first_attempt=attempt
@@ -457,7 +456,6 @@ class MultiprocessingExecutor(Executor):
         window = _resolve_window(window, pool_size)
         timeout = self.timeout
         tracer = get_tracer()
-        metrics = get_metrics()
         context = multiprocessing.get_context(self.start_method)
         completions: "queue.SimpleQueue" = queue.SimpleQueue()
         total = len(tasks)
@@ -551,8 +549,6 @@ class MultiprocessingExecutor(Executor):
             for index in list(in_flight):
                 attempt, _ = in_flight.pop(index)
                 if index in expired:
-                    if metrics.enabled:
-                        metrics.counter("executor.timeouts").inc()
                     if tracer.enabled:
                         tracer.event(
                             "shard.complete", task=index, ok=False,
@@ -594,8 +590,6 @@ class MultiprocessingExecutor(Executor):
                     "pool.respawn", crashed=crashed, expired=len(expired),
                     resubmitted=len(innocents),
                 )
-            if metrics.enabled:
-                metrics.counter("executor.respawns").inc()
             # Innocent resubmissions bypass the window gate: their
             # indices are already counted in `submitted`/`unfinal`.
             for index, attempt in innocents:

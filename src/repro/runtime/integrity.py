@@ -43,7 +43,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple, Union
 
-from ..obs.metrics import get_metrics
+from ..obs.trace import get_tracer
 from ..sim.persistence import load_result
 from .diskchaos import crashpoint
 
@@ -86,15 +86,17 @@ class CacheDegradedWarning(RuntimeWarning):
 
 
 def note_storage_error(component: str, op: str) -> None:
-    """Count a swallowed storage error so "best effort" is never silent.
+    """Record a swallowed storage error so "best effort" is never silent.
 
     Every ``except OSError`` in the storage layer that chooses to carry
     on must at least leave this breadcrumb — the EXC004 lint rule
-    rejects handlers that drop the error without it.
+    rejects handlers that drop the error without it.  Traced, it is a
+    ``storage.os_error`` event, counted as ``<component>.os_errors.<op>``
+    by ``--metrics``.
     """
-    metrics = get_metrics()
-    if metrics.enabled:
-        metrics.counter(f"{component}.os_errors.{op}").inc()
+    tracer = get_tracer()
+    if tracer.enabled:
+        tracer.event("storage.os_error", component=component, op=op)
 
 
 # -- digest sidecars -----------------------------------------------------------

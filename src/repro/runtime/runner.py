@@ -45,7 +45,6 @@ from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 from .._validation import ensure_positive_int
 from ..core.results import EnsembleResult, MergeAccumulator
 from ..obs import ShardEnvelope, ingest_envelope
-from ..obs.metrics import MetricsRegistry, get_metrics, using_worker_metrics
 from ..obs.trace import Tracer, get_tracer, using_worker_tracer
 from ..sim.rng import RandomSource, SeedLike
 from .cache import ResultCache
@@ -132,21 +131,21 @@ def _shard_source(shard: Shard) -> RandomSource:
 
 
 def _run_task(body, task: _Task, kind: str) -> Any:
-    """Run one task, under a fresh worker-local tracer and registry when
-    the dispatch is traced.
+    """Run one task, under a fresh worker-local tracer when the dispatch
+    is traced.
 
     The worker must not record into a forked copy of the parent's
     tracer (its buffer dies with the child) nor — on the serial
     backend — into the parent's live tracer (the shipped spans would
-    then be ingested twice).  A private pair, installed as thread-local
-    overrides so nested kernel/cache/chainsim instrumentation lands in
-    it, sidesteps both; the envelope carries everything home.
+    then be ingested twice).  A private tracer, installed as a
+    thread-local override so nested kernel/cache/chainsim
+    instrumentation lands in it, sidesteps both; the envelope carries
+    its records home.
     """
     if task.index is None:
         return body(task.members)
     tracer = Tracer()
-    metrics = MetricsRegistry()
-    with using_worker_tracer(tracer), using_worker_metrics(metrics):
+    with using_worker_tracer(tracer):
         with tracer.span(
             "shard.run",
             task=task.index,
@@ -155,7 +154,7 @@ def _run_task(body, task: _Task, kind: str) -> Any:
             kind=kind,
         ):
             payload = body(task.members)
-    return ShardEnvelope(payload, tracer.drain(), metrics.snapshot())
+    return ShardEnvelope(payload, tracer.drain())
 
 
 def _run_engine(engine, spec: SimulationSpec):
@@ -210,8 +209,8 @@ def _run_simulation_shard(task: _Task) -> Any:
 
     Returns the list of the task's shard parts in member order; on a
     traced dispatch it comes wrapped in a
-    :class:`~repro.obs.ShardEnvelope` carrying the worker's spans and
-    metrics alongside.
+    :class:`~repro.obs.ShardEnvelope` carrying the worker's spans
+    alongside.
     """
     return _run_task(_simulation_task_body, task, "sim")
 
@@ -413,9 +412,9 @@ class ParallelRunner:
         shards = tasks[index].shard_count if 0 <= index < len(tasks) else 1
         with self._retry_lock:
             self.shards_retried += shards
-        metrics = get_metrics()
-        if metrics.enabled:
-            metrics.counter("runner.shards_retried").inc(shards)
+        tracer = get_tracer()
+        if tracer.enabled:
+            tracer.event("shards.retried", task=index, shards=shards)
         note = getattr(self.progress, "retry", None)
         if note is not None:
             note(index, attempt)
@@ -568,7 +567,6 @@ class ParallelRunner:
         folds = 0
         first_pending: dict = {}
         duplicates: List[Tuple[int, int, str]] = []
-        metrics = get_metrics()
         for position, (spec, total) in enumerate(entries):
             plan = plan_shards(
                 total,
@@ -624,9 +622,6 @@ class ParallelRunner:
             root.set("tasks", len(tasks))
             root.set("shards", len(pending))
             root.set("cached_specs", len(entries) - folds - len(duplicates))
-        if metrics.enabled:
-            metrics.counter("runner.specs").inc(len(entries))
-            metrics.counter("runner.shards_dispatched").inc(len(pending))
         try:
             if tasks:
                 self._streaming.tasks = tasks
@@ -678,9 +673,11 @@ class ParallelRunner:
         if recovered:
             with self._retry_lock:
                 self.shards_resumed += len(recovered)
-            metrics = get_metrics()
-            if metrics.enabled:
-                metrics.counter("runner.shards_resumed").inc(len(recovered))
+            tracer = get_tracer()
+            if tracer.enabled:
+                tracer.event(
+                    "shards.resumed", key=key[:12], shards=len(recovered)
+                )
         return recovered
 
     def _finish(self, fold: _Fold, merged) -> None:
@@ -724,7 +721,6 @@ class ParallelRunner:
         failures: List[Tuple[Tuple[int, int], str, str]] = []
         arrived = [False] * len(tasks)
         tracer = get_tracer()
-        metrics = get_metrics()
         total = sum(len(members) for members in routes)
         done = 0
         for index, ok, payload in self.executor.stream(shard_fn, tasks):
@@ -778,8 +774,10 @@ class ParallelRunner:
                 failed = [
                     (fold, ordinal, error, trace) for fold, ordinal in members
                 ]
-                if metrics.enabled:
-                    metrics.counter("runner.shards_failed").inc(len(members))
+                if tracer.enabled:
+                    tracer.event(
+                        "shards.failed", task=index, shards=len(members)
+                    )
             for fold, ordinal, error, trace in failed:
                 failures.append(((fold.position, ordinal), error, trace))
                 fold.failed = True

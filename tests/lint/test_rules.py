@@ -36,7 +36,6 @@ CASES = {
     "PKL002": "repro/runtime/faults.py",
     "PKL003": "repro/runtime/faults.py",
     "LCK001": "repro/runtime/cache.py",
-    "LCK002": "repro/obs/metrics.py",
     "EXC001": "repro/runtime/executor.py",
     "EXC002": "repro/runtime/executor.py",
     "EXC003": "repro/runtime/executor.py",

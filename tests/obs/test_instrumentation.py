@@ -21,12 +21,10 @@ import pytest
 
 from repro.core.miners import Allocation
 from repro.obs import (
-    MetricsRegistry,
     ShardEnvelope,
     Tracer,
     ingest_envelope,
     read_trace,
-    using_metrics,
     using_tracer,
     validate_trace,
 )
@@ -63,7 +61,7 @@ class TestBitIdentityNeutrality:
     def test_traced_run_matches_untraced(self, workers):
         specs = make_specs()
         baseline = ParallelRunner(workers=workers).run_many(specs, shards=4)
-        with using_tracer(Tracer()), using_metrics(MetricsRegistry()):
+        with using_tracer(Tracer()):
             traced = ParallelRunner(workers=workers).run_many(
                 specs, shards=4
             )
@@ -86,7 +84,7 @@ class TestFingerprintDoctrine:
     def test_fingerprint_identical_with_tracer_on_and_off(self):
         spec = make_specs()[0]
         cold = spec_fingerprint(spec, shards=4)
-        with using_tracer(Tracer()), using_metrics(MetricsRegistry()):
+        with using_tracer(Tracer()):
             hot = spec_fingerprint(spec, shards=4)
         assert cold == hot
 
@@ -199,26 +197,22 @@ class TestEnvelopeTransport:
         tracer = Tracer()
         with tracer.span("shard.run", task=0):
             pass
-        registry = MetricsRegistry()
-        registry.counter("c").inc(2)
-        envelope = ShardEnvelope("payload", tracer.drain(), registry.snapshot())
+        tracer.event("shards.failed", task=0, shards=2)
+        envelope = ShardEnvelope("payload", tracer.drain())
         clone = pickle.loads(pickle.dumps(envelope))
         assert clone.payload == "payload"
-        assert clone.spans[0]["name"] == "shard.run"
-        assert clone.metrics["counters"] == {"c": 2}
+        assert [s["name"] for s in clone.spans] == ["shard.run", "shards.failed"]
+        assert clone.spans[1]["attrs"]["shards"] == 2
 
     def test_ingest_envelope_folds_into_ambient_telemetry(self):
         worker = Tracer()
         with worker.span("shard.run", task=0):
             pass
-        registry = MetricsRegistry()
-        registry.counter("c").inc(3)
-        envelope = ShardEnvelope(42, worker.drain(), registry.snapshot())
-        parent_tracer, parent_metrics = Tracer(), MetricsRegistry()
-        with using_tracer(parent_tracer), using_metrics(parent_metrics):
+        envelope = ShardEnvelope(42, worker.drain())
+        parent_tracer = Tracer()
+        with using_tracer(parent_tracer):
             assert ingest_envelope(envelope) == 42
         assert [s["name"] for s in parent_tracer.spans] == ["shard.run"]
-        assert parent_metrics.counter("c").value == 3
 
     def test_ingest_envelope_passes_bare_payloads_through(self):
         assert ingest_envelope("bare") == "bare"

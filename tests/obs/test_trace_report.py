@@ -6,6 +6,7 @@ import pytest
 
 from repro.obs.report import (
     main,
+    metric_counters,
     percentile,
     render_cache_stats,
     render_metrics,
@@ -79,23 +80,23 @@ class TestSummarizeSpans:
 
     def test_shard_phases_join_on_task(self):
         summary = summarize_spans(_shard_phase_spans())
-        shards = summary["shards"]
-        assert shards["submitted"] == 2
-        assert shards["completed"] == 2
-        assert shards["failed"] == 0
-        assert shards["wall"]["count"] == 2
-        assert shards["wall"]["max"] == 3.0
+        section = summary["tasks"]
+        assert section["submitted"] == 2
+        assert section["completed"] == 2
+        assert section["failed"] == 0
+        assert section["wall"]["count"] == 2
+        assert section["wall"]["max"] == 3.0
         # queue wait = run.ts - submit.ts = 1.0 for both shards
-        assert shards["queue_wait"]["p50"] == pytest.approx(1.0)
+        assert section["queue_wait"]["p50"] == pytest.approx(1.0)
         # merge lag = merge.ts - (run.ts + run.dur) = 0.25 for both
-        assert shards["merge_lag"]["max"] == pytest.approx(0.25)
+        assert section["merge_lag"]["max"] == pytest.approx(0.25)
 
     def test_failed_shards_counted(self):
         spans = [
             _span("shard.complete", task=0, ok=False),
             _span("shard.complete", task=1, ok=True),
         ]
-        assert summarize_spans(spans)["shards"]["failed"] == 1
+        assert summarize_spans(spans)["tasks"]["failed"] == 1
 
     def test_retried_shards_tally_without_double_counting(self):
         # Shard 0 is submitted twice (a retry) but must count once in
@@ -109,18 +110,18 @@ class TestSummarizeSpans:
             _span("shard.submit", ts=0.0, task=1, attempt=1),
             _span("shard.complete", ts=1.0, task=1, ok=True),
         ]
-        shards = summarize_spans(spans)["shards"]
-        assert shards["submitted"] == 2
-        assert shards["completed"] == 2
-        assert shards["retries"] == 1
+        section = summarize_spans(spans)["tasks"]
+        assert section["submitted"] == 2
+        assert section["completed"] == 2
+        assert section["retries"] == 1
 
     def test_negative_cross_process_deltas_clamp_to_zero(self):
         spans = [
             _span("shard.submit", ts=5.0, task=0),
             _span("shard.run", ts=4.9, dur=1.0, task=0),  # skewed clock
         ]
-        shards = summarize_spans(spans)["shards"]
-        assert shards["queue_wait"]["p50"] == 0.0
+        section = summarize_spans(spans)["tasks"]
+        assert section["queue_wait"]["p50"] == 0.0
 
     def test_cache_section(self):
         spans = [
@@ -137,6 +138,14 @@ class TestSummarizeSpans:
         assert cache["put_bytes"] == 1000
         assert cache["evictions"] == 1
         assert cache["evicted_bytes"] == 400
+
+    def test_cache_puts_count_only_stored_artifacts(self):
+        spans = [
+            _span("cache.put", dur=0.05, bytes=1000),
+            _span("cache.put", dur=0.01),  # a degraded cache stored nothing
+        ]
+        cache = summarize_spans(spans)["cache"]
+        assert (cache["puts"], cache["put_bytes"]) == (1, 1000)
 
     def test_kernel_split_by_mode(self):
         spans = [
@@ -185,12 +194,78 @@ class TestSummarizeSpans:
                 runner.run_many([spec], shards=shards)
         summary = summarize_spans(tracer.spans)
         assert [run["attrs"]["shards"] for run in summary["runs"]] == [4, 3]
-        shards = summary["shards"]
-        assert shards["submitted"] == tasks
-        assert shards["completed"] == tasks
-        assert shards["wall"]["count"] == tasks
-        assert shards["queue_wait"]["count"] == tasks
-        assert shards["merge_lag"]["count"] == tasks
+        section = summary["tasks"]
+        assert section["submitted"] == tasks
+        assert section["completed"] == tasks
+        assert section["wall"]["count"] == tasks
+        assert section["queue_wait"]["count"] == tasks
+        assert section["merge_lag"]["count"] == tasks
+
+
+class TestMetricCounters:
+    def test_every_row_reads_its_records(self):
+        spans = [
+            _span("runner.run_many", dur=2.0, specs=3, shards=5, tasks=2),
+            _span("runner.run_system_many", dur=1.0, specs=1, shards=2),
+            _span("shards.retried", task=0, shards=3),
+            _span("shards.resumed", key="k", shards=2),
+            _span("shards.failed", task=1, shards=3),
+            _span("shard.retry", task=0, attempt=1),
+            _span("shard.complete", task=1, ok=False, timeout=True),
+            _span("shard.complete", task=1, ok=False, crashed=True),
+            _span("pool.respawn", crashed=False, expired=1),
+            _span("pool.degraded", reason="hung worker", remaining=1),
+            _span("cache.get", hit=True),
+            _span("cache.get", hit=False),
+            _span("cache.get", hit=False),
+            _span("cache.put", bytes=100),
+            _span("cache.put"),  # a degraded cache stored nothing
+            _span("cache.put_skipped"),
+            _span("cache.evict", bytes=40),
+            _span("cache.quarantine", bytes=7),
+            _span("cache.quarantine"),  # unbudgeted: bytes not measured
+            _span("cache.degraded"),
+            _span("cache.sum_adopted"),
+            _span("cache.io_error"),
+            _span("storage.os_error", component="cache", op="fsync"),
+            _span("storage.os_error", component="cache", op="fsync"),
+            _span("storage.os_error", component="journal", op="append"),
+            _span("shard.run", dur=1.0, task=0),  # counted by no row
+        ]
+        assert metric_counters(spans) == {
+            "runner.specs": 4,
+            "runner.shards_dispatched": 7,
+            "runner.shards_retried": 3,
+            "runner.shards_resumed": 2,
+            "runner.shards_failed": 3,
+            "executor.retries": 1,
+            "executor.timeouts": 1,
+            "executor.respawns": 1,
+            "executor.degraded": 1,
+            "cache.hits": 1,
+            "cache.misses": 2,
+            "cache.puts": 1,
+            "cache.put_bytes": 100,
+            "cache.puts_skipped_degraded": 1,
+            "cache.evictions": 1,
+            "cache.evicted_bytes": 40,
+            "cache.quarantined": 2,
+            "cache.quarantined_bytes": 7,
+            "cache.degraded": 1,
+            "cache.sums_adopted": 1,
+            "cache.io_errors": 1,
+            "cache.os_errors.fsync": 2,
+            "journal.os_errors.append": 1,
+        }
+
+    def test_a_dispatch_with_nothing_to_run_keeps_its_rows(self):
+        spans = [_span("runner.run_many", specs=2, shards=0, tasks=0)]
+        assert metric_counters(spans) == {
+            "runner.specs": 2, "runner.shards_dispatched": 0,
+        }
+
+    def test_no_records_no_rows(self):
+        assert metric_counters([]) == {}
 
 
 class TestRendering:
@@ -202,7 +277,7 @@ class TestRendering:
             _span("kernel.advance", dur=1.0, mode="batched", rounds=100),
         ]
         text = render_summary(summarize_spans(spans))
-        for token in ("runner.run_many", "shards", "wall", "queue_wait",
+        for token in ("runner.run_many", "tasks", "wall", "queue_wait",
                       "cache", "kernel", "batched"):
             assert token in text
 
@@ -214,34 +289,28 @@ class TestRendering:
         text = render_summary(summarize_spans(spans))
         assert "retries=2" in text
 
-    def test_render_metrics_lists_all_instrument_kinds(self):
-        snapshot = {
-            "counters": {"cache.hits": 3},
-            "gauges": {"inflight": 2},
-            "histograms": {
-                "lat": {
-                    "boundaries": [1.0], "buckets": [2, 0],
-                    "count": 2, "sum": 0.5,
-                }
-            },
-        }
-        text = render_metrics(snapshot)
-        for token in ("cache.hits", "inflight", "lat", "3", "2"):
-            assert token in text
+    def test_render_metrics_lists_counters_in_name_order(self):
+        text = render_metrics({"runner.specs": 4, "cache.hits": 3})
+        assert text.splitlines() == [
+            "metrics",
+            "  counter       value",
+            "  cache.hits    3",
+            "  runner.specs  4",
+        ]
 
     def test_render_metrics_empty(self):
-        assert "(empty)" in render_metrics(
-            {"counters": {}, "gauges": {}, "histograms": {}}
-        )
+        assert "(empty)" in render_metrics({})
 
     def test_render_cache_stats(self):
         text = render_cache_stats({
             "hits": 5, "misses": 2, "evictions": 1,
             "entries": 4, "bytes": 2048, "max_bytes": 1 << 20,
         })
-        for token in ("hits", "misses", "evictions", "entries",
-                      "2.0KiB", "1.0MiB"):
+        for token in ("entries", "2.0KiB", "1.0MiB"):
             assert token in text
+        # A fresh cache object's hit and eviction counts are always zero.
+        for gone in ("hits", "misses", "evictions"):
+            assert gone not in text
 
 
 class TestCLI:

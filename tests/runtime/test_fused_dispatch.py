@@ -353,3 +353,16 @@ class TestTraceShowsWidth:
         ]
         text = render_summary(summarize_spans(tracer.spans))
         assert "shards=20" in text and "tasks=3" in text
+
+    def test_phase_section_counts_tasks_not_shards(self):
+        tracer = Tracer()
+        with using_tracer(tracer):
+            ParallelRunner(workers=1).run_many(grid("stats"), shards=SHARDS)
+        summary = summarize_spans(tracer.spans)
+        (run,) = summary["runs"]
+        assert (run["attrs"]["shards"], run["attrs"]["tasks"]) == (20, 3)
+        assert "shards" not in summary
+        section = summary["tasks"]
+        assert (section["submitted"], section["completed"]) == (3, 3)
+        assert section["wall"]["count"] == 3
+        assert "\ntasks\n  submitted=3 completed=3 " in render_summary(summary)

@@ -30,9 +30,119 @@ __all__ = [
     "EnsembleState",
     "IncentiveProtocol",
     "StakeLotteryProtocol",
+    "binomial_from_uniforms",
     "sample_winners",
     "winners_from_uniforms",
 ]
+
+
+def _cdf_rows(n: int, p: float, u: float) -> int:
+    """Rows ``0..k`` of the Bin(n, p) CDF up to the first entry >= u.
+
+    The scalar run of :func:`binomial_from_uniforms`'s recurrence at one
+    ``(p, u)``; at most ``n`` rows, the most the inversion ever reads.
+    """
+    q = 1.0 - p
+    ratio = p / q
+    pmf = cdf = q**n
+    k = 0
+    while cdf < u and k < n - 1:
+        k += 1
+        pmf = (n - k + 1) / k * ratio * pmf
+        cdf += pmf
+    return k + 1
+
+
+def binomial_from_uniforms(
+    n: int,
+    p: np.ndarray,
+    draws: np.ndarray,
+    *,
+    out: Optional[np.ndarray] = None,
+    scratch: Optional[Any] = None,
+) -> np.ndarray:
+    """Bin(n, p) draws by inversion, one given uniform per row.
+
+    Per row, with ``p' = min(p, 1 - p)`` and ``q' = 1 - p'``: the pmf
+    runs ``pmf_0 = q'**n``, ``pmf_k = pmf_{k-1} * ((n - k + 1) / k) *
+    (p' / q')``; ``F_k`` is its running sum and the draw is ``X = #{k <
+    n : F_k < u}``, or ``n - X`` where ``p > 1/2``.  That is NumPy's own
+    binomial inversion, which it uses while ``n * p' <= 30`` and which
+    consumes one uniform per row, so over ``rng.random(len(p))`` this
+    reproduces ``rng.binomial(n, p)`` there — up to CDF rounding for a
+    uniform within about 1e-15 of a step, and except at ``p == 0``,
+    where NumPy draws no uniform.  Above 30 NumPy switches to BTPE
+    rejection; the law stays exact, the draws differ.
+
+    CDF rows are built only up to a bound set by the largest ``p'`` and
+    the largest uniform (the CDF falls as ``p`` rises), then extended
+    while any row's uniform still lies above its last row.  A row's
+    draw therefore depends on its own ``(p, u)`` alone, never on the
+    rows that share the call.
+
+    Parameters
+    ----------
+    n:
+        Number of Bernoulli trials per draw; ``q'**n`` must stay a
+        normal double, which ``n <= 1000`` guarantees.
+    p:
+        Success probabilities in ``[0, 1]``, shape ``(rows,)``.
+    draws:
+        Uniform variates in ``[0, 1)``, shape ``(rows,)``.
+    out:
+        Optional integer array of shape ``(rows,)`` for the result.
+    scratch:
+        Optional :class:`~repro.sim.kernels.ScratchBuffers` to draw the
+        work arrays from; fresh arrays otherwise.
+    """
+    rows = p.shape[0]
+
+    def buffer(name, shape, dtype=np.float64):
+        if scratch is None:
+            return np.empty(shape, dtype)
+        return scratch.get(name, shape, dtype)
+
+    if out is None:
+        out = np.empty(rows, np.int64)
+    low = buffer("binomial_low", (rows,))
+    np.subtract(1.0, p, out=low)
+    np.minimum(p, low, out=low)  # p'
+    ratio = buffer("binomial_ratio", (rows,))
+    np.subtract(1.0, low, out=ratio)  # q'
+    cdf = buffer("binomial_cdf", (n, rows))
+    np.power(ratio, n, out=cdf[0])  # pmf_0 = F_0
+    np.divide(low, ratio, out=ratio)  # p' / q'
+    below = buffer("binomial_below", (n, rows), np.bool_)
+    pmf = buffer("binomial_pmf", (rows,))
+    built = 1
+    needed = _cdf_rows(n, low.max(initial=0.0), draws.max(initial=0.0))
+    previous = cdf[0]
+    while True:
+        # Rows built..needed-1 first hold the pmf factors, then F_k.
+        k = np.arange(built, needed, dtype=np.float64)[:, None]
+        np.multiply((n + 1 - k) / k, ratio, out=cdf[built:needed])
+        for row in range(built, needed):
+            np.multiply(cdf[row], previous, out=pmf)
+            np.add(cdf[row - 1], pmf, out=cdf[row])
+            previous = pmf
+        built = needed
+        np.less(cdf[:needed], draws, out=below[:needed])
+        if needed == n or not below[needed - 1].any():
+            break
+        needed += 1
+    # Count the flags as bytes (a bool-to-int64 reduce casts every
+    # element): at most 255 rows per pass cannot overflow a byte.
+    flags = below.view(np.uint8)
+    count = buffer("binomial_count", (rows,), np.uint8)
+    np.add.reduce(flags[:min(needed, 255)], axis=0, out=count)
+    np.copyto(out, count)
+    for start in range(255, needed, 255):
+        np.add.reduce(flags[start:min(start + 255, needed)], axis=0, out=count)
+        np.add(out, count, out=out)
+    flip = buffer("binomial_flip", (rows,), np.bool_)
+    np.greater(p, 0.5, out=flip)
+    np.subtract(n, out, out=out, where=flip)
+    return out
 
 
 def winners_from_uniforms(

@@ -26,9 +26,19 @@ from .._validation import (
     ensure_positive_int,
 )
 from ..core.miners import Allocation
-from .base import EnsembleState, IncentiveProtocol, winners_from_uniforms
+from .base import (
+    EnsembleState,
+    IncentiveProtocol,
+    binomial_from_uniforms,
+    winners_from_uniforms,
+)
 
 __all__ = ["CompoundPoS", "BlockGranularCompoundPoS"]
+
+#: Most shards :class:`CompoundPoS` accepts.  Its inversion draw starts
+#: from ``q'**P >= 2**-P``, which must stay a normal double: at 1,100
+#: shards and ``q' = 1/2`` it underflows to 0 and every draw would be P.
+MAX_SHARDS = 1000
 
 
 class CompoundPoS(IncentiveProtocol):
@@ -43,11 +53,21 @@ class CompoundPoS(IncentiveProtocol):
         sets ``v ~ 20 w`` (Section 2.4 remark); the paper's experiments
         use ``v = 10 w``.
     shards:
-        Shard count ``P`` per epoch (32 in Ethereum 2.0).
+        Shard count ``P`` per epoch (32 in Ethereum 2.0), at most
+        :data:`MAX_SHARDS`.
     vote_participation:
         Fraction of attesters online (``vote`` in Section 2.4, usually
         close to 1).  Scales the inflation actually paid; the unpaid
         remainder is simply not issued, mirroring Ethereum's behaviour.
+
+    Notes
+    -----
+    The proposer draw, in this step and in the fused kernel
+    (:mod:`repro.sim.kernels`) alike: two miners invert one uniform per
+    trial-epoch through
+    :func:`~repro.protocols.base.binomial_from_uniforms` (miner A's
+    wins; miner B takes the rest), more miners draw
+    ``rng.multinomial(P, shares)``, and ``shards`` is at most 1,000.
     """
 
     round_unit = "epoch"
@@ -67,6 +87,10 @@ class CompoundPoS(IncentiveProtocol):
             "inflation_reward", inflation_reward
         )
         self.shards = ensure_positive_int("shards", shards)
+        if self.shards > MAX_SHARDS:
+            raise ValueError(
+                f"shards must be at most {MAX_SHARDS}, got {self.shards}"
+            )
         if not 0.0 < vote_participation <= 1.0:
             raise ValueError("vote_participation must be in (0, 1]")
         self.vote_participation = float(vote_participation)
@@ -95,10 +119,13 @@ class CompoundPoS(IncentiveProtocol):
     def step(self, state: EnsembleState, rng: np.random.Generator) -> None:
         shares = state.stake_shares()
         # Proposer lottery: P shard proposers drawn proportionally.
-        # Keep multinomial even for two miners: this step is the
-        # reference the two-miner kernel's rng.binomial draw is tested
-        # against (see the repro.sim.kernels module docstring).
-        shard_wins = rng.multinomial(self.shards, shares)
+        if state.miners == 2:
+            wins = binomial_from_uniforms(
+                self.shards, shares[:, 0], rng.random(state.trials)
+            )
+            shard_wins = np.stack((wins, self.shards - wins), axis=1)
+        else:
+            shard_wins = rng.multinomial(self.shards, shares)
         proposer_income = self._proposer_reward * shard_wins / self.shards
         # Inflation: exactly proportional to current stakes.
         inflation_income = self.inflation_reward * shares

@@ -774,10 +774,8 @@ class ParallelRunner:
                 failed = [
                     (fold, ordinal, error, trace) for fold, ordinal in members
                 ]
-                if tracer.enabled:
-                    tracer.event(
-                        "shards.failed", task=index, shards=len(members)
-                    )
+            if failed and tracer.enabled:
+                tracer.event("shards.failed", task=index, shards=len(failed))
             for fold, ordinal, error, trace in failed:
                 failures.append(((fold.position, ordinal), error, trace))
                 fold.failed = True

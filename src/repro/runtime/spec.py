@@ -41,8 +41,9 @@ __all__ = [
     "spec_fingerprint",
 ]
 
-#: Bump when the canonical form (and hence every cache key) changes.
-_FINGERPRINT_VERSION = 1
+#: Bump when the canonical form (and hence every cache key) changes,
+#: or when a protocol's draws change.
+_FINGERPRINT_VERSION = 2
 
 
 def as_seed_sequence(seed: SeedLike) -> np.random.SeedSequence:

@@ -26,19 +26,16 @@ while staying **bit-identical** to the per-round loop:
   masked add, the non-winning lanes receive ``+0.0``, which is a
   bitwise no-op for the non-negative stakes/rewards arrays.
 * **Identical sampler calls** — kernels draw only through
-  ``rng.random``, ``rng.multinomial`` and ``rng.binomial``.  The naive
-  loop never calls ``binomial``; the two-miner C-PoS kernel does,
-  because for two columns ``rng.multinomial(P, shares)`` makes one
-  C-level binomial draw per row, on ``shares[:, 0]``, and sets column
-  1 to ``P`` minus it — exactly the draws ``rng.binomial(P,
-  shares[:, 0])`` makes, in the same order.  That identity lives in
-  NumPy, not here: ``test_c_pos_two_miner_binomial_on_every_branch``
-  pins it on every branch of NumPy's binomial sampler, so a NumPy
-  release that breaks it fails that test rather than silently
-  changing bits.  Do not switch the naive ``CompoundPoS.step`` to
-  ``binomial`` as well: it is the reference the differential tests
-  compare against, and it would then agree with the kernel whatever
-  NumPy does.
+  ``rng.random`` and ``rng.multinomial``, as the naive loop does.  The
+  two-miner C-PoS proposer draw is
+  :func:`~repro.protocols.base.binomial_from_uniforms` over one uniform
+  per trial-epoch in both paths: the naive step calls
+  ``rng.random(trials)`` every epoch, the kernel reads the same
+  uniforms from its pre-drawn blocks.  While ``P * min(share, 1 -
+  share) <= 30`` (every figure's 32 shards) that inversion makes the
+  draws NumPy's two-column ``rng.multinomial(P, shares)`` made before
+  it; ``test_c_pos_two_miner_draws_match_multinomial`` pins this
+  against a test-local multinomial loop.
 
 Kernels are registered per concrete protocol class.  Lookup is by
 *exact type* (plus explicitly registered aliases such as
@@ -62,6 +59,7 @@ from ..obs.trace import get_tracer
 from ..protocols.base import (
     EnsembleState,
     IncentiveProtocol,
+    binomial_from_uniforms,
     winners_from_uniforms,
 )
 from ..protocols.c_pos import BlockGranularCompoundPoS, CompoundPoS
@@ -137,9 +135,11 @@ class ScratchBuffers:
         self, name: str, shape: Tuple[int, ...], dtype=np.float64
     ) -> np.ndarray:
         """The buffer registered under ``name``, allocating on demand."""
+        array = self._arrays.get(name)
+        if array is not None and array.shape == shape and array.dtype == dtype:
+            return array  # the per-epoch path: no normalising on a hit
         shape = tuple(int(s) for s in shape)
         dtype = np.dtype(dtype)
-        array = self._arrays.get(name)
         if array is None or array.shape != shape or array.dtype != dtype:
             array = np.empty(shape, dtype=dtype)
             self._arrays[name] = array
@@ -633,14 +633,16 @@ def _advance_fsl_pos(protocol, state, rounds, rng, scratch, chunk):
 # -- compound PoS -------------------------------------------------------------
 
 
-def _advance_c_pos_two(protocol, state, rounds, rng, scratch):
+def _advance_c_pos_two(protocol, state, rounds, rng, scratch, chunk):
     """Two-miner C-PoS fast path: every headline C-PoS figure.
 
-    One ``rng.binomial(P, share_a)`` draw per epoch, with ``P -
-    wins_a`` credited to miner B, makes the naive loop's two-column
-    ``rng.multinomial`` draws and leaves the generator where it does
-    (module docstring, "Identical sampler calls").  The rest is the
-    naive arithmetic on contiguous ``(2, trials)`` rows:
+    Miner A's shard wins are :func:`binomial_from_uniforms` over one
+    pre-drawn uniform per trial-epoch, and miner B takes the other ``P -
+    wins_a`` — the naive step's draw (module docstring, "Identical
+    sampler calls").  Its uniforms come in blocks like every other
+    kernel's, so a fused task fills each member's rows with one
+    ``random(out=)`` per block and inverts the whole width at once.
+    The rest is the naive arithmetic on contiguous ``(2, trials)`` rows:
     ``stakes.sum(axis=1)`` for two columns is ``s0 + s1``, bitwise."""
     trials = state.trials
     proposer_reward = protocol.proposer_reward
@@ -658,17 +660,22 @@ def _advance_c_pos_two(protocol, state, rounds, rng, scratch):
     wins_a, wins_b = wins_t[0], wins_t[1]
     income_t = scratch.get("cpos2_income_t", (2, trials))
     inflation_t = scratch.get("cpos2_inflation_t", (2, trials))
-    for _ in range(rounds):
-        np.add(stake_a, stake_b, out=total)
-        np.divide(stakes_t, total, out=shares_t)
-        wins_a[...] = rng.binomial(shards, share_a)
-        np.subtract(shards, wins_a, out=wins_b)
-        np.multiply(wins_t, proposer_reward, out=income_t)
-        np.divide(income_t, shards, out=income_t)
-        np.multiply(shares_t, inflation_reward, out=inflation_t)
-        np.add(income_t, inflation_t, out=income_t)
-        np.add(rewards_t, income_t, out=rewards_t)
-        np.add(stakes_t, income_t, out=stakes_t)
+    for block in _uniform_blocks(
+        rng, scratch, "cpos2_draws", rounds, (trials,), chunk
+    ):
+        for draws in block:
+            np.add(stake_a, stake_b, out=total)
+            np.divide(stakes_t, total, out=shares_t)
+            binomial_from_uniforms(
+                shards, share_a, draws, out=wins_a, scratch=scratch
+            )
+            np.subtract(shards, wins_a, out=wins_b)
+            np.multiply(wins_t, proposer_reward, out=income_t)
+            np.divide(income_t, shards, out=income_t)
+            np.multiply(shares_t, inflation_reward, out=inflation_t)
+            np.add(income_t, inflation_t, out=income_t)
+            np.add(rewards_t, income_t, out=rewards_t)
+            np.add(stakes_t, income_t, out=stakes_t)
     state.stakes[...] = stakes_t.T
     state.rewards[...] = rewards_t.T
     state.round_index += rounds
@@ -677,13 +684,13 @@ def _advance_c_pos_two(protocol, state, rounds, rng, scratch):
 @register_kernel(CompoundPoS)
 def _advance_c_pos(protocol, state, rounds, rng, scratch, chunk):
     """C-PoS epoch loop with scratch reuse.  The proposer draw depends
-    on the evolving shares, so it is one sampler call per epoch.  Two
-    miners draw through ``rng.binomial`` (:func:`_advance_c_pos_two`);
-    more miners keep the naive loop's ``rng.multinomial`` call, which
-    is most of their cost.  The share/income arithmetic runs
+    on the evolving shares, so it is one sampler pass per epoch.  Two
+    miners invert pre-drawn uniforms (:func:`_advance_c_pos_two`); more
+    miners keep the naive step's ``rng.multinomial`` call, which is
+    most of their cost.  The share/income arithmetic runs
     allocation-free apart from the sampler's output."""
     if state.miners == 2:
-        _advance_c_pos_two(protocol, state, rounds, rng, scratch)
+        _advance_c_pos_two(protocol, state, rounds, rng, scratch, chunk)
         return
     trials, miners = state.trials, state.miners
     proposer_reward = protocol.proposer_reward

@@ -133,18 +133,18 @@ class TrialSplitGenerator:
     A fused ensemble concatenates several independent ensembles along
     its trial axis; each member must still draw its own trials'
     variates from its own generator, in the order it would draw them
-    alone.  This adapter offers the three samplers the simulation loops
-    use — ``random``, ``binomial`` and ``multinomial`` — and serves each
-    call by cutting the trial axis into the members' row ranges and
+    alone.  This adapter offers the two samplers the simulation loops
+    use — ``random`` and ``multinomial`` — and serves each call by
+    cutting the trial axis into the members' row ranges and
     asking every member's generator for its rows in turn.  That keeps
     every member bit-identical to a run on its own, and leaves each
     generator where that run would leave it.
 
     The trial axis is axis 1 of a ``random(out=)`` block (the kernels'
     pre-drawn ``(rounds, trials, ...)`` uniforms) and axis 0 of a
-    ``size=`` shape and of array parameters (per-trial success
-    probabilities or category laws).  A draw with no trial axis cannot
-    be split and raises.
+    ``size=`` shape and of array parameters (per-trial counts or a
+    stack of category laws).  A draw with no trial axis cannot be split
+    and raises.
 
     Parameters
     ----------
@@ -195,10 +195,6 @@ class TrialSplitGenerator:
             generator.random(dtype=dtype, out=block)
             out[:, rows] = block
         return out
-
-    def binomial(self, n, p, size=None) -> np.ndarray:
-        """Binomial draws; array ``n`` and ``p`` carry trials on axis 0."""
-        return self._joined("binomial", size, ((n, 1), (p, 1)))
 
     def multinomial(self, n, pvals, size=None) -> np.ndarray:
         """Multinomial draws; array ``n`` and a stack of ``pvals`` laws

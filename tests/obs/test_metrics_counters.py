@@ -52,6 +52,7 @@ from repro.runtime import (
     make_executor,
 )
 from repro.runtime.diskchaos import DiskChaos, DiskFaultSchedule, using_disk_chaos
+from repro.runtime.executor import SerialExecutor
 from repro.runtime.faults import PoolDegradedWarning, TransientShardError
 from repro.runtime.integrity import clear_digest
 from repro.sim.engine import simulate
@@ -536,7 +537,51 @@ def _grid(allocation):
     ]
 
 
+class _PayloadExecutor(SerialExecutor):
+    """Reports every task as run, with ``payload`` as its result."""
+
+    workers = 4  # one shard per task
+
+    def __init__(self, payload):
+        self.payload = payload
+
+    def stream(self, fn, tasks, *, window=None):
+        for index in range(len(tasks)):
+            yield index, True, self.payload
+
+
 class TestRunnerRows:
+    @pytest.mark.parametrize(
+        "payload, failed",
+        [
+            # Each task's result is not a list of its parts: both fail.
+            ("not a list of parts", 2),
+            # The fold rejects the first part; the spec has then failed,
+            # so the second part is journaled but never folded.
+            (["not a part"], 1),
+        ],
+        ids=["not-a-list", "rejected-part"],
+    )
+    def test_shards_failed_after_their_task_ran_are_counted(
+        self, two_miners, payload, failed
+    ):
+        (spec,) = _grid(two_miners)[:1]
+        runner = ParallelRunner(executor=_PayloadExecutor(payload))
+        raised = []
+
+        def run():
+            with pytest.raises(ShardExecutionError) as error:
+                runner.run(spec, shards=2)
+            raised.extend(error.value.failures)
+
+        counters = recorded_counters(run)
+        assert len(raised) == failed
+        assert counters == {
+            "runner.specs": 1,
+            "runner.shards_dispatched": 2,
+            "runner.shards_failed": failed,
+        }
+
     def test_one_spec_counts_one_spec_and_its_shards(self, two_miners):
         (spec,) = _grid(two_miners)[:1]
         runner = ParallelRunner(workers=1)

@@ -31,6 +31,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             CompoundPoS(0.01, 0.1, 0)
 
+    def test_rejects_more_than_a_thousand_shards(self):
+        # At 1,100 shards q'**P underflows and every inversion draw
+        # would be P; 1,000 keeps it a normal double.
+        assert CompoundPoS(0.01, 0.1, 1000).shards == 1000
+        with pytest.raises(ValueError, match="at most 1000"):
+            CompoundPoS(0.01, 0.1, 1001)
+
 
 class TestDynamics:
     def test_stake_conservation(self, two_miners, rng):

@@ -6,7 +6,7 @@ import pytest
 from repro.chainsim.harness import SystemExperiment
 from repro.core.game import MiningGame
 from repro.core.miners import Allocation
-from repro.protocols import MultiLotteryPoS, ProofOfWork
+from repro.protocols import CompoundPoS, MultiLotteryPoS, ProofOfWork
 from repro.runtime import (
     ParallelRunner,
     ResultCache,
@@ -15,6 +15,7 @@ from repro.runtime import (
     set_default_runtime,
     using_runtime,
 )
+from repro.runtime import spec as runtime_spec
 from repro.sim.events import StakeTopUp
 
 
@@ -489,6 +490,21 @@ class TestCacheIntegration:
         runner.run(spec, shards=2)
         runner.run(spec, shards=3)
         assert runner.cache.hits == 0
+        assert len(runner.cache) == 2
+
+    def test_artifacts_of_an_older_fingerprint_version_are_misses(
+        self, tmp_path, monkeypatch
+    ):
+        # Version 2 changed the two-miner C-PoS draws: what version 1
+        # cached must not answer a version-2 spec.
+        spec = make_spec(protocol=CompoundPoS(0.01, 0.1, 32))
+        with monkeypatch.context() as patch:
+            patch.setattr(runtime_spec, "_FINGERPRINT_VERSION", 1)
+            ParallelRunner(workers=1, cache=tmp_path).run(spec, shards=2)
+        assert runtime_spec._FINGERPRINT_VERSION == 2
+        runner = ParallelRunner(workers=1, cache=tmp_path)
+        runner.run(spec, shards=2)
+        assert (runner.cache.hits, runner.cache.misses) == (0, 1)
         assert len(runner.cache) == 2
 
     def test_accepts_prebuilt_cache(self, tmp_path):

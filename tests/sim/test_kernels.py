@@ -190,21 +190,17 @@ class TestDifferentialGolden:
         "shards, share",
         [(4, 0.7), (32, 0.2), (128, 0.4), (128, 0.7), (1, 0.3)],
         ids=[
-            "inversion-p-above-half",
+            "p-above-half",
             "figures-shard-count",
-            "btpe",
-            "btpe-p-above-half",
+            "past-numpy-inversion",
+            "past-numpy-inversion-p-above-half",
             "one-shard",
         ],
     )
-    def test_c_pos_two_miner_binomial_on_every_branch(self, shards, share):
-        """The two-miner C-PoS kernel draws ``rng.binomial`` where the
-        naive step draws ``rng.multinomial``.  They must agree bit for
-        bit on every branch of NumPy's binomial sampler: inversion
-        (``n * min(p, 1 - p) <= 30``) and BTPE rejection (above 30),
-        each with ``p`` on both sides of 1/2, plus a single shard.  A
-        NumPy release that breaks the two-column identity fails here
-        rather than silently changing C-PoS bits."""
+    def test_c_pos_two_miner_kernel_matches_naive(self, shards, share):
+        """Both paths invert the same uniforms at any shard count,
+        including 128 shards, where NumPy's own sampler leaves
+        inversion for BTPE rejection."""
         allocation = Allocation.two_miners(share)
         outcomes = []
         for kernel in KERNEL_MODES:
@@ -218,6 +214,39 @@ class TestDifferentialGolden:
             outcomes.append((state.rewards, state.stakes, rng.random(4)))
         for naive, batched in zip(*outcomes):
             np.testing.assert_array_equal(naive, batched)
+
+    @pytest.mark.parametrize("share", [0.3, 0.7])
+    @pytest.mark.parametrize("shards", [1, 4, 32])
+    def test_c_pos_two_miner_draws_match_multinomial(self, shards, share):
+        """The figures keep their bits: at ``P * min(share, 1 - share)
+        <= 30`` both paths equal a loop that draws the proposer wins
+        with ``rng.multinomial(P, shares)`` every epoch, as C-PoS did
+        before its inversion draw — in every array and in generator
+        position."""
+        allocation = Allocation.two_miners(share)
+        protocol = CompoundPoS(0.01, 0.1, shards=shards)
+        expected = protocol.make_state(allocation, TRIALS)
+        rng = np.random.default_rng(31)
+        for _ in range(HORIZON):
+            shares = expected.stake_shares()
+            wins = rng.multinomial(shards, shares)
+            income = (
+                protocol.proposer_reward * wins / shards
+                + protocol.inflation_reward * shares
+            )
+            expected.rewards += income
+            expected.stakes += income
+        expected_next = rng.random(4)
+        for kernel in KERNEL_MODES:
+            state = protocol.make_state(allocation, TRIALS)
+            rng = np.random.default_rng(31)
+            if kernel == "batched":
+                batched_advance(protocol, state, HORIZON, rng)
+            else:
+                protocol.advance_many(state, HORIZON, rng)
+            np.testing.assert_array_equal(state.rewards, expected.rewards)
+            np.testing.assert_array_equal(state.stakes, expected.stakes)
+            np.testing.assert_array_equal(rng.random(4), expected_next)
 
     def test_withholding_pending_identical(self):
         # The wrapper's vesting buffer is part of the dynamics; it must

@@ -90,36 +90,6 @@ class TestRandom:
             split().random((7,))
 
 
-class TestBinomial:
-    def test_array_probabilities_split_by_trial(self):
-        p = np.linspace(0.05, 0.95, sum(SIZES))
-        generators = members()
-        drawn = TrialSplitGenerator(generators, SIZES).binomial(32, p)
-        alone = members()
-        expected = np.concatenate([
-            generator.binomial(32, p[member])
-            for generator, member in zip(alone, rows())
-        ])
-        np.testing.assert_array_equal(drawn, expected)
-        assert_same_positions(generators, alone)
-
-    def test_array_trials_split_too(self):
-        n = np.arange(1, sum(SIZES) + 1) * 10
-        generators = members()
-        drawn = TrialSplitGenerator(generators, SIZES).binomial(n, 0.3)
-        alone = members()
-        expected = np.concatenate([
-            generator.binomial(n[member], 0.3)
-            for generator, member in zip(alone, rows())
-        ])
-        np.testing.assert_array_equal(drawn, expected)
-        assert_same_positions(generators, alone)
-
-    def test_scalar_parameters_without_size_raise(self):
-        with pytest.raises(ValueError, match="no trial axis"):
-            split().binomial(4, 0.5)
-
-
 class TestMultinomial:
     def test_stacked_laws_split_by_trial(self):
         laws = np.random.default_rng(0).dirichlet(np.ones(3), size=sum(SIZES))
@@ -128,6 +98,20 @@ class TestMultinomial:
         alone = members()
         expected = np.concatenate([
             generator.multinomial(16, laws[member])
+            for generator, member in zip(alone, rows())
+        ])
+        np.testing.assert_array_equal(drawn, expected)
+        assert_same_positions(generators, alone)
+
+    def test_array_trials_split_too(self):
+        # Per-trial counts carry the trial axis beside the stacked laws.
+        n = np.arange(1, sum(SIZES) + 1) * 10
+        laws = np.random.default_rng(1).dirichlet(np.ones(3), size=sum(SIZES))
+        generators = members()
+        drawn = TrialSplitGenerator(generators, SIZES).multinomial(n, laws)
+        alone = members()
+        expected = np.concatenate([
+            generator.multinomial(n[member], laws[member])
             for generator, member in zip(alone, rows())
         ])
         np.testing.assert_array_equal(drawn, expected)

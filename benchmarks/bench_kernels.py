@@ -75,16 +75,9 @@ PROTOCOLS = {
 
 #: ``--smoke`` floors: key -> (trials, rounds, least batched/naive
 #: speedup), checked in this order.  Both two-miner C-PoS paths make
-#: the same inversion draw (``binomial_from_uniforms``), so the C-PoS
-#: ratio measures only what the kernel saves around it — scratch
-#: reuse, pre-drawn uniform blocks, contiguous rows — against the
-#: naive step's fresh arrays, and what fresh arrays cost is the
-#: allocator's call.  On a 2-vCPU host with glibc's defaults the ratio
-#: read 0.98-1.73x (1.24-1.29x once warm; with the multinomial naive
-#: step before it, 1.31x warm), and 2.8-3.4x with
-#: ``MALLOC_MMAP_THRESHOLD_=131072``, which maps every large temporary
-#: afresh.  C-PoS goes first, in a fresh interpreter, where those
-#: ranges were measured.
+#: the same inversion draw (``binomial_from_uniforms``): the naive step
+#: builds each row's CDF, and the kernel looks most draws up in a
+#: table, which is what the C-PoS floor guards.
 SMOKE_FLOORS = {
     "c_pos": (10_000, 300, 1.35),
     "ml_pos": (4_000, 600, 2.0),

@@ -59,7 +59,6 @@ def binomial_from_uniforms(
     draws: np.ndarray,
     *,
     out: Optional[np.ndarray] = None,
-    scratch: Optional[Any] = None,
 ) -> np.ndarray:
     """Bin(n, p) draws by inversion, one given uniform per row.
 
@@ -91,29 +90,18 @@ def binomial_from_uniforms(
         Uniform variates in ``[0, 1)``, shape ``(rows,)``.
     out:
         Optional integer array of shape ``(rows,)`` for the result.
-    scratch:
-        Optional :class:`~repro.sim.kernels.ScratchBuffers` to draw the
-        work arrays from; fresh arrays otherwise.
     """
     rows = p.shape[0]
-
-    def buffer(name, shape, dtype=np.float64):
-        if scratch is None:
-            return np.empty(shape, dtype)
-        return scratch.get(name, shape, dtype)
-
     if out is None:
         out = np.empty(rows, np.int64)
-    low = buffer("binomial_low", (rows,))
-    np.subtract(1.0, p, out=low)
+    low = np.subtract(1.0, p)
     np.minimum(p, low, out=low)  # p'
-    ratio = buffer("binomial_ratio", (rows,))
-    np.subtract(1.0, low, out=ratio)  # q'
-    cdf = buffer("binomial_cdf", (n, rows))
+    ratio = np.subtract(1.0, low)  # q'
+    cdf = np.empty((n, rows))
     np.power(ratio, n, out=cdf[0])  # pmf_0 = F_0
     np.divide(low, ratio, out=ratio)  # p' / q'
-    below = buffer("binomial_below", (n, rows), np.bool_)
-    pmf = buffer("binomial_pmf", (rows,))
+    below = np.empty((n, rows), np.bool_)
+    pmf = np.empty(rows)
     built = 1
     needed = _cdf_rows(n, low.max(initial=0.0), draws.max(initial=0.0))
     previous = cdf[0]
@@ -133,15 +121,13 @@ def binomial_from_uniforms(
     # Count the flags as bytes (a bool-to-int64 reduce casts every
     # element): at most 255 rows per pass cannot overflow a byte.
     flags = below.view(np.uint8)
-    count = buffer("binomial_count", (rows,), np.uint8)
+    count = np.empty(rows, np.uint8)
     np.add.reduce(flags[:min(needed, 255)], axis=0, out=count)
     np.copyto(out, count)
     for start in range(255, needed, 255):
         np.add.reduce(flags[start:min(start + 255, needed)], axis=0, out=count)
         np.add(out, count, out=out)
-    flip = buffer("binomial_flip", (rows,), np.bool_)
-    np.greater(p, 0.5, out=flip)
-    np.subtract(n, out, out=out, where=flip)
+    np.subtract(n, out, out=out, where=p > 0.5)
     return out
 
 

@@ -66,8 +66,9 @@ class CompoundPoS(IncentiveProtocol):
     (:mod:`repro.sim.kernels`) alike: two miners invert one uniform per
     trial-epoch through
     :func:`~repro.protocols.base.binomial_from_uniforms` (miner A's
-    wins; miner B takes the rest), more miners draw
-    ``rng.multinomial(P, shares)``, and ``shards`` is at most 1,000.
+    wins; miner B takes the rest; the kernel looks the same draws up in
+    a table), more miners draw ``rng.multinomial(P, shares)``, and
+    ``shards`` is at most 1,000.
     """
 
     round_unit = "epoch"

@@ -30,12 +30,14 @@ while staying **bit-identical** to the per-round loop:
   two-miner C-PoS proposer draw is
   :func:`~repro.protocols.base.binomial_from_uniforms` over one uniform
   per trial-epoch in both paths: the naive step calls
-  ``rng.random(trials)`` every epoch, the kernel reads the same
-  uniforms from its pre-drawn blocks.  While ``P * min(share, 1 -
-  share) <= 30`` (every figure's 32 shards) that inversion makes the
-  draws NumPy's two-column ``rng.multinomial(P, shares)`` made before
-  it; ``test_c_pos_two_miner_draws_match_multinomial`` pins this
-  against a test-local multinomial loop.
+  ``rng.random(trials)`` every epoch and inverts each row's CDF; the
+  kernel reads the same uniforms from its pre-drawn blocks and the
+  same draws, mostly, from a lookup table (:func:`_binomial_by_lookup`).
+  While ``P * min(share, 1 - share) <= 30`` (every figure's 32 shards)
+  that inversion makes the draws NumPy's two-column
+  ``rng.multinomial(P, shares)`` made before it;
+  ``test_c_pos_two_miner_draws_match_multinomial`` pins this against a
+  test-local multinomial loop.
 
 Kernels are registered per concrete protocol class.  Lookup is by
 *exact type* (plus explicitly registered aliases such as
@@ -59,7 +61,6 @@ from ..obs.trace import get_tracer
 from ..protocols.base import (
     EnsembleState,
     IncentiveProtocol,
-    binomial_from_uniforms,
     winners_from_uniforms,
 )
 from ..protocols.c_pos import BlockGranularCompoundPoS, CompoundPoS
@@ -121,9 +122,11 @@ class ScratchBuffers:
     across rounds — and across the many ``advance`` segments of one
     engine run — the inner loops allocate nothing.
 
-    Buffer contents are *not* preserved between ``get`` calls in any
-    contractual sense: every kernel fully overwrites a buffer before
-    reading it.
+    A buffer keeps its contents while its name keeps its shape and
+    dtype.  Kernels overwrite a buffer before reading it, except the
+    two-miner C-PoS lookup table, which depends on the shard count
+    alone: it fills as shares reach new cells and stays, with a buffer
+    requested ``zeroed`` recording the cells built.
     """
 
     __slots__ = ("_arrays",)
@@ -132,16 +135,22 @@ class ScratchBuffers:
         self._arrays: Dict[str, np.ndarray] = {}
 
     def get(
-        self, name: str, shape: Tuple[int, ...], dtype=np.float64
+        self,
+        name: str,
+        shape: Tuple[int, ...],
+        dtype=np.float64,
+        *,
+        zeroed: bool = False,
     ) -> np.ndarray:
-        """The buffer registered under ``name``, allocating on demand."""
+        """The buffer registered under ``name``, allocating on demand
+        (zero-filled if ``zeroed``)."""
         array = self._arrays.get(name)
         if array is not None and array.shape == shape and array.dtype == dtype:
             return array  # the per-epoch path: no normalising on a hit
         shape = tuple(int(s) for s in shape)
         dtype = np.dtype(dtype)
         if array is None or array.shape != shape or array.dtype != dtype:
-            array = np.empty(shape, dtype=dtype)
+            array = (np.zeros if zeroed else np.empty)(shape, dtype=dtype)
             self._arrays[name] = array
         return array
 
@@ -632,16 +641,138 @@ def _advance_fsl_pos(protocol, state, rounds, rng, scratch, chunk):
 
 # -- compound PoS -------------------------------------------------------------
 
+#: Grid of the two-miner C-PoS lookup (:func:`_binomial_by_lookup`): a
+#: row's ``p' = min(share, 1 - share)`` lies in cell ``floor(p' * 2 *
+#: _LOOKUP_CELLS)`` and its uniform in bin ``floor(u * _LOOKUP_BINS)``.
+#: Both scales are powers of two, so every cell and bin is exact.
+_LOOKUP_CELLS = 1024
+_LOOKUP_BINS = 1024
+#: How far a table entry keeps from the CDF steps it counts.  The
+#: inversion's CDF recurrence errs by under 1e-12 up to 1,000 shards.
+_LOOKUP_MARGIN = 2.0**-30
+#: Cells the table builds at a time, when a row first reaches one.
+_LOOKUP_BLOCK = 64
+_LOOKUP_BLOCKS = -(-(_LOOKUP_CELLS + 1) // _LOOKUP_BLOCK)
+
+
+def _binomial_cdf(n: int, p: np.ndarray, depth: int) -> np.ndarray:
+    """``cdf[k, i] = F_k`` of Bin(n, p[i]) for ``k < depth``: the
+    operations of :func:`binomial_from_uniforms`'s recurrence, with no
+    fold to ``p'``, run down each column by ``accumulate`` (about 0.1
+    us a column, where a loop over rows costs about 1 us a row)."""
+    q = 1.0 - p
+    cdf = np.empty((depth, p.shape[0]))
+    np.power(q, n, out=cdf[0])  # pmf_0
+    k = np.arange(1, depth, dtype=np.float64)[:, None]
+    np.multiply((n + 1 - k) / k, p / q, out=cdf[1:])  # pmf factors
+    np.multiply.accumulate(cdf, axis=0, out=cdf)  # pmf_k
+    np.add.accumulate(cdf, axis=0, out=cdf)  # F_k
+    return cdf
+
+
+def _bin_counts(thresholds: np.ndarray) -> np.ndarray:
+    """``counts[j, b] = #{k : thresholds[k, j] <= b}`` for every bin."""
+    bins = _LOOKUP_BINS
+    cells = thresholds.shape[1]
+    np.clip(thresholds, 0, bins, out=thresholds)
+    flat = thresholds.astype(np.intp) + np.arange(cells) * (bins + 1)
+    hist = np.bincount(flat.ravel(), minlength=cells * (bins + 1))
+    return np.cumsum(
+        hist.reshape(cells, bins + 1)[:, :bins], axis=1, dtype=np.int16
+    )
+
+
+def _build_lookup(n: int, table: np.ndarray, block: int) -> None:
+    """Fill the cells of ``block``: entry ``[j, b]`` is the inversion's
+    draw from Bin(n, p') for every ``p'`` in cell ``j`` and ``u`` in bin
+    ``b`` or, where that rectangle straddles a CDF step, ``-1 - most``
+    for the most the draw can be there.
+
+    The exact CDF falls as ``p`` rises, so across the cell each ``F_k``
+    lies between its values at the two edges, and the recurrence's
+    rounding lies inside the margin.  The draw ``#{k : F_k < u}`` is
+    therefore at least ``#{k : F_k(low edge) + margin < b / B}`` and at
+    most ``#{k : F_k(high edge) - margin < (b + 1) / B}``; where the two
+    counts agree, that is the draw.
+    """
+    bins, scale = _LOOKUP_BINS, 2.0 * _LOOKUP_CELLS
+    start = block * _LOOKUP_BLOCK
+    cells = np.arange(start, min(start + _LOOKUP_BLOCK, _LOOKUP_CELLS + 1))
+    # Bin b surely counts step k from floor((F_k + margin) * B) + 1 on,
+    # and may count it from floor((F_k - margin) * B) on.
+    least = _bin_counts(
+        np.floor((_binomial_cdf(n, cells / scale, n) + _LOOKUP_MARGIN) * bins)
+        + 1
+    )
+    most = _bin_counts(
+        np.floor(
+            (_binomial_cdf(n, (cells + 1) / scale, n) - _LOOKUP_MARGIN) * bins
+        )
+    )
+    table[start:start + cells.size] = np.where(least == most, least, -1 - most)
+
+
+def _binomial_by_lookup(n, p, draws, out, scratch):
+    """``binomial_from_uniforms(n, p, draws, out=out)``, bit for bit,
+    mostly by table lookup.
+
+    Each row reads the entry of its ``(p', u)`` cell and bin
+    (:func:`_build_lookup`); the table is built once per state and
+    shard count, a block of cells at a time as the shares first reach
+    it.  The rows it leaves open (about 3% at 32 shards) count their own
+    CDF rows, only up to the most their entries allow.  A row's draw
+    depends on its own ``(p, u)`` alone either way."""
+    rows = p.shape[0]
+    # Entries run from -1 - n to n: a byte holds them up to 126 shards.
+    table = scratch.get(
+        f"cpos2_lookup_{n}",
+        (_LOOKUP_CELLS + 1, _LOOKUP_BINS),
+        np.int8 if n < 127 else np.int16,
+    )
+    built = scratch.get(
+        f"cpos2_lookup_built_{n}", (_LOOKUP_BLOCKS,), np.bool_, zeroed=True
+    )
+    low = scratch.get("cpos2_low", (rows,))
+    np.subtract(1.0, p, out=low)
+    np.minimum(p, low, out=low)  # p', as the helper folds it
+    scale = 2 * _LOOKUP_CELLS
+    for block in range(
+        int(low.min(initial=0.5) * scale) // _LOOKUP_BLOCK,
+        int(low.max(initial=0.0) * scale) // _LOOKUP_BLOCK + 1,
+    ):
+        if not built[block]:
+            _build_lookup(n, table, block)
+            built[block] = True
+    index = scratch.get("cpos2_index", (rows,), np.intp)
+    column = scratch.get("cpos2_column", (rows,), np.intp)
+    np.multiply(low, scale, out=index, casting="unsafe")  # cell
+    np.multiply(index, _LOOKUP_BINS, out=index)
+    np.multiply(draws, _LOOKUP_BINS, out=column, casting="unsafe")  # bin
+    np.add(index, column, out=index)
+    entry = scratch.get("cpos2_entry", (rows,), table.dtype)
+    np.take(table.reshape(-1), index, out=entry, mode="clip")
+    np.copyto(out, entry)
+    flip = scratch.get("cpos2_flip", (rows,), np.bool_)
+    np.greater(p, 0.5, out=flip)
+    np.subtract(n, out, out=out, where=flip)
+    open_rows = np.flatnonzero(np.less(entry, 0, out=flip))
+    if open_rows.size:
+        most = -1 - int(entry[open_rows].min())
+        cdf = _binomial_cdf(n, low[open_rows], most)
+        wins = np.less(cdf, draws[open_rows]).sum(axis=0)
+        out[open_rows] = np.where(p[open_rows] > 0.5, n - wins, wins)
+
 
 def _advance_c_pos_two(protocol, state, rounds, rng, scratch, chunk):
     """Two-miner C-PoS fast path: every headline C-PoS figure.
 
     Miner A's shard wins are :func:`binomial_from_uniforms` over one
-    pre-drawn uniform per trial-epoch, and miner B takes the other ``P -
+    pre-drawn uniform per trial-epoch, read mostly from a lookup table
+    (:func:`_binomial_by_lookup`), and miner B takes the other ``P -
     wins_a`` — the naive step's draw (module docstring, "Identical
     sampler calls").  Its uniforms come in blocks like every other
     kernel's, so a fused task fills each member's rows with one
-    ``random(out=)`` per block and inverts the whole width at once.
+    ``random(out=)`` per block and draws the whole width at once.
     The rest is the naive arithmetic on contiguous ``(2, trials)`` rows:
     ``stakes.sum(axis=1)`` for two columns is ``s0 + s1``, bitwise."""
     trials = state.trials
@@ -666,9 +797,7 @@ def _advance_c_pos_two(protocol, state, rounds, rng, scratch, chunk):
         for draws in block:
             np.add(stake_a, stake_b, out=total)
             np.divide(stakes_t, total, out=shares_t)
-            binomial_from_uniforms(
-                shards, share_a, draws, out=wins_a, scratch=scratch
-            )
+            _binomial_by_lookup(shards, share_a, draws, wins_a, scratch)
             np.subtract(shards, wins_a, out=wins_b)
             np.multiply(wins_t, proposer_reward, out=income_t)
             np.divide(income_t, shards, out=income_t)
@@ -685,8 +814,8 @@ def _advance_c_pos_two(protocol, state, rounds, rng, scratch, chunk):
 def _advance_c_pos(protocol, state, rounds, rng, scratch, chunk):
     """C-PoS epoch loop with scratch reuse.  The proposer draw depends
     on the evolving shares, so it is one sampler pass per epoch.  Two
-    miners invert pre-drawn uniforms (:func:`_advance_c_pos_two`); more
-    miners keep the naive step's ``rng.multinomial`` call, which is
+    miners look their inversion draws up (:func:`_advance_c_pos_two`);
+    more miners keep the naive step's ``rng.multinomial`` call, which is
     most of their cost.  The share/income arithmetic runs
     allocation-free apart from the sampler's output."""
     if state.miners == 2:

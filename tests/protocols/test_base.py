@@ -15,7 +15,6 @@ from repro.protocols.base import (
     sample_winners,
 )
 from repro.protocols.ml_pos import MultiLotteryPoS
-from repro.sim.kernels import ScratchBuffers
 
 
 class TestSampleWinners:
@@ -100,7 +99,7 @@ class TestBinomialFromUniforms:
             assert alone[0] == drawn[row]
         cut = data.draw(st.integers(0, len(p)), label="cut")
         parts = [
-            binomial_from_uniforms(n, p[:cut], u[:cut], scratch=ScratchBuffers()),
+            binomial_from_uniforms(n, p[:cut], u[:cut]),
             binomial_from_uniforms(n, p[cut:], u[cut:]),
         ]
         np.testing.assert_array_equal(np.concatenate(parts), drawn)
@@ -135,15 +134,11 @@ class TestBinomialFromUniforms:
         expected = np.where(p > 0.5, n - expected, expected)
         np.testing.assert_array_equal(binomial_from_uniforms(n, p, u), expected)
 
-    def test_writes_into_out_and_reuses_scratch(self):
+    def test_writes_into_out(self):
         rng = np.random.default_rng(9)
         p, u = rng.random(64), rng.random(64)
-        scratch = ScratchBuffers()
         out = np.empty(64, np.int64)
-        assert binomial_from_uniforms(32, p, u, out=out, scratch=scratch) is out
-        held = scratch.nbytes
-        binomial_from_uniforms(32, p, u, out=out, scratch=scratch)
-        assert scratch.nbytes == held
+        assert binomial_from_uniforms(32, p, u, out=out) is out
         np.testing.assert_array_equal(out, binomial_from_uniforms(32, p, u))
 
     def test_a_uniform_on_a_step_takes_the_lower_count(self):

@@ -37,6 +37,8 @@ from repro.sim.events import (
     StakeTopUp,
     StakeWithdrawal,
 )
+from repro.protocols.base import binomial_from_uniforms
+from repro.sim import kernels
 from repro.sim.kernels import (
     DEFAULT_CHUNK_ROUNDS,
     KERNEL_MODES,
@@ -522,6 +524,14 @@ class TestScratchBuffers:
         assert len(scratch) == 2
         assert scratch.nbytes == 10 * 8 + 5
 
+    def test_zeroed_allocates_zeros_and_keeps_contents(self):
+        scratch = ScratchBuffers()
+        flags = scratch.get("flags", (6,), np.bool_, zeroed=True)
+        assert not flags.any()
+        flags[2] = True
+        again = scratch.get("flags", (6,), np.bool_, zeroed=True)
+        assert again is flags and again[2]
+
     def test_attached_to_state_and_reused_across_advances(self):
         protocol = MultiLotteryPoS(0.01)
         state = protocol.make_state(allocation_for(2), 8)
@@ -534,6 +544,90 @@ class TestScratchBuffers:
         batched_advance(protocol, state, 10, rng)
         assert state.scratch is scratch
         assert len(scratch) == before  # steady state allocates nothing new
+
+
+def lookup_draws(n, p, u, scratch=None):
+    out = np.empty(len(p), np.int64)
+    if scratch is None:
+        scratch = ScratchBuffers()
+    kernels._binomial_by_lookup(n, p, u, out, scratch)
+    return out
+
+
+class TestBinomialLookup:
+    """The two-miner C-PoS kernel reads its draws from a lookup table;
+    every row must get exactly :func:`binomial_from_uniforms`'s draw."""
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 32, 128, 1000])
+    def test_equals_the_helper_on_and_beside_every_step(self, n):
+        rng = np.random.default_rng(600 + n)
+        cells = 2 * kernels._LOOKUP_CELLS
+        p = np.concatenate([
+            rng.random(3000),
+            rng.integers(0, cells + 1, 1000) / cells,  # cell edges
+            [0.0, 1.0, 0.5, 0.5, 1.0 - 2**-53],
+        ])
+        # Uniforms exactly on a CDF step of the row's own law (the
+        # helper's recurrence, so F is its float value), a few ulps
+        # either side, and anywhere.
+        low = np.minimum(p, 1.0 - p)
+        cdf = kernels._binomial_cdf(n, low, n)
+        step = cdf[rng.integers(0, n, len(p)), np.arange(len(p))]
+        below = np.nextafter(step, 0.0)
+        above = np.nextafter(step, 1.0)
+        for u in (step, below, np.nextafter(below, 0.0), above, rng.random(len(p))):
+            u = np.minimum(u, 1.0 - 2**-53)
+            np.testing.assert_array_equal(
+                lookup_draws(n, p, u), binomial_from_uniforms(n, p, u)
+            )
+
+    @given(rows=st.lists(
+        st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0, exclude_max=True)),
+        min_size=1, max_size=40,
+    ), n=st.sampled_from([1, 4, 32, 128]))
+    @settings(max_examples=60, deadline=None)
+    def test_any_rows(self, rows, n):
+        p, u = (np.array(column) for column in zip(*rows))
+        np.testing.assert_array_equal(
+            lookup_draws(n, p, u), binomial_from_uniforms(n, p, u)
+        )
+
+    def test_builds_each_block_once_per_scratch(self, monkeypatch):
+        built = []
+        build = kernels._build_lookup
+
+        def recording(n, table, block):
+            built.append((n, block))
+            build(n, table, block)
+
+        monkeypatch.setattr(kernels, "_build_lookup", recording)
+        scratch = ScratchBuffers()
+        u = np.random.default_rng(3).random(200)
+
+        def block(share):
+            cell = int(share * 2 * kernels._LOOKUP_CELLS)
+            return cell // kernels._LOOKUP_BLOCK
+
+        lookup_draws(32, np.full(200, 0.2), u, scratch)
+        lookup_draws(32, np.full(200, 0.2), u, scratch)
+        assert built == [(32, block(0.2))]
+        lookup_draws(32, np.linspace(0.2, 0.3, 200), u, scratch)
+        assert built[1:] == [
+            (32, b) for b in range(block(0.2) + 1, block(0.3) + 1)
+        ]
+        # A different shard count is a different table.
+        lookup_draws(4, np.full(200, 0.2), u, scratch)
+        assert built[-1] == (4, block(0.2))
+
+    def test_most_rows_read_the_table(self):
+        # The point of the table: at the figures' 32 shards nearly every
+        # row resolves without the helper.
+        scratch = ScratchBuffers()
+        rng = np.random.default_rng(5)
+        lookup_draws(32, rng.uniform(0.1, 0.9, 10_000), rng.random(10_000), scratch)
+        entries = scratch._arrays["cpos2_entry"]
+        assert entries.dtype == np.int8  # entries fit a byte at 32 shards
+        assert (entries < 0).mean() < 0.05
 
 
 class TestRegistry:

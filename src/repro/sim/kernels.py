@@ -126,7 +126,7 @@ class ScratchBuffers:
     dtype.  Kernels overwrite a buffer before reading it, except the
     two-miner C-PoS lookup table, which depends on the shard count
     alone: it fills as shares reach new cells and stays, with a buffer
-    requested ``zeroed`` recording the cells built.
+    requested ``zeroed`` recording the blocks built.
     """
 
     __slots__ = ("_arrays",)

@@ -16,9 +16,9 @@ Standalone (the acceptance report; writes the JSON)::
     PYTHONPATH=src python benchmarks/bench_system.py
         [--workers 4] [--repeats-scale 1.0] [--output BENCH_system.json]
 
-CI sanity check (~seconds; asserts the vectorized loop is no slower
-than the object loop and batched dispatch no slower than per-protocol
-at ``workers=4``)::
+CI sanity check (~seconds; asserts the PoW and SL-PoS vectorized
+loops no slower than their object loops, and batched dispatch no
+slower than per-protocol at ``workers=4``)::
 
     PYTHONPATH=src python benchmarks/bench_system.py --smoke
 
@@ -65,6 +65,10 @@ PROTOCOLS = (
     ("fsl_pos_withhold", "fsl-pos-withhold", 1200, 6),
     ("c_pos", "c-pos", 250, 6),
 )
+
+#: The smoke's loop floors: (protocol key, rounds, repeats).  PoW runs
+#: the tick network's inlined PoW race, SL-PoS the deadline race.
+SMOKE_LOOPS = (("pow", 100, 2), ("sl_pos", 400, 4))
 
 
 def _experiment(protocol: str, fast: bool) -> SystemExperiment:
@@ -251,9 +255,10 @@ def render(report: Dict[str, object]) -> str:
 
 
 def test_vectorized_loop_no_slower_than_object_loop():
-    """The CI sanity floor for the fast chainsim path."""
-    row = measure_protocol("sl_pos", rounds=400, repeats=4)
-    assert row["vectorized_seconds"] <= row["naive_seconds"] * 1.05, row
+    """The CI sanity floors for the fast chainsim paths."""
+    for key, rounds, repeats in SMOKE_LOOPS:
+        row = measure_protocol(key, rounds=rounds, repeats=repeats)
+        assert row["vectorized_seconds"] <= row["naive_seconds"] * 1.05, row
 
 
 def test_every_protocol_bit_identical_at_bench_scale():
@@ -284,19 +289,25 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--smoke", action="store_true",
-        help="fast sanity check: vectorized no slower than the object "
-        "loop, batched dispatch no slower than per-protocol at "
-        "workers=4; no JSON written",
+        help="fast sanity check: the PoW and SL-PoS vectorized loops no "
+        "slower than their object loops, batched dispatch no slower than "
+        "per-protocol at workers=4; no JSON written",
     )
     args = parser.parse_args(argv)
 
     if args.smoke:
-        loop = measure_protocol("sl_pos", rounds=400, repeats=4)
-        print(
-            f"system loop smoke (sl-pos): naive {loop['naive_seconds']:.2f}s, "
-            f"vectorized {loop['vectorized_seconds']:.2f}s "
-            f"({loop['speedup']:.2f}x, bit-identical={loop['bit_identical']})"
-        )
+        loops = [
+            measure_protocol(key, rounds=rounds, repeats=repeats)
+            for key, rounds, repeats in SMOKE_LOOPS
+        ]
+        for loop in loops:
+            print(
+                f"system loop smoke ({loop['protocol']}): "
+                f"naive {loop['naive_seconds']:.2f}s, "
+                f"vectorized {loop['vectorized_seconds']:.2f}s "
+                f"({loop['speedup']:.2f}x, "
+                f"bit-identical={loop['bit_identical']})"
+            )
         sweep = measure_sweep(workers=4, repeats_scale=0.2)
         print(
             f"system sweep smoke: old {sweep['old_seconds']:.2f}s, "
@@ -305,10 +316,11 @@ def main(argv=None) -> int:
             f"bit-identical={sweep['bit_identical']})"
         )
         failed = False
-        if loop["vectorized_seconds"] > loop["naive_seconds"] * 1.05:
-            print("FAIL: expected the vectorized loop no slower than the "
-                  "object loop")
-            failed = True
+        for loop in loops:
+            if loop["vectorized_seconds"] > loop["naive_seconds"] * 1.05:
+                print(f"FAIL: expected the {loop['protocol']} vectorized "
+                      "loop no slower than the object loop")
+                failed = True
         if sweep["new_seconds"] > sweep["vectorized_only_seconds"] * 1.10:
             print("FAIL: expected batched dispatch no slower than "
                   "per-protocol dispatch")

@@ -75,13 +75,15 @@ class SystemExperiment:
         fsl-pos-withhold only: block height multiple at which pending
         rewards vest (Section 6.3).
     fast:
-        Deploy the networks' vectorized loops (batched hash-oracle
-        draws, preallocated NumPy income ledgers; the default).
-        ``fast=False`` is the original per-object loop — bit-identical
-        results, kept as the differential-test reference, mirroring
-        the Monte Carlo engine's ``kernel="naive"`` escape hatch.
-        Deliberately excluded from cache fingerprints: one cached
-        artifact answers both paths.
+        Let each network run its inlined loop (the default): pre-hashed
+        hash-oracle prefixes and preallocated NumPy income ledgers.
+        Every protocol here takes it, since the harness deploys stock
+        nodes of one type on one oracle.  ``fast=False`` runs the
+        reference per-object loop — bit-identical results, kept as the
+        differential-test reference, mirroring the Monte Carlo
+        engine's ``kernel="naive"`` escape hatch.  Deliberately
+        excluded from cache fingerprints: one cached artifact answers
+        both paths.
     """
 
     #: Attributes outside the content address (bit-identical knobs).

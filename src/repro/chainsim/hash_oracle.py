@@ -131,14 +131,6 @@ class HashOracle:
             hasher.update(chunk)
         return int.from_bytes(hasher.digest(), "big")
 
-    @staticmethod
-    def fraction_tail(prefix, *chunks: bytes) -> float:
-        """Like :meth:`digest_tail`, mapped to ``[0, 1)`` as :meth:`fraction`."""
-        hasher = prefix.copy()
-        for chunk in chunks:
-            hasher.update(chunk)
-        return (int.from_bytes(hasher.digest(), "big") >> (256 - 53)) / float(1 << 53)
-
     def fraction(self, *fields: _FieldType) -> float:
         """The digest mapped to a float in ``[0, 1)``.
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .chain import Blockchain
-from .hash_oracle import HASH_SPACE, HashOracle
+from .hash_oracle import HASH_SPACE
 from .node import MiningNode
 
 __all__ = ["MLPoSNode"]
@@ -38,28 +38,6 @@ class MLPoSNode(MiningNode):
             return None
         target = min(int(difficulty * stake), HASH_SPACE)
         digest = self.oracle.digest(tick, chain.tip.block_hash, self.address)
-        if digest < target:
-            return digest
-        return None
-
-    def fast_try_propose(
-        self, chain: Blockchain, tick: int, difficulty: float, shared
-    ) -> Optional[int]:
-        """Kernel trial finishing the round's shared ``(tick, parent)``
-        digest prefix with this node's cached address chunk —
-        bit-identical to :meth:`try_propose` by the oracle's wire
-        format."""
-        if shared.oracle is not self.oracle:
-            return self.try_propose(chain, tick, difficulty)
-        if difficulty <= 0.0:
-            raise ValueError("difficulty must be positive")
-        stake = self.stake(chain)
-        if stake <= 0.0:
-            return None
-        target = min(int(difficulty * stake), HASH_SPACE)
-        digest = HashOracle.digest_tail(
-            shared.tick_parent_prefix(), self._address_chunk
-        )
         if digest < target:
             return digest
         return None

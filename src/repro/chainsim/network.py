@@ -16,18 +16,25 @@ Every engine exposes ``income_series(addresses)`` — cumulative income
 per address after each round — which is what the fairness harness
 consumes.
 
-Each engine has two bit-identical execution paths selected by the
-``fast`` flag (mirroring the Monte Carlo engine's
-``kernel="batched" | "naive"`` knob):
+Each engine has two bit-identical loops and decides once, in
+``__init__``, which one runs:
 
-* ``fast=True`` (default) keeps hot state in preallocated NumPy
-  income/issuance ledgers (:class:`_ArrayIncomeTracker`) and draws
-  lottery digests through the hash oracle's batched-prefix interface
-  (:class:`SharedRoundDraws`), so the per-round cost is dominated by
-  the unavoidable SHA-256 tail updates instead of re-keyed hashing and
-  dict bookkeeping;
-* ``fast=False`` is the original per-round object loop, kept verbatim
-  as the differential-test reference.
+* the inlined loop runs when ``fast=True`` (the default) and every node
+  is an exact stock node of one type on one shared oracle (for
+  :class:`CPoSNetwork`, every validator an exact
+  :class:`~repro.chainsim.c_pos_node.CPoSValidator`).  It replicates
+  the stock nodes' methods with per-block constants hoisted and digest
+  prefixes pre-hashed through the oracle's batched-prefix interface,
+  so a draw costs one hasher copy and finalize, and it keeps income
+  and issuance in preallocated NumPy ledgers
+  (:class:`_ArrayIncomeTracker`);
+* the reference loop calls the nodes' own methods (for C-PoS, the
+  committee's) each round.  It runs any other node set (a subclass,
+  mixed types, several oracles) and, under ``fast=False``, every node
+  set: it is the differential-test reference.
+
+A network's ``fast`` attribute records that decision, and its
+``chainsim.run`` span reports it.
 """
 
 from __future__ import annotations
@@ -52,105 +59,37 @@ from .pow_node import PoWNode
 from .sl_pos_node import FSLPoSNode, SLPoSNode
 
 
-def _resolve_fast_method(node, stock_types, naive_name, fast_name):
-    """The per-round method the fast loops may safely call on ``node``.
-
-    Mirrors the kernel registry's exact-type doctrine: the batched-draw
-    method is trusted for exact stock types and for classes that
-    *explicitly* define their own fast method (including the base
-    delegator).  A subclass that overrides the naive method while
-    inheriting a stock fast implementation would silently diverge, so
-    it gets the naive method instead.
-    """
-    cls = type(node)
-    fast = getattr(node, fast_name)
-    if cls in stock_types:
-        return fast
-    stock_fast = {getattr(stock, fast_name) for stock in stock_types}
-    if getattr(cls, fast_name) not in stock_fast:
-        # Explicit override or the MiningNode delegator — both honor
-        # the bit-identity contract by definition.
-        return fast
-    naive = getattr(node, naive_name)
-
-    def call_naive(chain, *args):
-        # Same signature as the fast method; the trailing shared-draws
-        # argument is dropped.
-        return naive(chain, *args[:-1])
-
-    return call_naive
-
 __all__ = [
-    "SharedRoundDraws",
     "TickMiningNetwork",
     "DeadlineMiningNetwork",
     "CPoSNetwork",
 ]
 
 
-class SharedRoundDraws:
-    """Per-round cache of oracle encodings shared across nodes.
+def _inlined_type(nodes, fast: bool, stock_types) -> Optional[type]:
+    """The stock node type whose inlined loop runs ``nodes``, or None.
 
-    Built once per tick (tick networks) or per block (deadline
-    networks) and handed to every node's ``fast_*`` method, so the
-    encodings of the fields all nodes hash this round — the tick, the
-    parent hash — are computed once instead of once per node, and the
-    common digest prefix of the tick lottery is hashed once.
-
-    Everything is lazy: a node type only pays for the pieces it reads.
+    The inlined loops replicate the stock nodes' methods, so they run
+    only under ``fast`` and only when every node is an exact instance
+    of one of ``stock_types`` on one shared oracle (the kernel
+    registry's exact-type rule: a subclass may override any method).
+    Any other node set runs the reference loop.
     """
-
-    __slots__ = (
-        "oracle",
-        "parent_hash",
-        "parent_timestamp",
-        "tick",
-        "_parent_chunk",
-        "_tick_parent_prefix",
-    )
-
-    def __init__(
-        self,
-        oracle: HashOracle,
-        parent_hash: int,
-        parent_timestamp: float = 0.0,
-        tick: Optional[int] = None,
-    ) -> None:
-        self.oracle = oracle
-        self.parent_hash = parent_hash
-        self.parent_timestamp = parent_timestamp
-        self.tick = tick
-        self._parent_chunk: Optional[bytes] = None
-        self._tick_parent_prefix = None
-
-    def parent_chunk(self) -> bytes:
-        """Wire encoding of the parent hash (cached)."""
-        chunk = self._parent_chunk
-        if chunk is None:
-            chunk = self._parent_chunk = HashOracle.chunk(self.parent_hash)
-        return chunk
-
-    def tick_parent_prefix(self):
-        """Pre-hashed ``key + tick + parent`` digest prefix (cached).
-
-        The shared head of every ML-PoS lottery digest this tick;
-        finish a copy with a node's address chunk.
-        """
-        prefix = self._tick_parent_prefix
-        if prefix is None:
-            prefix = self.oracle.prefix()
-            prefix.update(HashOracle.chunk(self.tick))
-            prefix.update(self.parent_chunk())
-            self._tick_parent_prefix = prefix
-        return prefix
+    node_types = {type(node) for node in nodes}
+    if not fast or len(node_types) != 1:
+        return None
+    if len({id(node.oracle) for node in nodes}) != 1:
+        return None
+    (node_type,) = node_types
+    return node_type if node_type in stock_types else None
 
 
 class _IncomeTracker:
     """Cumulative per-round income bookkeeping shared by the engines.
 
-    The dict-of-lists reference implementation, used by the
-    ``fast=False`` paths; :class:`_ArrayIncomeTracker` is its
-    bit-identical preallocated-NumPy twin.
+    The dict-of-lists reference implementation, used by the reference
+    loops; :class:`_ArrayIncomeTracker` is its bit-identical
+    preallocated-NumPy twin.
     """
 
     def __init__(self, addresses: Sequence[str]) -> None:
@@ -195,7 +134,7 @@ class _IncomeTracker:
 
 
 class _ArrayIncomeTracker:
-    """Preallocated NumPy income/issuance ledgers.
+    """Preallocated NumPy income/issuance ledgers of the inlined loops.
 
     Bit-identical to :class:`_IncomeTracker`: every recorded amount is
     added to the same running total with one IEEE double addition, and
@@ -254,24 +193,6 @@ class _ArrayIncomeTracker:
         self._total_issued = total_issued
         self._commit_row()
 
-    def record_round(self, incomes: Dict[str, float]) -> None:
-        """Record a round of per-address incomes keyed by address.
-
-        Same accumulation order as :meth:`_IncomeTracker.record_round`
-        (dict insertion order; unknown addresses count toward issuance
-        only), so the naive engine bodies can run on this tracker too.
-        """
-        index = self._index
-        totals = self._totals
-        total_issued = self._total_issued
-        for address, amount in incomes.items():
-            position = index.get(address)
-            if position is not None:
-                totals[position] += amount
-            total_issued += amount
-        self._total_issued = total_issued
-        self._commit_row()
-
     @property
     def total_issued_history(self) -> List[float]:
         return self._issued[: self._rounds].tolist()
@@ -316,8 +237,12 @@ class TickMiningNetwork:
         Safety valve: raise instead of looping forever when the
         difficulty is impossibly low.
     fast:
-        Use the batched-draw loop with NumPy ledgers (default); False
-        runs the original per-object loop.  Bit-identical either way.
+        Run the inlined race when every node is a stock
+        :class:`~repro.chainsim.pow_node.PoWNode` or every node a stock
+        :class:`~repro.chainsim.ml_pos_node.MLPoSNode`, all on one
+        oracle (the default); False always runs the reference loop.
+        Bit-identical either way.  The ``fast`` attribute records
+        whether the inlined race runs.
     """
 
     def __init__(
@@ -345,25 +270,9 @@ class TickMiningNetwork:
         self.max_ticks_per_block = ensure_positive_int(
             "max_ticks_per_block", max_ticks_per_block
         )
-        self.fast = bool(fast)
         self.tick = 0
-        # Exact-type specialization (mirroring the kernel registry's
-        # exact-type rule): a subclass may override try_propose, so the
-        # fully inlined ML-PoS race only engages for stock nodes on one
-        # shared oracle; anything else takes the generic fast loop.
-        self._ml_homogeneous = all(
-            type(node) is MLPoSNode for node in self.nodes
-        ) and len({id(node.oracle) for node in self.nodes}) == 1
-        self._propose_calls = [
-            (
-                _resolve_fast_method(
-                    node, (MLPoSNode, PoWNode),
-                    "try_propose", "fast_try_propose",
-                ),
-                node,
-            )
-            for node in self.nodes
-        ]
+        self._race = _inlined_type(self.nodes, fast, (PoWNode, MLPoSNode))
+        self.fast = self._race is not None
         self._tracker = _make_tracker([n.address for n in self.nodes], self.fast)
 
     def _seal_block(
@@ -371,7 +280,7 @@ class TickMiningNetwork:
     ) -> Block:
         """Shared block assembly: transactions, append, retarget, record.
 
-        ``trusted`` (fast paths only) takes the validation-free append
+        ``trusted`` (inlined races only) takes the validation-free append
         when there is no mempool — the block is transaction-less and
         built from the tip, so every checked property holds by
         construction.
@@ -414,8 +323,10 @@ class TickMiningNetwork:
 
     def mine_block(self) -> Block:
         """Advance ticks until some node wins the lottery; append the block."""
-        if self.fast:
-            return self._mine_block_fast()
+        if self._race is PoWNode:
+            return self._mine_block_pow()
+        if self._race is MLPoSNode:
+            return self._mine_block_ml_pos()
         ticks_waited = 0
         while True:
             self.tick += 1
@@ -435,15 +346,20 @@ class TickMiningNetwork:
             digest, winner = min(candidates, key=lambda item: item[0])
             return self._seal_block(digest, winner)
 
-    def _mine_block_fast(self) -> Block:
-        """The batched-draw tick loop: per-tick shared encodings, one
-        common digest prefix, candidate race identical to the naive
-        loop (lowest digest wins, earlier node on ties)."""
-        if self._ml_homogeneous:
-            return self._mine_block_ml_pos()
+    def _mine_block_pow(self) -> Block:
+        """Inlined PoW race for stock nodes on one oracle.
+
+        Difficulty is frozen within a block (it changes only when a
+        block seals), so it is read once, and the parent hash is
+        encoded once per block; every node then grinds from a prefix it
+        hashes once per parent (:meth:`PoWNode.grind`).  The candidate
+        race replicates the reference loop: lowest digest wins, the
+        earlier node on ties.
+        """
         chain = self.chain
         nodes = self.nodes
-        oracle = nodes[0].oracle
+        difficulty = self.adjuster.difficulty
+        parent_chunk = HashOracle.chunk(chain.tip.block_hash)
         ticks_waited = 0
         while True:
             self.tick += 1
@@ -453,22 +369,17 @@ class TickMiningNetwork:
                     "no block found within max_ticks_per_block; "
                     "difficulty is too low"
                 )
-            tick = self.tick
-            tip = chain.tip
-            shared = SharedRoundDraws(oracle, tip.block_hash, tip.timestamp, tick)
-            difficulty = self.adjuster.difficulty
             best_digest: Optional[int] = None
             winner: Optional[MiningNode] = None
-            for propose, node in self._propose_calls:
-                digest = propose(chain, tick, difficulty, shared)
+            for node in nodes:
+                digest = node.grind(chain, difficulty, parent_chunk)
                 if digest is not None and (
                     best_digest is None or digest < best_digest
                 ):
                     best_digest = digest
                     winner = node
-            if winner is None:
-                continue
-            return self._seal_block(best_digest, winner, trusted=True)
+            if winner is not None:
+                return self._seal_block(best_digest, winner, trusted=True)
 
     def _mine_block_ml_pos(self) -> Block:
         """Fully inlined ML-PoS race for stock nodes on one oracle.
@@ -562,7 +473,15 @@ class TickMiningNetwork:
 
 
 class DeadlineMiningNetwork:
-    """Event-driven deadline mining for SL-PoS / FSL-PoS nodes."""
+    """Event-driven deadline mining for SL-PoS / FSL-PoS nodes.
+
+    ``fast`` runs the inlined race when every node is a stock
+    :class:`~repro.chainsim.sl_pos_node.SLPoSNode` or every node a
+    stock :class:`~repro.chainsim.sl_pos_node.FSLPoSNode`, all on one
+    oracle (the default); False always runs the reference loop.
+    Bit-identical either way.  The ``fast`` attribute records whether
+    the inlined race runs.
+    """
 
     def __init__(
         self,
@@ -585,61 +504,47 @@ class DeadlineMiningNetwork:
         self.max_txs_per_block = ensure_positive_int(
             "max_txs_per_block", max_txs_per_block
         )
-        self.fast = bool(fast)
-        self._block_prefix = None
-        # Exact-type specialization, as in TickMiningNetwork: the fully
-        # inlined deadline race only engages for homogeneous stock
-        # SL/FSL nodes on one shared oracle.
-        node_types = {type(node) for node in self.nodes}
-        self._deadline_exponential: Optional[bool] = None
-        if len(node_types) == 1 and len(
-            {id(node.oracle) for node in self.nodes}
-        ) == 1:
-            if node_types == {SLPoSNode}:
-                self._deadline_exponential = False
-            elif node_types == {FSLPoSNode}:
-                self._deadline_exponential = True
-        self._deadline_calls = [
-            (
-                _resolve_fast_method(
-                    node, (SLPoSNode, FSLPoSNode),
-                    "proposal_deadline", "fast_proposal_deadline",
-                ),
-                node,
-            )
-            for node in self.nodes
-        ]
+        race = _inlined_type(self.nodes, fast, (SLPoSNode, FSLPoSNode))
+        self.fast = race is not None
+        if self.fast:
+            # Per-node ``key+address`` deadline prefixes and the
+            # ``key+"block"`` block-hash prefix, hashed once per network.
+            oracle = self.nodes[0].oracle
+            self._exponential = race is FSLPoSNode
+            self._deadline_prefixes = [
+                oracle.prefix(node.address) for node in self.nodes
+            ]
+            self._block_prefix = oracle.prefix("block")
         self._tracker = _make_tracker([n.address for n in self.nodes], self.fast)
-
-    def _winner_digest(self, winner: MiningNode, shared=None) -> int:
-        """The accepted block's hash (same formula on both paths)."""
-        tip_hash = self.chain.tip.block_hash
-        if shared is not None and winner.oracle is shared.oracle:
-            prefix = self._block_prefix
-            if prefix is None:
-                prefix = self._block_prefix = shared.oracle.prefix("block")
-            tail = HashOracle.digest_tail(
-                prefix, winner._address_chunk, shared.parent_chunk()
-            )
-        else:
-            tail = winner.oracle.digest("block", winner.address, tip_hash)
-        return tip_hash + 1 + tail % (1 << 64)
 
     def _seal_block(
         self,
         deadline: float,
         winner: MiningNode,
-        shared=None,
-        trusted: bool = False,
+        tip_chunk: Optional[bytes] = None,
     ) -> Block:
-        if trusted and self.mempool is None:
-            # Stock-node fast path: the deadline extends the tip by a
-            # non-negative wait and there are no transactions, so every
-            # validated property holds by construction.
+        """Block assembly: block hash, transactions, append, record.
+
+        The inlined race passes the tip hash's wire encoding
+        (``tip_chunk``): the block hash then finishes the cached block
+        prefix, and with no mempool the block takes the
+        validation-free append (the deadline extends the tip by a
+        non-negative wait and there are no transactions, so every
+        validated property holds by construction).
+        """
+        tip_hash = self.chain.tip.block_hash
+        if tip_chunk is None:
+            tail = winner.oracle.digest("block", winner.address, tip_hash)
+        else:
+            tail = HashOracle.digest_tail(
+                self._block_prefix, winner._address_chunk, tip_chunk
+            )
+        block_hash = tip_hash + 1 + tail % (1 << 64)
+        if tip_chunk is not None and self.mempool is None:
             block = fast_block(
                 height=self.chain.height + 1,
-                parent_hash=self.chain.tip.block_hash,
-                block_hash=self._winner_digest(winner, shared),
+                parent_hash=tip_hash,
+                block_hash=block_hash,
                 proposer=winner.address,
                 timestamp=deadline,
                 reward=self.block_reward,
@@ -654,8 +559,8 @@ class DeadlineMiningNetwork:
         )
         block = Block(
             height=self.chain.height + 1,
-            parent_hash=self.chain.tip.block_hash,
-            block_hash=self._winner_digest(winner, shared),
+            parent_hash=tip_hash,
+            block_hash=block_hash,
             proposer=winner.address,
             timestamp=deadline,
             reward=self.block_reward,
@@ -668,41 +573,33 @@ class DeadlineMiningNetwork:
         return block
 
     def _mine_block_deadline_fast(self) -> Block:
-        """Fully inlined deadline race for homogeneous SL/FSL nodes.
+        """Inlined deadline race for stock SL or FSL nodes on one oracle.
 
-        Replicates the naive ``min((deadline, address, node))`` tuple
-        race — strict deadline comparison, address tie-break — with the
-        per-node hash reduced to one cached-prefix copy/finalize and
-        the deadline arithmetic evaluated in the nodes' exact
-        expression order.
+        Replicates the reference ``min((deadline, address, node))``
+        tuple race — strict deadline comparison, address tie-break —
+        with the per-node hash reduced to one cached-prefix
+        copy/finalize and the deadline arithmetic evaluated in the
+        nodes' exact expression order.
         """
         chain = self.chain
         tip = chain.tip
         tip_timestamp = tip.timestamp
+        tip_chunk = HashOracle.chunk(tip.block_hash)
         basetime = self.basetime
-        exponential = self._deadline_exponential
-        shared = SharedRoundDraws(
-            self.nodes[0].oracle, tip.block_hash, tip_timestamp
-        )
-        tip_chunk = shared.parent_chunk()
+        exponential = self._exponential
         from_bytes = int.from_bytes
         log1p = math.log1p
         inf = math.inf
         best: Optional[float] = None
         best_address: Optional[str] = None
         winner: Optional[MiningNode] = None
-        for node in self.nodes:
+        for node, prefix in zip(self.nodes, self._deadline_prefixes):
             stake = chain.balance(node.address)
             if stake <= 0.0:
                 deadline = inf
             else:
-                prefix = node._deadline_prefix
-                if prefix is None:
-                    prefix = node._deadline_prefix = node.oracle.prefix(
-                        node.address
-                    )
-                # Inlined HashOracle.fraction_tail (hot: per node
-                # per block) — same copy/update/finalize and 53-bit map.
+                # HashOracle.fraction's 53-bit map, inlined (hot: per
+                # node per block).
                 hasher = prefix.copy()
                 hasher.update(tip_chunk)
                 u = (from_bytes(hasher.digest(), "big") >> 203) / 9007199254740992.0
@@ -720,29 +617,12 @@ class DeadlineMiningNetwork:
                 winner = node
         if best == inf:
             raise RuntimeError("no node can propose (all stakes are zero)")
-        return self._seal_block(best, winner, shared, trusted=True)
+        return self._seal_block(best, winner, tip_chunk)
 
     def mine_block(self) -> Block:
         """Resolve the deadline race for the next block and append it."""
         if self.fast:
-            if self._deadline_exponential is not None:
-                return self._mine_block_deadline_fast()
-            tip = self.chain.tip
-            shared = SharedRoundDraws(
-                self.nodes[0].oracle, tip.block_hash, tip.timestamp
-            )
-            deadlines = [
-                (
-                    propose(self.chain, self.basetime, shared),
-                    node.address,
-                    node,
-                )
-                for propose, node in self._deadline_calls
-            ]
-            deadline, _, winner = min(deadlines)
-            if deadline == float("inf"):
-                raise RuntimeError("no node can propose (all stakes are zero)")
-            return self._seal_block(deadline, winner, shared)
+            return self._mine_block_deadline_fast()
         deadlines: List[Tuple[float, str, MiningNode]] = []
         for node in self.nodes:
             deadline = node.proposal_deadline(self.chain, self.basetime)
@@ -786,7 +666,14 @@ class DeadlineMiningNetwork:
 
 
 class CPoSNetwork:
-    """Epoch-driven compound PoS with committees and inflation."""
+    """Epoch-driven compound PoS with committees and inflation.
+
+    ``fast`` runs the inlined epoch loop when every validator is a
+    stock :class:`~repro.chainsim.c_pos_node.CPoSValidator` (the
+    default); False always runs the reference body.  Bit-identical
+    either way.  The ``fast`` attribute records whether the inlined
+    loop runs.
+    """
 
     def __init__(
         self,
@@ -815,12 +702,11 @@ class CPoSNetwork:
         self.epoch_duration = ensure_positive_float("epoch_duration", epoch_duration)
         self.epoch = 0
         self.oracle = oracle
-        self.fast = bool(fast)
-        # Exact-type specialization, as in the mining networks: the
-        # inlined epoch loop reads stakes straight off the ledger, so a
-        # CPoSValidator subclass overriding stake() must take the naive
-        # body (which consults v.stake) even under fast=True.
-        self._stock_validators = all(
+        # Exact-type rule, as in the mining networks: the inlined epoch
+        # loop reads stakes straight off the ledger, so a CPoSValidator
+        # subclass overriding stake() must take the reference body
+        # (which consults v.stake) even under fast=True.
+        self.fast = bool(fast) and all(
             type(validator) is CPoSValidator
             for validator in self.committee.validators
         )
@@ -832,7 +718,7 @@ class CPoSNetwork:
 
     def run_epoch(self) -> List[str]:
         """Run one epoch: elect shard proposers, append blocks, pay attesters."""
-        if self.fast and self._stock_validators:
+        if self.fast:
             return self._run_epoch_fast()
         incomes: Dict[str, float] = {
             v.address: 0.0 for v in self.committee.validators
@@ -897,7 +783,7 @@ class CPoSNetwork:
         last = count - 1
         proposer_indices: List[int] = []
         for shard in range(shards):
-            # Inlined HashOracle.fraction_tail (hot: per shard).
+            # HashOracle.fraction's 53-bit map, inlined (hot: per shard).
             hasher = randao_prefix.copy()
             hasher.update(shard_chunks[shard])
             hasher.update(tip_chunk)

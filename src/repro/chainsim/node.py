@@ -41,10 +41,9 @@ class MiningNode(abc.ABC):
             raise ValueError("address must be non-empty")
         self.address = address
         self.oracle = oracle
-        # Wire encoding of the address, cached for the batched-draw
-        # fast paths (the address appears in every lottery digest).
+        # Wire encoding of the address, cached for the networks'
+        # inlined races (the address appears in every lottery digest).
         self._address_chunk = HashOracle.chunk(address)
-        self._deadline_prefix = None
 
     def stake(self, chain: Blockchain) -> float:
         """The node's current staking power: its ledger balance."""
@@ -65,20 +64,6 @@ class MiningNode(abc.ABC):
             f"{type(self).__name__} does not support tick mining"
         )
 
-    def fast_try_propose(
-        self, chain: Blockchain, tick: int, difficulty: float, shared
-    ) -> Optional[int]:
-        """Batched-draw variant of :meth:`try_propose`.
-
-        ``shared`` is the network's per-round draw context
-        (:class:`repro.chainsim.network.SharedRoundDraws`) carrying
-        encodings and pre-hashed digest prefixes common to every node
-        this round.  Must return bit-identical results to
-        :meth:`try_propose`; the default simply delegates, so custom
-        node types keep working under fast networks.
-        """
-        return self.try_propose(chain, tick, difficulty)
-
     # -- deadline mining interface -----------------------------------------------
 
     def proposal_deadline(self, chain: Blockchain, basetime: float) -> float:
@@ -89,16 +74,6 @@ class MiningNode(abc.ABC):
         raise NotImplementedError(
             f"{type(self).__name__} does not support deadline mining"
         )
-
-    def fast_proposal_deadline(
-        self, chain: Blockchain, basetime: float, shared
-    ) -> float:
-        """Batched-draw variant of :meth:`proposal_deadline`.
-
-        Same contract as :meth:`fast_try_propose`: bit-identical to the
-        naive method, defaulting to it for custom node types.
-        """
-        return self.proposal_deadline(chain, basetime)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(address={self.address!r})"

@@ -59,10 +59,12 @@ class PoWNode(MiningNode):
                 best = digest
         return best
 
-    def fast_try_propose(
-        self, chain: Blockchain, tick: int, difficulty: float, shared
+    def grind(
+        self, chain: Blockchain, difficulty: float, parent_chunk: bytes
     ) -> Optional[int]:
-        """Grind against a per-``(address, parent)`` pre-hashed prefix.
+        """:meth:`try_propose` against a per-``(address, parent)``
+        pre-hashed prefix; ``parent_chunk`` is the tip hash's wire
+        encoding (``HashOracle.chunk``).
 
         The digest fields are ``(address, parent, nonce)``, so the
         whole key+address+parent state is hashed once per block and
@@ -70,8 +72,6 @@ class PoWNode(MiningNode):
         bit-identical to :meth:`try_propose` by the oracle's wire
         format.
         """
-        if shared.oracle is not self.oracle:
-            return self.try_propose(chain, tick, difficulty)
         if difficulty <= 0.0:
             raise ValueError("difficulty must be positive")
         target = min(int(difficulty), HASH_SPACE)
@@ -79,7 +79,7 @@ class PoWNode(MiningNode):
         if parent_hash != self._grind_parent:
             prefix = self.oracle.prefix()
             prefix.update(self._address_chunk)
-            prefix.update(shared.parent_chunk())
+            prefix.update(parent_chunk)
             self._grind_prefix = prefix
             self._grind_parent = parent_hash
         best: Optional[int] = None

@@ -18,45 +18,12 @@ from __future__ import annotations
 import math
 
 from .chain import Blockchain
-from .hash_oracle import HashOracle
 from .node import MiningNode
 
 __all__ = ["SLPoSNode", "FSLPoSNode"]
 
 
-class _PrefixDeadlineNode(MiningNode):
-    """Shared batched-draw deadline machinery for SL/FSL nodes.
-
-    Subclasses define :meth:`_deadline` — how a uniform draw becomes a
-    waiting time; the guards, the lazily cached ``key+address`` digest
-    prefix, and the draw itself live here once.
-    """
-
-    def _deadline(
-        self, u: float, stake: float, start: float, basetime: float
-    ) -> float:
-        raise NotImplementedError
-
-    def fast_proposal_deadline(
-        self, chain: Blockchain, basetime: float, shared
-    ) -> float:
-        """Deadline from the cached digest prefix — bit-identical to
-        :meth:`proposal_deadline`."""
-        if shared.oracle is not self.oracle:
-            return self.proposal_deadline(chain, basetime)
-        if basetime <= 0.0:
-            raise ValueError("basetime must be positive")
-        stake = self.stake(chain)
-        if stake <= 0.0:
-            return math.inf
-        prefix = self._deadline_prefix
-        if prefix is None:
-            prefix = self._deadline_prefix = self.oracle.prefix(self.address)
-        u = HashOracle.fraction_tail(prefix, shared.parent_chunk())
-        return self._deadline(u, stake, shared.parent_timestamp, basetime)
-
-
-class SLPoSNode(_PrefixDeadlineNode):
+class SLPoSNode(MiningNode):
     """A single-lottery proof-of-stake miner (NXT semantics)."""
 
     def proposal_deadline(self, chain: Blockchain, basetime: float) -> float:
@@ -69,13 +36,8 @@ class SLPoSNode(_PrefixDeadlineNode):
         u = self.oracle.fraction(self.address, chain.tip.block_hash)
         return chain.tip.timestamp + basetime * u / stake
 
-    def _deadline(
-        self, u: float, stake: float, start: float, basetime: float
-    ) -> float:
-        return start + basetime * u / stake
 
-
-class FSLPoSNode(_PrefixDeadlineNode):
+class FSLPoSNode(MiningNode):
     """A fair-single-lottery miner (the Section 6.2 treatment)."""
 
     def proposal_deadline(self, chain: Blockchain, basetime: float) -> float:
@@ -88,8 +50,3 @@ class FSLPoSNode(_PrefixDeadlineNode):
         u = self.oracle.fraction(self.address, chain.tip.block_hash)
         # -log1p(-u) = -ln(1 - u); u < 1 guaranteed by fraction().
         return chain.tip.timestamp + basetime * (-math.log1p(-u)) / stake
-
-    def _deadline(
-        self, u: float, stake: float, start: float, basetime: float
-    ) -> float:
-        return start + basetime * (-math.log1p(-u)) / stake

@@ -1,10 +1,13 @@
-"""Differential golden tests for the vectorized chainsim paths.
+"""Differential golden tests for the chainsim networks' inlined loops.
 
-The ``fast=True`` networks (batched hash-oracle draws, preallocated
-NumPy income ledgers, exact-type specialized races) promise bit-identical
-results to the original per-object loops; these tests pin that promise
-for every system protocol across miner counts and checkpoint schedules,
-plus the oracle's batched-prefix interface and the array ledger itself.
+Each network runs one of two loops: an inlined race (pre-hashed oracle
+prefixes, preallocated NumPy income ledgers) when ``fast=True`` and
+every node is an exact stock node of one type on one oracle, else the
+reference per-object loop, which ``fast=False`` always runs.  The two
+promise bit-identical results; these tests pin that promise for every
+system protocol across miner counts and checkpoint schedules, for
+node sets that fall back to the reference loop, plus the oracle's
+batched-prefix interface and the array ledger itself.
 """
 
 import pickle
@@ -24,6 +27,7 @@ from repro.chainsim.network import (
     _ArrayIncomeTracker,
     _IncomeTracker,
 )
+from repro.chainsim.pow_node import PoWNode
 from repro.chainsim.sl_pos_node import FSLPoSNode, SLPoSNode
 from repro.chainsim.transactions import Transaction
 from repro.core.miners import Allocation
@@ -41,6 +45,16 @@ CHECKPOINT_SCHEDULES = {
     "custom": (3, 11, 30),
     "single": (30,),
 }
+
+
+def pow_node(address, oracle):
+    return PoWNode(address, oracle, hash_rate={"A": 2, "B": 8}[address])
+
+
+def pow_or_ml_pos_node(address, oracle):
+    if address == "A":
+        return pow_node(address, oracle)
+    return MLPoSNode(address, oracle)
 
 
 def run_pair(protocol, miners, checkpoints, seed=13):
@@ -143,6 +157,38 @@ class TestNetworkLevelParity:
                            network.total_issued_series()))
         assert states[0] == states[1]
 
+    @pytest.mark.parametrize("with_mempool", [False, True])
+    @pytest.mark.parametrize(
+        "make_node", [pow_node, pow_or_ml_pos_node], ids=["pow", "pow+ml-pos"]
+    )
+    def test_pow_chain_state_identical(self, make_node, with_mempool):
+        # Stock PoW nodes take the inlined PoW race (with a mempool, its
+        # validated append); a mixed PoW + ML-PoS set the reference loop.
+        states = []
+        for fast in (False, True):
+            mempool = None
+            if with_mempool:
+                mempool = Mempool()
+                for nonce in range(2):
+                    mempool.add(
+                        Transaction("B", "A", amount=0.1, fee=0.01, nonce=nonce)
+                    )
+            network, chain = self.make_tick(
+                fast, node_type=make_node, mempool=mempool
+            )
+            assert network.fast == (fast and make_node is pow_node)
+            network.run(60)
+            states.append(
+                (
+                    [(b.block_hash, b.proposer, b.timestamp) for b in chain.blocks],
+                    chain.balance("A"),
+                    chain.balance("B"),
+                    network.income_series(["A", "B"]),
+                    network.total_issued_series(),
+                )
+            )
+        assert states[0] == states[1]
+
     def test_custom_node_subclass_falls_back_bit_identically(self):
         # A subclass with different dynamics must not be captured by
         # the exact-type specialized race.
@@ -176,8 +222,8 @@ class TestNetworkLevelParity:
         assert states[0] == states[1]
 
     def test_deadline_mixed_node_types_identical(self):
-        # Mixed SL/FSL nodes skip the homogeneous specialization but
-        # still run the generic fast path.
+        # Mixed SL/FSL nodes run the reference loop under fast=True:
+        # the inlined race needs one stock node type.
         states = []
         for fast in (False, True):
             oracle = HashOracle(3)
@@ -240,13 +286,6 @@ class TestBatchedOracleInterface:
             assert HashOracle.digest_tail(prefix, *chunks) == oracle.digest(
                 *fields
             )
-
-    def test_fraction_tail_matches_fraction(self):
-        oracle = HashOracle(4)
-        prefix = oracle.prefix("pk-A")
-        assert HashOracle.fraction_tail(
-            prefix, HashOracle.chunk(77)
-        ) == oracle.fraction("pk-A", 77)
 
     def test_prefix_is_reusable(self):
         oracle = HashOracle(1)

@@ -177,6 +177,62 @@ class TestTracedGridCoverage:
         ]
         assert root["attrs"]["specs"] == 1
 
+    @pytest.mark.parametrize(
+        "case, inlined",
+        [
+            ("c-pos", True),
+            ("c-pos-subclass", False),
+            ("pow", True),
+            ("pow+ml-pos", False),
+        ],
+    )
+    def test_chainsim_span_reports_the_loop_that_ran(self, case, inlined):
+        # fast=True everywhere: the span's ``fast`` names the loop that
+        # ran, so node sets outside the inlined races report False.
+        from repro.chainsim import (
+            HASH_SPACE,
+            Blockchain,
+            CPoSNetwork,
+            CPoSValidator,
+            DifficultyAdjuster,
+            HashOracle,
+            MLPoSNode,
+            PoWNode,
+            TickMiningNetwork,
+        )
+
+        class Validator(CPoSValidator):
+            pass
+
+        oracle = HashOracle(4)
+        chain = Blockchain({"A": 0.2, "B": 0.8})
+        if case.startswith("c-pos"):
+            validator = Validator if case == "c-pos-subclass" else CPoSValidator
+            network = CPoSNetwork(
+                chain,
+                [validator("A", oracle), validator("B", oracle)],
+                oracle,
+                proposer_reward=0.01,
+                inflation_reward=0.1,
+                shards=4,
+            )
+        else:
+            if case == "pow":
+                second = PoWNode("B", oracle, 8)
+            else:
+                second = MLPoSNode("B", oracle)
+            network = TickMiningNetwork(
+                chain,
+                [PoWNode("A", oracle, 2), second],
+                DifficultyAdjuster(HASH_SPACE / 10.0, target_interval=10.0),
+                0.01,
+            )
+        tracer = Tracer()
+        with using_tracer(tracer):
+            network.run(3)
+        (span,) = [s for s in tracer.spans if s["name"] == "chainsim.run"]
+        assert span["attrs"]["fast"] is inlined
+
     def test_cache_hit_recorded_on_warm_run(self, tmp_path):
         spec = make_specs()[0]
         ParallelRunner(workers=1, cache=tmp_path).run(spec, shards=2)

@@ -30,15 +30,15 @@ def fast_block(
     :class:`Block` — same equality, hashing and attributes.
     """
     block = object.__new__(Block)
-    block.__dict__.update(
-        height=height,
-        parent_hash=parent_hash,
-        block_hash=block_hash,
-        proposer=proposer,
-        timestamp=timestamp,
-        reward=reward,
-        transactions=(),
-    )
+    # Item assignment builds no keyword dict (cheaper than update()).
+    fields = block.__dict__
+    fields["height"] = height
+    fields["parent_hash"] = parent_hash
+    fields["block_hash"] = block_hash
+    fields["proposer"] = proposer
+    fields["timestamp"] = timestamp
+    fields["reward"] = reward
+    fields["transactions"] = ()
     return block
 
 

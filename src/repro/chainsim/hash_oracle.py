@@ -17,12 +17,74 @@ from __future__ import annotations
 import hashlib
 from typing import Union
 
-__all__ = ["HASH_SPACE", "HashOracle"]
+__all__ = [
+    "HASH_SPACE",
+    "INT_HEADS",
+    "HashOracle",
+    "int_boundary",
+    "int_chunk",
+    "int_width",
+    "target_bytes",
+]
 
 #: The size of the hash output space, ``2^256``.
 HASH_SPACE = 1 << 256
 
+#: ``INT_HEADS[w]`` is the wire head of an int encoded in ``w`` bytes:
+#: the 4-byte big-endian length ``w + 1`` of the encoding, then its
+#: ``b"i"`` tag.  Widths up to 63 bytes cover ints below about 2^496,
+#: beyond any digest, block hash, nonce or tick.
+INT_HEADS = tuple((width + 1).to_bytes(4, "big") + b"i" for width in range(64))
+
+#: Compares above every 32-byte digest: the byte form of target
+#: ``HASH_SPACE`` (a 32-byte digest is a prefix of it, hence smaller).
+_ABOVE_EVERY_DIGEST = b"\xff" * 33
+
 _FieldType = Union[int, str, bytes, float]
+
+
+def int_width(value: int) -> int:
+    """The byte width ``w`` of ``value``'s signed wire encoding.
+
+    A counting loop keeps one width, and one :data:`INT_HEADS` head,
+    until the next boundary: a non-negative value has width ``w`` up to
+    ``int_boundary(w) - 1``.
+    """
+    return (value.bit_length() + 8) // 8 + 1
+
+
+def int_boundary(width: int) -> int:
+    """The first non-negative value wider than ``width`` bytes,
+    ``2**(8(width-1)-1)``; below it, a non-negative value's unsigned
+    big-endian bytes are its signed encoding."""
+    return 1 << (8 * width - 9)
+
+
+def int_chunk(value: int) -> bytes:
+    """``HashOracle.chunk(value)`` for an exact int, without the type
+    dispatch: the head for the value's width plus its signed big-endian
+    bytes."""
+    width = (value.bit_length() + 8) // 8 + 1  # int_width, inlined (hot)
+    try:
+        head = INT_HEADS[width]
+    except IndexError:  # wider than any digest, nonce or tick
+        head = (width + 1).to_bytes(4, "big") + b"i"
+    return head + value.to_bytes(width, "big", signed=True)
+
+
+def target_bytes(target: int) -> bytes:
+    """A lottery target in ``[0, HASH_SPACE]`` as bytes that compare
+    with a 32-byte digest as the integers do.
+
+    For bytes of equal length, byte order is integer order, so
+    ``digest < target_bytes(t)`` exactly when
+    ``int.from_bytes(digest, "big") < t``: 0 becomes 32 zero bytes (no
+    digest is below it) and ``HASH_SPACE`` a 33-byte ``0xff`` sentinel
+    (every digest is below it).
+    """
+    if target >= HASH_SPACE:
+        return _ABOVE_EVERY_DIGEST
+    return target.to_bytes(32, "big")
 
 
 class HashOracle:
@@ -94,11 +156,12 @@ class HashOracle:
     #
     # The node-level mining loops evaluate millions of digests whose
     # field tuples share long common prefixes (same tick, same parent
-    # hash, same address).  The methods below expose the oracle's wire
-    # format so hot loops can cache encoded fields and pre-hashed
-    # prefixes; `digest_tail(prefix(*head), chunk(f))` consumes the
-    # identical byte stream as `digest(*head, f)` and is therefore
-    # bit-identical by construction.
+    # hash, same address).  The methods below, with the module's
+    # int_chunk/INT_HEADS, expose the oracle's wire format so hot loops
+    # can cache encoded fields and pre-hashed prefixes;
+    # `digest_tail(prefix(*head), chunk(f))` consumes the identical byte
+    # stream as `digest(*head, f)` and is therefore bit-identical by
+    # construction.
 
     @classmethod
     def chunk(cls, field: _FieldType) -> bytes:
@@ -106,8 +169,11 @@ class HashOracle:
 
         ``digest(*fields)`` hashes exactly the concatenation of the
         fields' chunks (after the key), so chunks may be cached and fed
-        to pre-hashed prefixes without changing a single digest.
+        to pre-hashed prefixes without changing a single digest.  Exact
+        ints take :func:`int_chunk`.
         """
+        if type(field) is int:
+            return int_chunk(field)
         encoded = cls._encode(field)
         return len(encoded).to_bytes(4, "big") + encoded
 

@@ -25,9 +25,13 @@ Each engine has two bit-identical loops and decides once, in
   :class:`~repro.chainsim.c_pos_node.CPoSValidator`).  It replicates
   the stock nodes' methods with per-block constants hoisted and digest
   prefixes pre-hashed through the oracle's batched-prefix interface,
-  so a draw costs one hasher copy and finalize, and it keeps income
-  and issuance in preallocated NumPy ledgers
-  (:class:`_ArrayIncomeTracker`);
+  so a lottery draw costs one hasher ``copy``, one ``update`` and one
+  ``digest``.  Ints are encoded by ``hash_oracle.int_chunk``, and
+  counting ints (PoW nonces, ML-PoS ticks) keep one ``INT_HEADS`` head
+  until their width's boundary.  The PoW and ML-PoS lottery tests
+  compare digest bytes with target bytes (``target_bytes``), so only
+  a winning digest becomes an int.  The loop keeps income and issuance
+  in preallocated NumPy ledgers (:class:`_ArrayIncomeTracker`);
 * the reference loop calls the nodes' own methods (for C-PoS, the
   committee's) each round.  It runs any other node set (a subclass,
   mixed types, several oracles) and, under ``fast=False``, every node
@@ -41,6 +45,8 @@ from __future__ import annotations
 
 import math
 
+from bisect import bisect_right
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -51,7 +57,15 @@ from .block import Block, fast_block
 from .chain import Blockchain
 from .c_pos_node import CPoSCommittee, CPoSValidator
 from .difficulty import DifficultyAdjuster
-from .hash_oracle import HASH_SPACE, HashOracle
+from .hash_oracle import (
+    HASH_SPACE,
+    INT_HEADS,
+    HashOracle,
+    int_boundary,
+    int_chunk,
+    int_width,
+    target_bytes,
+)
 from .mempool import Mempool
 from .ml_pos_node import MLPoSNode
 from .node import MiningNode
@@ -352,14 +366,15 @@ class TickMiningNetwork:
         Difficulty is frozen within a block (it changes only when a
         block seals), so it is read once, and the parent hash is
         encoded once per block; every node then grinds from a prefix it
-        hashes once per parent (:meth:`PoWNode.grind`).  The candidate
-        race replicates the reference loop: lowest digest wins, the
-        earlier node on ties.
+        hashes once per parent and nonce width, paying one hasher copy,
+        one ``update`` and one ``digest`` per nonce, compared as bytes
+        (:meth:`PoWNode.grind`).  The candidate race replicates the
+        reference loop: lowest digest wins, the earlier node on ties.
         """
         chain = self.chain
         nodes = self.nodes
         difficulty = self.adjuster.difficulty
-        parent_chunk = HashOracle.chunk(chain.tip.block_hash)
+        parent_chunk = int_chunk(chain.tip.block_hash)
         ticks_waited = 0
         while True:
             self.tick += 1
@@ -386,58 +401,60 @@ class TickMiningNetwork:
 
         Within a block, balances and difficulty are frozen (both change
         only when a block seals), so each node's success threshold is
-        hoisted out of the tick loop; every tick then costs one shared
-        ``key+tick+parent`` prefix hash plus one hasher-copy/finalize
-        per node.  Digest values, thresholds and the lowest-digest
-        tie-break all replicate :meth:`MLPoSNode.try_propose` exactly
-        (a zero-stake node's threshold of 0 can never beat a
-        non-negative digest, matching its early ``None``).
+        hoisted out of the tick loop as target bytes (``target_bytes``)
+        and a zero-stake node, whose threshold of 0 no digest beats
+        (its ``try_propose`` returns None), leaves the race.  Ticks
+        count up, so one ``INT_HEADS`` head serves every tick below the
+        next width boundary.  Each tick hashes the shared
+        ``key+tick+parent`` prefix in one ``update``; each node then
+        pays one hasher copy, one ``update`` of its address chunk and
+        one ``digest``, compared as bytes.  Digest values, thresholds
+        and the lowest-digest tie-break (the earlier node on ties)
+        replicate :meth:`MLPoSNode.try_propose` exactly; only the winner
+        is converted to an int.
         """
         chain = self.chain
-        nodes = self.nodes
-        oracle = nodes[0].oracle
         difficulty = self.adjuster.difficulty
         if difficulty <= 0.0:
             # The naive loop raises from the first node's try_propose,
             # after the tick has advanced; replicate that state.
             self.tick += 1
             raise ValueError("difficulty must be positive")
-        targets = []
-        for node in nodes:
+        race = []
+        for node in self.nodes:
             stake = chain.balance(node.address)
-            targets.append(
-                min(int(difficulty * stake), HASH_SPACE) if stake > 0.0 else 0
-            )
-        node_race = list(zip(targets, [n._address_chunk for n in nodes], nodes))
-        parent_chunk = HashOracle.chunk(chain.tip.block_hash)
-        from_bytes = int.from_bytes
-        ticks_waited = 0
-        while True:
-            self.tick += 1
-            ticks_waited += 1
-            if ticks_waited > self.max_ticks_per_block:
-                raise RuntimeError(
-                    "no block found within max_ticks_per_block; "
-                    "difficulty is too low"
-                )
-            tick = self.tick
-            prefix = oracle.prefix()
-            prefix.update(HashOracle.chunk(tick))
-            prefix.update(parent_chunk)
-            best_digest: Optional[int] = None
-            winner: Optional[MiningNode] = None
-            for target, address_chunk, node in node_race:
-                hasher = prefix.copy()
-                hasher.update(address_chunk)
-                digest = from_bytes(hasher.digest(), "big")
-                if digest < target and (
-                    best_digest is None or digest < best_digest
-                ):
-                    best_digest = digest
-                    winner = node
-            if winner is None:
-                continue
-            return self._seal_block(best_digest, winner, trusted=True)
+            if stake > 0.0:
+                target = target_bytes(min(int(difficulty * stake), HASH_SPACE))
+                race.append((target, node._address_chunk, node))
+        keyed_copy = self.nodes[0].oracle.prefix().copy
+        parent_chunk = int_chunk(chain.tip.block_hash)
+        tick = self.tick
+        last = tick + self.max_ticks_per_block
+        while tick < last:
+            width = int_width(tick + 1)
+            head = INT_HEADS[width]
+            # Ticks are positive: below the boundary their unsigned
+            # bytes are the signed encoding.
+            for tick in range(tick + 1, min(last, int_boundary(width) - 1) + 1):
+                prefix = keyed_copy()
+                prefix.update(head + tick.to_bytes(width, "big") + parent_chunk)
+                best: Optional[bytes] = None
+                for target, address_chunk, node in race:
+                    hasher = prefix.copy()
+                    hasher.update(address_chunk)
+                    digest = hasher.digest()
+                    if digest < target and (best is None or digest < best):
+                        best = digest
+                        winner = node
+                if best is not None:
+                    self.tick = tick
+                    return self._seal_block(
+                        int.from_bytes(best, "big"), winner, trusted=True
+                    )
+        self.tick = last + 1
+        raise RuntimeError(
+            "no block found within max_ticks_per_block; difficulty is too low"
+        )
 
     def run(self, blocks: int) -> None:
         """Mine ``blocks`` consecutive blocks."""
@@ -577,14 +594,15 @@ class DeadlineMiningNetwork:
 
         Replicates the reference ``min((deadline, address, node))``
         tuple race — strict deadline comparison, address tie-break —
-        with the per-node hash reduced to one cached-prefix
-        copy/finalize and the deadline arithmetic evaluated in the
-        nodes' exact expression order.
+        with the per-node draw reduced to one copy of the node's cached
+        ``key+address`` prefix, one ``update`` of the tip's
+        ``int_chunk`` and one ``digest``, and the deadline arithmetic
+        evaluated in the nodes' exact expression order.
         """
         chain = self.chain
         tip = chain.tip
         tip_timestamp = tip.timestamp
-        tip_chunk = HashOracle.chunk(tip.block_hash)
+        tip_chunk = int_chunk(tip.block_hash)
         basetime = self.basetime
         exponential = self._exponential
         from_bytes = int.from_bytes
@@ -711,8 +729,16 @@ class CPoSNetwork:
             for validator in self.committee.validators
         )
         self._addresses = [v.address for v in self.committee.validators]
-        self._shard_chunks = [
-            HashOracle.chunk(shard) for shard in range(self.committee.shards)
+        # The ``key+"randao"`` and ``key+"block"`` digest prefixes,
+        # hashed once per network.
+        self._randao_prefix = oracle.prefix("randao")
+        self._block_prefix = oracle.prefix("block")
+        shards = self.committee.shards
+        self._shard_chunks = [int_chunk(shard) for shard in range(shards)]
+        # Each shard block's offset into its epoch, evaluated as the
+        # reference's ``(shard + 1) * epoch_duration / shards``.
+        self._shard_offsets = [
+            (shard + 1) * self.epoch_duration / shards for shard in range(shards)
         ]
         self._tracker = _make_tracker(self._addresses, self.fast)
 
@@ -757,13 +783,24 @@ class CPoSNetwork:
 
         The naive path computes the stake-share dict twice (attester
         rewards, then proposer election) from the same epoch-start
-        balances; computing it once yields the identical values.  All
-        float accumulation orders — issuance, per-validator incomes,
-        the election CDF walk — replicate the naive loop exactly.
+        balances; computing it once yields the identical values.  The
+        election's stake CDF is built once per epoch with
+        ``itertools.accumulate``, whose running sums are the reference
+        walk's bit for bit, so ``bisect_right`` finds the walk's first
+        ``u < cumulative`` (clamped to the last validator, the walk's
+        fallback when rounding leaves the CDF below ``u``).  Each shard
+        pays two draws of one hasher copy, one ``update`` and one
+        ``digest``: the RANDAO draw finishes the ``key+"randao"+epoch``
+        prefix with the shard and the epoch-start tip (the reference
+        elects every proposer before the epoch's first block), and the
+        block hash finishes the ``key+"block"+epoch`` prefix with the
+        shard and the evolving tip.  Block timestamps add the
+        per-shard offsets computed in ``__init__``.  Issuance and
+        per-validator income accumulate in the naive loop's order.
         """
         chain = self.chain
         addresses = self._addresses
-        count = len(addresses)
+        last = len(addresses) - 1
         stakes = [chain.balance(address) for address in addresses]
         total = sum(stakes)
         if total <= 0.0:
@@ -771,63 +808,57 @@ class CPoSNetwork:
         shares = [stake / total for stake in stakes]
         paid = self.inflation_reward * self.vote_participation
         attester_amounts = [paid * share for share in shares]
+        cdf = list(accumulate(shares))
 
-        oracle = self.oracle
-        shard_chunks = self._shard_chunks
         epoch = self.epoch
-        chunk = HashOracle.chunk
-        from_bytes = int.from_bytes
-        tip_chunk = chunk(chain.tip.block_hash)
-        randao_prefix = oracle.prefix("randao", epoch)
-        shards = self.committee.shards
-        last = count - 1
-        proposer_indices: List[int] = []
-        for shard in range(shards):
-            # HashOracle.fraction's 53-bit map, inlined (hot: per shard).
-            hasher = randao_prefix.copy()
-            hasher.update(shard_chunks[shard])
-            hasher.update(tip_chunk)
-            u = (from_bytes(hasher.digest(), "big") >> 203) / 9007199254740992.0
-            cumulative = 0.0
-            chosen = last
-            for index in range(count):
-                cumulative += shares[index]
-                if u < cumulative:
-                    chosen = index
-                    break
-            proposer_indices.append(chosen)
-
-        incomes = [0.0] * count
-        per_shard_reward = self.proposer_reward / shards
-        base_time = epoch * self.epoch_duration
-        epoch_duration = self.epoch_duration
-        block_prefix = oracle.prefix("block", epoch)
-        height = chain.height
         tip_hash = chain.tip.block_hash
-        for shard, proposer_index in enumerate(proposer_indices):
-            # Inlined HashOracle.digest_tail (hot: per shard; the
-            # evolving tip's encoding cannot be hoisted).
-            hasher = block_prefix.copy()
-            hasher.update(shard_chunks[shard])
-            hasher.update(chunk(tip_hash))
+        # Every shard's RANDAO draw reads the epoch-start tip.
+        tip_chunk = int_chunk(tip_hash)
+        randao_tails = [chunk + tip_chunk for chunk in self._shard_chunks]
+        epoch_chunk = int_chunk(epoch)
+        randao_prefix = self._randao_prefix.copy()
+        randao_prefix.update(epoch_chunk)
+        randao_copy = randao_prefix.copy
+        block_prefix = self._block_prefix.copy()
+        block_prefix.update(epoch_chunk)
+        block_copy = block_prefix.copy
+        from_bytes = int.from_bytes
+        incomes = [0.0] * len(addresses)
+        per_shard_reward = self.proposer_reward / self.committee.shards
+        base_time = epoch * self.epoch_duration
+        height = chain.height
+        proposers: List[str] = []
+        for shard_chunk, randao_tail, offset in zip(
+            self._shard_chunks, randao_tails, self._shard_offsets
+        ):
+            hasher = randao_copy()
+            hasher.update(randao_tail)
+            u = (from_bytes(hasher.digest(), "big") >> 203) / 9007199254740992.0
+            index = bisect_right(cdf, u)
+            if index > last:
+                index = last
+            proposer = addresses[index]
+            proposers.append(proposer)
+            hasher = block_copy()
+            hasher.update(shard_chunk + int_chunk(tip_hash))
             height += 1
             block = fast_block(
                 height=height,
                 parent_hash=tip_hash,
                 block_hash=from_bytes(hasher.digest(), "big"),
-                proposer=addresses[proposer_index],
-                timestamp=base_time + (shard + 1) * epoch_duration / shards,
+                proposer=proposer,
+                timestamp=base_time + offset,
                 reward=per_shard_reward,
             )
             chain.append_trusted(block)
             tip_hash = block.block_hash
-            incomes[proposer_index] += per_shard_reward
+            incomes[index] += per_shard_reward
         for index, address in enumerate(addresses):
             chain.credit(address, attester_amounts[index])
             incomes[index] += attester_amounts[index]
         self._tracker.record_amounts(incomes)
         self.epoch += 1
-        return [addresses[index] for index in proposer_indices]
+        return proposers
 
     def run(self, epochs: int) -> None:
         """Run ``epochs`` consecutive epochs."""

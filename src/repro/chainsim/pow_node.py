@@ -13,15 +13,17 @@ from typing import Optional
 
 from .._validation import ensure_positive_int
 from .chain import Blockchain
-from .hash_oracle import HASH_SPACE, HashOracle
+from .hash_oracle import (
+    HASH_SPACE,
+    INT_HEADS,
+    HashOracle,
+    int_boundary,
+    int_width,
+    target_bytes,
+)
 from .node import MiningNode
 
 __all__ = ["PoWNode"]
-
-#: 4-byte big-endian length prefixes (the oracle wire format's field
-#: framing, precomputed) for nonce encodings up to 63 bytes — i.e.
-#: nonces below ~2^480, far beyond any reachable grind.
-_LEN4 = tuple(n.to_bytes(4, "big") for n in range(64))
 
 
 class PoWNode(MiningNode):
@@ -40,7 +42,14 @@ class PoWNode(MiningNode):
         super().__init__(address, oracle)
         self.hash_rate = ensure_positive_int("hash_rate", hash_rate)
         self._nonce = 0
+        # grind's caches: the target bytes of the last difficulty, and
+        # the prefix hashed for the last parent and nonce width, which
+        # serves every nonce below ``_grind_boundary``.
+        self._grind_difficulty: Optional[float] = None
+        self._grind_target = b""
         self._grind_parent: Optional[int] = None
+        self._grind_boundary = 0
+        self._grind_width = 0
         self._grind_prefix = None
 
     def try_propose(
@@ -62,44 +71,53 @@ class PoWNode(MiningNode):
     def grind(
         self, chain: Blockchain, difficulty: float, parent_chunk: bytes
     ) -> Optional[int]:
-        """:meth:`try_propose` against a per-``(address, parent)``
-        pre-hashed prefix; ``parent_chunk`` is the tip hash's wire
-        encoding (``HashOracle.chunk``).
+        """:meth:`try_propose` against a pre-hashed prefix;
+        ``parent_chunk`` is the tip hash's wire encoding
+        (``HashOracle.chunk``).
 
-        The digest fields are ``(address, parent, nonce)``, so the
-        whole key+address+parent state is hashed once per block and
-        each nonce pays one hasher copy plus its own encoding —
-        bit-identical to :meth:`try_propose` by the oracle's wire
-        format.
+        The digest fields are ``(address, parent, nonce)``.  A nonce of
+        width ``w`` encodes as ``INT_HEADS[w]`` plus its ``w`` bytes,
+        and nonces count up, so the key, address, parent and the
+        width's head are hashed once per parent and width, and each
+        nonce pays one hasher copy, one ``update`` of its bytes and one
+        ``digest``.  The lottery test compares digest bytes with the
+        target's bytes (``target_bytes``); only the winner is converted
+        to an int.  Bit-identical to :meth:`try_propose` by the oracle's
+        wire format.
         """
         if difficulty <= 0.0:
             raise ValueError("difficulty must be positive")
-        target = min(int(difficulty), HASH_SPACE)
+        if difficulty != self._grind_difficulty:
+            self._grind_target = target_bytes(min(int(difficulty), HASH_SPACE))
+            self._grind_difficulty = difficulty
+        target = self._grind_target
         parent_hash = chain.tip.block_hash
         if parent_hash != self._grind_parent:
-            prefix = self.oracle.prefix()
-            prefix.update(self._address_chunk)
-            prefix.update(parent_chunk)
-            self._grind_prefix = prefix
             self._grind_parent = parent_hash
-        best: Optional[int] = None
+            self._grind_boundary = 0
+        best: Optional[bytes] = None
         nonce = self._nonce
-        # Local bindings and a length-prefix table keep the innermost
-        # loop to the irreducible hashlib calls per nonce.
-        prefix_copy = self._grind_prefix.copy
-        from_bytes = int.from_bytes
-        len4 = _LEN4
-        for _ in range(self.hash_rate):
-            # Inlined HashOracle.chunk(nonce).
-            encoded = b"i" + nonce.to_bytes(
-                (nonce.bit_length() + 8) // 8 + 1, "big", signed=True
-            )
-            hasher = prefix_copy()
-            hasher.update(len4[len(encoded)])
-            hasher.update(encoded)
-            digest = from_bytes(hasher.digest(), "big")
-            nonce += 1
-            if digest < target and (best is None or digest < best):
-                best = digest
+        stop = nonce + self.hash_rate
+        while nonce < stop:
+            if nonce >= self._grind_boundary:
+                # Nonces only count up: a new width starts here.
+                width = int_width(nonce)
+                prefix = self.oracle.prefix()
+                prefix.update(self._address_chunk + parent_chunk + INT_HEADS[width])
+                self._grind_prefix = prefix
+                self._grind_width = width
+                self._grind_boundary = int_boundary(width)
+            width = self._grind_width
+            prefix_copy = self._grind_prefix.copy
+            end = min(stop, self._grind_boundary)
+            # Nonces are non-negative: below the boundary their unsigned
+            # bytes are the signed encoding.
+            for value in range(nonce, end):
+                hasher = prefix_copy()
+                hasher.update(value.to_bytes(width, "big"))
+                digest = hasher.digest()
+                if digest < target and (best is None or digest < best):
+                    best = digest
+            nonce = end
         self._nonce = nonce
-        return best
+        return None if best is None else int.from_bytes(best, "big")

@@ -16,10 +16,10 @@ Standalone (the acceptance report; writes the JSON)::
     PYTHONPATH=src python benchmarks/bench_system.py
         [--workers 4] [--repeats-scale 1.0] [--output BENCH_system.json]
 
-CI sanity check (~seconds; asserts the PoW and SL-PoS vectorized
-loops no slower than their object loops, and batched dispatch no
-slower than per-protocol at ``workers=4``, comparing the medians of
-``SMOKE_SWEEP_SAMPLES`` alternating runs of each)::
+CI sanity check (~seconds; asserts the PoW, SL-PoS and C-PoS
+vectorized loops no slower than their object loops, and batched
+dispatch no slower than per-protocol at ``workers=4``, comparing the
+medians of ``SMOKE_SWEEP_SAMPLES`` alternating runs of each)::
 
     PYTHONPATH=src python benchmarks/bench_system.py --smoke
 
@@ -69,8 +69,9 @@ PROTOCOLS = (
 )
 
 #: The smoke's loop floors: (protocol key, rounds, repeats).  PoW runs
-#: the tick network's inlined PoW race, SL-PoS the deadline race.
-SMOKE_LOOPS = (("pow", 100, 2), ("sl_pos", 400, 4))
+#: the tick network's inlined PoW race, SL-PoS the deadline race and
+#: C-PoS the epoch race.
+SMOKE_LOOPS = (("pow", 100, 2), ("sl_pos", 400, 4), ("c_pos", 100, 4))
 
 #: Alternating samples of each vectorized dispatch path in the smoke's
 #: sweep; the batched-dispatch floor compares their medians.
@@ -300,9 +301,9 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--smoke", action="store_true",
-        help="fast sanity check: the PoW and SL-PoS vectorized loops no "
-        "slower than their object loops, batched dispatch no slower than "
-        "per-protocol at workers=4; no JSON written",
+        help="fast sanity check: the PoW, SL-PoS and C-PoS vectorized loops "
+        "no slower than their object loops, batched dispatch no slower "
+        "than per-protocol at workers=4; no JSON written",
     )
     args = parser.parse_args(argv)
 

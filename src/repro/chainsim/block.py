@@ -7,39 +7,10 @@ from typing import Tuple
 
 from .transactions import Transaction
 
-__all__ = ["Block", "GENESIS_PARENT", "fast_block"]
+__all__ = ["Block", "GENESIS_PARENT"]
 
 #: Parent hash of the genesis block.
 GENESIS_PARENT = 0
-
-
-def fast_block(
-    height: int,
-    parent_hash: int,
-    block_hash: int,
-    proposer: str,
-    timestamp: float,
-    reward: float,
-) -> "Block":
-    """Construct a transaction-less :class:`Block` without validation.
-
-    For the mining engines' hot loops, which build blocks whose fields
-    are valid by construction (height extends the tip, proposer
-    non-empty, reward non-negative); skips the frozen-dataclass
-    ``__init__``/``__post_init__`` machinery.  The result is a regular
-    :class:`Block` — same equality, hashing and attributes.
-    """
-    block = object.__new__(Block)
-    # Item assignment builds no keyword dict (cheaper than update()).
-    fields = block.__dict__
-    fields["height"] = height
-    fields["parent_hash"] = parent_hash
-    fields["block_hash"] = block_hash
-    fields["proposer"] = proposer
-    fields["timestamp"] = timestamp
-    fields["reward"] = reward
-    fields["transactions"] = ()
-    return block
 
 
 @dataclass(frozen=True)

@@ -10,17 +10,24 @@ at period boundaries.
 
 Transactions spend only vested funds — unvested rewards are locked,
 which is the natural ledger semantics of withholding.
+
+The networks' inlined races seal rows here too (see
+:mod:`repro.chainsim.chain`): :class:`VestingRowBatch` credits each
+row's reward to the pending pot and vests it at period boundaries, as
+:meth:`VestingBlockchain.append` and :meth:`~VestingBlockchain.maybe_vest`
+do block by block, and its rows record the zero reward the stored
+blocks carry.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping
+from typing import Dict, Mapping, Sequence
 
 from .._validation import ensure_positive_int
 from .block import Block
-from .chain import Blockchain
+from .chain import Blockchain, RowBatch
 
-__all__ = ["VestingBlockchain"]
+__all__ = ["VestingBlockchain", "VestingRowBatch"]
 
 
 class VestingBlockchain(Blockchain):
@@ -68,8 +75,13 @@ class VestingBlockchain(Blockchain):
 
     # -- block application ------------------------------------------------------
 
-    def _apply_vesting(self, block: Block, base_append) -> None:
-        """Divert the subsidy into the pending pot around ``base_append``."""
+    def append(self, block: Block) -> None:
+        """Apply a block, diverting its reward into the pending pot.
+
+        Transaction fees still pay out immediately (they move existing,
+        vested currency rather than minting new stake), matching the
+        paper's focus on withholding the *block subsidy*.
+        """
         reward = block.reward
         if reward > 0.0:
             # Re-create the block with zero subsidy for the base-class
@@ -83,28 +95,17 @@ class VestingBlockchain(Blockchain):
                 reward=0.0,
                 transactions=block.transactions,
             )
-            base_append(stripped)
+            super().append(stripped)
             self._pending[block.proposer] = (
                 self._pending.get(block.proposer, 0.0) + reward
             )
         else:
-            base_append(block)
+            super().append(block)
         self.maybe_vest()
 
-    def append(self, block: Block) -> None:
-        """Apply a block, diverting its reward into the pending pot.
-
-        Transaction fees still pay out immediately (they move existing,
-        vested currency rather than minting new stake), matching the
-        paper's focus on withholding the *block subsidy*.
-        """
-        self._apply_vesting(block, super().append)
-
-    def append_trusted(self, block: Block) -> None:
-        """Trusted-path twin of :meth:`append`: same subsidy diversion
-        and vesting check, minus the validation the fast engines make
-        redundant."""
-        self._apply_vesting(block, super().append_trusted)
+    def row_batch(self, addresses: Sequence[str]) -> "VestingRowBatch":
+        """A :class:`VestingRowBatch` for one inlined race run."""
+        return VestingRowBatch(self, addresses)
 
     def maybe_vest(self) -> bool:
         """Fold pending rewards into balances at period boundaries.
@@ -121,3 +122,42 @@ class VestingBlockchain(Blockchain):
         self._pending.clear()
         self.vesting_events += 1
         return True
+
+
+class VestingRowBatch(RowBatch):
+    """A :class:`RowBatch` whose rows' rewards vest.
+
+    :meth:`credit` makes :meth:`VestingBlockchain.append`'s and
+    :meth:`~VestingBlockchain.maybe_vest`'s moves for the row just
+    sealed: the reward goes to the chain's pending pot, and at a height
+    that is a multiple of the vesting period the pot folds into the
+    balances, the race's ``stakes`` among them.
+    """
+
+    vests = True
+
+    def __init__(self, chain: VestingBlockchain, addresses: Sequence[str]) -> None:
+        super().__init__(chain, addresses)
+        self._slots = {address: slot for slot, address in enumerate(self.addresses)}
+
+    def credit(self, slot: int, reward: float) -> None:
+        chain = self.chain
+        pending = chain._pending
+        if reward > 0.0:
+            address = self.addresses[slot]
+            pending[address] = pending.get(address, 0.0) + reward
+        height = len(chain._entries) - 1 + len(self.rows)
+        if height % chain.vesting_period != 0 or not pending:
+            return
+        balances = chain._balances
+        for address, amount in pending.items():
+            if amount > 0.0:
+                slot = self._slots.get(address)
+                if slot is None:
+                    chain.credit(address, amount)
+                else:
+                    # The key order credit() gives; flush writes the value.
+                    balances.setdefault(address, 0.0)
+                    self.stakes[slot] += amount
+        pending.clear()
+        chain.vesting_events += 1

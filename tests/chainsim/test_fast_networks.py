@@ -7,7 +7,11 @@ reference per-object loop, which ``fast=False`` always runs.  The two
 promise bit-identical results; these tests pin that promise for every
 system protocol across miner counts and checkpoint schedules, for
 node sets that fall back to the reference loop, plus the oracle's
-batched-prefix interface and the array ledger itself.
+batched-prefix interface and the array ledger itself.  The inlined races
+seal rows and flush them once per run; the full-state tests compare
+every block, balance and ledger that leaves, across repeated runs and
+single steps, and the edge tests pin the flush, the C-PoS draw's
+non-finite rule and the absence of per-block ``Block`` objects.
 """
 
 import pickle
@@ -15,6 +19,8 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.chainsim.block import Block
+from repro.chainsim.c_pos_node import CPoSValidator
 from repro.chainsim.chain import Blockchain
 from repro.chainsim.difficulty import DifficultyAdjuster
 from repro.chainsim.harness import SYSTEM_PROTOCOLS, SystemExperiment
@@ -22,6 +28,7 @@ from repro.chainsim.hash_oracle import HASH_SPACE, HashOracle
 from repro.chainsim.mempool import Mempool
 from repro.chainsim.ml_pos_node import MLPoSNode
 from repro.chainsim.network import (
+    CPoSNetwork,
     DeadlineMiningNetwork,
     TickMiningNetwork,
     _ArrayIncomeTracker,
@@ -30,6 +37,7 @@ from repro.chainsim.network import (
 from repro.chainsim.pow_node import PoWNode
 from repro.chainsim.sl_pos_node import FSLPoSNode, SLPoSNode
 from repro.chainsim.transactions import Transaction
+from repro.chainsim.vesting import VestingBlockchain
 from repro.core.miners import Allocation
 
 
@@ -304,18 +312,27 @@ class TestBatchedOracleInterface:
 
 class TestArrayIncomeTracker:
     ADDRESSES = ["A", "B", "C"]
+    #: Four rounds: A alone, C alone, everyone, B alone.
+    ROUNDS = [
+        [0.25, 0.0, 0.0],
+        [0.0, 0.0, 0.125],
+        [0.1, 0.2, 0.3],
+        [0.0, 0.0625, 0.0],
+    ]
 
-    def fill(self, tracker):
-        tracker.record_single("A", 0.25)
-        tracker.record_single("C", 0.125)
-        tracker.record_amounts([0.1, 0.2, 0.3])
-        tracker.record_single("B", 0.0625)
+    def fill_reference(self, tracker):
+        tracker.record_round({"A": 0.25})
+        tracker.record_round({"C": 0.125})
+        tracker.record_round(dict(zip(self.ADDRESSES, self.ROUNDS[2])))
+        tracker.record_round({"B": 0.0625})
 
     def test_matches_reference_tracker_bitwise(self):
         reference = _IncomeTracker(self.ADDRESSES)
         array = _ArrayIncomeTracker(self.ADDRESSES)
-        self.fill(reference)
-        self.fill(array)
+        self.fill_reference(reference)
+        # Two runs: the second continues from the first's totals.
+        array.record_run(np.array(self.ROUNDS[:1]))
+        array.record_run(np.array(self.ROUNDS[1:]))
         assert array.income_series(self.ADDRESSES) == reference.income_series(
             self.ADDRESSES
         )
@@ -330,19 +347,233 @@ class TestArrayIncomeTracker:
     def test_growth_beyond_reserve(self):
         tracker = _ArrayIncomeTracker(["A"])
         tracker.reserve(2)
-        for _ in range(150):
-            tracker.record_single("A", 1.0)
+        for rounds in (1, 100, 49):
+            tracker.record_run(np.ones((rounds, 1)))
         assert tracker.total_issued_history[-1] == 150.0
         assert tracker.income_series(["A"])["A"][-1] == 150.0
 
-    def test_unknown_address_amount_counts_toward_issuance(self):
-        # record_round credits unknown addresses to issuance only; the
-        # single-winner fast path must match.
-        reference = _IncomeTracker(["A"])
-        array = _ArrayIncomeTracker(["A"])
-        reference.record_single("ghost", 0.5)
-        array.record_single("ghost", 0.5)
-        assert (
-            array.total_issued_history == reference.total_issued_history
+    def test_empty_run_records_nothing(self):
+        # A race that raises before sealing its first block hands over
+        # a zero-round matrix: the ledger keeps what it had.
+        tracker = _ArrayIncomeTracker(["A", "B"])
+        tracker.record_run(np.array([[0.5, 0.25]]))
+        tracker.record_run(np.zeros((0, 2)))
+        assert tracker.total_issued_history == [0.75]
+        assert tracker.income_series(["B", "A"]) == {"B": [0.25], "A": [0.5]}
+
+
+#: Every inlined race, and the vesting ledger under the races that run
+#: on it: fig6's withholding cell (FSL-PoS), PoW and C-PoS.
+RACES = [
+    "pow",
+    "ml-pos",
+    "sl-pos",
+    "fsl-pos",
+    "c-pos",
+    "fsl-pos-vesting",
+    "pow-vesting",
+    "c-pos-vesting",
+]
+BALANCES = {"A": 0.2, "B": 0.5, "C": 0.3}
+
+
+def build_race(race, fast, balances=BALANCES, mempool=None, **network_args):
+    """A three-node network running ``race`` (rewards vesting every 7
+    blocks on a ``-vesting`` race)."""
+    oracle = HashOracle(17)
+    kind = race.removesuffix("-vesting")
+    if race.endswith("-vesting"):
+        chain = VestingBlockchain(balances, vesting_period=7)
+    else:
+        chain = Blockchain(balances)
+    addresses = list(balances)
+    if kind == "c-pos":
+        validators = [CPoSValidator(a, oracle) for a in addresses]
+        network = CPoSNetwork(
+            chain, validators, oracle,
+            proposer_reward=0.01, inflation_reward=0.1, shards=8, fast=fast,
         )
-        assert array.income_series(["A"]) == reference.income_series(["A"])
+    elif kind in ("sl-pos", "fsl-pos"):
+        node_type = SLPoSNode if kind == "sl-pos" else FSLPoSNode
+        nodes = [node_type(a, oracle) for a in addresses]
+        network = DeadlineMiningNetwork(
+            chain, nodes, 0.01, mempool=mempool, fast=fast, **network_args
+        )
+    else:
+        if kind == "pow":
+            nodes = [PoWNode(a, oracle, rate) for a, rate in zip(addresses, (2, 5, 3))]
+            adjuster = DifficultyAdjuster(HASH_SPACE / 40.0, 4.0, window=5)
+        else:
+            nodes = [MLPoSNode(a, oracle) for a in addresses]
+            adjuster = DifficultyAdjuster(HASH_SPACE / 10.0, 10.0, window=5)
+        network = TickMiningNetwork(
+            chain, nodes, adjuster, 0.01, mempool=mempool, fast=fast,
+            **network_args,
+        )
+    assert network.fast == fast
+    return network, chain
+
+
+def step(network):
+    """One round through the network's public single-round method."""
+    if isinstance(network, CPoSNetwork):
+        return network.run_epoch()
+    return network.mine_block()
+
+
+def full_state(network, chain, addresses=tuple(BALANCES)):
+    """Everything a run leaves behind, as comparable Python values."""
+    history, issued = network.ledgers(list(addresses))
+    state = {
+        "blocks": chain.blocks,
+        "tip": chain.tip,
+        "height": chain.height,
+        "proposer_counts": chain.proposer_counts(),
+        "reward_series": chain.reward_series(addresses),
+        "block_interval_mean": chain.block_interval_mean(),
+        "total_supply": chain.total_supply(),
+        "balances": [chain.balance(a) for a in addresses],
+        "income_series": network.income_series(addresses),
+        "total_issued": network.total_issued_series(),
+        "ledgers": (history.tolist(), issued.tolist()),
+        "clock": getattr(network, "tick", getattr(network, "epoch", None)),
+    }
+    if isinstance(chain, VestingBlockchain):
+        state["pending"] = [chain.pending(a) for a in addresses]
+        state["total_balance"] = [chain.total_balance(a) for a in addresses]
+        state["vesting_events"] = chain.vesting_events
+    return state
+
+
+def rounds_for(race):
+    """Two run lengths: C-PoS epochs of 8 blocks, else blocks; each
+    crosses vesting boundaries within and between the runs."""
+    return (3, 2) if race.startswith("c-pos") else (9, 14)
+
+
+class TestFullStateParity:
+    """Every block, balance and ledger the inlined races leave equals
+    the reference loop's, across repeated runs and single steps."""
+
+    @pytest.mark.parametrize("race", RACES)
+    def test_two_runs(self, race):
+        states = []
+        for fast in (False, True):
+            network, chain = build_race(race, fast)
+            for rounds in rounds_for(race):
+                network.run(rounds)
+            states.append(full_state(network, chain))
+        assert states[0] == states[1]
+        if race.endswith("-vesting"):
+            assert states[1]["vesting_events"] >= 2
+
+    @pytest.mark.parametrize("race", RACES)
+    def test_single_steps_between_tip_reads(self, race):
+        states = []
+        for fast in (False, True):
+            network, chain = build_race(race, fast)
+            trace = []
+            for _ in range(3):
+                trace.append(step(network))
+                trace.append(chain.tip)
+            network.run(rounds_for(race)[0])
+            trace.append(chain.tip)
+            trace.append(step(network))
+            trace.append(chain.height)
+            states.append((trace, full_state(network, chain)))
+        assert states[0] == states[1]
+
+    @pytest.mark.parametrize("race", ["pow", "ml-pos", "sl-pos", "fsl-pos-vesting"])
+    def test_mempool_blocks_appended_validated(self, race):
+        # Transactions move balances mid-run: the race re-reads its
+        # stakes after each validated append.
+        states = []
+        for fast in (False, True):
+            mempool = Mempool()
+            for nonce in range(3):
+                mempool.add(Transaction("B", "A", amount=0.05, fee=0.01, nonce=nonce))
+            network, chain = build_race(race, fast, mempool=mempool)
+            network.run(6)
+            network.run(5)
+            states.append(full_state(network, chain))
+        assert states[0] == states[1]
+        assert sum(len(b.transactions) for b in states[1]["blocks"]) == 3
+
+    @pytest.mark.parametrize("race", ["pow", "pow-vesting"])
+    def test_winners_absent_from_the_ledger(self, race):
+        # PoW needs no stake: nodes whose addresses the genesis ledger
+        # lacks win blocks, and enter the balances dict in the order
+        # the reference credits them, which total_supply() sums in.
+        balances = {"X": 1.0}
+        states = []
+        for fast in (False, True):
+            oracle = HashOracle(29)
+            chain = (
+                VestingBlockchain(balances, vesting_period=4)
+                if race.endswith("-vesting")
+                else Blockchain(balances)
+            )
+            nodes = [PoWNode(a, oracle, 3) for a in ("Q", "P", "R")]
+            adjuster = DifficultyAdjuster(HASH_SPACE / 20.0, 4.0, window=5)
+            network = TickMiningNetwork(chain, nodes, adjuster, 0.3, fast=fast)
+            network.run(5)
+            network.run(6)
+            states.append(
+                (
+                    list(chain._balances.items()),
+                    chain.total_supply(),
+                    full_state(network, chain, ("Q", "P", "R")),
+                )
+            )
+        assert states[0] == states[1]
+        assert len(states[1][0]) == 4
+
+
+class TestRaceEdges:
+    @pytest.mark.parametrize("race, max_ticks", [("pow", 8), ("ml-pos", 12)])
+    def test_raise_after_sealed_blocks_leaves_reference_state(self, race, max_ticks):
+        # A few blocks seal within max_ticks before one needs more; the
+        # run raises there, and the blocks, balances, ledgers and tick
+        # it leaves match the reference loop's.
+        states = []
+        for fast in (False, True):
+            network, chain = build_race(race, fast, max_ticks_per_block=max_ticks)
+            with pytest.raises(RuntimeError, match="max_ticks_per_block"):
+                network.run(40)
+            states.append(full_state(network, chain))
+        assert states[0] == states[1]
+        assert states[1]["height"] >= 2
+
+    def test_cpos_infinite_stake_matches_reference(self):
+        # An infinite stake makes the total infinite and its share NaN:
+        # no cumulative share is finite, and the reference walk falls
+        # back to the last validator for every shard.
+        balances = {"A": float("inf"), "B": 0.5, "C": 0.3}
+        states = []
+        for fast in (False, True):
+            network, chain = build_race("c-pos", fast, balances=balances)
+            network.run(2)
+            network.run(1)
+            states.append(repr(full_state(network, chain)))
+        assert states[0] == states[1]
+        assert "nan" in states[1]
+
+    @pytest.mark.parametrize("race", RACES)
+    def test_runs_build_no_block_until_read(self, race, monkeypatch):
+        built = []
+        original = Block.__post_init__
+
+        def counting(self):
+            built.append(self.height)
+            original(self)
+
+        network, chain = build_race(race, True)
+        monkeypatch.setattr(Block, "__post_init__", counting)
+        for rounds in rounds_for(race):
+            network.run(rounds)
+        assert built == []
+        assert chain.height > 0
+        blocks = chain.blocks
+        assert built == list(range(1, chain.height + 1))
+        assert chain.blocks == blocks
+        assert len(built) == chain.height

@@ -19,9 +19,6 @@ CI sanity check (~seconds; asserts batched dispatch no slower than
 per-cell at ``workers=4``)::
 
     PYTHONPATH=src python benchmarks/bench_grid.py --smoke
-
-Under pytest the module exposes the same comparison as benchmark
-entries like the other ``bench_*`` modules.
 """
 
 from __future__ import annotations
@@ -151,21 +148,6 @@ def render(report: Dict[str, object]) -> str:
             f"{row['batched_seconds']:>10.2f} {row['speedup']:>7.2f}x"
         )
     return "\n".join(lines)
-
-
-# -- pytest entry points ------------------------------------------------------
-
-
-def test_batched_dispatch_no_slower_than_per_cell():
-    """The CI sanity floor: one dispatch must not cost more than twenty."""
-    row = measure_grid(workers=4, trials=200, horizon=150)
-    assert row["batched_seconds"] <= row["per_cell_seconds"] * 1.05, row
-
-
-def test_grid_dispatch(benchmark):
-    specs = figure3_grid(trials=200, horizon=150)
-    runner = ParallelRunner(workers=4)
-    benchmark.pedantic(runner.run_many, args=(specs,), rounds=1, iterations=1)
 
 
 # -- standalone acceptance report ---------------------------------------------

@@ -18,10 +18,6 @@ speedups: batched >= 1.35x naive on two-miner C-PoS at 10,000 trials
 x 300 epochs, and >= 2x on ML-PoS at 4,000 trials x 600 rounds)::
 
     PYTHONPATH=src python benchmarks/bench_kernels.py --smoke
-
-Under pytest the module exposes benchmark entries like the other
-``bench_*`` modules; ``bench_engine.py`` reuses :func:`measure_protocol`
-for its kernel comparisons.
 """
 
 from __future__ import annotations
@@ -188,38 +184,6 @@ def render(report: Dict[str, object]) -> str:
         )
     lines.append(f"peak RSS: {report['peak_rss_bytes'] / 2**20:.0f} MiB")
     return "\n".join(lines)
-
-
-# -- pytest entry points ------------------------------------------------------
-
-
-def test_ml_pos_batched_beats_naive_2x():
-    """The CI sanity floor: conservative vs the ~8x standalone number."""
-    trials, rounds, floor = SMOKE_FLOORS["ml_pos"]
-    row = measure_protocol("ml_pos", trials=trials, rounds=rounds)
-    assert row["speedup"] >= floor, row
-
-
-def test_every_kernel_bit_identical_at_bench_scale():
-    for key in PROTOCOLS:
-        row = measure_protocol(key, trials=500, rounds=150)
-        assert row["bit_identical"], key
-
-
-def _bench_advance(benchmark, key, rounds=200, trials=4_000):
-    factory, miners, _ = PROTOCOLS[key]
-    protocol = factory()
-    state = protocol.make_state(_allocation(miners), trials)
-    rng = np.random.default_rng(1)
-    benchmark(batched_advance, protocol, state, rounds, rng)
-
-
-def test_ml_pos_batched_advance(benchmark):
-    _bench_advance(benchmark, "ml_pos")
-
-
-def test_sl_pos_batched_advance(benchmark):
-    _bench_advance(benchmark, "sl_pos")
 
 
 # -- standalone acceptance report ---------------------------------------------

@@ -9,14 +9,10 @@ Two headline numbers:
 * **cache ratio** — a warm-cache rerun of the same spec should
   complete in under 10% of the cold run.
 
-Run under pytest like the other benches, or standalone for the
-acceptance report::
+Standalone (the acceptance report)::
 
     PYTHONPATH=src python benchmarks/bench_runtime.py [--trials N]
-        [--horizon N] [--workers N]
-
-Environment knobs for the pytest path: ``REPRO_BENCH_TRIALS``,
-``REPRO_BENCH_HORIZON``, ``REPRO_BENCH_WORKERS``.
+        [--horizon N] [--workers N] [--cache DIR]
 """
 
 from __future__ import annotations
@@ -25,21 +21,16 @@ import argparse
 import os
 import time
 
-import pytest
-
 from repro.core.miners import Allocation
 from repro.protocols import MultiLotteryPoS
 from repro.runtime import ParallelRunner, SimulationSpec
 from repro.sim.engine import MonteCarloEngine
 from repro.sim.rng import RandomSource
 
-TRIALS = int(os.environ.get("REPRO_BENCH_TRIALS", "2000"))
-HORIZON = int(os.environ.get("REPRO_BENCH_HORIZON", "1000"))
-WORKERS = int(os.environ.get("REPRO_BENCH_WORKERS", "4"))
 SEED = 2021
 
 
-def make_spec(trials: int = TRIALS, horizon: int = HORIZON) -> SimulationSpec:
+def make_spec(trials: int, horizon: int) -> SimulationSpec:
     return SimulationSpec(
         protocol=MultiLotteryPoS(0.01),
         allocation=Allocation.two_miners(0.2),
@@ -49,7 +40,7 @@ def make_spec(trials: int = TRIALS, horizon: int = HORIZON) -> SimulationSpec:
     )
 
 
-def run_serial_engine(trials: int = TRIALS, horizon: int = HORIZON):
+def run_serial_engine(trials: int, horizon: int):
     engine = MonteCarloEngine(
         MultiLotteryPoS(0.01),
         Allocation.two_miners(0.2),
@@ -63,47 +54,6 @@ def _timed(fn, *args, **kwargs):
     start = time.perf_counter()
     result = fn(*args, **kwargs)
     return time.perf_counter() - start, result
-
-
-# -- pytest entry points ------------------------------------------------------
-
-
-def test_serial_engine_baseline(benchmark):
-    benchmark.pedantic(run_serial_engine, rounds=1, iterations=1)
-
-
-def test_parallel_runner(benchmark):
-    runner = ParallelRunner(workers=WORKERS)
-    benchmark.pedantic(
-        runner.run, args=(make_spec(),), kwargs={"shards": WORKERS},
-        rounds=1, iterations=1,
-    )
-
-
-@pytest.mark.skipif(
-    (os.cpu_count() or 1) < 4,
-    reason="parallel speedup needs >= 4 cores",
-)
-def test_speedup_at_four_workers():
-    serial_time, _ = _timed(run_serial_engine)
-    runner = ParallelRunner(workers=4)
-    parallel_time, _ = _timed(runner.run, make_spec(), shards=4)
-    assert parallel_time < serial_time / 2.0, (
-        f"expected >= 2x speedup, got {serial_time / parallel_time:.2f}x "
-        f"(serial {serial_time:.2f}s, workers=4 {parallel_time:.2f}s)"
-    )
-
-
-def test_warm_cache_under_ten_percent_of_cold(tmp_path):
-    runner = ParallelRunner(workers=1, cache=tmp_path)
-    spec = make_spec()
-    cold_time, _ = _timed(runner.run, spec)
-    warm_time, _ = _timed(runner.run, spec)
-    assert runner.cache.hits == 1
-    assert warm_time < 0.1 * cold_time, (
-        f"warm rerun took {warm_time:.3f}s vs cold {cold_time:.3f}s "
-        f"({100 * warm_time / cold_time:.1f}%)"
-    )
 
 
 # -- standalone acceptance report ---------------------------------------------

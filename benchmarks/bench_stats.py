@@ -52,6 +52,9 @@ SHARD_TRIALS = 12_500
 #: The reduction floor the report (and CI smoke) asserts at the
 #: largest trial count.
 REDUCTION_FLOOR = 10.0
+#: The ``--smoke`` workload: ascending trial counts and the horizon.
+SMOKE_TRIALS = (50_000, 150_000)
+SMOKE_HORIZON = 60
 
 
 def build_spec(trials: int, horizon: int, reduce: str) -> SimulationSpec:
@@ -182,41 +185,6 @@ def render(report: Dict[str, object]) -> str:
     return "\n".join(lines)
 
 
-# -- pytest entry points ------------------------------------------------------
-
-SMOKE_TRIALS = (50_000, 150_000)
-SMOKE_HORIZON = 60
-
-
-def _smoke_rows():
-    return compare(SMOKE_TRIALS, SMOKE_HORIZON)
-
-
-def test_stats_peak_far_below_full_and_flat_in_trials():
-    """The CI sanity floor, callable under pytest too."""
-    rows = _smoke_rows()
-    for row in rows:
-        # At smoke scale the full cube is already >= 4x the stats
-        # working set; the 10x acceptance floor is asserted at the
-        # 1M-trial scale by the standalone report.
-        assert row["stats_peak_bytes"] * 4 < row["full_peak_bytes"], row
-        assert row["series_bit_identical"], row
-    peaks = [row["stats_peak_bytes"] for row in rows]  # ascending trials
-    assert peaks[-1] <= peaks[0] * 1.25, rows
-
-
-def test_stats_bench(benchmark):
-    spec = build_spec(50_000, SMOKE_HORIZON, "stats")
-    runner = ParallelRunner(workers=1)
-    benchmark.pedantic(
-        runner.run,
-        args=(spec,),
-        kwargs={"shards": shard_count(50_000)},
-        rounds=1,
-        iterations=1,
-    )
-
-
 # -- standalone acceptance report ---------------------------------------------
 
 
@@ -239,7 +207,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.smoke:
-        rows = _smoke_rows()
+        rows = compare(SMOKE_TRIALS, SMOKE_HORIZON)
         for row in rows:
             print(
                 f"trials={row['trials']}: full "
@@ -249,6 +217,9 @@ def main(argv=None) -> int:
                 f"{row['stats_seconds']:.2f}s "
                 f"(reduction {row['reduction']:.1f}x, series bit-identical)"
             )
+        # At smoke scale the full cube is already >= 4x the stats
+        # working set; the 10x floor is asserted at the 1M-trial scale
+        # by the standalone report.
         failed = [
             row for row in rows
             if row["stats_peak_bytes"] * 4 >= row["full_peak_bytes"]

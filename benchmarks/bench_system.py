@@ -22,9 +22,6 @@ dispatch no slower than per-protocol at ``workers=4``, comparing the
 medians of ``SMOKE_SWEEP_SAMPLES`` alternating runs of each)::
 
     PYTHONPATH=src python benchmarks/bench_system.py --smoke
-
-Under pytest the module exposes the same comparisons as test entries
-like the other ``bench_*`` modules.
 """
 
 from __future__ import annotations
@@ -261,28 +258,6 @@ def render(report: Dict[str, object]) -> str:
         f"{sweep['batched_speedup']:.2f}x)"
     )
     return "\n".join(lines)
-
-
-# -- pytest entry points ------------------------------------------------------
-
-
-def test_vectorized_loop_no_slower_than_object_loop():
-    """The CI sanity floors for the fast chainsim paths."""
-    for key, rounds, repeats in SMOKE_LOOPS:
-        row = measure_protocol(key, rounds=rounds, repeats=repeats)
-        assert row["vectorized_seconds"] <= row["naive_seconds"] * 1.05, row
-
-
-def test_every_protocol_bit_identical_at_bench_scale():
-    for key, _, _, _ in PROTOCOLS:
-        row = measure_protocol(key, rounds=40, repeats=2)
-        assert row["bit_identical"], key
-
-
-def test_system_sweep(benchmark):
-    specs = _sweep_specs(fast=True, repeats_scale=0.1)
-    runner = ParallelRunner(workers=4)
-    benchmark.pedantic(runner.run_system_many, args=(specs,), rounds=1, iterations=1)
 
 
 # -- standalone acceptance report ---------------------------------------------

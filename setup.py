@@ -38,7 +38,7 @@ setup(
     python_requires=">=3.8",
     install_requires=["numpy>=1.20", "scipy>=1.6"],
     extras_require={
-        "test": ["pytest", "hypothesis", "pytest-benchmark"],
+        "test": ["pytest", "hypothesis"],
     },
     entry_points={
         "console_scripts": [

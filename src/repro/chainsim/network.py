@@ -342,11 +342,10 @@ class TickMiningNetwork:
         self.tick = 0
         self._race = _inlined_type(self.nodes, fast, (PoWNode, MLPoSNode))
         self.fast = self._race is not None
-        if self.fast:
-            self._addresses, self._slots = _node_slots(self.nodes)
-            self._tracker = _ArrayIncomeTracker(self._addresses)
-        else:
-            self._tracker = _IncomeTracker([n.address for n in self.nodes])
+        self._addresses, self._slots = _node_slots(self.nodes)
+        self._tracker = (_ArrayIncomeTracker if self.fast else _IncomeTracker)(
+            self._addresses
+        )
 
     def _seal_block(self, digest: int, winner: MiningNode) -> Block:
         """The reference loop's block assembly: transactions, append,
@@ -593,10 +592,13 @@ class DeadlineMiningNetwork:
         )
         race = _inlined_type(self.nodes, fast, (SLPoSNode, FSLPoSNode))
         self.fast = race is not None
+        self._addresses, slots = _node_slots(self.nodes)
+        self._tracker = (_ArrayIncomeTracker if self.fast else _IncomeTracker)(
+            self._addresses
+        )
         if self.fast:
             oracle = self.nodes[0].oracle
             self._exponential = race is FSLPoSNode
-            self._addresses, slots = _node_slots(self.nodes)
             # Per node: its balance slot, a copy of its ``key+address``
             # deadline prefix, its address and its address chunk.  The
             # prefixes, and the ``key+"block"`` block-hash prefix, are
@@ -607,9 +609,6 @@ class DeadlineMiningNetwork:
                 for node, slot in zip(self.nodes, slots)
             ]
             self._block_prefix = oracle.prefix("block")
-            self._tracker = _ArrayIncomeTracker(self._addresses)
-        else:
-            self._tracker = _IncomeTracker([n.address for n in self.nodes])
 
     def _seal_block(self, deadline: float, winner: MiningNode) -> Block:
         """The reference loop's block assembly: block hash,
@@ -721,7 +720,9 @@ class DeadlineMiningNetwork:
         for node in self.nodes:
             deadline = node.proposal_deadline(self.chain, self.basetime)
             deadlines.append((deadline, node.address, node))
-        deadline, _, winner = min(deadlines)
+        # Nodes sharing an address tie on (deadline, address): the
+        # first of them wins, as in the inlined race.
+        deadline, _, winner = min(deadlines, key=lambda item: item[:2])
         if deadline == float("inf"):
             raise RuntimeError("no node can propose (all stakes are zero)")
         return self._seal_block(deadline, winner)

@@ -24,7 +24,6 @@ __all__ = [
     "counter_reduce",
     "run_simulation",
     "run_simulation_grid",
-    "run_system",
     "run_system_grid",
 ]
 
@@ -194,18 +193,3 @@ def run_system_grid(
         for cell, seed in zip(cells, seeds)
     ]
     return runtime.run_system_many(specs)
-
-
-def run_system(
-    experiment: "object",
-    rounds: int,
-    repeats: int,
-    source: RandomSource,
-    checkpoints: Optional[Sequence[int]] = None,
-) -> EnsembleResult:
-    """Run one system configuration on a child random stream.
-
-    The single-cell case of :func:`run_system_grid`.
-    """
-    cell = SystemGridCell(experiment, rounds, repeats, checkpoints)
-    return run_system_grid([cell], source)[0]

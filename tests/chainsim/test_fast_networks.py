@@ -377,16 +377,19 @@ RACES = [
 BALANCES = {"A": 0.2, "B": 0.5, "C": 0.3}
 
 
-def build_race(race, fast, balances=BALANCES, mempool=None, **network_args):
-    """A three-node network running ``race`` (rewards vesting every 7
-    blocks on a ``-vesting`` race)."""
+def build_race(
+    race, fast, balances=BALANCES, mempool=None, addresses=None, **network_args
+):
+    """A network running ``race`` with one node per address, by default
+    one per balance (rewards vesting every 7 blocks on a ``-vesting``
+    race)."""
     oracle = HashOracle(17)
     kind = race.removesuffix("-vesting")
     if race.endswith("-vesting"):
         chain = VestingBlockchain(balances, vesting_period=7)
     else:
         chain = Blockchain(balances)
-    addresses = list(balances)
+    addresses = list(balances if addresses is None else addresses)
     if kind == "c-pos":
         validators = [CPoSValidator(a, oracle) for a in addresses]
         network = CPoSNetwork(
@@ -401,7 +404,7 @@ def build_race(race, fast, balances=BALANCES, mempool=None, **network_args):
         )
     else:
         if kind == "pow":
-            nodes = [PoWNode(a, oracle, rate) for a, rate in zip(addresses, (2, 5, 3))]
+            nodes = [PoWNode(a, oracle, rate) for a, rate in zip(addresses, (2, 5, 3, 4))]
             adjuster = DifficultyAdjuster(HASH_SPACE / 40.0, 4.0, window=5)
         else:
             nodes = [MLPoSNode(a, oracle) for a in addresses]
@@ -527,6 +530,20 @@ class TestFullStateParity:
             )
         assert states[0] == states[1]
         assert len(states[1][0]) == 4
+
+    @pytest.mark.parametrize("race", ["pow", "ml-pos", "sl-pos", "fsl-pos"])
+    def test_nodes_sharing_an_address(self, race):
+        # Two nodes mine for "A": they share its balance and its ledger
+        # column, and on the deadline races, where they always tie,
+        # the first of them wins.
+        states = []
+        for fast in (False, True):
+            network, chain = build_race(race, fast, addresses=("A", "B", "A", "C"))
+            for rounds in rounds_for(race):
+                network.run(rounds)
+            states.append(full_state(network, chain))
+        assert states[0] == states[1]
+        assert len(states[1]["income_series"]["A"]) == states[1]["height"]
 
 
 class TestRaceEdges:

@@ -71,9 +71,14 @@ class TestStatisticalFidelity:
         assert result.final_fractions().mean() == pytest.approx(0.2, abs=0.04)
 
     def test_sl_biased_down(self, two_miners):
+        # Biased below a from the first block, and decaying thereafter.
         experiment = SystemExperiment("sl-pos", two_miners)
-        result = experiment.run(rounds=200, repeats=40, seed=11)
-        assert result.final_fractions().mean() < 0.16
+        result = experiment.run(
+            rounds=500, repeats=40, checkpoints=[200, 500], seed=11
+        )
+        at_200, at_500 = result.summary().mean
+        assert at_200 < 0.16
+        assert at_500 < 0.14
 
     def test_cpos_tight_around_share(self, two_miners):
         experiment = SystemExperiment("c-pos", two_miners, shards=32)

@@ -42,6 +42,12 @@ class TestSection64:
                 result.config.share, abs=0.02
             )
 
+    def test_filecoin_more_equitable_than_wave(self, result):
+        # Filecoin's storage share damps the stake feedback that Wave's
+        # pure-stake lottery has at the same reward.
+        rows = {row.protocol: row for row in result.rows}
+        assert rows["Filecoin"].equitability > rows["Wave"].equitability
+
     def test_render_and_dict(self, result):
         text = result.render()
         assert "Section 6.4" in text

@@ -6,6 +6,7 @@ import pytest
 
 from repro.experiments import table1
 from repro.experiments.config import CI
+from repro.theory.polya import pow_fair_probability
 
 
 @pytest.fixture(scope="module")
@@ -47,8 +48,29 @@ class TestTable1:
         for count in (2, 5, 10):
             assert math.isinf(result.cells[("ML-PoS", count)].convergence_time)
 
+    def test_sl_pos_never_converges(self, result):
+        for count in (2, 5, 10):
+            assert math.isinf(result.cells[("SL-PoS", count)].convergence_time)
+
     def test_sl_pos_unfair_probability_high(self, result):
         assert result.cells[("SL-PoS", 2)].unfair_probability > 0.9
+
+    def test_pow_unfair_probability_matches_binomial(self, result):
+        # PoW's block count is exactly Binomial(horizon, a) at any
+        # miner count.
+        horizon = result.config.preset.horizon(result.config.horizon)
+        expected = 1.0 - pow_fair_probability(0.2, horizon, 0.1)
+        for count in (2, 5, 10):
+            assert result.cells[("PoW", count)].unfair_probability == pytest.approx(
+                expected, abs=0.05
+            )
+
+    def test_c_pos_less_unfair_than_ml_pos(self, result):
+        for count in (2, 5, 10):
+            assert (
+                result.cells[("C-PoS", count)].unfair_probability
+                < result.cells[("ML-PoS", count)].unfair_probability
+            )
 
     def test_render_and_dict(self, result):
         text = result.render()

@@ -21,8 +21,9 @@ from repro.protocols import (
     SingleLotteryPoS,
 )
 from repro.sim.engine import simulate
+from repro.sim.events import StakeTopUp
 from repro.theory.bounds import PoWFairnessBound
-from repro.theory.polya import ml_pos_fair_probability
+from repro.theory.polya import ml_pos_fair_probability, ml_pos_limit_std
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +83,20 @@ class TestTheorem33And43MLPoS:
         )
         assert report.robust.is_fair
 
+    def test_spread_tracks_beta_limit_across_rewards(self, allocation):
+        # The terminal spread of lambda_A follows the Beta limit's std,
+        # which widens with the block reward w.
+        spread = {}
+        for reward in (1e-3, 1e-2, 1e-1):
+            result = simulate(
+                MultiLotteryPoS(reward), allocation, 3000, trials=800, seed=34
+            )
+            spread[reward] = float(result.final_fractions().std())
+            assert spread[reward] == pytest.approx(
+                ml_pos_limit_std(0.2, reward), rel=0.35
+            )
+        assert spread[1e-3] < spread[1e-2] < spread[1e-1]
+
 
 class TestTheorem34And49SLPoS:
     """SL-PoS: unfair in expectation; monopolises almost surely."""
@@ -124,23 +139,27 @@ class TestTheorem35And410CPoS:
 
     def test_inflation_reduces_unfairness(self, allocation):
         unfair = {}
-        for inflation in (0.0, 0.1):
+        for inflation in (0.0, 0.1, 0.2):
             result = simulate(
                 CompoundPoS(0.01, inflation, 32), allocation,
                 2000, trials=1500, seed=10,
             )
             unfair[inflation] = result.robust_verdict().unfair_probability
         assert unfair[0.1] < unfair[0.0]
+        assert unfair[0.2] <= unfair[0.1] + 0.02  # monotone up to noise
+        assert unfair[0.1] < 0.15
 
     def test_more_shards_reduce_unfairness(self, allocation):
-        unfair = {}
-        for shards in (1, 32):
+        # Theorem 4.10's 1/P law: each step up in P lowers the unfair
+        # probability.
+        unfair = []
+        for shards in (1, 4, 16, 32, 64):
             result = simulate(
                 CompoundPoS(0.05, 0.0, shards), allocation,
                 1500, trials=1500, seed=11,
             )
-            unfair[shards] = result.robust_verdict().unfair_probability
-        assert unfair[32] < unfair[1]
+            unfair.append(result.robust_verdict().unfair_probability)
+        assert all(fewer > more for fewer, more in zip(unfair, unfair[1:]))
 
 
 class TestSection62And63Remedies:
@@ -169,6 +188,38 @@ class TestSection62And63Remedies:
         )
         assert vested.robust.unfair_probability < 0.25
         assert vested.expectational.is_fair
+
+    def test_longer_vesting_tightens_lambda(self, allocation):
+        # A longer vesting period freezes the lottery's stakes for
+        # longer, so lambda_A spreads less.
+        spread = {}
+        for period in (100, 500, 2000):
+            result = simulate(
+                RewardWithholding(FairSingleLotteryPoS(0.01), period),
+                allocation, 2000, trials=800, seed=33,
+            )
+            spread[period] = float(result.final_fractions().std())
+        assert spread[2000] < spread[500] < spread[100]
+
+
+class TestSection542TopUpTiming:
+    """Early stake buys more reward than late stake under compounding."""
+
+    def test_early_top_up_outearns_late(self, allocation):
+        # Section 5.4.2: the same top-up buys more reward the earlier
+        # it lands, because it compounds through the urn's feedback.
+        horizon, amount = 2000, 0.25
+        means = {}
+        for label, at_round in (("early", 0), ("late", horizon // 2)):
+            result = simulate(
+                MultiLotteryPoS(0.01), allocation, horizon,
+                trials=1500, seed=36,
+                events=[StakeTopUp(round_index=at_round, miner=0, amount=amount)],
+            )
+            means[label] = float(result.final_fractions().mean())
+        assert means["early"] > means["late"] + 0.02
+        # Both exceed the untouched share of 0.2.
+        assert means["late"] > 0.2
 
 
 class TestProtocolRanking:

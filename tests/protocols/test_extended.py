@@ -120,15 +120,17 @@ class TestFilecoin:
         assert power.std() > 0.01
 
     def test_storage_damps_dispersion(self, two_miners):
+        # Section 6.4: the storage weight interpolates from ML-PoS
+        # (theta = 0) to PoW (theta = 1); each step damps the spread.
         rng = np.random.default_rng(2)
         horizon, trials, reward = 500, 2000, 0.05
-        spreads = {}
-        for theta in (0.0, 0.8):
+        spreads = []
+        for theta in (0.0, 0.5, 0.8, 1.0):
             protocol = FilecoinStorage(reward, storage_weight=theta)
             state = protocol.make_state(two_miners, trials)
             protocol.advance_many(state, horizon, rng)
-            spreads[theta] = (state.rewards[:, 0] / (horizon * reward)).std()
-        assert spreads[0.8] < spreads[0.0]
+            spreads.append((state.rewards[:, 0] / (horizon * reward)).std())
+        assert all(less > more for less, more in zip(spreads, spreads[1:]))
 
     def test_expectational_fairness(self, rng):
         allocation = Allocation.two_miners(0.2)

@@ -146,8 +146,9 @@ def main() -> None:
     #    every cell to the pool in ONE dispatch — same bits as a
     #    per-cell loop of run(), without paying pool latency per cell.
     #    The five cells differ only in allocation and seed, so their
-    #    125-trial shards fuse into tasks of up to 500 trials (the cap
-    #    of a full-mode task), one kernel call per segment for each.
+    #    125-trial shards fuse into one task per worker, one kernel
+    #    call per segment for each (a one-worker runner caps a
+    #    full-mode task at 500 trials instead).
     grid = [
         SimulationSpec(
             protocol=MultiLotteryPoS(reward=0.01),

@@ -415,8 +415,11 @@ class MergeAccumulator:
     preallocated once, at the first part, and each part's trials are
     copied into their final position as it arrives, after which the
     caller can release the part: peak memory is one merged ensemble
-    plus a single in-flight part, which is what keeps the runner's
-    fold ``O(workers)`` instead of ``O(shards)`` in working-set.  For
+    plus the parts in flight, which is what keeps the runner's fold
+    ``O(workers)`` instead of ``O(shards)`` in working-set.  On one
+    worker that is a single part; on a pool the parent folds one task's
+    parts at a time, and a fused full-mode task carries up to
+    :data:`~repro.runtime.runner.STATS_TASK_TRIALS` trials.  For
     :class:`~repro.core.stats.StatsSummary` parts it keeps one running
     summary, so the whole fold is O(1) in the trial count.
 

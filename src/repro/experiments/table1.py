@@ -9,12 +9,19 @@ each of the four protocols, the experiment reports:
 * the convergence time (first sustained (eps, delta)-fair checkpoint).
 
 Expected shape (paper Table 1): PoW/ML-PoS/C-PoS are insensitive to
-the miner count (avg 0.20; unfair prob ~0 / ~0.14 / ~0.08; convergence
-~1,000 blocks / never / ~100-140 epochs).  SL-PoS flips with the
-*relative* position of A: with 2-4 miners A is below the biggest
-competitor and loses everything (avg ~0); with 5 equal miners
-symmetry holds (~0.2); with 10 miners A is the biggest and monopolises
-(~0.98 — rich get richer).
+the miner count (avg 0.20; unfair prob ~0 / ~0.62 / ~0.08; convergence
+~1,000 blocks / never / ~100-140 epochs).  The ML-PoS value is the
+Beta(a/w, b/w) limit at w = 0.01:
+``1 - theory.polya.ml_pos_fair_probability(0.2, 0.01, 0.1)`` = 0.618.
+SL-PoS flips with the *relative* position of A: with 2-4 miners A is
+below the biggest competitor and loses everything (avg ~0); with 5
+equal miners symmetry holds (~0.2); with 10 miners A is the biggest
+and monopolises (~0.98 — rich get richer).
+
+Two of those values are not what the ``default`` preset measures, and
+nothing here settles which is right: C-PoS reads an unfair probability
+of 0.00 and converges at the first checkpoint (10 epochs), and SL-PoS
+at 10 miners averages 0.48.
 """
 
 from __future__ import annotations

@@ -31,6 +31,7 @@ __all__ = [
     "IncentiveProtocol",
     "StakeLotteryProtocol",
     "binomial_from_uniforms",
+    "count_true",
     "sample_winners",
     "winners_from_uniforms",
 ]
@@ -118,17 +119,32 @@ def binomial_from_uniforms(
         if needed == n or not below[needed - 1].any():
             break
         needed += 1
-    # Count the flags as bytes (a bool-to-int64 reduce casts every
-    # element): at most 255 rows per pass cannot overflow a byte.
-    flags = below.view(np.uint8)
-    count = np.empty(rows, np.uint8)
-    np.add.reduce(flags[:min(needed, 255)], axis=0, out=count)
-    np.copyto(out, count)
-    for start in range(255, needed, 255):
-        np.add.reduce(flags[start:min(start + 255, needed)], axis=0, out=count)
-        np.add(out, count, out=out)
+    np.copyto(out, count_true(below[:needed], np.empty(rows, np.uint8)))
     np.subtract(n, out, out=out, where=p > 0.5)
     return out
+
+
+def count_true(table: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Each column's number of true entries in a ``(rows, columns)``
+    bool table.
+
+    A bool-to-int reduce casts every element, so the flags are summed
+    as bytes through their ``uint8`` view, at most 255 rows a pass so
+    that no byte overflows.  ``count`` is the ``uint8`` row a pass sums
+    into.  Up to 255 rows it holds the result and is returned; past
+    that the passes add up in a new ``intp`` row.  A caller that scales
+    the count by a Python int must name a wider ``dtype``: NumPy 2 keeps
+    ``uint8`` arithmetic ``uint8``.
+    """
+    flags = table.view(np.uint8)
+    np.add.reduce(flags[:255], axis=0, out=count)
+    if len(flags) <= 255:
+        return count
+    total = count.astype(np.intp)
+    for start in range(255, len(flags), 255):
+        np.add.reduce(flags[start:start + 255], axis=0, out=count)
+        np.add(total, count, out=total)
+    return total
 
 
 def winners_from_uniforms(

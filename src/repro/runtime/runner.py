@@ -240,14 +240,16 @@ def _run_system_shard(task: _Task) -> Any:
     return _run_task(_system_task_body, task, "system")
 
 
-#: Most trials a fused stats task carries, unless it is one wider shard.
-#: A stats task ships a few KB home whatever its width, so the worker
-#: bounds it: past about 10,000 trials a wider kernel call saves no
-#: per-call cost (two-miner ns per trial-round at 2,000 vs 10,000
+#: Most trials a fused task carries, unless it is one wider shard.  The
+#: worker bounds it: past about 10,000 trials a wider kernel call saves
+#: no per-call cost (two-miner ns per trial-round at 2,000 vs 10,000
 #: trials: ML-PoS 8.3-13 vs 6.7-7.2, C-PoS 154-157 vs 144-152), while
-#: the fused state keeps growing.  A full-mode task is capped at
-#: MIN_SHARD_TRIALS instead, because the parent holds its unpickled
-#: trajectory cubes.
+#: the fused state keeps growing.  A stats task ships a few KB home; a
+#: full-mode task on a pool ships its cubes, which the parent folds one
+#: task at a time.  Only a full-mode task on one worker is capped at
+#: MIN_SHARD_TRIALS instead: its fused engine runs in the process that
+#: holds the merged ensembles, and a wider one lifts that process's peak
+#: past the streaming-merge memory bound.
 STATS_TASK_TRIALS = 10_000
 
 
@@ -258,7 +260,9 @@ def _strided(members: list, ways: int, cap: int) -> List[list]:
     Striding balances tasks whose members' costs rise along the group
     (C-PoS grows costlier with the share), which a contiguous cut would
     stack into one task.  A task carries one shard or at most ``cap``
-    trials; more tasks are cut until every task fits.
+    trials (:data:`STATS_TASK_TRIALS`, or
+    :data:`~repro.runtime.sharding.MIN_SHARD_TRIALS` for a full-mode
+    group on one worker); more tasks are cut until every task fits.
     """
     ways = min(ways, len(members))
     while True:
@@ -331,15 +335,15 @@ class ParallelRunner:
     Execution width is the runner's own choice, and never moves a bit.
     Uncached simulation shards that share a
     :func:`~repro.runtime.spec.kernel_signature` run as one fused
-    engine per task: one task per signature group on one worker, and
-    each group strided over ``workers`` tasks on a pool.  A task carries
-    one shard or at most a cap of trials:
-    :data:`~repro.runtime.sharding.MIN_SHARD_TRIALS` in full mode,
-    where the parent holds every part's cube, and
-    :data:`STATS_TASK_TRIALS` in stats mode, where the worker's fused
-    state is the cost.  Every shard still draws from its own seed, and
-    the journal, the cache and each spec's fold see the same per-shard
-    parts either way.  System shards run one per task.
+    engine per task, each group strided over ``workers`` tasks and cut
+    finer where a task would pass its cap.  A task carries one shard or
+    at most :data:`STATS_TASK_TRIALS` trials, where the worker's fused
+    state is the cost; a full-mode task on one worker, whose fused
+    cubes share the process with the merged ensembles, carries at most
+    :data:`~repro.runtime.sharding.MIN_SHARD_TRIALS`.  Every shard
+    still draws from its own seed, and the journal, the cache and each
+    spec's fold see the same per-shard parts either way.  System shards
+    run one per task.
 
     Examples
     --------
@@ -644,16 +648,19 @@ class ParallelRunner:
 
         Shards group by :func:`~repro.runtime.spec.kernel_signature`, in
         order of each group's first shard.  Grouping is execution, not
-        physics: one worker runs each group as one task, a pool strides
-        each group over ``workers`` tasks (:func:`_strided`).
+        physics: each group is strided over ``workers`` tasks
+        (:func:`_strided`).  A task carries at most
+        :data:`STATS_TASK_TRIALS` trials, except a full-mode task on one
+        worker: it runs in the process that folds its cubes, so it keeps
+        to :data:`~repro.runtime.sharding.MIN_SHARD_TRIALS`.
         """
         groups: Dict[Any, list] = {}
         for unit in pending:
             groups.setdefault(kernel_signature(unit[0]), []).append(unit)
         tasks: List[list] = []
         for group in groups.values():
-            full = group[0][0].reduce == "full"
-            cap = MIN_SHARD_TRIALS if full else STATS_TASK_TRIALS
+            in_process = self.workers == 1 and group[0][0].reduce == "full"
+            cap = MIN_SHARD_TRIALS if in_process else STATS_TASK_TRIALS
             tasks.extend(_strided(group, self.workers, cap))
         return tasks
 

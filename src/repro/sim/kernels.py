@@ -61,6 +61,7 @@ from ..obs.trace import get_tracer
 from ..protocols.base import (
     EnsembleState,
     IncentiveProtocol,
+    count_true,
     winners_from_uniforms,
 )
 from ..protocols.c_pos import BlockGranularCompoundPoS, CompoundPoS
@@ -428,7 +429,7 @@ def _advance_polya_many(protocol, state, rounds, rng, scratch, chunk):
     total = scratch.get("polya_total", (trials,))
     cdf_t = scratch.get("polya_cdf_t", (miners, trials))
     above = scratch.get("polya_above", (miners, trials), np.bool_)
-    winners = scratch.get("polya_winners", (trials,), np.intp)
+    count = scratch.get("polya_count", (trials,), np.uint8)
     flat_index = scratch.get("polya_flat_index", (trials,), np.intp)
     trial_index = scratch.get("polya_trial_index", (trials,), np.intp)
     trial_index[...] = np.arange(trials)
@@ -441,8 +442,8 @@ def _advance_polya_many(protocol, state, rounds, rng, scratch, chunk):
             for row in range(1, miners - 1):
                 np.add(cdf_t[row], cdf_t[row - 1], out=cdf_t[row])
             np.greater(draws, cdf_t[:-1], out=above[:-1])
-            np.sum(above[:-1], axis=0, out=winners)
-            np.multiply(winners, trials, out=flat_index)
+            winners = count_true(above[:-1], count)
+            np.multiply(winners, trials, out=flat_index, dtype=np.intp)
             np.add(flat_index, trial_index, out=flat_index)
             rewards_flat[flat_index] += reward
             stakes_flat[flat_index] += reward
@@ -504,7 +505,7 @@ def _advance_filecoin(protocol, state, rounds, rng, scratch, chunk):
     power_t = scratch.get("filecoin_power_t", (miners, trials))
     cdf_t = scratch.get("filecoin_cdf_t", (miners, trials))
     above = scratch.get("filecoin_above", (miners, trials), np.bool_)
-    winners = scratch.get("filecoin_winners", (trials,), np.int64)
+    count = scratch.get("filecoin_count", (trials,), np.uint8)
     one_hot = scratch.get("filecoin_one_hot", (miners, trials), np.bool_)
     gain_t = scratch.get("filecoin_gain_t", (miners, trials))
     columns = scratch.get("filecoin_columns", (miners, 1), np.int64)
@@ -522,7 +523,7 @@ def _advance_filecoin(protocol, state, rounds, rng, scratch, chunk):
             np.cumsum(power_t, axis=0, out=cdf_t)
             cdf_t[-1, :] = 1.0
             np.greater(draws, cdf_t, out=above)
-            np.sum(above, axis=0, out=winners)
+            winners = count_true(above, count)
             np.equal(columns, winners, out=one_hot)
             np.multiply(one_hot, reward, out=gain_t)
             np.add(rewards_t, gain_t, out=rewards_t)
@@ -974,7 +975,7 @@ def _advance_withholding_proportional(
     shares_t = scratch.get("withhold_shares_t", (miners, trials))
     cdf_t = scratch.get("withhold_cdf_t", (miners, trials))
     above = scratch.get("withhold_above", (miners, trials), np.bool_)
-    winners = scratch.get("withhold_winners", (trials,), np.int64)
+    count = scratch.get("withhold_count", (trials,), np.uint8)
     one_hot = scratch.get("withhold_one_hot_t", (miners, trials), np.bool_)
     gain_t = scratch.get("withhold_gain_t", (miners, trials))
     columns = scratch.get("withhold_columns_t", (miners, 1), np.int64)
@@ -988,7 +989,7 @@ def _advance_withholding_proportional(
             np.cumsum(shares_t, axis=0, out=cdf_t)
             cdf_t[-1, :] = 1.0
             np.greater(draws, cdf_t, out=above)
-            np.sum(above, axis=0, out=winners)
+            winners = count_true(above, count)
             np.equal(columns, winners, out=one_hot)
             np.multiply(one_hot, reward, out=gain_t)
             np.add(rewards_t, gain_t, out=rewards_t)

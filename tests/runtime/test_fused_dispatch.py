@@ -223,6 +223,32 @@ class TestFusedEqualsPerShard:
         assert root["shards"] == 20  # 11 + 6 + 3
         assert root["tasks"] == tasks
 
+    @pytest.mark.parametrize(
+        "executor, tasks",
+        # A pool strides four 500-trial shards into two 1,000-trial
+        # tasks; one worker, whose fused engine runs beside the fold,
+        # keeps a full-mode task to one 500-trial shard.
+        [
+            pytest.param(lambda: WideSerialExecutor(2), 2, id="2-wide"),
+            pytest.param(lambda: make_executor(1), 4, id="1-serial"),
+        ],
+    )
+    def test_full_mode_task_cap_binds_only_on_one_worker(self, executor, tasks):
+        spec = SimulationSpec(
+            MultiLotteryPoS(0.01), Allocation.two_miners(0.2),
+            trials=4 * MIN_SHARD_TRIALS, horizon=20, seed=40,
+        )
+        tracer = Tracer()
+        with using_tracer(tracer):
+            (result,) = ParallelRunner(executor=executor()).run_many([spec])
+        root = traced_root(tracer)
+        assert (root["shards"], root["tasks"]) == (4, tasks)
+        plan = plan_shards(spec.trials, spec.seed_sequence, 4)
+        assert_same_artifact(
+            result,
+            merge_parts([_simulation_shard_body(spec, shard) for shard in plan]),
+        )
+
     def test_group_partly_restored_from_the_journal(self, tmp_path):
         specs = grid("full")
         cache = ResultCache(tmp_path / "cache")

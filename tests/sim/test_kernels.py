@@ -155,6 +155,19 @@ class TestDifferentialGolden:
             naive.terminal_stakes, batched.terminal_stakes
         )
 
+    @pytest.mark.parametrize("name", ["ml-pos", "filecoin", "withhold-ml"])
+    def test_bit_identical_past_255_miners(self, name):
+        """These kernels count each trial's winner as the true entries
+        of a (miners, trials) table, a byte per entry and at most 255
+        rows a pass: 300 miners take two passes."""
+        naive, batched = run_pair(PROTOCOL_FACTORIES[name], 300, "default")
+        np.testing.assert_array_equal(
+            naive.reward_fractions, batched.reward_fractions
+        )
+        np.testing.assert_array_equal(
+            naive.terminal_stakes, batched.terminal_stakes
+        )
+
     @pytest.mark.parametrize("miners", [7, 8, 9, 17, 130, 300])
     def test_eos_bit_identical_at_any_miner_count(self, miners):
         """EOS pays rewards proportional to the per-trial stake total,

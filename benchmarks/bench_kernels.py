@@ -34,13 +34,11 @@ import numpy as np
 
 from repro.core.miners import Allocation
 from repro.protocols import (
-    BlockGranularCompoundPoS,
     CompoundPoS,
     EOSDelegatedPoS,
     FairSingleLotteryPoS,
     FilecoinStorage,
     MultiLotteryPoS,
-    RewardWithholding,
     SingleLotteryPoS,
 )
 from repro.sim.kernels import batched_advance
@@ -58,12 +56,6 @@ PROTOCOLS = {
     "sl_pos": (lambda: SingleLotteryPoS(0.01), 2, 2_000),
     "fsl_pos": (lambda: FairSingleLotteryPoS(0.01), 2, 2_000),
     "c_pos": (lambda: CompoundPoS(0.01, 0.1, 32), 2, 500),
-    "c_pos_block": (lambda: BlockGranularCompoundPoS(0.01, 0.1, 32), 2, 2_000),
-    "withhold_ml": (
-        lambda: RewardWithholding(MultiLotteryPoS(0.01), vesting_period=1000),
-        2,
-        2_000,
-    ),
     "filecoin": (lambda: FilecoinStorage(0.01, storage_weight=0.5), 2, 1_000),
     "eos": (lambda: EOSDelegatedPoS(0.01, 0.05), 2, 2_000),
 }

@@ -263,10 +263,6 @@ class RowBatch:
         """Credit the last row's reward to the balance in ``slot``."""
         self.stakes[slot] += reward
 
-    def reload(self) -> None:
-        """Re-read the balances after a validated append moved them."""
-        self.stakes[:] = [self.chain.balance(a) for a in self.addresses]
-
     def flush(self) -> None:
         """Append the rows to the chain and write the balances back."""
         chain = self.chain

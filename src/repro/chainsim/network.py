@@ -19,9 +19,10 @@ consumes.
 Each engine has two bit-identical loops and decides once, in
 ``__init__``, which one runs:
 
-* the inlined race runs when ``fast=True`` (the default) and every node
-  is an exact stock node of one type on one shared oracle (for
-  :class:`CPoSNetwork`, every validator an exact
+* the inlined race runs when ``fast=True`` (the default), the network
+  has no mempool and every node is an exact stock node of one type on
+  one shared oracle (for :class:`CPoSNetwork`, which takes no mempool,
+  every validator an exact
   :class:`~repro.chainsim.c_pos_node.CPoSValidator`).  It replicates
   the stock nodes' methods with per-block constants hoisted and digest
   prefixes pre-hashed through the oracle's batched-prefix interface,
@@ -37,14 +38,14 @@ Each engine has two bit-identical loops and decides once, in
   incomes in a list.  At the end of the run, in a ``finally``, it
   appends the rows, writes the balances back and hands the rounds x
   addresses income matrix to its NumPy ledger
-  (:class:`_ArrayIncomeTracker`) once.  A block that carries mempool
-  transactions is still built and appended validated;
+  (:class:`_ArrayIncomeTracker`) once;
 * the reference loop calls the nodes' own methods (for C-PoS, the
   committee's) each round and appends a validated
-  :class:`~repro.chainsim.block.Block` per block.  It runs any other
-  node set (a subclass, mixed types, several oracles) and, under
-  ``fast=False``, every node set: it is the differential-test
-  reference.
+  :class:`~repro.chainsim.block.Block` per block, with the mempool's
+  next transactions if there is one.  It runs any other node set (a
+  subclass, mixed types, several oracles), every network with a
+  mempool and, under ``fast=False``, every node set: it is the
+  differential-test reference.
 
 A network's ``fast`` attribute records that decision, and its
 ``chainsim.run`` span reports it.
@@ -148,12 +149,11 @@ def _sealed_tip(network) -> Block:
     return dataclasses.replace(network.chain.tip, reward=network.block_reward)
 
 
-def _winner_incomes(winners: List[int], amounts, width: int) -> np.ndarray:
+def _winner_incomes(winners: List[int], reward: float, width: int) -> np.ndarray:
     """The rounds x ``width`` income matrix of one-winner rounds: round
-    r pays ``amounts[r]`` (or the scalar ``amounts``) to slot
-    ``winners[r]``."""
+    r pays ``reward`` to slot ``winners[r]``."""
     incomes = np.zeros((len(winners), width))
-    incomes[np.arange(len(winners)), winners] = amounts
+    incomes[np.arange(len(winners)), winners] = reward
     return incomes
 
 
@@ -273,20 +273,6 @@ class _ArrayIncomeTracker:
         )
 
 
-class _TipHash:
-    """The chain as :meth:`PoWNode.grind` reads it, ``chain.tip.block_hash``,
-    over the PoW race's local tip hash: no Block is built for it."""
-
-    __slots__ = ("block_hash",)
-
-    def __init__(self, block_hash: int) -> None:
-        self.block_hash = block_hash
-
-    @property
-    def tip(self) -> "_TipHash":
-        return self
-
-
 class TickMiningNetwork:
     """Discrete-clock mining for PoW / ML-PoS nodes.
 
@@ -306,10 +292,10 @@ class TickMiningNetwork:
         Safety valve: raise instead of looping forever when the
         difficulty is impossibly low.
     fast:
-        Run the inlined race when every node is a stock
-        :class:`~repro.chainsim.pow_node.PoWNode` or every node a stock
-        :class:`~repro.chainsim.ml_pos_node.MLPoSNode`, all on one
-        oracle (the default); False always runs the reference loop.
+        Run the inlined race when there is no mempool and every node is
+        a stock :class:`~repro.chainsim.pow_node.PoWNode` or every node
+        a stock :class:`~repro.chainsim.ml_pos_node.MLPoSNode`, all on
+        one oracle (the default); False always runs the reference loop.
         Bit-identical either way.  The ``fast`` attribute records
         whether the inlined race runs.
     """
@@ -340,7 +326,11 @@ class TickMiningNetwork:
             "max_ticks_per_block", max_ticks_per_block
         )
         self.tick = 0
-        self._race = _inlined_type(self.nodes, fast, (PoWNode, MLPoSNode))
+        # The inlined race seals transaction-less rows: a mempool's
+        # blocks take the reference loop's validated append.
+        self._race = _inlined_type(
+            self.nodes, fast and mempool is None, (PoWNode, MLPoSNode)
+        )
         self.fast = self._race is not None
         self._addresses, self._slots = _node_slots(self.nodes)
         self._tracker = (_ArrayIncomeTracker if self.fast else _IncomeTracker)(
@@ -386,17 +376,15 @@ class TickMiningNetwork:
 
         Each block's lottery (:meth:`_pow_lottery` or
         :meth:`_ml_pos_lottery`) advances ``tick`` and returns the
-        winning digest and node.  Without a mempool the block is sealed
-        as a row and its reward credited to the batch's stakes; with
-        one it is built and appended validated, and the stakes are
-        re-read.  The batch and the income ledger are flushed once, in
-        a ``finally``, so a lottery that raises leaves the chain,
-        balances and ledger as the reference loop leaves them.
+        winning digest and node; the block is sealed as a row and its
+        reward credited to the batch's stakes.  The batch and the
+        income ledger are flushed once, in a ``finally``, so a lottery
+        that raises leaves the chain, balances and ledger as the
+        reference loop leaves them.
         """
         batch = self.chain.row_batch(self._addresses)
         lottery = self._pow_lottery if self._race is PoWNode else self._ml_pos_lottery
         observe = self.adjuster.observe_block
-        mempool = self.mempool
         reward = self.block_reward
         row_reward = 0.0 if batch.vests else reward
         addresses = self._addresses
@@ -405,26 +393,20 @@ class TickMiningNetwork:
         credit = batch.credit
         stakes = batch.stakes
         winners: List[int] = []
-        amounts = reward if mempool is None else []
         tip_hash = batch.tip_hash
         try:
             for _ in range(blocks):
                 tip_hash, position = lottery(stakes, tip_hash)
                 slot = slots[position]
                 timestamp = float(self.tick)
-                if mempool is None:
-                    rows_append((tip_hash, addresses[slot], timestamp, row_reward))
-                    credit(slot, reward)
-                else:
-                    block = _append_block(self, tip_hash, addresses[slot], timestamp)
-                    batch.reload()
-                    amounts.append(reward + block.total_fees)
+                rows_append((tip_hash, addresses[slot], timestamp, row_reward))
+                credit(slot, reward)
                 winners.append(slot)
                 observe(timestamp)
         finally:
             batch.flush()
             self._tracker.record_run(
-                _winner_incomes(winners, amounts, len(addresses))
+                _winner_incomes(winners, reward, len(addresses))
             )
 
     def _pow_lottery(self, stakes: List[float], tip_hash: int) -> Tuple[int, int]:
@@ -432,17 +414,15 @@ class TickMiningNetwork:
         and the winner's position.
 
         Difficulty is frozen within a block (it changes only when a
-        block seals), so it is read once, and the parent hash is
-        encoded once per block; every node then grinds from a prefix it
-        hashes once per parent and nonce width, paying one hasher copy,
-        one ``update`` and one ``digest`` per nonce, compared as bytes
-        (:meth:`PoWNode.grind`).  The candidate race replicates the
-        reference loop: lowest digest wins, the earlier node on ties.
+        block seals), so it is read once; every node grinds from a
+        prefix it hashes once per parent and nonce width, paying one
+        hasher copy, one ``update`` and one ``digest`` per nonce,
+        compared as bytes (:meth:`PoWNode.grind`).  The candidate race
+        replicates the reference loop: lowest digest wins, the earlier
+        node on ties.
         """
         nodes = self.nodes
         difficulty = self.adjuster.difficulty
-        parent_chunk = int_chunk(tip_hash)
-        chain = _TipHash(tip_hash)
         ticks_waited = 0
         while True:
             self.tick += 1
@@ -455,7 +435,7 @@ class TickMiningNetwork:
             best_digest: Optional[int] = None
             winner = 0
             for position, node in enumerate(nodes):
-                digest = node.grind(chain, difficulty, parent_chunk)
+                digest = node.grind(tip_hash, difficulty)
                 if digest is not None and (
                     best_digest is None or digest < best_digest
                 ):
@@ -561,12 +541,12 @@ class TickMiningNetwork:
 class DeadlineMiningNetwork:
     """Event-driven deadline mining for SL-PoS / FSL-PoS nodes.
 
-    ``fast`` runs the inlined race when every node is a stock
-    :class:`~repro.chainsim.sl_pos_node.SLPoSNode` or every node a
-    stock :class:`~repro.chainsim.sl_pos_node.FSLPoSNode`, all on one
-    oracle (the default); False always runs the reference loop.
-    Bit-identical either way.  The ``fast`` attribute records whether
-    the inlined race runs.
+    ``fast`` runs the inlined race when there is no mempool and every
+    node is a stock :class:`~repro.chainsim.sl_pos_node.SLPoSNode` or
+    every node a stock :class:`~repro.chainsim.sl_pos_node.FSLPoSNode`,
+    all on one oracle (the default); False always runs the reference
+    loop.  Bit-identical either way.  The ``fast`` attribute records
+    whether the inlined race runs.
     """
 
     def __init__(
@@ -590,7 +570,10 @@ class DeadlineMiningNetwork:
         self.max_txs_per_block = ensure_positive_int(
             "max_txs_per_block", max_txs_per_block
         )
-        race = _inlined_type(self.nodes, fast, (SLPoSNode, FSLPoSNode))
+        # As in TickMiningNetwork: a mempool takes the reference loop.
+        race = _inlined_type(
+            self.nodes, fast and mempool is None, (SLPoSNode, FSLPoSNode)
+        )
         self.fast = race is not None
         self._addresses, slots = _node_slots(self.nodes)
         self._tracker = (_ArrayIncomeTracker if self.fast else _IncomeTracker)(
@@ -635,15 +618,13 @@ class DeadlineMiningNetwork:
         finishes the cached ``key+"block"`` prefix with the winner's
         address chunk and the tip chunk; its low 64 bits are the
         digest's last 8 bytes.  Stakes, tip hash, tip chunk and tip
-        timestamp live in locals; blocks are sealed as rows (validated
-        blocks, with a mempool) and the batch and income ledger are
-        flushed once, in a ``finally``.
+        timestamp live in locals; blocks are sealed as rows and the
+        batch and income ledger are flushed once, in a ``finally``.
         """
         batch = self.chain.row_batch(self._addresses)
         stakes = batch.stakes
         rows_append = batch.rows.append
         credit = batch.credit if batch.vests else None
-        mempool = self.mempool
         reward = self.block_reward
         row_reward = 0.0 if batch.vests else reward
         basetime = self.basetime
@@ -655,7 +636,6 @@ class DeadlineMiningNetwork:
         inf = math.inf
         winners: List[int] = []
         winners_append = winners.append
-        amounts = reward if mempool is None else []
         tip_hash = batch.tip_hash
         tip_timestamp = batch.tip_timestamp
         tip_chunk = int_chunk(tip_hash)
@@ -694,21 +674,16 @@ class DeadlineMiningNetwork:
                 tip_hash = tip_hash + 1 + from_bytes(hasher.digest()[24:], "big")
                 tip_chunk = int_chunk(tip_hash)
                 tip_timestamp = best
-                if mempool is not None:
-                    block = _append_block(self, tip_hash, address, best)
-                    batch.reload()
-                    amounts.append(reward + block.total_fees)
+                rows_append((tip_hash, address, best, row_reward))
+                if credit is None:
+                    stakes[slot] += reward
                 else:
-                    rows_append((tip_hash, address, best, row_reward))
-                    if credit is None:
-                        stakes[slot] += reward
-                    else:
-                        credit(slot, reward)
+                    credit(slot, reward)
                 winners_append(slot)
         finally:
             batch.flush()
             self._tracker.record_run(
-                _winner_incomes(winners, amounts, len(self._addresses))
+                _winner_incomes(winners, reward, len(self._addresses))
             )
 
     def mine_block(self) -> Block:

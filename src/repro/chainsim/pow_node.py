@@ -18,6 +18,7 @@ from .hash_oracle import (
     INT_HEADS,
     HashOracle,
     int_boundary,
+    int_chunk,
     int_width,
     target_bytes,
 )
@@ -42,12 +43,14 @@ class PoWNode(MiningNode):
         super().__init__(address, oracle)
         self.hash_rate = ensure_positive_int("hash_rate", hash_rate)
         self._nonce = 0
-        # grind's caches: the target bytes of the last difficulty, and
-        # the prefix hashed for the last parent and nonce width, which
-        # serves every nonce below ``_grind_boundary``.
+        # grind's caches: the target bytes of the last difficulty, the
+        # last parent's wire encoding, and the prefix hashed for that
+        # parent and nonce width, which serves every nonce below
+        # ``_grind_boundary``.
         self._grind_difficulty: Optional[float] = None
         self._grind_target = b""
         self._grind_parent: Optional[int] = None
+        self._grind_parent_chunk = b""
         self._grind_boundary = 0
         self._grind_width = 0
         self._grind_prefix = None
@@ -68,22 +71,20 @@ class PoWNode(MiningNode):
                 best = digest
         return best
 
-    def grind(
-        self, chain: Blockchain, difficulty: float, parent_chunk: bytes
-    ) -> Optional[int]:
-        """:meth:`try_propose` against a pre-hashed prefix;
-        ``parent_chunk`` is the tip hash's wire encoding
-        (``HashOracle.chunk``).
+    def grind(self, parent_hash: int, difficulty: float) -> Optional[int]:
+        """:meth:`try_propose` on a chain whose tip hash is
+        ``parent_hash``, against a pre-hashed prefix.
 
         The digest fields are ``(address, parent, nonce)``.  A nonce of
         width ``w`` encodes as ``INT_HEADS[w]`` plus its ``w`` bytes,
-        and nonces count up, so the key, address, parent and the
-        width's head are hashed once per parent and width, and each
-        nonce pays one hasher copy, one ``update`` of its bytes and one
-        ``digest``.  The lottery test compares digest bytes with the
-        target's bytes (``target_bytes``); only the winner is converted
-        to an int.  Bit-identical to :meth:`try_propose` by the oracle's
-        wire format.
+        and nonces count up, so the parent is encoded (``int_chunk``)
+        once per parent, the key, address, parent and the width's head
+        are hashed once per parent and width, and each nonce pays one
+        hasher copy, one ``update`` of its bytes and one ``digest``.
+        The lottery test compares digest bytes with the target's bytes
+        (``target_bytes``); only the winner is converted to an int.
+        Bit-identical to :meth:`try_propose` by the oracle's wire
+        format.
         """
         if difficulty <= 0.0:
             raise ValueError("difficulty must be positive")
@@ -91,9 +92,9 @@ class PoWNode(MiningNode):
             self._grind_target = target_bytes(min(int(difficulty), HASH_SPACE))
             self._grind_difficulty = difficulty
         target = self._grind_target
-        parent_hash = chain.tip.block_hash
         if parent_hash != self._grind_parent:
             self._grind_parent = parent_hash
+            self._grind_parent_chunk = int_chunk(parent_hash)
             self._grind_boundary = 0
         best: Optional[bytes] = None
         nonce = self._nonce
@@ -103,7 +104,9 @@ class PoWNode(MiningNode):
                 # Nonces only count up: a new width starts here.
                 width = int_width(nonce)
                 prefix = self.oracle.prefix()
-                prefix.update(self._address_chunk + parent_chunk + INT_HEADS[width])
+                prefix.update(
+                    self._address_chunk + self._grind_parent_chunk + INT_HEADS[width]
+                )
                 self._grind_prefix = prefix
                 self._grind_width = width
                 self._grind_boundary = int_boundary(width)

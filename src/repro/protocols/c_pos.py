@@ -165,6 +165,10 @@ class BlockGranularCompoundPoS(IncentiveProtocol):
     Parameters match :class:`CompoundPoS`; proposers within an epoch
     are drawn from the stake distribution at the epoch start
     (committee assignment is per epoch, Section 2.4).
+
+    No experiment runs this variant, so it has no fused kernel
+    (:mod:`repro.sim.kernels`): the batched engine runs its own
+    per-block loop.
     """
 
     round_unit = "block"

@@ -34,7 +34,10 @@ class MultiLotteryPoS(StakeLotteryProtocol):
         simultaneous-success tie-break, instead of the proportional
         small-``p`` limit.  Only supported for two-miner games; the
         difference is O(p) and invisible at the paper's parameters —
-        exposed to let tests quantify exactly that claim.
+        exposed to let tests quantify exactly that claim.  No
+        experiment runs it, so the batched engine fuses only the
+        proportional lottery (:mod:`repro.sim.kernels`); the exact race
+        runs this class's own per-round loop.
     timestamp_probability:
         Scale of the per-timestamp success probability used by the
         exact race (the paper quotes ``p ~ 1/1200`` for 5-10 minute

@@ -44,6 +44,11 @@ class RewardWithholding(StakeLotteryProtocol):
     the inner lottery actually sees.  ``state.rewards`` counts issued
     income, so reward fractions ``lambda`` include unvested rewards,
     matching how the paper plots Figure 6(b).
+
+    The batched engine fuses the wrapper over a deadline inner
+    (SL-PoS, FSL-PoS, Wave, Vixify; Figure 6 runs FSL-PoS) in
+    :mod:`repro.sim.kernels`; over any other inner it runs this
+    class's own per-round loop.
     """
 
     def __init__(self, inner: StakeLotteryProtocol, vesting_period: int = 1000) -> None:

@@ -76,6 +76,10 @@ StreamItem = Tuple[int, bool, Any]
 #: so liveness must be polled.
 _LIVENESS_TICK = 0.25
 
+#: The process backend's ``multiprocessing`` start method: ``fork``
+#: where the platform offers it, else the platform default (None).
+_START_METHOD = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+
 
 class ShardExecutionError(RuntimeError):
     """One or more shards failed; carries every failure, not just the first.
@@ -406,10 +410,6 @@ class MultiprocessingExecutor(Executor):
     ----------
     workers:
         Pool size.  The pool never exceeds the task count.
-    start_method:
-        ``multiprocessing`` start method; defaults to ``fork`` when the
-        platform offers it, else the platform default.  Task functions
-        must be module-level either way so ``spawn`` keeps working.
 
     The stream enforces per-shard deadlines (when ``timeout`` is set)
     and polls worker liveness: an expired or crashed shard terminates
@@ -423,12 +423,8 @@ class MultiprocessingExecutor(Executor):
     :class:`~repro.runtime.faults.PoolDegradedWarning`.
     """
 
-    def __init__(self, workers: int, start_method: Optional[str] = None) -> None:
+    def __init__(self, workers: int) -> None:
         self.workers = ensure_positive_int("workers", workers)
-        if start_method is None:
-            available = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in available else None
-        self.start_method = start_method
 
     def stream(
         self,
@@ -456,7 +452,7 @@ class MultiprocessingExecutor(Executor):
         window = _resolve_window(window, pool_size)
         timeout = self.timeout
         tracer = get_tracer()
-        context = multiprocessing.get_context(self.start_method)
+        context = multiprocessing.get_context(_START_METHOD)
         completions: "queue.SimpleQueue" = queue.SimpleQueue()
         total = len(tasks)
         in_flight: dict = {}  # index -> (attempt, deadline or None)
@@ -676,7 +672,6 @@ class MultiprocessingExecutor(Executor):
 
 def make_executor(
     workers: int,
-    start_method: Optional[str] = None,
     *,
     retry: Optional[RetryPolicy] = None,
     timeout: Optional[float] = None,
@@ -696,7 +691,7 @@ def make_executor(
     if workers == 1:
         executor: Executor = SerialExecutor()
     else:
-        executor = MultiprocessingExecutor(workers, start_method)
+        executor = MultiprocessingExecutor(workers)
     if retry is not None:
         if isinstance(retry, int):
             retry = RetryPolicy(max_attempts=retry)

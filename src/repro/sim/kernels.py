@@ -8,8 +8,8 @@ interpreter and allocator overhead — not arithmetic — dominates.  This
 module fuses whole checkpoint segments into far fewer NumPy dispatches
 while staying **bit-identical** to the per-round loop:
 
-* **Pre-drawn uniform blocks** — ``rng.random((chunk, trials))`` fills
-  an array in C order from the same bit stream as ``chunk`` sequential
+* **Pre-drawn uniform blocks** — ``rng.random((n, trials))`` fills
+  an array in C order from the same bit stream as ``n`` sequential
   ``rng.random(trials)`` calls, so batching the draws consumes the
   generator identically and every downstream comparison sees the same
   uniforms.  Blocks are chunked (:data:`DEFAULT_CHUNK_ROUNDS` rounds,
@@ -45,6 +45,16 @@ Kernels are registered per concrete protocol class.  Lookup is by
 with different dynamics silently falls back to the naive loop rather
 than risk a wrong fused recurrence.
 
+A configuration is fused only where an experiment runs it: the
+figures, Table 1 and Section 6.4 run PoW, ML-PoS, SL-PoS, C-PoS,
+FSL-PoS, withholding over FSL-PoS and the six Section 6.4 systems, and
+each of those has a kernel here.  The rest run their protocol's own
+per-round loop, which is the reference the differential tests compare
+every kernel against: block-granular C-PoS has no kernel, and the
+ML-PoS exact race and withholding over an inner without deadlines
+(ML-PoS, PoW, NEO, Filecoin) take that loop from inside their class's
+kernel.
+
 :func:`batched_advance` is the single entry point; the engine's
 ``kernel="batched" | "naive"`` knob selects between it and the plain
 ``advance_many`` loop for differential testing.
@@ -58,13 +68,8 @@ import numpy as np
 
 from .._validation import ensure_positive_int
 from ..obs.trace import get_tracer
-from ..protocols.base import (
-    EnsembleState,
-    IncentiveProtocol,
-    count_true,
-    winners_from_uniforms,
-)
-from ..protocols.c_pos import BlockGranularCompoundPoS, CompoundPoS
+from ..protocols.base import EnsembleState, IncentiveProtocol, count_true
+from ..protocols.c_pos import CompoundPoS
 from ..protocols.extended import (
     AlgorandPoS,
     EOSDelegatedPoS,
@@ -170,12 +175,11 @@ class ScratchBuffers:
 # -- chunked pre-drawn uniform blocks -----------------------------------------
 
 
-def _chunk_size(rounds: int, floats_per_round: int, chunk: Optional[int]) -> int:
-    """Rounds per pre-drawn block: explicit, or budget-capped default."""
-    if chunk is None:
-        budget = DEFAULT_CHUNK_BUDGET_BYTES // (8 * max(1, floats_per_round))
-        chunk = max(1, min(DEFAULT_CHUNK_ROUNDS, int(budget)))
-    return max(1, min(chunk, rounds))
+def _chunk_size(rounds: int, floats_per_round: int) -> int:
+    """Rounds per pre-drawn block: :data:`DEFAULT_CHUNK_ROUNDS`, capped
+    by the byte budget and by ``rounds``."""
+    budget = DEFAULT_CHUNK_BUDGET_BYTES // (8 * max(1, floats_per_round))
+    return max(1, min(DEFAULT_CHUNK_ROUNDS, int(budget), rounds))
 
 
 def _uniform_blocks(
@@ -184,7 +188,6 @@ def _uniform_blocks(
     name: str,
     rounds: int,
     round_shape: Tuple[int, ...],
-    chunk: Optional[int],
 ) -> Iterator[np.ndarray]:
     """Yield ``(n, *round_shape)`` blocks of pre-drawn uniforms.
 
@@ -196,7 +199,7 @@ def _uniform_blocks(
     per_round = 1
     for extent in round_shape:
         per_round *= extent
-    size = _chunk_size(rounds, per_round, chunk)
+    size = _chunk_size(rounds, per_round)
     block = scratch.get(name, (size,) + tuple(round_shape))
     done = 0
     while done < rounds:
@@ -249,7 +252,7 @@ def _row_totals(rows: np.ndarray, out: np.ndarray, partials: np.ndarray) -> None
 
 KernelFn = Callable[
     [IncentiveProtocol, EnsembleState, int, np.random.Generator,
-     ScratchBuffers, Optional[int]],
+     ScratchBuffers],
     None,
 ]
 
@@ -282,20 +285,14 @@ def batched_advance(
     state: EnsembleState,
     rounds: int,
     rng: np.random.Generator,
-    *,
-    chunk: Optional[int] = None,
 ) -> None:
     """Advance ``state`` by ``rounds`` rounds through the fused kernels.
 
     Bit-identical to ``protocol.advance_many(state, rounds, rng)`` —
     same final arrays, same generator position — for every registered
-    protocol and any ``chunk``; unregistered protocols delegate to the
-    naive loop.  ``chunk`` overrides the pre-drawn block length
-    (default: :data:`DEFAULT_CHUNK_ROUNDS`, memory-capped).
+    protocol; unregistered protocols delegate to the naive loop.
     """
     rounds = ensure_positive_int("rounds", rounds)
-    if chunk is not None:
-        chunk = ensure_positive_int("chunk", chunk)
     kernel = find_kernel(protocol)
     tracer = get_tracer()
     if kernel is None:
@@ -323,16 +320,16 @@ def batched_advance(
             rounds=rounds,
             trials=state.trials,
         ):
-            kernel(protocol, state, rounds, rng, state.scratch, chunk)
+            kernel(protocol, state, rounds, rng, state.scratch)
     else:
-        kernel(protocol, state, rounds, rng, state.scratch, chunk)
+        kernel(protocol, state, rounds, rng, state.scratch)
 
 
 # -- closed-form protocols ----------------------------------------------------
 
 
 @register_kernel(ProofOfWork, NeoPoS, AlgorandPoS)
-def _advance_closed_form(protocol, state, rounds, rng, scratch, chunk):
+def _advance_closed_form(protocol, state, rounds, rng, scratch):
     """PoW/NEO (multinomial jump) and Algorand (deterministic jump)
     already advance whole segments in O(1) dispatches; delegate."""
     protocol.advance_many(state, rounds, rng)
@@ -341,7 +338,7 @@ def _advance_closed_form(protocol, state, rounds, rng, scratch, chunk):
 # -- proportional lottery on compounding stakes (the Polya urn) ---------------
 
 
-def _advance_polya_two(protocol, state, rounds, rng, scratch, chunk):
+def _advance_polya_two(protocol, state, rounds, rng, scratch):
     """ML-PoS two-miner fast path: the paper's headline configuration.
 
     Per round the naive loop pays ~12 dispatches plus allocations; this
@@ -368,7 +365,7 @@ def _advance_polya_two(protocol, state, rounds, rng, scratch, chunk):
     gain_b = scratch.get("polya2_gain_b", (trials,))
     gain_a = scratch.get("polya2_gain_a", (trials,))
     for block in _uniform_blocks(
-        rng, scratch, "polya2_draws", rounds, (trials,), chunk
+        rng, scratch, "polya2_draws", rounds, (trials,)
     ):
         for draws in block:
             np.add(stake_a, stake_b, out=total)
@@ -385,7 +382,7 @@ def _advance_polya_two(protocol, state, rounds, rng, scratch, chunk):
     state.round_index += rounds
 
 
-def _advance_polya_many(protocol, state, rounds, rng, scratch, chunk):
+def _advance_polya_many(protocol, state, rounds, rng, scratch):
     """ML-PoS general-miner path on a transposed ``(miners, trials)``
     layout, so reductions and cumulative sums run along contiguous
     memory (axis-1 ops on ``(trials, miners)`` arrays are strided and
@@ -434,7 +431,7 @@ def _advance_polya_many(protocol, state, rounds, rng, scratch, chunk):
     trial_index = scratch.get("polya_trial_index", (trials,), np.intp)
     trial_index[...] = np.arange(trials)
     for block in _uniform_blocks(
-        rng, scratch, "polya_draws", rounds, (trials,), chunk
+        rng, scratch, "polya_draws", rounds, (trials,)
     ):
         for draws in block:
             np.sum(stakes_t, axis=0, out=total)
@@ -452,34 +449,20 @@ def _advance_polya_many(protocol, state, rounds, rng, scratch, chunk):
     state.round_index += rounds
 
 
-def _advance_categorical(protocol, state, rounds, rng, scratch, chunk):
-    """Semi-fused path for categorical lotteries with a per-round law
-    that is cheapest to obtain from ``protocol.win_probabilities``
-    (ML-PoS exact race, Filecoin's mixed mining power): batch the
-    uniforms, keep the per-round law/credit calls verbatim."""
-    for block in _uniform_blocks(
-        rng, scratch, "categorical_draws", rounds, (state.trials,), chunk
-    ):
-        for draws in block:
-            winners = winners_from_uniforms(
-                protocol.win_probabilities(state), draws
-            )
-            protocol.credit_reward(state, winners)
-            state.round_index += 1
-
-
 @register_kernel(MultiLotteryPoS)
-def _advance_ml_pos(protocol, state, rounds, rng, scratch, chunk):
+def _advance_ml_pos(protocol, state, rounds, rng, scratch):
+    """The proportional lottery, fused; the exact race (a tests-only
+    configuration) runs its own per-round loop."""
     if protocol.exact_race:
-        _advance_categorical(protocol, state, rounds, rng, scratch, chunk)
+        protocol.advance_many(state, rounds, rng)
     elif state.miners == 2:
-        _advance_polya_two(protocol, state, rounds, rng, scratch, chunk)
+        _advance_polya_two(protocol, state, rounds, rng, scratch)
     else:
-        _advance_polya_many(protocol, state, rounds, rng, scratch, chunk)
+        _advance_polya_many(protocol, state, rounds, rng, scratch)
 
 
 @register_kernel(FilecoinStorage)
-def _advance_filecoin(protocol, state, rounds, rng, scratch, chunk):
+def _advance_filecoin(protocol, state, rounds, rng, scratch):
     """Filecoin's mixed mining power, fused on the transposed layout.
 
     The storage term is bitwise-constant across an advance (storage
@@ -511,7 +494,7 @@ def _advance_filecoin(protocol, state, rounds, rng, scratch, chunk):
     columns = scratch.get("filecoin_columns", (miners, 1), np.int64)
     columns[...] = np.arange(miners)[:, None]
     for block in _uniform_blocks(
-        rng, scratch, "filecoin_draws", rounds, (trials,), chunk
+        rng, scratch, "filecoin_draws", rounds, (trials,)
     ):
         for draws in block:
             np.sum(stakes_t, axis=0, out=total)
@@ -549,7 +532,7 @@ def _exponentiate_block(block: np.ndarray) -> None:
 
 
 def _advance_deadline_two(
-    protocol, state, rounds, rng, scratch, chunk, *, exponential: bool
+    protocol, state, rounds, rng, scratch, *, exponential: bool
 ):
     """Two-miner earliest-deadline fast path.
 
@@ -572,7 +555,7 @@ def _advance_deadline_two(
     gain_b = scratch.get("deadline2_gain_b", (trials,))
     gain_a = scratch.get("deadline2_gain_a", (trials,))
     for block in _uniform_blocks(
-        rng, scratch, "deadline_draws", rounds, (trials, 2), chunk
+        rng, scratch, "deadline_draws", rounds, (trials, 2)
     ):
         if exponential:
             _exponentiate_block(block)
@@ -592,14 +575,14 @@ def _advance_deadline_two(
 
 
 def _advance_deadline(
-    protocol, state, rounds, rng, scratch, chunk, *, exponential: bool
+    protocol, state, rounds, rng, scratch, *, exponential: bool
 ):
     """SL-PoS (uniform deadlines) and FSL-PoS/Wave/Vixify (exponential
     deadlines): pre-draw ``(chunk, trials, miners)`` uniforms, compute
     deadlines in place, arg-min, credit via one-hot adds."""
     if state.miners == 2:
         _advance_deadline_two(
-            protocol, state, rounds, rng, scratch, chunk,
+            protocol, state, rounds, rng, scratch,
             exponential=exponential,
         )
         return
@@ -612,7 +595,7 @@ def _advance_deadline(
     columns = scratch.get("deadline_columns", (miners,), np.intp)
     columns[...] = np.arange(miners)
     for block in _uniform_blocks(
-        rng, scratch, "deadline_draws", rounds, (trials, miners), chunk
+        rng, scratch, "deadline_draws", rounds, (trials, miners)
     ):
         if exponential:
             _exponentiate_block(block)
@@ -627,16 +610,16 @@ def _advance_deadline(
 
 
 @register_kernel(SingleLotteryPoS)
-def _advance_sl_pos(protocol, state, rounds, rng, scratch, chunk):
+def _advance_sl_pos(protocol, state, rounds, rng, scratch):
     _advance_deadline(
-        protocol, state, rounds, rng, scratch, chunk, exponential=False
+        protocol, state, rounds, rng, scratch, exponential=False
     )
 
 
 @register_kernel(FairSingleLotteryPoS, WavePoS, VixifyPoS)
-def _advance_fsl_pos(protocol, state, rounds, rng, scratch, chunk):
+def _advance_fsl_pos(protocol, state, rounds, rng, scratch):
     _advance_deadline(
-        protocol, state, rounds, rng, scratch, chunk, exponential=True
+        protocol, state, rounds, rng, scratch, exponential=True
     )
 
 
@@ -764,7 +747,7 @@ def _binomial_by_lookup(n, p, draws, out, scratch):
         out[open_rows] = np.where(p[open_rows] > 0.5, n - wins, wins)
 
 
-def _advance_c_pos_two(protocol, state, rounds, rng, scratch, chunk):
+def _advance_c_pos_two(protocol, state, rounds, rng, scratch):
     """Two-miner C-PoS fast path: every headline C-PoS figure.
 
     Miner A's shard wins are :func:`binomial_from_uniforms` over one
@@ -793,7 +776,7 @@ def _advance_c_pos_two(protocol, state, rounds, rng, scratch, chunk):
     income_t = scratch.get("cpos2_income_t", (2, trials))
     inflation_t = scratch.get("cpos2_inflation_t", (2, trials))
     for block in _uniform_blocks(
-        rng, scratch, "cpos2_draws", rounds, (trials,), chunk
+        rng, scratch, "cpos2_draws", rounds, (trials,)
     ):
         for draws in block:
             np.add(stake_a, stake_b, out=total)
@@ -812,7 +795,7 @@ def _advance_c_pos_two(protocol, state, rounds, rng, scratch, chunk):
 
 
 @register_kernel(CompoundPoS)
-def _advance_c_pos(protocol, state, rounds, rng, scratch, chunk):
+def _advance_c_pos(protocol, state, rounds, rng, scratch):
     """C-PoS epoch loop with scratch reuse.  The proposer draw depends
     on the evolving shares, so it is one sampler pass per epoch.  Two
     miners look their inversion draws up (:func:`_advance_c_pos_two`);
@@ -820,7 +803,7 @@ def _advance_c_pos(protocol, state, rounds, rng, scratch, chunk):
     most of their cost.  The share/income arithmetic runs
     allocation-free apart from the sampler's output."""
     if state.miners == 2:
-        _advance_c_pos_two(protocol, state, rounds, rng, scratch, chunk)
+        _advance_c_pos_two(protocol, state, rounds, rng, scratch)
         return
     trials, miners = state.trials, state.miners
     proposer_reward = protocol.proposer_reward
@@ -843,58 +826,11 @@ def _advance_c_pos(protocol, state, rounds, rng, scratch, chunk):
         state.round_index += 1
 
 
-@register_kernel(BlockGranularCompoundPoS)
-def _advance_c_pos_block(protocol, state, rounds, rng, scratch, chunk):
-    """Block-granular C-PoS: the committee CDF is frozen for a whole
-    epoch, so it is computed once per epoch instead of once per block;
-    proposer draws come from pre-drawn uniform blocks."""
-    trials, miners = state.trials, state.miners
-    shards = protocol.shards
-    block_reward = protocol.proposer_reward / shards
-    inflation_reward = protocol.inflation_reward
-    cdf = scratch.get("cposb_cdf", (trials, miners))
-    above = scratch.get("cposb_above", (trials, miners), np.bool_)
-    winners = scratch.get("cposb_winners", (trials,), np.int64)
-    one_hot = scratch.get("cposb_one_hot", (trials, miners), np.bool_)
-    gain = scratch.get("cposb_gain", (trials, miners))
-    inflation = scratch.get("cposb_inflation", (trials, miners))
-    columns = scratch.get("cposb_columns", (miners,), np.int64)
-    columns[...] = np.arange(miners)
-    # A segment may start mid-epoch: rebuild the CDF of the stored
-    # committee shares before the first block either way.
-    refresh_cdf = True
-    for block in _uniform_blocks(
-        rng, scratch, "cposb_draws", rounds, (trials,), chunk
-    ):
-        for draws in block:
-            position = state.round_index % shards
-            if position == 0:
-                # New epoch: committee drawn from the current stakes.
-                state.extra["epoch_shares"] = state.stake_shares()
-                refresh_cdf = True
-            shares = state.extra["epoch_shares"]
-            if refresh_cdf:
-                np.cumsum(shares, axis=1, out=cdf)
-                cdf[:, -1] = 1.0
-                refresh_cdf = False
-            np.greater(draws[:, None], cdf, out=above)
-            np.sum(above, axis=1, out=winners)
-            np.equal(winners[:, None], columns, out=one_hot)
-            np.multiply(one_hot, block_reward, out=gain)
-            np.add(state.rewards, gain, out=state.rewards)
-            np.add(state.stakes, gain, out=state.stakes)
-            if position == shards - 1 and inflation_reward > 0.0:
-                np.multiply(shares, inflation_reward, out=inflation)
-                np.add(state.rewards, inflation, out=state.rewards)
-                np.add(state.stakes, inflation, out=state.stakes)
-            state.round_index += 1
-
-
 # -- delegate committee -------------------------------------------------------
 
 
 @register_kernel(EOSDelegatedPoS)
-def _advance_eos(protocol, state, rounds, rng, scratch, chunk):
+def _advance_eos(protocol, state, rounds, rng, scratch):
     """EOS epochs are deterministic given the shares; no draws to
     batch, but the share/income arithmetic runs allocation-free on the
     transposed layout (contiguous reductions)."""
@@ -924,118 +860,44 @@ def _advance_eos(protocol, state, rounds, rng, scratch, chunk):
 # -- reward withholding -------------------------------------------------------
 
 
-def _withhold_winners_categorical(inner, state, uniforms):
-    """Winner indices for categorical inners, from given uniforms."""
-    return winners_from_uniforms(inner.win_probabilities(state), uniforms)
-
-
-def _withhold_winners_uniform_deadline(inner, state, uniforms):
-    return np.argmin(uniforms / state.stakes, axis=1)
-
-
-def _withhold_winners_exponential_deadline(inner, state, uniforms):
-    return np.argmin(-np.log1p(-uniforms) / state.stakes, axis=1)
-
-
-#: Exact inner type -> (per-round uniform layout, winner function).
-#: "proportional" inners (win law = stake_shares of the *vested*
-#: stakes) get the fully fused transposed path instead of a winner fn.
-_WITHHOLD_SAMPLERS = {
-    MultiLotteryPoS: ("proportional", None),
-    ProofOfWork: ("proportional", None),
-    NeoPoS: ("proportional", None),
-    FilecoinStorage: ("trial", _withhold_winners_categorical),
-    SingleLotteryPoS: ("trial_miner", _withhold_winners_uniform_deadline),
-    FairSingleLotteryPoS: ("trial_miner", _withhold_winners_exponential_deadline),
-    WavePoS: ("trial_miner", _withhold_winners_exponential_deadline),
-    VixifyPoS: ("trial_miner", _withhold_winners_exponential_deadline),
+#: Exact deadline inner type -> whether its deadlines are exponential.
+_WITHHOLD_DEADLINES = {
+    SingleLotteryPoS: False,
+    FairSingleLotteryPoS: True,
+    WavePoS: True,
+    VixifyPoS: True,
 }
 
 
-def _advance_withholding_proportional(
-    protocol, state, rounds, rng, scratch, chunk
-):
-    """Fused path for withholding over a proportional inner lottery
-    (ML-PoS, PoW, NEO — their win law is ``stake_shares`` of the
-    vested stakes).  Transposed layout for contiguous reductions;
-    credits land in rewards and the pending-vesting buffer, and the
-    buffer folds into stakes at period boundaries exactly as the
-    wrapper's ``credit_reward`` does."""
-    trials, miners = state.trials, state.miners
-    reward = protocol.reward
-    period = protocol.vesting_period
-    pending = state.extra["pending"]
-    stakes_t = scratch.get("withhold_stakes_t", (miners, trials))
-    rewards_t = scratch.get("withhold_rewards_t", (miners, trials))
-    pending_t = scratch.get("withhold_pending_t", (miners, trials))
-    stakes_t[...] = state.stakes.T
-    rewards_t[...] = state.rewards.T
-    pending_t[...] = pending.T
-    total = scratch.get("withhold_total", (trials,))
-    shares_t = scratch.get("withhold_shares_t", (miners, trials))
-    cdf_t = scratch.get("withhold_cdf_t", (miners, trials))
-    above = scratch.get("withhold_above", (miners, trials), np.bool_)
-    count = scratch.get("withhold_count", (trials,), np.uint8)
-    one_hot = scratch.get("withhold_one_hot_t", (miners, trials), np.bool_)
-    gain_t = scratch.get("withhold_gain_t", (miners, trials))
-    columns = scratch.get("withhold_columns_t", (miners, 1), np.int64)
-    columns[...] = np.arange(miners)[:, None]
-    for block in _uniform_blocks(
-        rng, scratch, "withhold_draws", rounds, (trials,), chunk
-    ):
-        for draws in block:
-            np.sum(stakes_t, axis=0, out=total)
-            np.divide(stakes_t, total, out=shares_t)
-            np.cumsum(shares_t, axis=0, out=cdf_t)
-            cdf_t[-1, :] = 1.0
-            np.greater(draws, cdf_t, out=above)
-            winners = count_true(above, count)
-            np.equal(columns, winners, out=one_hot)
-            np.multiply(one_hot, reward, out=gain_t)
-            np.add(rewards_t, gain_t, out=rewards_t)
-            np.add(pending_t, gain_t, out=pending_t)
-            if (state.round_index + 1) % period == 0:
-                np.add(stakes_t, pending_t, out=stakes_t)
-                pending_t[...] = 0.0
-            state.round_index += 1
-    state.stakes[...] = stakes_t.T
-    state.rewards[...] = rewards_t.T
-    pending[...] = pending_t.T
-
-
 @register_kernel(RewardWithholding)
-def _advance_withholding(protocol, state, rounds, rng, scratch, chunk):
-    """Vesting wrapper: batch the inner lottery's uniforms; replay the
+def _advance_withholding(protocol, state, rounds, rng, scratch):
+    """Vesting over a deadline inner (SL-PoS, FSL-PoS, Wave, Vixify):
+    batch the inner lottery's ``(trials, miners)`` uniforms; replay the
     wrapper's credit/vesting logic round by round (vesting boundaries
-    depend on the running round index)."""
-    sampler = _WITHHOLD_SAMPLERS.get(type(protocol.inner))
-    if sampler is None:
+    depend on the running round index).  Any other inner runs the
+    wrapper's own per-round loop."""
+    exponential = _WITHHOLD_DEADLINES.get(type(protocol.inner))
+    if exponential is None:
         protocol.advance_many(state, rounds, rng)
         return
-    layout, winner_fn = sampler
-    if layout == "proportional":
-        inner = protocol.inner
-        if isinstance(inner, MultiLotteryPoS) and inner.exact_race:
-            layout, winner_fn = "trial", _withhold_winners_categorical
-        else:
-            _advance_withholding_proportional(
-                protocol, state, rounds, rng, scratch, chunk
-            )
-            return
     trials, miners = state.trials, state.miners
     reward = protocol.reward
     period = protocol.vesting_period
     pending = state.extra["pending"]
-    round_shape = (trials,) if layout == "trial" else (trials, miners)
+    deadlines = scratch.get("withhold_deadlines", (trials, miners))
+    winners = scratch.get("withhold_winners", (trials,), np.intp)
     one_hot = scratch.get("withhold_one_hot", (trials, miners), np.bool_)
     gain = scratch.get("withhold_gain", (trials, miners))
     columns = scratch.get("withhold_columns", (miners,), np.intp)
     columns[...] = np.arange(miners)
     for block in _uniform_blocks(
-        rng, scratch, "withhold_draws", rounds, round_shape, chunk
+        rng, scratch, "withhold_draws", rounds, (trials, miners)
     ):
-        for uniforms in block:
-            winners = winner_fn(protocol.inner, state, uniforms)
+        if exponential:
+            _exponentiate_block(block)
+        for numerators in block:
+            np.divide(numerators, state.stakes, out=deadlines)
+            np.argmin(deadlines, axis=1, out=winners)
             np.equal(winners[:, None], columns, out=one_hot)
             np.multiply(one_hot, reward, out=gain)
             np.add(state.rewards, gain, out=state.rewards)

@@ -1,9 +1,10 @@
 """Differential golden tests for the chainsim networks' inlined loops.
 
 Each network runs one of two loops: an inlined race (pre-hashed oracle
-prefixes, preallocated NumPy income ledgers) when ``fast=True`` and
-every node is an exact stock node of one type on one oracle, else the
-reference per-object loop, which ``fast=False`` always runs.  The two
+prefixes, preallocated NumPy income ledgers) when ``fast=True``, there
+is no mempool and every node is an exact stock node of one type on one
+oracle, else the reference per-object loop, which ``fast=False`` always
+runs.  The two
 promise bit-identical results; these tests pin that promise for every
 system protocol across miner counts and checkpoint schedules, for
 node sets that fall back to the reference loop, plus the oracle's
@@ -170,8 +171,8 @@ class TestNetworkLevelParity:
         "make_node", [pow_node, pow_or_ml_pos_node], ids=["pow", "pow+ml-pos"]
     )
     def test_pow_chain_state_identical(self, make_node, with_mempool):
-        # Stock PoW nodes take the inlined PoW race (with a mempool, its
-        # validated append); a mixed PoW + ML-PoS set the reference loop.
+        # Stock PoW nodes take the inlined PoW race; a mempool, or a
+        # mixed PoW + ML-PoS set, the reference loop.
         states = []
         for fast in (False, True):
             mempool = None
@@ -184,7 +185,10 @@ class TestNetworkLevelParity:
             network, chain = self.make_tick(
                 fast, node_type=make_node, mempool=mempool
             )
-            assert network.fast == (fast and make_node is pow_node)
+            if with_mempool:
+                assert network.fast is False
+            else:
+                assert network.fast == (fast and make_node is pow_node)
             network.run(60)
             states.append(
                 (
@@ -413,7 +417,7 @@ def build_race(
             chain, nodes, adjuster, 0.01, mempool=mempool, fast=fast,
             **network_args,
         )
-    assert network.fast == fast
+    assert network.fast == (fast and mempool is None)
     return network, chain
 
 
@@ -488,14 +492,15 @@ class TestFullStateParity:
 
     @pytest.mark.parametrize("race", ["pow", "ml-pos", "sl-pos", "fsl-pos-vesting"])
     def test_mempool_blocks_appended_validated(self, race):
-        # Transactions move balances mid-run: the race re-reads its
-        # stakes after each validated append.
+        # Transactions move balances mid-run: a network with a mempool
+        # runs the reference loop, which appends each block validated.
         states = []
         for fast in (False, True):
             mempool = Mempool()
             for nonce in range(3):
                 mempool.add(Transaction("B", "A", amount=0.05, fee=0.01, nonce=nonce))
             network, chain = build_race(race, fast, mempool=mempool)
+            assert network.fast is False
             network.run(6)
             network.run(5)
             states.append(full_state(network, chain))

@@ -119,11 +119,10 @@ class TestGrindAcrossWidths:
     def test_grind_matches_try_propose(self, start, difficulty):
         reference, inlined = pow_pair(start)
         chain = Blockchain({"A": 1.0})
-        parent_chunk = int_chunk(chain.tip.block_hash)
         # The first call of 40 nonces crosses the boundary 4 nonces in.
         for _ in range(2):
             expected = reference.try_propose(chain, 0, difficulty)
-            assert inlined.grind(chain, difficulty, parent_chunk) == expected
+            assert inlined.grind(chain.tip.block_hash, difficulty) == expected
             assert inlined._nonce == reference._nonce
         if difficulty >= HASH_SPACE:
             assert expected is not None

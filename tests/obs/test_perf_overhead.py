@@ -83,7 +83,7 @@ class TestDisabledTracerOverhead:
 
             state.scratch = ScratchBuffers()
             for _ in range(SEGMENTS):
-                kernel(protocol, state, ROUNDS, rng, state.scratch, None)
+                kernel(protocol, state, ROUNDS, rng, state.scratch)
             return state
 
         # Same bits either way — the guard must be observationally

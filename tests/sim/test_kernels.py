@@ -8,12 +8,16 @@ tests below enforce it protocol by protocol; a hypothesis property
 fuzzes the chunk size.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.miners import Allocation
+from repro.experiments._common import build_protocol
+from repro.experiments.section64 import Section64Config, _protocol_zoo
 from repro.protocols import (
     AlgorandPoS,
     BlockGranularCompoundPoS,
@@ -155,7 +159,7 @@ class TestDifferentialGolden:
             naive.terminal_stakes, batched.terminal_stakes
         )
 
-    @pytest.mark.parametrize("name", ["ml-pos", "filecoin", "withhold-ml"])
+    @pytest.mark.parametrize("name", ["ml-pos", "filecoin"])
     def test_bit_identical_past_255_miners(self, name):
         """These kernels count each trial's winner as the true entries
         of a (miners, trials) table, a byte per entry and at most 255
@@ -266,10 +270,13 @@ class TestDifferentialGolden:
     def test_withholding_pending_identical(self):
         # The wrapper's vesting buffer is part of the dynamics; it must
         # match exactly (vesting_period 7 leaves a mid-period residue).
+        # FSL-PoS is the inner fig6 runs, and a fused one.
         allocation = allocation_for(2)
         states = []
         for kernel in KERNEL_MODES:
-            protocol = RewardWithholding(MultiLotteryPoS(0.05), vesting_period=7)
+            protocol = RewardWithholding(
+                FairSingleLotteryPoS(0.05), vesting_period=7
+            )
             state = protocol.make_state(allocation, TRIALS)
             rng = np.random.default_rng(3)
             if kernel == "batched":
@@ -469,7 +476,8 @@ class TestChunking:
         protocol.advance_many(reference, 45, rng)
         chunked = protocol.make_state(allocation, 16)
         rng = np.random.default_rng(11)
-        batched_advance(protocol, chunked, 45, rng, chunk=chunk)
+        with mock.patch.object(kernels, "DEFAULT_CHUNK_ROUNDS", chunk):
+            batched_advance(protocol, chunked, 45, rng)
         np.testing.assert_array_equal(reference.rewards, chunked.rewards)
         np.testing.assert_array_equal(reference.stakes, chunked.stakes)
 
@@ -483,14 +491,9 @@ class TestChunking:
         protocol.advance_many(reference, 30, rng)
         chunked = protocol.make_state(allocation, 12)
         rng = np.random.default_rng(17)
-        batched_advance(protocol, chunked, 30, rng, chunk=chunk)
+        with mock.patch.object(kernels, "DEFAULT_CHUNK_ROUNDS", chunk):
+            batched_advance(protocol, chunked, 30, rng)
         np.testing.assert_array_equal(reference.rewards, chunked.rewards)
-
-    def test_rejects_non_positive_chunk(self):
-        protocol = MultiLotteryPoS(0.01)
-        state = protocol.make_state(allocation_for(2), 8)
-        with pytest.raises(ValueError):
-            batched_advance(protocol, state, 5, np.random.default_rng(0), chunk=0)
 
     def test_memory_budget_caps_block(self):
         # At large trial counts the pre-drawn block must stay within
@@ -501,12 +504,12 @@ class TestChunking:
         )
 
         rounds = 10 * DEFAULT_CHUNK_ROUNDS
-        assert _chunk_size(rounds, 100, None) == DEFAULT_CHUNK_ROUNDS
-        capped = _chunk_size(rounds, 100_000, None)
+        assert _chunk_size(rounds, 100) == DEFAULT_CHUNK_ROUNDS
+        capped = _chunk_size(rounds, 100_000)
         assert 1 <= capped < DEFAULT_CHUNK_ROUNDS
         assert capped * 100_000 * 8 <= DEFAULT_CHUNK_BUDGET_BYTES
-        # Explicit chunks are clamped to the round count.
-        assert _chunk_size(5, 100, 64) == 5
+        # Blocks are clamped to the round count.
+        assert _chunk_size(5, 100) == 5
 
 
 class TestScratchBuffers:
@@ -643,10 +646,46 @@ class TestBinomialLookup:
         assert (entries < 0).mean() < 0.05
 
 
+def figure_protocols():
+    """Every protocol the figures, Table 1 and Section 6.4 run, built
+    as the experiments build them."""
+    protocols = [
+        build_protocol(key, reward=0.01)
+        for key in ("PoW", "ML-PoS", "SL-PoS", "C-PoS", "FSL-PoS")
+    ]
+    protocols.append(RewardWithholding(FairSingleLotteryPoS(0.01), 1000))
+    protocols.extend(protocol for protocol, _, _ in _protocol_zoo(Section64Config()))
+    return protocols
+
+
+def runs_own_loop(protocol) -> bool:
+    """Whether :func:`batched_advance` hands ``protocol`` to its own
+    per-round ``advance_many``."""
+    calls = []
+    protocol.advance_many = lambda state, rounds, rng: calls.append(rounds)
+    state = protocol.make_state(allocation_for(2), 4)
+    batched_advance(protocol, state, 3, np.random.default_rng(0))
+    return bool(calls)
+
+
 class TestRegistry:
-    def test_all_library_protocols_have_kernels(self):
-        for name, factory in PROTOCOL_FACTORIES.items():
-            assert find_kernel(factory()) is not None, name
+    def test_kernels_serve_exactly_what_the_figures_run(self):
+        protocols = figure_protocols()
+        assert len({protocol.name for protocol in protocols}) == 12
+        for protocol in protocols:
+            assert find_kernel(protocol) is not None, protocol.name
+            # PoW, NEO and Algorand's kernel is their closed-form jump.
+            if type(protocol) not in (ProofOfWork, NeoPoS, AlgorandPoS):
+                assert not runs_own_loop(protocol), protocol.name
+        assert find_kernel(BlockGranularCompoundPoS(0.01, 0.1, shards=4)) is None
+
+    @pytest.mark.parametrize(
+        "name", ["c-pos-block", "ml-pos-exact", "withhold-ml", "withhold-pow"]
+    )
+    def test_configurations_no_figure_runs_take_their_own_loop(self, name):
+        # The differential sweep pins these against the naive loop; here,
+        # that the batched path is that loop.
+        assert runs_own_loop(PROTOCOL_FACTORIES[name]())
 
     def test_exact_type_lookup_ignores_subclasses(self):
         # A subclass may override step(); the fused parent recurrence

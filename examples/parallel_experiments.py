@@ -51,9 +51,10 @@ Demonstrates the ways to use the runtime layer:
    flaky task errors, hung workers, crashed worker processes — are
    retried with deterministic backoff, per-shard deadlines kill stuck
    workers (respawning dead pools, degrading to serial with
-   a loud warning only when a pool is unrecoverable), and a JSONL
-   journal next to the cache checkpoints per-spec shard completion so
-   a killed grid resumes recomputing only what was never journaled.
+   a loud warning only when a pool is unrecoverable), and under
+   ``--resume`` every completed shard is checkpointed in the cache
+   (``<spec_key>.<ordinal>``) so a killed grid resumes recomputing
+   only the shards it has no checkpoint for.
    Doctrine: retry/timeout/resume knobs never enter cache
    fingerprints, and backoff jitter is SHA-256-derived (no RNG) — a
    run that survived faults is bit-identical to one that never saw
@@ -70,7 +71,8 @@ Demonstrates the ways to use the runtime layer:
     silently deleted) and the slot recomputes bit-identically; a
     full disk degrades the cache to pass-through behind a loud
     warning instead of failing the run; ``repro-fsck --repair``
-    scans and heals a cache+journal tree offline,
+    scans and heals a cache offline, a finished spec's leftover
+    checkpoints included,
 
 12. sufficient-statistics ensembles (``reduce="stats"``, what the
     CLI's fig3 and fig5 run): shards fold straight into mergeable
@@ -313,9 +315,10 @@ def main() -> None:
     # 9. Fault tolerance: wrap an executor in seeded chaos — injected
     #    transient failures, corrupt payloads, delays — and a retry
     #    policy absorbs every fault while the merged bits stay
-    #    identical to a run that never failed.  The journal makes a
-    #    killed grid resumable: rerunning with the same cache+journal
-    #    recomputes only unjournaled shards.  This is what
+    #    identical to a run that never failed.  Resume makes a killed
+    #    grid resumable: each shard is checkpointed in the cache as it
+    #    arrives, and rerunning with the same cache recomputes only the
+    #    shards without a checkpoint.  This is what
     #    `repro-experiments fig2 --workers 4 --cache DIR --retries 3
     #    --shard-timeout 300 --resume` does.
     from repro.runtime import ChaosExecutor, ChaosSchedule, make_executor
@@ -329,7 +332,7 @@ def main() -> None:
         chaotic_runner = ParallelRunner(
             executor=ChaosExecutor(inner, schedule),
             cache=os.path.join(root, "cache"),
-            journal=os.path.join(root, "cache", "journal.jsonl"),
+            resume=True,
         )
         survived = chaotic_runner.run(spec)
         identical = np.array_equal(
@@ -340,12 +343,10 @@ def main() -> None:
               f"bit-identical to the clean run = {identical}")
 
         resumed_runner = ParallelRunner(
-            workers=1,
-            cache=os.path.join(root, "cache"),
-            journal=os.path.join(root, "cache", "journal.jsonl"),
+            workers=1, cache=os.path.join(root, "cache"), resume=True
         )
         resumed_runner.run(spec)
-        print(f"rerun with the same cache+journal: "
+        print(f"resumed rerun with the same cache: "
               f"{resumed_runner.cache.hits} cache hit(s) — "
               f"nothing recomputed")
 
@@ -377,9 +378,9 @@ def main() -> None:
     #     verify-on-read gate quarantines it (evidence preserved under
     #     <cache>/quarantine/, never served) and the next run
     #     recomputes the identical bytes.  `repro-fsck --repair` does
-    #     the same scan offline — plus digest adoption, orphan sweeps
-    #     and journal compaction — and exits 0 only when the tree
-    #     re-scans clean.
+    #     the same scan offline — plus digest adoption and sweeps of
+    #     orphaned sidecars and of the checkpoints a finished spec left
+    #     behind — and exits 0 only when the tree re-scans clean.
     from repro.runtime.cache import ResultCache
     from repro.runtime.integrity import fsck
     from repro.runtime.spec import spec_fingerprint

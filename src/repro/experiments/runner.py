@@ -151,10 +151,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--resume",
         action="store_true",
-        help="journal per-spec shard completion to "
-        "<cache>/journal.jsonl and, on rerun, recompute only "
-        "unjournaled shards — resuming a killed grid.  Requires "
-        "--cache; never changes results or cache keys",
+        help="checkpoint each completed shard in the cache and, on "
+        "rerun, recompute only the shards without a checkpoint — "
+        "resuming a killed grid.  Requires --cache; never changes "
+        "results or cache keys",
     )
     parser.add_argument(
         "--trace",
@@ -306,12 +306,6 @@ def _build_runtime(args) -> ParallelRunner:
         cache = ResultCache(
             cache, max_bytes=budget, verify=not args.no_verify
         )
-    journal = None
-    if args.resume:
-        cache_dir = getattr(cache, "directory", None) or pathlib.Path(
-            args.cache
-        )
-        journal = pathlib.Path(cache_dir) / "journal.jsonl"
     try:
         return ParallelRunner(
             workers=args.workers,
@@ -319,7 +313,7 @@ def _build_runtime(args) -> ParallelRunner:
             progress=_ShardProgress(),
             retry=args.retries,
             timeout=args.shard_timeout,
-            journal=journal,
+            resume=args.resume,
         )
     except ValueError as error:
         raise SystemExit(str(error))

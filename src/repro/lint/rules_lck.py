@@ -1,8 +1,8 @@
 """LCK: shared mutable state must be written under its owning lock.
 
 Any caller sharing one :class:`~repro.runtime.cache.ResultCache`,
-tracer or run journal across threads hits their state from every
-thread at once; an unlocked read-modify-write there loses updates
+tracer or runner across threads hits their state from every thread at
+once; an unlocked read-modify-write there loses updates
 silently.  **LCK001** enforces the discipline statically: inside a
 lock-owning class, writes to guarded attributes of ``self`` must sit
 lexically inside ``with self.<lock>:``.  Guarded attributes come from

@@ -28,11 +28,12 @@ runner
     engine per task (one kernel call per segment for the whole task),
     each shard still drawing from its own seed.  Each task's result is
     split back into its shards, and each shard goes, as it arrives, to
-    its spec's fold, which journals it and folds every part that is
-    next in plan order into a
-    :class:`~repro.core.results.MergeAccumulator`: one merge path,
-    ``O(workers)`` task results held, bit-identical to a one-shot
-    merge.
+    its spec's fold, which folds every part that is next in plan order
+    into a :class:`~repro.core.results.MergeAccumulator`: one merge
+    path, ``O(workers)`` task results held, bit-identical to a one-shot
+    merge.  Under ``resume`` each shard is also checkpointed in the
+    cache as it arrives, so an interrupted grid resumes (CLI
+    ``--resume``) recomputing only the shards it has no checkpoint for.
 context
     An ambient default runtime consulted by the experiment layer so
     ``--workers``/``--cache`` flags reach every figure without
@@ -45,11 +46,6 @@ faults
     a per-shard ``timeout``, dead pools respawn, and
     unrecoverable pools degrade to serial with a loud warning — all
     with bit-identical results.
-journal
-    :class:`RunJournal` — the JSONL sidecar that checkpoints per-spec
-    shard completion (artifacts live in the cache), so an interrupted
-    grid resumes (CLI ``--resume``) recomputing only unjournaled
-    shards.
 chaos
     :class:`ChaosExecutor` — seeded, deterministic fault injection
     (failures, delays, hangs, corrupt payloads, worker crashes) for
@@ -58,8 +54,9 @@ integrity
     End-to-end SHA-256 checksums over every cached artifact (sidecar
     digests verified on read, mismatches quarantined and recomputed),
     ENOSPC degradation to pass-through behind
-    :class:`CacheDegradedWarning`, and :func:`fsck` — the scan/repair
-    engine behind the ``repro-fsck`` doctor CLI.
+    :class:`CacheDegradedWarning`, the ``<spec_key>.<ordinal>`` names of
+    resume checkpoints (:func:`checkpoint_key`), and :func:`fsck` — the
+    scan/repair engine behind the ``repro-fsck`` doctor CLI.
 diskchaos
     :class:`DiskChaos` — seeded, deterministic *storage* fault
     injection (torn writes, failed fsyncs, full disks, hard crashes at
@@ -76,7 +73,7 @@ from .diskchaos import (
     crashpoint,
     using_disk_chaos,
 )
-from .integrity import CacheDegradedWarning, FsckReport, fsck
+from .integrity import CacheDegradedWarning, FsckReport, checkpoint_key, fsck
 from .context import get_default_runtime, set_default_runtime, using_runtime
 from .executor import (
     Executor,
@@ -93,7 +90,6 @@ from .faults import (
     WorkerCrashError,
     WorkerTimeoutError,
 )
-from .journal import RunJournal, shard_fingerprint
 from ..core.results import MergeAccumulator
 from .runner import ParallelRunner
 from .sharding import DEFAULT_SHARD_COUNT, Shard, ShardPlan, plan_shards, split_evenly
@@ -108,17 +104,16 @@ __all__ = [
     "DiskFaultSchedule",
     "FsckReport",
     "SimulatedCrash",
+    "checkpoint_key",
     "crashpoint",
     "fsck",
     "using_disk_chaos",
     "PoolDegradedWarning",
     "RetryPolicy",
-    "RunJournal",
     "ShardFailure",
     "TransientShardError",
     "WorkerCrashError",
     "WorkerTimeoutError",
-    "shard_fingerprint",
     "get_default_runtime",
     "set_default_runtime",
     "using_runtime",

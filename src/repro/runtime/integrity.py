@@ -17,12 +17,16 @@ quarantine
     ``<cache>/quarantine/`` with their sidecar — preserved as evidence
     rather than silently deleted, invisible to the byte budget and the
     read path, counted and traced.
+checkpoints
+    A resumable run stores each completed shard under
+    :func:`checkpoint_key` — ``<spec_key>.<ordinal>`` — until its
+    spec's merged artifact lands; the name alone says which spec a
+    checkpoint belongs to.
 fsck
-    :func:`fsck` scans a cache directory (and optionally its journal
-    sidecar) for corrupt, unrecorded and orphaned entries;
+    :func:`fsck` scans a cache directory for corrupt, unrecorded and
+    orphaned entries, a finished spec's leftover checkpoints included;
     ``repro-fsck`` is the console doctor around it, with ``--repair``
-    to quarantine, adopt digests, evict orphans and compact the
-    journal.
+    to quarantine, adopt digests and evict orphans.
 
 :class:`CacheDegradedWarning` is the loud signal for the graceful-
 degradation path: a full disk (``ENOSPC``) turns caching off for the
@@ -41,7 +45,7 @@ import sys
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import List, Optional, Set, Union
 
 from ..obs.trace import get_tracer
 from ..sim.persistence import load_result
@@ -51,6 +55,7 @@ __all__ = [
     "CacheDegradedWarning",
     "FsckReport",
     "artifact_digest",
+    "checkpoint_key",
     "clear_digest",
     "digest_path",
     "fsck",
@@ -169,6 +174,28 @@ def clear_digest(cache_dir: PathLike, key: str) -> None:
         note_storage_error("cache", "sum_unlink")
 
 
+# -- shard checkpoints ---------------------------------------------------------
+
+
+def checkpoint_key(spec_key: str, ordinal: int) -> str:
+    """The cache key a spec's ``ordinal``-th plan shard is checkpointed
+    under: ``<spec_key>.<ordinal>``.
+
+    The spec fingerprint covers the shard count, so checkpoints never
+    collide across specs or across plans of different granularity.
+    """
+    if ordinal < 0:
+        raise ValueError(f"ordinal must be non-negative, got {ordinal}")
+    return f"{spec_key}.{ordinal}"
+
+
+def _checkpoint_spec(key: str) -> Optional[str]:
+    """The spec key a :func:`checkpoint_key` names, None for any other
+    key."""
+    spec_key, dot, ordinal = key.rpartition(".")
+    return spec_key if dot and ordinal.isdigit() else None
+
+
 # -- quarantine ----------------------------------------------------------------
 
 
@@ -226,7 +253,6 @@ class FsckReport:
     """What :func:`fsck` found (and, under ``repair``, did)."""
 
     cache_dir: str
-    journal_path: Optional[str] = None
     repaired: bool = False
     artifacts: int = 0
     verified: int = 0
@@ -235,21 +261,15 @@ class FsckReport:
     orphaned_sums: List[str] = field(default_factory=list)
     stale_staging: int = 0
     quarantine_entries: int = 0
-    journal_records: int = 0
-    journal_skipped: int = 0
-    journal_specs: int = 0
     orphaned_checkpoints: List[str] = field(default_factory=list)
-    journal_missing: List[str] = field(default_factory=list)
     actions: List[str] = field(default_factory=list)
 
     @property
     def clean(self) -> bool:
         """No repair-worthy findings.
 
-        ``journal_missing`` (journaled artifacts the cache no longer
-        holds) is deliberately *not* an issue: the journal is advisory
-        and a resume simply recomputes.  ``quarantine_entries`` is
-        evidence of past repairs, not a present problem.
+        ``quarantine_entries`` is evidence of past repairs, not a
+        present problem.
         """
         return not (
             self.corrupt
@@ -257,13 +277,11 @@ class FsckReport:
             or self.orphaned_sums
             or self.orphaned_checkpoints
             or self.stale_staging
-            or self.journal_skipped
         )
 
     def as_dict(self) -> dict:
         return {
             "cache_dir": self.cache_dir,
-            "journal_path": self.journal_path,
             "repaired": self.repaired,
             "artifacts": self.artifacts,
             "verified": self.verified,
@@ -272,11 +290,7 @@ class FsckReport:
             "orphaned_sums": list(self.orphaned_sums),
             "stale_staging": self.stale_staging,
             "quarantine_entries": self.quarantine_entries,
-            "journal_records": self.journal_records,
-            "journal_skipped": self.journal_skipped,
-            "journal_specs": self.journal_specs,
             "orphaned_checkpoints": list(self.orphaned_checkpoints),
-            "journal_missing": list(self.journal_missing),
             "actions": list(self.actions),
             "clean": self.clean,
         }
@@ -290,18 +304,11 @@ class FsckReport:
         )
         lines.append(
             f"  sums: orphaned {len(self.orphaned_sums)}; "
+            f"checkpoints: orphaned {len(self.orphaned_checkpoints)}; "
             f"staging: stale {self.stale_staging}; "
             f"quarantine: {self.quarantine_entries} entr"
             f"{'y' if self.quarantine_entries == 1 else 'ies'}"
         )
-        if self.journal_path is not None:
-            lines.append(
-                f"  journal: {self.journal_records} records "
-                f"(skipped {self.journal_skipped}, "
-                f"specs {self.journal_specs}, "
-                f"orphaned checkpoints {len(self.orphaned_checkpoints)}, "
-                f"missing artifacts {len(self.journal_missing)})"
-            )
         for key in self.corrupt:
             lines.append(f"  corrupt: {key}")
         for key in self.orphaned_sums:
@@ -315,76 +322,16 @@ class FsckReport:
         return "\n".join(lines)
 
 
-def _scan_journal(
-    path: pathlib.Path,
-) -> Tuple[Set[str], Dict[str, Dict[int, str]], int, int]:
-    """Raw journal scan: ``(completed specs, spec -> shard records,
-    record count, skipped lines)``.
-
-    Unlike :class:`~repro.runtime.journal.RunJournal` replay — which
-    drops a finished spec's shard records as dead weight — fsck needs
-    those records to find the orphaned checkpoint artifacts they pin.
-    """
-    specs: Set[str] = set()
-    shards: Dict[str, Dict[int, str]] = {}
-    records = 0
-    skipped = 0
-    try:
-        with open(path, "r") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    skipped += 1
-                    continue
-                if not isinstance(record, dict):
-                    skipped += 1
-                    continue
-                kind = record.get("e")
-                if kind == "header":
-                    continue
-                if kind == "spec" and isinstance(record.get("spec"), str):
-                    specs.add(record["spec"])
-                    records += 1
-                elif (
-                    kind == "shard"
-                    and isinstance(record.get("spec"), str)
-                    and isinstance(record.get("shard"), int)
-                    and isinstance(record.get("key"), str)
-                ):
-                    shards.setdefault(record["spec"], {})[record["shard"]] = (
-                        record["key"]
-                    )
-                    records += 1
-                else:
-                    skipped += 1
-    except OSError:
-        note_storage_error("fsck", "journal_read")
-    return specs, shards, records, skipped
-
-
-def fsck(
-    cache_dir: PathLike,
-    journal: Optional[PathLike] = None,
-    *,
-    repair: bool = False,
-) -> FsckReport:
-    """Scan a cache directory (and journal) for integrity problems.
+def fsck(cache_dir: PathLike, *, repair: bool = False) -> FsckReport:
+    """Scan a cache directory for integrity problems.
 
     With ``repair=True``: corrupt artifacts are quarantined, unrecorded
-    digests adopted from content, orphaned sidecars and checkpoint
-    artifacts removed, stale staging swept, and the journal compacted.
-    Without it, the scan is strictly read-only.
+    digests adopted from content, orphaned sidecars and checkpoints
+    removed, and stale staging swept.  Without it, the scan is strictly
+    read-only.
     """
     root = pathlib.Path(cache_dir)
-    report = FsckReport(
-        cache_dir=str(root),
-        journal_path=None if journal is None else str(journal),
-        repaired=repair,
-    )
+    report = FsckReport(cache_dir=str(root), repaired=repair)
 
     # -- artifacts vs digest sidecars ------------------------------------
     known_keys: Set[str] = set()
@@ -420,6 +367,27 @@ def fsck(
             if quarantine_artifact(root, key):
                 known_keys.discard(key)
                 report.actions.append(f"quarantined {key[:12]}")
+
+    # -- orphaned checkpoints ---------------------------------------------
+    # The spec's merged artifact landed, so its shard checkpoints are dead
+    # weight the runner normally discards; a crash mid-discard leaves them
+    # behind.  A spec whose artifact is corrupt keeps them: a resume folds
+    # them again.
+    intact = known_keys.difference(report.corrupt)
+    report.orphaned_checkpoints = [
+        key for key in sorted(intact) if _checkpoint_spec(key) in intact
+    ]
+    if repair:
+        for key in report.orphaned_checkpoints:
+            try:
+                (root / f"{key}.npz").unlink()
+            except FileNotFoundError:
+                continue
+            except OSError:
+                note_storage_error("fsck", "checkpoint_unlink")
+                continue
+            clear_digest(root, key)
+            report.actions.append(f"evicted orphaned checkpoint {key[:12]}")
 
     # -- orphaned sidecars ------------------------------------------------
     sums = root / SUMS_DIR
@@ -459,43 +427,6 @@ def fsck(
             1 for _ in quarantine.glob("*.npz")
         )
 
-    # -- journal ----------------------------------------------------------
-    if journal is not None and pathlib.Path(journal).exists():
-        jpath = pathlib.Path(journal)
-        specs, shards, records, skipped = _scan_journal(jpath)
-        report.journal_records = records
-        report.journal_skipped = skipped
-        report.journal_specs = len(specs)
-        for spec in sorted(shards):
-            for ordinal in sorted(shards[spec]):
-                key = shards[spec][ordinal]
-                if spec in specs and key in known_keys:
-                    # The spec's merged artifact landed; its per-shard
-                    # checkpoints are dead weight the runner normally
-                    # discards — a crash mid-discard leaves them pinned.
-                    report.orphaned_checkpoints.append(key)
-                elif spec not in specs and key not in known_keys:
-                    report.journal_missing.append(key)
-        for spec in sorted(specs):
-            if spec not in known_keys:
-                report.journal_missing.append(spec)
-        if repair:
-            for key in report.orphaned_checkpoints:
-                try:
-                    (root / f"{key}.npz").unlink()
-                except FileNotFoundError:
-                    continue
-                except OSError:
-                    note_storage_error("fsck", "checkpoint_unlink")
-                    continue
-                clear_digest(root, key)
-                report.actions.append(f"evicted orphaned checkpoint {key[:12]}")
-            from .journal import RunJournal
-
-            with RunJournal(jpath) as live:
-                reclaimed = live.compact()
-            report.actions.append(f"compacted journal (-{reclaimed} bytes)")
-
     return report
 
 
@@ -507,18 +438,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-fsck",
         description=(
             "Check (and repair) a repro result cache: verify artifact "
-            "digests, find orphaned sidecars and stale staging, and "
-            "cross-check the resume journal."
+            "digests, and find orphaned sidecars, leftover resume "
+            "checkpoints and stale staging."
         ),
     )
     parser.add_argument("cache", help="cache directory to check")
-    parser.add_argument(
-        "--journal",
-        default=None,
-        metavar="PATH",
-        help="journal sidecar to cross-check "
-        "(default: <cache>/journal.jsonl when present)",
-    )
     parser.add_argument(
         "--json",
         action="store_true",
@@ -528,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--repair",
         action="store_true",
         help="quarantine corrupt artifacts, adopt missing digests, "
-        "remove orphans, sweep stale staging, compact the journal",
+        "remove orphans, sweep stale staging",
     )
     return parser
 
@@ -540,15 +464,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     if not root.is_dir():
         print(f"repro-fsck: {args.cache}: not a directory", file=sys.stderr)
         return 2
-    journal: Optional[pathlib.Path] = None
-    if args.journal is not None:
-        journal = pathlib.Path(args.journal)
-    elif (root / "journal.jsonl").exists():
-        journal = root / "journal.jsonl"
-    report = fsck(root, journal=journal, repair=args.repair)
+    report = fsck(root, repair=args.repair)
     # After a repair, the exit code reflects a fresh read-only re-scan:
     # "did the repair actually leave the cache clean", not "did we try".
-    verdict = fsck(root, journal=journal) if args.repair else report
+    verdict = fsck(root) if args.repair else report
     if args.json:
         payload = report.as_dict()
         payload["clean"] = verdict.clean

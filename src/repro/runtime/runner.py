@@ -13,8 +13,8 @@ or a system experiment (node-level repeats) it
 4. streams the tasks through the configured executor (serial or
    processes), and
 5. splits each task's result back into its shards and hands each
-   shard, as it arrives, to its spec's fold, which journals it and
-   folds every part that is next in plan order into a
+   shard, as it arrives, to its spec's fold, which folds every part
+   that is next in plan order into a
    :class:`~repro.core.results.MergeAccumulator`, so at most
    ``O(workers)`` task results wait instead of ``O(shards)``.
 
@@ -57,7 +57,7 @@ from .executor import (
     make_executor,
 )
 from .faults import RetryPolicy
-from .journal import RunJournal, shard_fingerprint
+from .integrity import checkpoint_key
 from .sharding import (
     MIN_SHARD_REPEATS,
     MIN_SHARD_TRIALS,
@@ -75,8 +75,8 @@ __all__ = ["ParallelRunner"]
 class _Fold:
     """The plan-order fold of one uncached spec.
 
-    Parts arrive in any order — journal preloads while the dispatch is
-    planned, shard results as the executor yields them — and wait in
+    Parts arrive in any order — resumed checkpoints while the dispatch
+    is planned, shard results as the executor yields them — and wait in
     ``staged`` under their plan ordinal until every earlier ordinal has
     folded; ``cursor`` is the next ordinal to fold.  A failed spec drops
     its partial fold and ignores later parts.
@@ -310,14 +310,16 @@ class ParallelRunner:
         as a retryable
         :class:`~repro.runtime.faults.WorkerTimeoutError`, and an
         unrecoverable pool degrades to serial with a warning.
-    journal:
-        A :class:`~repro.runtime.journal.RunJournal` (or a path to
-        one); requires a cache.  Completed shards are checkpointed as
-        cache artifacts and journaled as they arrive, so an interrupted
-        grid resumes — recomputing only unjournaled shards — by
-        re-running with the same journal.  None of ``retry``,
-        ``timeout`` or ``journal`` enters cache fingerprints: a
-        fault-tolerant run shares its artifacts with a plain one.
+    resume:
+        Checkpoint every completed shard in the cache as it arrives,
+        under :func:`~repro.runtime.integrity.checkpoint_key`, and fold
+        the checkpoints an interrupted run left instead of dispatching
+        their shards; requires a cache.  So an interrupted grid resumes
+        — recomputing only the shards it has no checkpoint for — by
+        re-running with the same cache.  A spec whose merged artifact
+        is stored, or found stored, discards its checkpoints.  None of
+        ``retry``, ``timeout`` or ``resume`` enters cache fingerprints:
+        a fault-tolerant run shares its artifacts with a plain one.
 
     The shard count of a run is the ``shards`` argument of
     :meth:`run` / :meth:`run_many` (clamped to the trial count), else
@@ -341,9 +343,9 @@ class ParallelRunner:
     state is the cost; a full-mode task on one worker, whose fused
     cubes share the process with the merged ensembles, carries at most
     :data:`~repro.runtime.sharding.MIN_SHARD_TRIALS`.  Every shard
-    still draws from its own seed, and the journal, the cache and each
-    spec's fold see the same per-shard parts either way.  System shards
-    run one per task.
+    still draws from its own seed, and the checkpoints, the cache and
+    each spec's fold see the same per-shard parts either way.  System
+    shards run one per task.
 
     Examples
     --------
@@ -366,7 +368,7 @@ class ParallelRunner:
         executor: Optional[Executor] = None,
         retry: Union[RetryPolicy, int, None] = None,
         timeout: Optional[float] = None,
-        journal: Union[RunJournal, str, pathlib.Path, None] = None,
+        resume: bool = False,
     ) -> None:
         if executor is not None and (retry is not None or timeout is not None):
             raise ValueError(
@@ -383,15 +385,12 @@ class ParallelRunner:
             self.cache = cache
         else:
             self.cache = ResultCache(cache)
-        if journal is None or isinstance(journal, RunJournal):
-            self.journal = journal
-        else:
-            self.journal = RunJournal(journal)
-        if self.journal is not None and self.cache is None:
+        if resume and self.cache is None:
             raise ValueError(
-                "journal requires a cache: resume checkpoints are stored "
+                "resume requires a cache: shard checkpoints are stored "
                 "as cache artifacts"
             )
+        self.resume = resume
         self.progress = progress
         # Tally counters are shared state: one runner may serve
         # dispatches from several threads, so updates must hold this
@@ -400,7 +399,7 @@ class ParallelRunner:
         #: Shards rerun by retries across this runner's dispatches: a
         #: retried task adds every shard it carries.
         self.shards_retried = 0
-        #: Shards recovered from journal checkpoints instead of dispatched.
+        #: Shards recovered from checkpoints instead of dispatched.
         self.shards_resumed = 0
         # Tally retries (and forward them to progress callbacks that
         # care) without ever touching the per-shard completion counts —
@@ -592,16 +591,20 @@ class ParallelRunner:
                 cached = self.cache.get(key)
                 if cached is not None:
                     merged[position] = cached
+                    if self.resume:
+                        # A run killed between storing this spec and
+                        # discarding its checkpoints left them behind.
+                        self._discard_checkpoints(key, len(plan))
                     continue
                 first_pending[key] = position
-                if self.journal is not None:
+                if self.resume:
                     recovered = self._recover_shards(key, len(plan))
             fold = _Fold(position, key, plan)
             folds += 1
             for shard in plan:
                 if shard.index in recovered:
-                    # Resume: a journaled shard folds like any other
-                    # part.  A spec whose every shard was journaled
+                    # Resume: a checkpointed shard folds like any other
+                    # part.  A spec whose every shard was checkpointed
                     # finalizes here, with nothing dispatched.
                     if fold.add(shard.index, recovered.pop(shard.index)):
                         self._finish(fold, merged)
@@ -665,16 +668,18 @@ class ParallelRunner:
         return tasks
 
     def _recover_shards(self, key: str, shards: int) -> Dict[int, Any]:
-        """Shards an interrupted run journaled for ``key``, by ordinal.
+        """Shards an interrupted run checkpointed for ``key``, by ordinal.
 
         They load from their checkpoint artifacts instead of
-        dispatching.  The journal is advisory — a journaled shard whose
-        artifact was evicted (the get counts a miss) simply recomputes.
+        dispatching.  An ordinal without a checkpoint counts no miss;
+        one whose checkpoint fails verification (the get counts a miss)
+        simply recomputes.
         """
         recovered: Dict[int, Any] = {}
-        for ordinal, shard_key in self.journal.completed_shards(key).items():
-            if 0 <= ordinal < shards:
-                part = self.cache.get(shard_key)
+        for ordinal in range(shards):
+            checkpoint = checkpoint_key(key, ordinal)
+            if checkpoint in self.cache:
+                part = self.cache.get(checkpoint)
                 if part is not None:
                     recovered[ordinal] = part
         if recovered:
@@ -692,12 +697,15 @@ class ParallelRunner:
         result = fold.accumulator.result()
         if fold.key is not None:
             self.cache.put(fold.key, result)
-            if self.journal is not None:
+            if self.resume:
                 # The merged artifact supersedes the shard checkpoints.
-                self.journal.record_spec(fold.key)
-                for index in range(fold.shards):
-                    self.cache.discard(shard_fingerprint(fold.key, index))
+                self._discard_checkpoints(fold.key, fold.shards)
         merged[fold.position] = result
+
+    def _discard_checkpoints(self, key: str, shards: int) -> None:
+        """Drop the shard checkpoints of a spec whose artifact is stored."""
+        for ordinal in range(shards):
+            self.cache.discard(checkpoint_key(key, ordinal))
 
     def _fold_streamed(self, tasks, routes, shard_fn, merged) -> None:
         """Hand each task's shards to their specs' folds as it arrives.
@@ -705,9 +713,9 @@ class ParallelRunner:
         Completions arrive from :meth:`Executor.stream` in whatever
         order the pool finishes them.  Each one is split into its
         shards' parts, and each part goes straight to its spec's
-        :class:`_Fold`: a fresh shard is checkpointed (artifact +
-        journal record) at once, then staged and folded in plan order,
-        so the merged ensemble stays bit-identical to
+        :class:`_Fold`: under ``resume`` a fresh shard is checkpointed
+        at once, then staged and folded in plan order, so the merged
+        ensemble stays bit-identical to
         :func:`~repro.core.results.merge_parts` of the plan's parts.  A
         part waits in staging only for an earlier shard of its own spec
         that has not arrived, and the executor never runs more than its
@@ -718,7 +726,7 @@ class ParallelRunner:
         A spec whose shards all folded is finalized — and cached —
         immediately, so a later failure in another spec never discards
         completed work; shards of a spec that already failed are still
-        journaled, so an aborted grid leaves the maximum behind for
+        checkpointed, so an aborted grid leaves the maximum behind for
         ``--resume``.  A failed task fails every shard it carries, each
         reported as ``(spec position, plan ordinal)``.  Progress fires
         once per shard, on its task's final outcome, as it arrives: the
@@ -760,7 +768,8 @@ class ParallelRunner:
                     ]
                     parts = []
                 for (fold, ordinal), part in zip(members, parts):
-                    self._journal_shard(fold, ordinal, part)
+                    if self.resume:
+                        self.cache.put(checkpoint_key(fold.key, ordinal), part)
                     if fold.failed:
                         continue
                     try:
@@ -809,14 +818,6 @@ class ParallelRunner:
             # (retaining them is exactly what streaming avoids).
             failures.sort(key=lambda failure: failure[0])
             raise ShardExecutionError(failures)
-
-    def _journal_shard(self, fold: _Fold, ordinal: int, part) -> None:
-        """Checkpoint one completed shard for resume: artifact + record."""
-        if self.journal is None or fold.key is None:
-            return
-        shard_key = shard_fingerprint(fold.key, ordinal)
-        self.cache.put(shard_key, part)
-        self.journal.record_shard(fold.key, ordinal, shard_key)
 
     def __repr__(self) -> str:
         return f"ParallelRunner(workers={self.workers}, cache={self.cache!r})"

@@ -48,12 +48,12 @@ than risk a wrong fused recurrence.
 A configuration is fused only where an experiment runs it: the
 figures, Table 1 and Section 6.4 run PoW, ML-PoS, SL-PoS, C-PoS,
 FSL-PoS, withholding over FSL-PoS and the six Section 6.4 systems, and
-each of those has a kernel here.  The rest run their protocol's own
-per-round loop, which is the reference the differential tests compare
-every kernel against: block-granular C-PoS has no kernel, and the
-ML-PoS exact race and withholding over an inner without deadlines
-(ML-PoS, PoW, NEO, Filecoin) take that loop from inside their class's
-kernel.
+each of those has a kernel here.  The rest have none, and run their
+protocol's own per-round loop, which is the reference the differential
+tests compare every kernel against: block-granular C-PoS has no
+registered class, and the ML-PoS exact race and withholding over an
+inner without deadlines (ML-PoS, PoW, NEO, Filecoin) are configurations
+their class's kernel does not serve (:data:`_SERVES`).
 
 :func:`batched_advance` is the single entry point; the engine's
 ``kernel="batched" | "naive"`` knob selects between it and the plain
@@ -270,13 +270,29 @@ def register_kernel(*protocol_types: Type[IncentiveProtocol]):
     return decorator
 
 
+#: Registered classes whose kernel serves only some configurations:
+#: the test an instance must pass.  The others get no kernel, so they
+#: run, and are traced as, their class's own per-round loop.
+_SERVES: Dict[Type[IncentiveProtocol], Callable[[IncentiveProtocol], bool]] = {
+    MultiLotteryPoS: lambda protocol: not protocol.exact_race,
+    RewardWithholding: lambda protocol: (
+        type(protocol.inner) in _WITHHOLD_DEADLINES
+    ),
+}
+
+
 def find_kernel(protocol: IncentiveProtocol) -> Optional[KernelFn]:
     """The fused kernel for ``protocol``'s exact class, or None.
 
     Exact-type lookup (no MRO walk): a subclass may redefine ``step``,
     and a fused recurrence for the parent would silently diverge from
-    it.  Unknown classes fall back to the naive loop instead.
+    it.  Unknown classes fall back to the naive loop instead, and so do
+    the configurations a class's kernel does not serve
+    (:data:`_SERVES`).
     """
+    serves = _SERVES.get(type(protocol))
+    if serves is not None and not serves(protocol):
+        return None
     return _KERNELS.get(type(protocol))
 
 
@@ -289,16 +305,17 @@ def batched_advance(
     """Advance ``state`` by ``rounds`` rounds through the fused kernels.
 
     Bit-identical to ``protocol.advance_many(state, rounds, rng)`` —
-    same final arrays, same generator position — for every registered
-    protocol; unregistered protocols delegate to the naive loop.
+    same final arrays, same generator position — wherever
+    :func:`find_kernel` finds a kernel; elsewhere the segment runs that
+    loop.
     """
     rounds = ensure_positive_int("rounds", rounds)
     kernel = find_kernel(protocol)
     tracer = get_tracer()
     if kernel is None:
         if tracer.enabled:
-            # Unregistered protocol: the segment runs the per-round
-            # loop, so report it on the naive side of the time split.
+            # No kernel: the segment runs the per-round loop, so report
+            # it on the naive side of the time split.
             with tracer.span(
                 "kernel.advance",
                 mode="naive",
@@ -452,10 +469,8 @@ def _advance_polya_many(protocol, state, rounds, rng, scratch):
 @register_kernel(MultiLotteryPoS)
 def _advance_ml_pos(protocol, state, rounds, rng, scratch):
     """The proportional lottery, fused; the exact race (a tests-only
-    configuration) runs its own per-round loop."""
-    if protocol.exact_race:
-        protocol.advance_many(state, rounds, rng)
-    elif state.miners == 2:
+    configuration) gets no kernel."""
+    if state.miners == 2:
         _advance_polya_two(protocol, state, rounds, rng, scratch)
     else:
         _advance_polya_many(protocol, state, rounds, rng, scratch)
@@ -874,12 +889,9 @@ def _advance_withholding(protocol, state, rounds, rng, scratch):
     """Vesting over a deadline inner (SL-PoS, FSL-PoS, Wave, Vixify):
     batch the inner lottery's ``(trials, miners)`` uniforms; replay the
     wrapper's credit/vesting logic round by round (vesting boundaries
-    depend on the running round index).  Any other inner runs the
-    wrapper's own per-round loop."""
-    exponential = _WITHHOLD_DEADLINES.get(type(protocol.inner))
-    if exponential is None:
-        protocol.advance_many(state, rounds, rng)
-        return
+    depend on the running round index).  Any other inner gets no
+    kernel."""
+    exponential = _WITHHOLD_DEADLINES[type(protocol.inner)]
     trials, miners = state.trials, state.miners
     reward = protocol.reward
     period = protocol.vesting_period

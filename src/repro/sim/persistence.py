@@ -11,8 +11,8 @@ layout, readable by every prior release) and ``reduce="stats"``
 :class:`~repro.core.stats.StatsSummary` moments and event counters,
 marked by a ``kind`` field in the metadata record.  Both round-trip
 bit-identically — ``.npz`` stores the arrays verbatim — which is what
-lets the result cache and the resume journal treat either kind as shard
-currency.  Archives are compressed (``savez_compressed``): that pays
+lets the result cache store either kind as a merged artifact or as a
+resume checkpoint of one shard.  Archives are compressed (``savez_compressed``): that pays
 for the trajectory cubes of full-mode figures, while a stats artifact
 is a few kilobytes either way.
 """

@@ -154,25 +154,15 @@ class TestNetworkLevelParity:
             )
         assert states[0] == states[1]
 
-    def test_tick_network_with_mempool_identical(self):
-        # Transactions force the validated append on both paths.
-        states = []
-        for fast in (False, True):
-            mempool = Mempool()
-            mempool.add(Transaction("B", "A", amount=0.1, fee=0.01, nonce=0))
-            network, chain = self.make_tick(fast, mempool=mempool)
-            network.run(10)
-            states.append((chain.balance("A"), chain.balance("B"),
-                           network.total_issued_series()))
-        assert states[0] == states[1]
-
     @pytest.mark.parametrize("with_mempool", [False, True])
     @pytest.mark.parametrize(
         "make_node", [pow_node, pow_or_ml_pos_node], ids=["pow", "pow+ml-pos"]
     )
     def test_pow_chain_state_identical(self, make_node, with_mempool):
         # Stock PoW nodes take the inlined PoW race; a mempool, or a
-        # mixed PoW + ML-PoS set, the reference loop.
+        # mixed PoW + ML-PoS set, the reference loop.  With a mempool
+        # both constructions take that loop, so it runs once: a second
+        # run would compare the loop with itself.
         states = []
         for fast in (False, True):
             mempool = None
@@ -187,6 +177,8 @@ class TestNetworkLevelParity:
             )
             if with_mempool:
                 assert network.fast is False
+                if fast:
+                    break
             else:
                 assert network.fast == (fast and make_node is pow_node)
             network.run(60)
@@ -199,7 +191,8 @@ class TestNetworkLevelParity:
                     network.total_issued_series(),
                 )
             )
-        assert states[0] == states[1]
+        if not with_mempool:
+            assert states[0] == states[1]
 
     def test_custom_node_subclass_falls_back_bit_identically(self):
         # A subclass with different dynamics must not be captured by
@@ -494,18 +487,17 @@ class TestFullStateParity:
     def test_mempool_blocks_appended_validated(self, race):
         # Transactions move balances mid-run: a network with a mempool
         # runs the reference loop, which appends each block validated.
-        states = []
+        # Both constructions take that loop, so the one asked to be
+        # fast runs it, once.
         for fast in (False, True):
             mempool = Mempool()
             for nonce in range(3):
                 mempool.add(Transaction("B", "A", amount=0.05, fee=0.01, nonce=nonce))
             network, chain = build_race(race, fast, mempool=mempool)
             assert network.fast is False
-            network.run(6)
-            network.run(5)
-            states.append(full_state(network, chain))
-        assert states[0] == states[1]
-        assert sum(len(b.transactions) for b in states[1]["blocks"]) == 3
+        network.run(6)
+        network.run(5)
+        assert sum(len(b.transactions) for b in chain.blocks) == 3
 
     @pytest.mark.parametrize("race", ["pow", "pow-vesting"])
     def test_winners_absent_from_the_ledger(self, race):

@@ -148,17 +148,20 @@ class TestFaultToleranceCLI:
         with pytest.raises(SystemExit, match="--resume requires --cache"):
             main(["fig1", "--preset", "ci", "--workers", "2", "--resume"])
 
-    def test_resume_places_the_journal_beside_the_cache(self, tmp_path):
+    def test_resume_builds_a_resuming_runner(self, tmp_path):
         from repro.experiments.runner import _build_runtime
-        from repro.runtime import RunJournal
 
         cache_dir = tmp_path / "cache"
         args = build_parser().parse_args([
             "fig1", "--preset", "ci", "--cache", str(cache_dir), "--resume",
         ])
         runner = _build_runtime(args)
-        assert isinstance(runner.journal, RunJournal)
-        assert runner.journal.path == cache_dir / "journal.jsonl"
+        assert runner.resume is True
+        assert runner.cache.directory == cache_dir
+        args = build_parser().parse_args(
+            ["fig1", "--preset", "ci", "--cache", str(cache_dir)]
+        )
+        assert _build_runtime(args).resume is False
 
     def test_main_runs_with_retries_and_resume(self, tmp_path, capsys):
         code = main([
@@ -167,7 +170,9 @@ class TestFaultToleranceCLI:
         ])
         assert code == 0
         assert "Figure 2" in capsys.readouterr().out
-        assert (tmp_path / "cache" / "journal.jsonl").exists()
+        # Every spec finished, so no shard checkpoint is left.
+        assert list((tmp_path / "cache").glob("*.*.npz")) == []
+        assert len(list((tmp_path / "cache").glob("*.npz"))) == 4
 
     def test_shard_progress_renders_a_retry_tally(self):
         import io

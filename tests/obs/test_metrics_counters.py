@@ -3,7 +3,7 @@
 Each counter is pinned on a run whose value is known exactly: a fig2
 grid through the CLI, cold then warm, and a library run that retries
 every task once, fails one task for good, absorbs failed fsyncs, and
-then resumes from its journal.  The values do not depend on how the
+then resumes from its checkpoints.  The values do not depend on how the
 counters are recorded, so only :func:`recorded_counters` knows that.
 
 The rest pin the table row by row at the site that records it — each
@@ -45,7 +45,6 @@ from repro.runtime import (
     ParallelRunner,
     ResultCache,
     RetryPolicy,
-    RunJournal,
     ShardExecutionError,
     SimulationSpec,
     SystemSpec,
@@ -134,7 +133,6 @@ class TestLibraryCounters:
             ),
         ]
         cache = tmp_path / "cache"
-        journal = cache / "journal.jsonl"
         # Every task's first attempt fails and is retried; the second
         # runs clean, so only the 1-repeat shard fails for good.
         schedule = ChaosSchedule(
@@ -147,7 +145,7 @@ class TestLibraryCounters:
                 schedule,
             ),
             cache=cache,
-            journal=journal,
+            resume=True,
         )
         # Every fsync fails: each is counted and the run carries on.
         fsync_errors = DiskChaos(
@@ -160,7 +158,6 @@ class TestLibraryCounters:
                     chaotic.run_system_many(specs, shards=2)
 
         counters = recorded_counters(interrupted)
-        chaotic.journal.close()
         assert chaotic.shards_retried == 4
         assert counters["executor.retries"] == 4
         assert counters["runner.shards_retried"] == 4
@@ -171,14 +168,13 @@ class TestLibraryCounters:
         assert counters["cache.puts"] == 4
         assert counters["cache.os_errors.fsync"] == 8
 
-        resumed = ParallelRunner(workers=1, cache=cache, journal=journal)
+        resumed = ParallelRunner(workers=1, cache=cache, resume=True)
 
         def resume():
             with pytest.raises(ShardExecutionError, match="always fails"):
                 resumed.run_system_many(specs, shards=2)
 
         counters = recorded_counters(resume)
-        resumed.journal.close()
         assert resumed.shards_resumed == 1
         assert counters["runner.shards_resumed"] == 1
         assert counters["runner.shards_failed"] == 1
@@ -218,7 +214,7 @@ _RECORDS = [
     _record("cache.sum_adopted"),
     _record("cache.io_error"),
     _record("storage.os_error", component="cache", op="fsync"),
-    _record("storage.os_error", component="journal", op="append"),
+    _record("storage.os_error", component="fsck", op="digest"),
     _record("shard.run", task=0),
 ]
 
@@ -423,7 +419,6 @@ class TestCacheRows:
         self, tmp_path, result
     ):
         cache = ResultCache(tmp_path / "cache")
-        journal = RunJournal(tmp_path / "journal.jsonl")
         no_fsync = DiskChaos(
             schedule=DiskFaultSchedule(seed=6, fsync_error_rate=1.0)
         )
@@ -431,17 +426,12 @@ class TestCacheRows:
         def action():
             with using_disk_chaos(no_fsync):
                 cache.put(KEY, result)
-                journal.record_shard("s" * 64, 0, KEY)
-                journal.record_shard("s" * 64, 1, OTHER)
 
         counters = recorded_counters(action)
-        journal.close()
-        # A put fsyncs its staged artifact and then the directory; a
-        # journal record fsyncs once.  Each refused fsync is absorbed.
+        # A put fsyncs its staged artifact and then the directory.  Each
+        # refused fsync is absorbed.
         assert counters["cache.os_errors.fsync"] == 2
-        assert counters["journal.os_errors.fsync"] == 2
         assert counters["cache.puts"] == 1
-        assert journal.completed_shards("s" * 64) == {0: KEY, 1: OTHER}
 
 
 def _claim_attempt(root, task):
@@ -557,7 +547,7 @@ class TestRunnerRows:
             # Each task's result is not a list of its parts: both fail.
             ("not a list of parts", 2),
             # The fold rejects the first part; the spec has then failed,
-            # so the second part is journaled but never folded.
+            # so the second part is never folded.
             (["not a part"], 1),
         ],
         ids=["not-a-list", "rejected-part"],

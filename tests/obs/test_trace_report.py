@@ -229,7 +229,7 @@ class TestMetricCounters:
             _span("cache.io_error"),
             _span("storage.os_error", component="cache", op="fsync"),
             _span("storage.os_error", component="cache", op="fsync"),
-            _span("storage.os_error", component="journal", op="append"),
+            _span("storage.os_error", component="fsck", op="digest"),
             _span("shard.run", dur=1.0, task=0),  # counted by no row
         ]
         assert metric_counters(spans) == {
@@ -255,7 +255,7 @@ class TestMetricCounters:
             "cache.sums_adopted": 1,
             "cache.io_errors": 1,
             "cache.os_errors.fsync": 2,
-            "journal.os_errors.append": 1,
+            "fsck.os_errors.digest": 1,
         }
 
     def test_a_dispatch_with_nothing_to_run_keeps_its_rows(self):

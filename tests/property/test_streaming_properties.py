@@ -3,7 +3,7 @@
 Three algebraic guarantees behind ``ParallelRunner``'s streaming fold:
 
 * **Order restoration** — whatever order the executor yields a grid's
-  completions in, with or without journal preloads, each spec's
+  completions in, with or without resumed checkpoints, each spec's
   result is byte-identical to ``merge_parts`` of its shard bodies in
   plan order.
 * **Identity** — an accumulator fed a single shard reproduces that
@@ -26,10 +26,9 @@ from repro.protocols import MultiLotteryPoS
 from repro.runtime import (
     ParallelRunner,
     ResultCache,
-    RunJournal,
     SimulationSpec,
+    checkpoint_key,
     plan_shards,
-    shard_fingerprint,
     spec_fingerprint,
 )
 from repro.runtime.executor import SerialExecutor
@@ -144,25 +143,21 @@ def test_any_completion_order_folds_to_the_batch_merge(grid, data):
     bodies = [shard_bodies(spec) for spec in specs]
     with tempfile.TemporaryDirectory() as directory:
         cache = ResultCache(directory)
-        journal = RunJournal(f"{directory}/journal.jsonl")
-        # Optionally journal some shards, as an interrupted run would
+        # Optionally checkpoint some shards, as an interrupted run would
         # have: the resumed dispatch folds them as preloads.
         preloaded = 0
         for spec, parts in zip(specs, bodies):
             key = spec_fingerprint(spec, shards=len(parts))
             for ordinal, part in enumerate(parts):
-                if data.draw(st.booleans(), label="journaled"):
-                    shard_key = shard_fingerprint(key, ordinal)
-                    cache.put(shard_key, part)
-                    journal.record_shard(key, ordinal, shard_key)
+                if data.draw(st.booleans(), label="checkpointed"):
+                    cache.put(checkpoint_key(key, ordinal), part)
                     preloaded += 1
         workers = data.draw(st.integers(1, 4), label="workers")
         runner = ParallelRunner(
             executor=PermutedExecutor(data, workers), cache=cache,
-            journal=journal,
+            resume=True,
         )
         results = runner.run_many(specs, shards=SHARDS)
-        journal.close()
     assert runner.shards_resumed == preloaded
     for result, parts in zip(results, bodies):
         assert_same_artifact(result, merge_parts(parts))

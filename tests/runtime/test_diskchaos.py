@@ -1,18 +1,18 @@
 """Tests for repro.runtime.diskchaos — the storage crash-point sweep.
 
 The central proof: a workload that exercises every write/fsync/rename
-boundary in the cache and journal is crashed at *each* enumerated
-boundary in turn, and after every crash recovery holds — no torn
-artifact is ever served, byte accounting re-syncs, the journal
-replays, the rerun produces bit-identical results, and ``fsck
---repair`` leaves the tree clean.
+boundary in the cache, resume checkpoints included, is crashed at
+*each* enumerated boundary in turn, and after every crash recovery
+holds — no torn artifact is ever served, byte accounting re-syncs, the
+rerun produces bit-identical results, and ``fsck --repair`` leaves the
+tree clean.
 """
 
 import pytest
 
 from repro.core.miners import Allocation
 from repro.protocols import MultiLotteryPoS, ProofOfWork
-from repro.runtime import ParallelRunner, RunJournal, shard_fingerprint
+from repro.runtime import ParallelRunner, checkpoint_key
 from repro.runtime.cache import ResultCache
 from repro.runtime.diskchaos import (
     DiskChaos,
@@ -47,22 +47,16 @@ def result_b():
 
 
 def run_workload(root, result_a, result_b):
-    """Puts, journal appends, a compaction, and checkpoint discards —
-    one pass over every storage boundary the durable layer owns."""
+    """Three shard checkpoints, the merged artifact, and the checkpoint
+    discards — one pass over every storage boundary the durable layer
+    owns."""
     cache = ResultCache(root, max_bytes=1 << 20)
-    shard0 = shard_fingerprint(SPEC_KEY, 0)
-    shard1 = shard_fingerprint(SPEC_KEY, 1)
-    # compact_bytes=1: record_spec makes both shard records dead, so
-    # auto-compaction triggers and its crash-points join the sweep.
-    with RunJournal(root / "journal.jsonl", compact_bytes=1) as journal:
-        cache.put(shard0, result_a)
-        journal.record_shard(SPEC_KEY, 0, shard0)
-        cache.put(shard1, result_b)
-        journal.record_shard(SPEC_KEY, 1, shard1)
-        cache.put(SPEC_KEY, result_a)
-        journal.record_spec(SPEC_KEY)
-        cache.discard(shard0)
-        cache.discard(shard1)
+    checkpoints = [checkpoint_key(SPEC_KEY, ordinal) for ordinal in range(3)]
+    for checkpoint, part in zip(checkpoints, (result_a, result_b, result_a)):
+        cache.put(checkpoint, part)
+    cache.put(SPEC_KEY, result_a)
+    for checkpoint in checkpoints:
+        cache.discard(checkpoint)
     return cache
 
 
@@ -76,26 +70,22 @@ def reference_bytes(tmp_path_factory, result_a, result_b):
 
 def assert_recovered(root, result_a, result_b, reference_bytes):
     """The full post-crash contract."""
-    journal_path = root / "journal.jsonl"
-    # 1. The journal replays without error (torn tails skipped).
-    RunJournal(journal_path, compact_bytes=None).close()
-    # 2. No torn artifact is served: every surviving entry either
+    # 1. No torn artifact is served: every surviving entry either
     #    loads or reads as a miss (quarantined/evicted), never raises.
     cache = ResultCache(root, max_bytes=1 << 20)
     for path in sorted(root.glob("*.npz")):
         cache.get(path.stem)
-    # 3. Byte accounting matches a fresh scan after recovery activity.
+    # 2. Byte accounting matches a fresh scan after recovery activity.
     cache.put(SCRATCH, result_b)
     with cache._stats_lock:
         assert cache._approx_bytes == cache._scan_bytes()
     cache.discard(SCRATCH)
-    # 4. The rerun completes and reproduces the clean run bit-for-bit.
+    # 3. The rerun completes and reproduces the clean run bit-for-bit.
     run_workload(root, result_a, result_b)
     assert (root / f"{SPEC_KEY}.npz").read_bytes() == reference_bytes
-    # 5. fsck --repair leaves the tree clean.
-    journal = journal_path if journal_path.exists() else None
-    fsck(root, journal=journal, repair=True)
-    assert fsck(root, journal=journal).clean
+    # 4. fsck --repair leaves the tree clean.
+    fsck(root, repair=True)
+    assert fsck(root).clean
 
 
 class TestDiskFaultSchedule:
@@ -191,12 +181,10 @@ class TestCrashPointSweep:
             run_workload(tmp_path / "record", result_a, result_b)
         total = recorder.total_hits
         names = {name for name, _, _ in recorder.hits}
-        # The workload must cross every boundary family, compaction
-        # included — a sweep over a workload that skips boundaries
-        # proves nothing.
+        # The workload must cross every boundary family — a sweep over
+        # a workload that skips boundaries proves nothing.
         assert total >= 30
-        for prefix in ("cache.put.", "cache.sum.", "journal.append.",
-                       "journal.compact."):
+        for prefix in ("cache.put.", "cache.sum."):
             assert any(name.startswith(prefix) for name in names), prefix
 
         for crash_at in range(total):
@@ -227,7 +215,7 @@ class TestCrashPointSweep:
 
 
 class TestScheduledFaults:
-    def test_enospc_degrades_cache_and_journal_loudly(
+    def test_enospc_degrades_cache_loudly(
         self, tmp_path, result_a, result_b
     ):
         root = tmp_path / "full-disk"
@@ -238,18 +226,6 @@ class TestScheduledFaults:
         assert cache.degraded
         assert cache.stats()["degraded"] is True
         assert list(root.glob("*.npz")) == []
-        journal = RunJournal(root / "journal.jsonl")
-        assert not journal.is_complete(SPEC_KEY)
-        journal.close()
-
-    def test_degraded_journal_keeps_in_memory_state(self, tmp_path):
-        chaos = DiskChaos(schedule=DiskFaultSchedule(seed=9, enospc_rate=1.0))
-        journal = RunJournal(tmp_path / "journal.jsonl")
-        with using_disk_chaos(chaos), pytest.warns(CacheDegradedWarning):
-            journal.record_shard("s" * 64, 0, "k" * 64)
-        assert journal.degraded
-        assert journal.completed_shards("s" * 64) == {0: "k" * 64}
-        journal.close()
 
     def test_fsync_failures_change_no_bits(
         self, tmp_path, result_a, result_b, reference_bytes
@@ -261,8 +237,7 @@ class TestScheduledFaults:
         with using_disk_chaos(chaos):
             run_workload(root, result_a, result_b)
         assert (root / f"{SPEC_KEY}.npz").read_bytes() == reference_bytes
-        journal = root / "journal.jsonl"
-        assert fsck(root, journal=journal).clean
+        assert fsck(root).clean
 
 
 class TestRunnerCrashResume:
@@ -283,37 +258,26 @@ class TestRunnerCrashResume:
         recorder = DiskChaos(record=True)
         record_dir = tmp_path / "record"
         with using_disk_chaos(recorder):
-            runner = ParallelRunner(
-                workers=1, cache=record_dir,
-                journal=record_dir / "journal.jsonl",
-            )
+            runner = ParallelRunner(workers=1, cache=record_dir, resume=True)
             runner.run(spec, shards=4)
-            runner.journal.close()
         total = recorder.total_hits
         assert total > 0
 
         for crash_at in sorted({0, total // 3, total // 2, total - 1}):
             root = tmp_path / f"crash-{crash_at}"
-            runner = ParallelRunner(
-                workers=1, cache=root, journal=root / "journal.jsonl"
-            )
+            runner = ParallelRunner(workers=1, cache=root, resume=True)
             with using_disk_chaos(DiskChaos(crash_at=crash_at, tear=True)):
                 with pytest.raises(SimulatedCrash):
                     runner.run(spec, shards=4)
-            runner.journal.close()
 
-            resumed = ParallelRunner(
-                workers=1, cache=root, journal=root / "journal.jsonl"
-            )
+            resumed = ParallelRunner(workers=1, cache=root, resume=True)
             resumed.run(spec, shards=4)
-            resumed.journal.close()
-            # A crash after record_spec but before the checkpoint
-            # discard strands per-shard artifacts the resume (which
-            # serves the completed spec) never revisits — that is
-            # fsck's orphaned-checkpoint repair, so run it before
-            # comparing directory contents.
-            fsck(root, journal=root / "journal.jsonl", repair=True)
-            assert fsck(root, journal=root / "journal.jsonl").clean
+            # A crash after the spec's put strands its checkpoints; the
+            # resume, which serves the spec from the cache, discards
+            # them, and fsck's repair evicts any it missed, so run it
+            # before comparing directory contents.
+            fsck(root, repair=True)
+            assert fsck(root).clean
             after = sorted(
                 (p.name, p.read_bytes()) for p in root.glob("*.npz")
             )

@@ -5,8 +5,8 @@ signature as one fused engine per task.  That is execution, not
 physics: every spec's artifact must equal ``merge_parts`` of its shards
 run one at a time, byte for byte, whatever the task cut — one task per
 signature group on one worker, groups strided over the workers of a
-pool — and the journal, the cache and the failure report must still
-see shards.
+pool — and the checkpoints, the cache and the failure report must
+still see shards.
 """
 
 import time
@@ -22,16 +22,15 @@ from repro.runtime import (
     ParallelRunner,
     ResultCache,
     RetryPolicy,
-    RunJournal,
     ShardExecutionError,
     SimulationSpec,
+    checkpoint_key,
     make_executor,
     plan_shards,
     spec_fingerprint,
 )
 from repro.runtime.executor import SerialExecutor
 from repro.runtime.faults import TransientShardError
-from repro.runtime.journal import shard_fingerprint
 from repro.runtime.runner import (
     STATS_TASK_TRIALS,
     _simulation_shard_body,
@@ -249,26 +248,22 @@ class TestFusedEqualsPerShard:
             merge_parts([_simulation_shard_body(spec, shard) for shard in plan]),
         )
 
-    def test_group_partly_restored_from_the_journal(self, tmp_path):
+    def test_group_partly_restored_from_checkpoints(self, tmp_path):
         specs = grid("full")
         cache = ResultCache(tmp_path / "cache")
-        journal = RunJournal(tmp_path / "cache" / "journal.jsonl")
-        # An interrupted run journaled shard 0 of spec 0, shard 2 of
+        # An interrupted run checkpointed shard 0 of spec 0, shard 2 of
         # spec 1 and every shard of spec 4.
-        journaled = {0: [0], 1: [2], 4: [0, 1, 2]}
-        for position, ordinals in journaled.items():
+        checkpointed = {0: [0], 1: [2], 4: [0, 1, 2]}
+        for position, ordinals in checkpointed.items():
             spec = specs[position]
             key = spec_fingerprint(spec, shards=SHARDS)
             parts = shard_parts(spec)
             for ordinal in ordinals:
-                shard_key = shard_fingerprint(key, ordinal)
-                cache.put(shard_key, parts[ordinal])
-                journal.record_shard(key, ordinal, shard_key)
-        runner = ParallelRunner(workers=1, cache=cache, journal=journal)
+                cache.put(checkpoint_key(key, ordinal), parts[ordinal])
+        runner = ParallelRunner(workers=1, cache=cache, resume=True)
         tracer = Tracer()
         with using_tracer(tracer):
             results = runner.run_many(specs, shards=SHARDS)
-        journal.close()
         assert runner.shards_resumed == 5
         root = traced_root(tracer)
         assert root["shards"] == 20 - 5

@@ -13,13 +13,13 @@ import pytest
 
 from repro.core.miners import Allocation
 from repro.protocols import MultiLotteryPoS, ProofOfWork
-from repro.runtime import RunJournal, shard_fingerprint
 from repro.runtime.cache import ResultCache
 from repro.runtime.integrity import (
     QUARANTINE_DIR,
     SUMS_DIR,
     FsckReport,
     artifact_digest,
+    checkpoint_key,
     clear_digest,
     digest_path,
     fsck,
@@ -306,90 +306,65 @@ class TestFsck:
         assert live.exists()
 
 
-class TestFsckJournal:
-    def _journaled_cache(self, tmp_path, result):
+class TestFsckCheckpoints:
+    def _finished_spec(self, tmp_path, result):
+        """A spec whose merged artifact landed while two of its shard
+        checkpoints were still stored."""
         cache = ResultCache(tmp_path / "cache")
-        jpath = cache.directory / "journal.jsonl"
         spec = "5" * 64
-        shard_keys = [shard_fingerprint(spec, n) for n in range(2)]
-        with RunJournal(jpath, compact_bytes=None) as journal:
-            for ordinal, key in enumerate(shard_keys):
-                cache.put(key, result)
-                journal.record_shard(spec, ordinal, key)
-            cache.put(spec, result)
-            journal.record_spec(spec)
-        return cache, jpath, spec, shard_keys
+        checkpoints = [checkpoint_key(spec, n) for n in range(2)]
+        for key in checkpoints:
+            cache.put(key, result)
+        cache.put(spec, result)
+        return cache, spec, checkpoints
 
     def test_orphaned_checkpoints_are_evicted_under_repair(
         self, tmp_path, result
     ):
-        # A crash between record_spec and the runner's checkpoint
-        # discard pins the per-shard artifacts forever.
-        cache, jpath, spec, shard_keys = self._journaled_cache(
-            tmp_path, result
-        )
-        report = fsck(cache.directory, journal=jpath)
-        assert sorted(report.orphaned_checkpoints) == sorted(shard_keys)
+        # A crash between the spec's put and the runner's checkpoint
+        # discard pins the per-shard artifacts; their names say whose.
+        cache, spec, checkpoints = self._finished_spec(tmp_path, result)
+        report = fsck(cache.directory)
+        assert report.orphaned_checkpoints == checkpoints
         assert not report.clean
-        fsck(cache.directory, journal=jpath, repair=True)
-        for key in shard_keys:
+        fsck(cache.directory, repair=True)
+        for key in checkpoints:
             assert not (cache.directory / f"{key}.npz").exists()
+            assert read_digest(cache.directory, key) is None
         assert (cache.directory / f"{spec}.npz").exists()
-        assert fsck(cache.directory, journal=jpath).clean
+        assert fsck(cache.directory).clean
 
     def test_discarded_checkpoints_read_clean(self, tmp_path, result):
-        cache, jpath, spec, shard_keys = self._journaled_cache(
-            tmp_path, result
-        )
-        for key in shard_keys:
+        cache, spec, checkpoints = self._finished_spec(tmp_path, result)
+        for key in checkpoints:
             cache.discard(key)
-        report = fsck(cache.directory, journal=jpath)
+        report = fsck(cache.directory)
         assert report.orphaned_checkpoints == []
         assert report.clean
 
-    def test_incomplete_spec_with_evicted_shard_is_missing_not_issue(
+    def test_checkpoints_of_an_unfinished_spec_are_live(
         self, tmp_path, result
     ):
+        # No merged artifact: a resume folds these, so they are live.
         cache = ResultCache(tmp_path / "cache")
-        jpath = cache.directory / "journal.jsonl"
-        spec = "6" * 64
-        key = shard_fingerprint(spec, 0)
-        with RunJournal(jpath, compact_bytes=None) as journal:
-            cache.put(key, result)
-            journal.record_shard(spec, 0, key)
-        cache.discard(key)
-        report = fsck(cache.directory, journal=jpath)
-        assert report.journal_missing == [key]
-        assert report.clean  # advisory: a resume just recomputes
+        cache.put(checkpoint_key("6" * 64, 0), result)
+        report = fsck(cache.directory, repair=True)
+        assert report.orphaned_checkpoints == []
+        assert report.clean
+        assert len(cache) == 1
 
-    def test_torn_journal_tail_is_an_issue_until_compacted(
-        self, tmp_path, result
-    ):
-        cache, jpath, spec, shard_keys = self._journaled_cache(
-            tmp_path, result
+    def test_checkpoints_of_a_corrupt_spec_are_kept(self, tmp_path, result):
+        # The quarantined spec recomputes, and a resume folds these.
+        cache, spec, checkpoints = self._finished_spec(tmp_path, result)
+        _flip_byte(cache.directory / f"{spec}.npz")
+        assert fsck(cache.directory).orphaned_checkpoints == []
+        repaired = fsck(cache.directory, repair=True)
+        assert repaired.corrupt == [spec]
+        assert repaired.orphaned_checkpoints == []
+        assert sorted(path.stem for path in cache.directory.glob("*.npz")) == (
+            checkpoints
         )
-        for key in shard_keys:
-            cache.discard(key)
-        with open(jpath, "a") as handle:
-            handle.write('{"e": "shard", "spec": "tor')  # killed mid-append
-        report = fsck(cache.directory, journal=jpath)
-        assert report.journal_skipped == 1
-        assert not report.clean
-        fsck(cache.directory, journal=jpath, repair=True)
-        assert fsck(cache.directory, journal=jpath).clean
-
-    def test_repair_compacts_the_journal(self, tmp_path, result):
-        cache, jpath, spec, shard_keys = self._journaled_cache(
-            tmp_path, result
-        )
-        for key in shard_keys:
-            cache.discard(key)
-        before = jpath.stat().st_size
-        fsck(cache.directory, journal=jpath, repair=True)
-        assert jpath.stat().st_size < before
-        reloaded = RunJournal(jpath)
-        assert reloaded.is_complete(spec)
-        assert reloaded.skipped_lines == 0
+        assert fsck(cache.directory).clean
 
 
 class TestFsckReport:
@@ -439,14 +414,12 @@ class TestFsckCli:
         assert payload["corrupt"] == [KEY]
         assert payload["clean"] is False
 
-    def test_journal_defaults_to_cache_sidecar(self, tmp_path, result, capsys):
-        cache = ResultCache(tmp_path / "cache")
-        jpath = cache.directory / "journal.jsonl"
-        with RunJournal(jpath) as journal:
-            spec = "7" * 64
-            cache.put(spec, result)
-            journal.record_spec(spec)
+    def test_old_journal_file_is_ignored(self, cache, result, capsys):
+        # Resume needs no sidecar; one an older release left is no
+        # artifact, sum or staging file, so the scan never reads it.
+        cache.put(KEY, result)
+        (cache.directory / "journal.jsonl").write_text('{"e": "shard", "sp')
         assert main([str(cache.directory), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["journal_path"] == str(jpath)
-        assert payload["journal_specs"] == 1
+        assert payload["artifacts"] == 1
+        assert payload["clean"] is True

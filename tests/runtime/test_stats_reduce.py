@@ -2,7 +2,7 @@
 
 Mirrors ``test_streaming_merge.py`` for the stats reduction: every
 protocol, every executor backend, mixed cached/uncached grids, and
-journal resume must produce StatsSummary artifacts whose exact
+checkpoint resume must produce StatsSummary artifacts whose exact
 counters (unfair/win/monopolisation events) equal the reduction of
 the full-mode run at the same shard plan, with moments matching to
 float tolerance.  Also home to the merge-layer bug-sweep
@@ -223,44 +223,34 @@ class BombExecutor(SerialExecutor):
 
 
 class TestResumeUnderStats:
-    def test_resume_recomputes_only_unjournaled_shards(self, tmp_path):
+    def test_resume_recomputes_only_uncheckpointed_shards(self, tmp_path):
         spec = make_spec(trials=40, horizon=50)
         reference = ParallelRunner(workers=1).run(spec, shards=4)
         cache_dir = tmp_path / "cache"
-        journal_path = cache_dir / "journal.jsonl"
 
         interrupted = ParallelRunner(
-            executor=BombExecutor({2}), cache=cache_dir, journal=journal_path
+            executor=BombExecutor({2}), cache=cache_dir, resume=True
         )
         with pytest.raises(ShardExecutionError):
             interrupted.run(spec, shards=4)
-        interrupted.journal.close()
 
-        resumed = ParallelRunner(
-            workers=1, cache=cache_dir, journal=journal_path
-        )
+        resumed = ParallelRunner(workers=1, cache=cache_dir, resume=True)
         result = resumed.run(spec, shards=4)
         assert_stats_byte_equal(result, reference)
         assert resumed.shards_resumed == 3
 
-    def test_fully_journaled_spec_merges_from_stats_checkpoints(
+    def test_fully_checkpointed_spec_merges_from_stats_checkpoints(
         self, tmp_path
     ):
         spec = make_spec(trials=40, horizon=50)
         reference = ParallelRunner(workers=1).run(spec, shards=3)
         cache_dir = tmp_path / "cache"
-        journal_path = cache_dir / "journal.jsonl"
-        first = ParallelRunner(
-            workers=1, cache=cache_dir, journal=journal_path
-        )
+        first = ParallelRunner(workers=1, cache=cache_dir, resume=True)
         first.run(spec, shards=3)
-        first.journal.close()
-        # Drop the merged artifact; shard checkpoints were finalized
-        # away, so this forces a full rerun against the journal — the
-        # point is the journal/cache cycle stays stats-clean.
-        resumed = ParallelRunner(
-            workers=1, cache=cache_dir, journal=journal_path
-        )
+        # The merged artifact landed and its shard checkpoints were
+        # finalized away, so the resumed run loads it — the point is
+        # the checkpoint/cache cycle stays stats-clean.
+        resumed = ParallelRunner(workers=1, cache=cache_dir, resume=True)
         result = resumed.run(spec, shards=3)
         assert resumed.cache.hits >= 1
         assert_stats_byte_equal(result, reference)

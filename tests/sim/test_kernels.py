@@ -51,6 +51,7 @@ from repro.sim.kernels import (
     ensure_kernel_mode,
     find_kernel,
 )
+from repro.obs.trace import Tracer, using_tracer
 from repro.sim.rng import RandomSource
 
 TRIALS = 48
@@ -684,8 +685,20 @@ class TestRegistry:
     )
     def test_configurations_no_figure_runs_take_their_own_loop(self, name):
         # The differential sweep pins these against the naive loop; here,
-        # that the batched path is that loop.
+        # that the batched path is that loop, and that the trace says so.
+        assert find_kernel(PROTOCOL_FACTORIES[name]()) is None
         assert runs_own_loop(PROTOCOL_FACTORIES[name]())
+        protocol = PROTOCOL_FACTORIES[name]()
+        state = protocol.make_state(allocation_for(2), 4)
+        tracer = Tracer()
+        with using_tracer(tracer):
+            batched_advance(protocol, state, 3, np.random.default_rng(0))
+        modes = [
+            span["attrs"]["mode"]
+            for span in tracer.spans
+            if span["name"] == "kernel.advance"
+        ]
+        assert modes == ["naive"]
 
     def test_exact_type_lookup_ignores_subclasses(self):
         # A subclass may override step(); the fused parent recurrence

@@ -240,6 +240,61 @@ class TestScheduledFaults:
         assert fsck(root).clean
 
 
+class TestResumableRunFaults:
+    """A resumable runner on a failing disk: the durable layer degrades
+    or absorbs the fault, and no bit of the result moves."""
+
+    SPEC = SimulationSpec(
+        protocol=ProofOfWork(0.01),
+        allocation=Allocation.two_miners(0.2),
+        trials=40,
+        horizon=50,
+        seed=7,
+    )
+
+    def test_full_disk_checkpoints_nothing_and_changes_no_bits(
+        self, tmp_path
+    ):
+        reference = ParallelRunner(workers=1).run(self.SPEC, shards=4)
+        root = tmp_path / "full-disk"
+        runner = ParallelRunner(workers=1, cache=root, resume=True)
+        chaos = DiskChaos(schedule=DiskFaultSchedule(seed=9, enospc_rate=1.0))
+        with using_disk_chaos(chaos), pytest.warns(CacheDegradedWarning):
+            result = runner.run(self.SPEC, shards=4)
+        assert result.reward_fractions.tobytes() == (
+            reference.reward_fractions.tobytes()
+        )
+        assert runner.cache.degraded
+        assert list(root.glob("*.npz")) == []
+        # With room again, a resume finds nothing to fold and recomputes.
+        resumed = ParallelRunner(workers=1, cache=root, resume=True)
+        again = resumed.run(self.SPEC, shards=4)
+        assert resumed.shards_resumed == 0
+        assert again.reward_fractions.tobytes() == (
+            reference.reward_fractions.tobytes()
+        )
+
+    def test_failed_fsyncs_store_what_a_clean_run_stores(self, tmp_path):
+        clean_dir = tmp_path / "clean"
+        ParallelRunner(workers=1, cache=clean_dir, resume=True).run(
+            self.SPEC, shards=4
+        )
+        root = tmp_path / "no-fsync"
+        chaos = DiskChaos(
+            schedule=DiskFaultSchedule(seed=4, fsync_error_rate=1.0)
+        )
+        with using_disk_chaos(chaos):
+            ParallelRunner(workers=1, cache=root, resume=True).run(
+                self.SPEC, shards=4
+            )
+        stored = sorted((p.name, p.read_bytes()) for p in root.glob("*.npz"))
+        clean = sorted(
+            (p.name, p.read_bytes()) for p in clean_dir.glob("*.npz")
+        )
+        assert stored == clean
+        assert fsck(root).clean
+
+
 class TestRunnerCrashResume:
     def test_resume_after_midrun_crashes_is_bit_identical(self, tmp_path):
         spec = SimulationSpec(

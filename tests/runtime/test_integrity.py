@@ -18,6 +18,7 @@ from repro.runtime.integrity import (
     QUARANTINE_DIR,
     SUMS_DIR,
     FsckReport,
+    _checkpoint_spec,
     artifact_digest,
     checkpoint_key,
     clear_digest,
@@ -306,24 +307,39 @@ class TestFsck:
         assert live.exists()
 
 
-class TestFsckCheckpoints:
-    def _finished_spec(self, tmp_path, result):
-        """A spec whose merged artifact landed while two of its shard
-        checkpoints were still stored."""
-        cache = ResultCache(tmp_path / "cache")
-        spec = "5" * 64
-        checkpoints = [checkpoint_key(spec, n) for n in range(2)]
-        for key in checkpoints:
-            cache.put(key, result)
-        cache.put(spec, result)
-        return cache, spec, checkpoints
+def _finished_spec(tmp_path, result):
+    """A spec whose merged artifact landed while two of its shard
+    checkpoints were still stored."""
+    cache = ResultCache(tmp_path / "cache")
+    spec = "5" * 64
+    checkpoints = [checkpoint_key(spec, n) for n in range(2)]
+    for key in checkpoints:
+        cache.put(key, result)
+    cache.put(spec, result)
+    return cache, spec, checkpoints
 
+
+class TestCheckpointNames:
+    @pytest.mark.parametrize("ordinal", [0, 7, 1234])
+    def test_a_checkpoint_names_its_spec(self, ordinal):
+        assert _checkpoint_spec(checkpoint_key(KEY, ordinal)) == KEY
+
+    @pytest.mark.parametrize(
+        "key",
+        [KEY, f"{KEY}.", f"{KEY}.x", f"{KEY}.1a", f"{KEY}.-1"],
+        ids=["spec", "no-ordinal", "letter", "trailing-letter", "negative"],
+    )
+    def test_other_keys_name_no_spec(self, key):
+        assert _checkpoint_spec(key) is None
+
+
+class TestFsckCheckpoints:
     def test_orphaned_checkpoints_are_evicted_under_repair(
         self, tmp_path, result
     ):
         # A crash between the spec's put and the runner's checkpoint
         # discard pins the per-shard artifacts; their names say whose.
-        cache, spec, checkpoints = self._finished_spec(tmp_path, result)
+        cache, spec, checkpoints = _finished_spec(tmp_path, result)
         report = fsck(cache.directory)
         assert report.orphaned_checkpoints == checkpoints
         assert not report.clean
@@ -335,7 +351,7 @@ class TestFsckCheckpoints:
         assert fsck(cache.directory).clean
 
     def test_discarded_checkpoints_read_clean(self, tmp_path, result):
-        cache, spec, checkpoints = self._finished_spec(tmp_path, result)
+        cache, spec, checkpoints = _finished_spec(tmp_path, result)
         for key in checkpoints:
             cache.discard(key)
         report = fsck(cache.directory)
@@ -355,7 +371,7 @@ class TestFsckCheckpoints:
 
     def test_checkpoints_of_a_corrupt_spec_are_kept(self, tmp_path, result):
         # The quarantined spec recomputes, and a resume folds these.
-        cache, spec, checkpoints = self._finished_spec(tmp_path, result)
+        cache, spec, checkpoints = _finished_spec(tmp_path, result)
         _flip_byte(cache.directory / f"{spec}.npz")
         assert fsck(cache.directory).orphaned_checkpoints == []
         repaired = fsck(cache.directory, repair=True)
@@ -365,6 +381,66 @@ class TestFsckCheckpoints:
             checkpoints
         )
         assert fsck(cache.directory).clean
+
+    def test_scan_without_repair_touches_nothing(self, tmp_path, result):
+        cache, spec, checkpoints = _finished_spec(tmp_path, result)
+        root = cache.directory
+
+        def listing():
+            return sorted(
+                (path.relative_to(root).as_posix(), path.read_bytes())
+                for path in root.rglob("*")
+                if path.is_file()
+            )
+
+        before = listing()
+        report = fsck(root)
+        assert report.orphaned_checkpoints == checkpoints
+        assert report.actions == []
+        assert listing() == before
+
+    def test_corrupt_checkpoint_is_quarantined_not_evicted(
+        self, tmp_path, result
+    ):
+        # A checkpoint that fails its digest is evidence like any other
+        # corrupt artifact; only the intact one is an orphan to evict.
+        cache, spec, checkpoints = _finished_spec(tmp_path, result)
+        bad, good = checkpoints
+        _flip_byte(cache.directory / f"{bad}.npz")
+        report = fsck(cache.directory)
+        assert report.corrupt == [bad]
+        assert report.orphaned_checkpoints == [good]
+        fsck(cache.directory, repair=True)
+        assert (cache.directory / QUARANTINE_DIR / f"{bad}.npz").exists()
+        assert not (cache.directory / f"{good}.npz").exists()
+        assert [path.stem for path in cache.directory.glob("*.npz")] == [spec]
+        assert fsck(cache.directory).clean
+
+    def test_checkpoints_of_an_unrecorded_spec_are_orphaned(
+        self, tmp_path, result
+    ):
+        # A merged artifact without its sidecar still loads, so its spec
+        # finished and its checkpoints are dead weight.
+        cache, spec, checkpoints = _finished_spec(tmp_path, result)
+        clear_digest(cache.directory, spec)
+        report = fsck(cache.directory)
+        assert report.missing_sums == [spec]
+        assert report.orphaned_checkpoints == checkpoints
+        fsck(cache.directory, repair=True)
+        assert read_digest(cache.directory, spec) is not None
+        assert [path.stem for path in cache.directory.glob("*.npz")] == [spec]
+        assert fsck(cache.directory).clean
+
+    def test_render_counts_and_repairs_orphaned_checkpoints(
+        self, tmp_path, result
+    ):
+        cache, spec, checkpoints = _finished_spec(tmp_path, result)
+        text = fsck(cache.directory).render()
+        assert "checkpoints: orphaned 2" in text
+        assert "ISSUES FOUND" in text
+        text = fsck(cache.directory, repair=True).render()
+        assert text.count("repaired: evicted orphaned checkpoint") == 2
+        assert "checkpoints: orphaned 0" in fsck(cache.directory).render()
 
 
 class TestFsckReport:
@@ -423,3 +499,15 @@ class TestFsckCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["artifacts"] == 1
         assert payload["clean"] is True
+
+    def test_orphaned_checkpoints_exit_one_until_repaired(
+        self, tmp_path, result, capsys
+    ):
+        cache, spec, checkpoints = _finished_spec(tmp_path, result)
+        assert main([str(cache.directory), "--json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["orphaned_checkpoints"] == checkpoints
+        assert payload["clean"] is False
+        assert main([str(cache.directory), "--repair"]) == 0
+        assert "post-repair: clean" in capsys.readouterr().out
+        assert main([str(cache.directory)]) == 0

@@ -13,6 +13,7 @@ import os
 import pytest
 
 from repro.core.miners import Allocation
+from repro.obs import Tracer, metric_counters, using_tracer
 from repro.protocols import MultiLotteryPoS, ProofOfWork
 from repro.runtime import (
     ParallelRunner,
@@ -23,6 +24,7 @@ from repro.runtime import (
     spec_fingerprint,
 )
 from repro.runtime.executor import SerialExecutor
+from repro.runtime.integrity import QUARANTINE_DIR, digest_path, fsck
 
 
 def make_spec(trials=40, horizon=50, seed=7, protocol=None):
@@ -58,6 +60,23 @@ class BombExecutor(SerialExecutor):
 def assert_byte_equal(left, right):
     assert left.reward_fractions.tobytes() == right.reward_fractions.tobytes()
     assert left.checkpoints.tobytes() == right.checkpoints.tobytes()
+
+
+def interrupt(cache_dir, spec, failing, shards=4):
+    """A resumable run of ``spec`` whose tasks ``failing`` fail for good,
+    leaving a checkpoint for every other shard."""
+    runner = ParallelRunner(
+        executor=BombExecutor(failing), cache=cache_dir, resume=True
+    )
+    with pytest.raises(ShardExecutionError):
+        runner.run(spec, shards=shards)
+
+
+def flip_byte(path):
+    """Corrupt one byte mid-file without changing its length."""
+    data = bytearray(path.read_bytes())
+    data[len(data) // 2] ^= 0xFF
+    path.write_bytes(bytes(data))
 
 
 def checkpointed(cache_dir, key):
@@ -255,3 +274,203 @@ class TestResume:
         resumed.run(spec, shards=4)
         assert resumed.cache.hits == 1
         assert checkpointed(cache_dir, key) == set()
+
+    def test_duplicate_specs_resume_once(self, tmp_path):
+        spec = make_spec()
+        reference = ParallelRunner(workers=1).run(spec, shards=4)
+        cache_dir = tmp_path / "cache"
+        interrupt(cache_dir, spec, {2})
+
+        resumed = ParallelRunner(workers=1, cache=cache_dir, resume=True)
+        results = resumed.run_many([spec, spec], shards=4)
+        for result in results:
+            assert_byte_equal(result, reference)
+        assert resumed.shards_resumed == 3
+
+    def test_a_failure_keeps_the_specs_that_finished(self, tmp_path):
+        specs = [
+            make_spec(seed=7),
+            make_spec(seed=8, protocol=MultiLotteryPoS(0.01)),
+        ]
+        reference = [
+            ParallelRunner(workers=1).run(s, shards=4) for s in specs
+        ]
+        cache_dir = tmp_path / "cache"
+        interrupted = ParallelRunner(
+            executor=BombExecutor({5}),  # shard 1 of the second spec
+            cache=cache_dir,
+            resume=True,
+        )
+        with pytest.raises(ShardExecutionError):
+            interrupted.run_many(specs, shards=4)
+        finished, failed = (spec_fingerprint(s, shards=4) for s in specs)
+        # The first spec finalized before the failure: stored, and its
+        # checkpoints discarded.  The second keeps its three.
+        assert (cache_dir / f"{finished}.npz").exists()
+        assert checkpointed(cache_dir, finished) == set()
+        assert checkpointed(cache_dir, failed) == {0, 2, 3}
+
+        resumed = ParallelRunner(workers=1, cache=cache_dir, resume=True)
+        results = resumed.run_many(specs, shards=4)
+        for result, expected in zip(results, reference):
+            assert_byte_equal(result, expected)
+        assert resumed.cache.hits == 4  # the first spec + 3 checkpoints
+        assert resumed.shards_resumed == 3
+
+    def test_checkpoints_of_another_shard_plan_are_not_folded(self, tmp_path):
+        # The spec key covers the shard count, so a 2-shard rerun of a
+        # spec interrupted under a 4-shard plan starts from scratch.
+        spec = make_spec()
+        reference = ParallelRunner(workers=1).run(spec, shards=2)
+        cache_dir = tmp_path / "cache"
+        interrupt(cache_dir, spec, {2})
+
+        resumed = ParallelRunner(workers=1, cache=cache_dir, resume=True)
+        result = resumed.run(spec, shards=2)
+        assert_byte_equal(result, reference)
+        assert resumed.shards_resumed == 0
+        # They still belong to the 4-shard spec, whose resume folds them.
+        four = spec_fingerprint(spec, shards=4)
+        assert checkpointed(cache_dir, four) == {0, 1, 3}
+
+    def test_corrupt_checkpoint_is_quarantined_and_recomputed(self, tmp_path):
+        spec = make_spec()
+        reference = ParallelRunner(workers=1).run(spec, shards=4)
+        cache_dir = tmp_path / "cache"
+        interrupt(cache_dir, spec, {2})
+        key = spec_fingerprint(spec, shards=4)
+        victim = checkpoint_key(key, 0)
+        flip_byte(cache_dir / f"{victim}.npz")
+
+        resumed = ParallelRunner(workers=1, cache=cache_dir, resume=True)
+        result = resumed.run(spec, shards=4)
+        assert_byte_equal(result, reference)
+        assert resumed.shards_resumed == 2  # ordinals 1, 3 only
+        # Spec miss + the corrupt checkpoint's miss; ordinal 2 had none.
+        assert resumed.cache.misses == 2
+        assert (cache_dir / QUARANTINE_DIR / f"{victim}.npz").exists()
+        assert checkpointed(cache_dir, key) == set()
+
+    def test_checkpoint_without_its_digest_is_adopted(self, tmp_path):
+        # A lost sidecar costs re-adoption from content, not the shard.
+        spec = make_spec()
+        reference = ParallelRunner(workers=1).run(spec, shards=4)
+        cache_dir = tmp_path / "cache"
+        interrupt(cache_dir, spec, {2})
+        key = spec_fingerprint(spec, shards=4)
+        os.unlink(digest_path(cache_dir, checkpoint_key(key, 1)))
+
+        resumed = ParallelRunner(workers=1, cache=cache_dir, resume=True)
+        result = resumed.run(spec, shards=4)
+        assert_byte_equal(result, reference)
+        assert resumed.shards_resumed == 3
+
+    def test_resume_over_a_worker_pool(self, tmp_path):
+        spec = make_spec()
+        reference = ParallelRunner(workers=1).run(spec, shards=4)
+        cache_dir = tmp_path / "cache"
+        interrupt(cache_dir, spec, {1, 2})
+
+        resumed = ParallelRunner(workers=2, cache=cache_dir, resume=True)
+        result = resumed.run(spec, shards=4)
+        assert_byte_equal(result, reference)
+        assert resumed.shards_resumed == 2
+        key = spec_fingerprint(spec, shards=4)
+        assert checkpointed(cache_dir, key) == set()
+
+    def test_resumable_run_stores_what_a_plain_run_stores(self, tmp_path):
+        # Resume is an execution flag: an uninterrupted resumable run
+        # leaves the cache byte-for-byte as a plain run does.
+        spec = make_spec()
+
+        def contents(root):
+            return sorted(
+                (path.relative_to(root).as_posix(), path.read_bytes())
+                for path in root.rglob("*")
+                if path.is_file()
+            )
+
+        plain_dir = tmp_path / "plain"
+        ParallelRunner(workers=1, cache=plain_dir).run(spec, shards=4)
+        resumable_dir = tmp_path / "resumable"
+        ParallelRunner(workers=1, cache=resumable_dir, resume=True).run(
+            spec, shards=4
+        )
+        assert contents(resumable_dir) == contents(plain_dir)
+        key = spec_fingerprint(spec, shards=4)
+        assert [path.stem for path in plain_dir.glob("*.npz")] == [key]
+
+    def test_resumed_shards_are_traced(self, tmp_path):
+        spec = make_spec()
+        cache_dir = tmp_path / "cache"
+        interrupt(cache_dir, spec, {2})
+        key = spec_fingerprint(spec, shards=4)
+
+        tracer = Tracer()
+        with using_tracer(tracer):
+            ParallelRunner(workers=1, cache=cache_dir, resume=True).run(
+                spec, shards=4
+            )
+            # Nothing left to resume: the spec is a hit, and a fresh
+            # spec finds no checkpoint, so neither records an event.
+            ParallelRunner(workers=1, cache=cache_dir, resume=True).run_many(
+                [spec, make_spec(seed=9)], shards=4
+            )
+        events = [r for r in tracer.spans if r["name"] == "shards.resumed"]
+        assert [event["attrs"] for event in events] == [
+            {"key": key[:12], "shards": 3}
+        ]
+        assert metric_counters(tracer.spans)["runner.shards_resumed"] == 3
+
+    def test_old_journal_file_is_left_alone(self, tmp_path):
+        # Checkpoints are found by their keys; a journal an older
+        # release left beside the cache is neither read nor removed.
+        spec = make_spec()
+        reference = ParallelRunner(workers=1).run(spec, shards=4)
+        cache_dir = tmp_path / "cache"
+        interrupt(cache_dir, spec, {2})
+        journal = cache_dir / "journal.jsonl"
+        stale = '{"e": "spec", "spec": "' + "0" * 64 + '"}\n{"e": "sh'
+        journal.write_text(stale)
+
+        resumed = ParallelRunner(workers=1, cache=cache_dir, resume=True)
+        result = resumed.run(spec, shards=4)
+        assert_byte_equal(result, reference)
+        assert resumed.shards_resumed == 3
+        assert journal.read_text() == stale
+
+
+class TestResumeOff:
+    def test_a_plain_run_stores_no_checkpoints(self, tmp_path):
+        spec = make_spec()
+        cache_dir = tmp_path / "cache"
+        interrupted = ParallelRunner(
+            executor=BombExecutor({2}), cache=cache_dir
+        )
+        with pytest.raises(ShardExecutionError):
+            interrupted.run(spec, shards=4)
+        assert list(cache_dir.glob("*.npz")) == []
+
+    def test_a_plain_run_neither_folds_nor_discards_checkpoints(
+        self, tmp_path
+    ):
+        # Without resume every shard dispatches and the checkpoints an
+        # interrupted resumable run left stay behind — for a later
+        # resume of another plan, or for ``repro-fsck --repair``.
+        spec = make_spec()
+        reference = ParallelRunner(workers=1).run(spec, shards=4)
+        cache_dir = tmp_path / "cache"
+        interrupt(cache_dir, spec, {2})
+
+        plain = ParallelRunner(workers=1, cache=cache_dir)
+        result = plain.run(spec, shards=4)
+        assert_byte_equal(result, reference)
+        assert plain.shards_resumed == 0
+        assert plain.cache.hits == 0
+        key = spec_fingerprint(spec, shards=4)
+        assert checkpointed(cache_dir, key) == {0, 1, 3}
+        orphans = [checkpoint_key(key, ordinal) for ordinal in (0, 1, 3)]
+        assert fsck(cache_dir).orphaned_checkpoints == orphans
+        fsck(cache_dir, repair=True)
+        assert checkpointed(cache_dir, key) == set()
+        assert fsck(cache_dir).clean

@@ -26,6 +26,7 @@ from repro.runtime import (
     ParallelRunner,
     ShardExecutionError,
     SimulationSpec,
+    checkpoint_key,
     plan_shards,
     spec_fingerprint,
 )
@@ -238,6 +239,28 @@ class TestResumeUnderStats:
         result = resumed.run(spec, shards=4)
         assert_stats_byte_equal(result, reference)
         assert resumed.shards_resumed == 3
+
+    def test_corrupt_stats_checkpoint_recomputes(self, tmp_path):
+        spec = make_spec(trials=40, horizon=50)
+        reference = ParallelRunner(workers=1).run(spec, shards=4)
+        cache_dir = tmp_path / "cache"
+        interrupted = ParallelRunner(
+            executor=BombExecutor({2}), cache=cache_dir, resume=True
+        )
+        with pytest.raises(ShardExecutionError):
+            interrupted.run(spec, shards=4)
+        # Corrupt one stats checkpoint: it is quarantined on read and its
+        # shard dispatches with the one that never landed.
+        key = spec_fingerprint(spec, shards=4)
+        path = cache_dir / f"{checkpoint_key(key, 1)}.npz"
+        data = bytearray(path.read_bytes())
+        data[len(data) // 2] ^= 0xFF
+        path.write_bytes(bytes(data))
+
+        resumed = ParallelRunner(workers=1, cache=cache_dir, resume=True)
+        result = resumed.run(spec, shards=4)
+        assert_stats_byte_equal(result, reference)
+        assert resumed.shards_resumed == 2
 
     def test_fully_checkpointed_spec_merges_from_stats_checkpoints(
         self, tmp_path

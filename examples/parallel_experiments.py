@@ -75,15 +75,18 @@ Demonstrates the ways to use the runtime layer:
     checkpoints included,
 
 12. sufficient-statistics ensembles (``reduce="stats"``, what the
-    CLI's fig3 and fig5 run): shards fold straight into mergeable
-    moments and exact event counters instead of the ``(trials,
-    checkpoints, miners)`` trajectory cube, so population-scale trial
-    counts run in memory bounded by one shard — and the figure-facing
-    numbers (unfair-probability series at the recorded epsilon,
-    win/monopolisation counters) are bit-identical to full mode at the
-    same shard plan.  Anything else raises.  ``reduce`` is a *physics*
-    knob: unlike ``kernel``/``fast``/``workers`` it enters cache
-    fingerprints, so the two artifact shapes never share an entry.
+    CLI's fig3, fig5, tab1 and sec64 run): shards fold straight into
+    mergeable moments and exact event counters instead of the
+    ``(trials, checkpoints, miners)`` trajectory cube, so
+    population-scale trial counts run in memory bounded by one shard
+    — and the counter-facing numbers (unfair-probability series and
+    convergence times at the recorded epsilon, win/monopolisation
+    counters) are bit-identical to full mode at the same shard plan.
+    The moments the tables print (mean final fraction, equitability)
+    match full mode to float tolerance.  Anything else raises.
+    ``reduce`` is a *physics* knob: unlike ``kernel``/``fast``/
+    ``workers`` it enters cache fingerprints, so the two artifact
+    shapes never share an entry.
 
 How the knobs compose: the kernel attacks per-round *depth*, workers
 attack ensemble *breadth*.  Start with ``workers=1`` + the default
@@ -256,7 +259,8 @@ def main() -> None:
     #    one of its spec waits, at most the executor's window of them),
     #    so peak memory stays near one merged ensemble no matter how
     #    many shards the run splits into.  This is what every
-    #    `repro-experiments fig3 --workers 4` run does.
+    #    full-mode grid (fig2, fig4, fig6) does under
+    #    `repro-experiments --workers 4`.
     import tracemalloc
 
     big = SimulationSpec(
@@ -410,14 +414,18 @@ def main() -> None:
     #     each folds into count/mean/M2 moments and exact
     #     unfair/win/monopolisation counters, so the parent's peak
     #     memory is bounded by one shard no matter the trial count.
-    #     The figure queries come back exact: at the recorded epsilon
-    #     the unfair series is bit-identical to full mode at the same
-    #     shard plan.  This is what `repro-experiments fig3` does,
-    #     since fig3 plots only those counters.  Asking a stats
-    #     artifact for raw trajectories, percentile bands or another
-    #     epsilon raises with a hint to rerun under reduce='full' — no
-    #     silent approximation.
+    #     The counter queries come back exact: at the recorded
+    #     epsilon the unfair series is bit-identical to full mode at
+    #     the same shard plan.  The mean and equitability come from
+    #     merged moments, so they match full mode to float tolerance.
+    #     This is what `repro-experiments fig3` (and fig5, tab1 and
+    #     sec64) does, since those print only counters and moments.
+    #     Asking a stats artifact for raw trajectories, percentile
+    #     bands or another epsilon raises with a hint to rerun under
+    #     reduce='full' — no silent approximation.
     import dataclasses
+
+    from repro.analysis.equitability import equitability
 
     full_big = ParallelRunner(workers=1).run(big, shards=32)
     stats_spec = dataclasses.replace(big, reduce="stats")
@@ -429,6 +437,12 @@ def main() -> None:
         full_big.unfair_probabilities(epsilon=0.1),
         stats_big.unfair_probabilities(epsilon=0.1),
     )
+    moment_gap = max(
+        abs(full_big.final_fractions().mean()
+            - stats_big.final_fractions().mean()),
+        abs(equitability(full_big.final_fractions(), 0.2)
+            - equitability(stats_big.final_fractions(), 0.2)),
+    )
     try:
         stats_big.fractions_of(0)
         refused = False
@@ -437,7 +451,9 @@ def main() -> None:
     print(f"reduce='stats' on the 100k-trial ensemble: peak "
           f"{stats_peak / 1e6:.0f} MB (vs {stream_peak / 1e6:.0f} MB "
           f"streaming full mode), unfair series bit-identical = "
-          f"{series_identical}, trajectory access refused = {refused}")
+          f"{series_identical}, mean and equitability within "
+          f"{moment_gap:.1e} of full mode, trajectory access refused = "
+          f"{refused}")
 
 
 if __name__ == "__main__":

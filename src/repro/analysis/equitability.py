@@ -25,6 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .._validation import ensure_fraction
+from ..core.stats import MomentView
 
 __all__ = ["equitability", "equitability_series"]
 
@@ -35,7 +36,12 @@ def equitability(fractions, share: float) -> float:
     Parameters
     ----------
     fractions:
-        Samples of ``lambda_A`` in [0, 1].
+        Samples of ``lambda_A`` in [0, 1], or the
+        :class:`~repro.core.stats.MomentView` that a stats-reduced
+        result's ``final_fractions()`` returns.  A view's variance is
+        its merged second moment over the sample count (``ddof=0``, as
+        ``np.var``), so it matches the samples' value to float
+        tolerance; its values were range-checked when they were folded.
     share:
         The miner's initial resource share ``a``.
 
@@ -44,11 +50,14 @@ def equitability(fractions, share: float) -> float:
     float in [0, 1]; 1 = deterministic proportional, 0 = all-or-nothing.
     """
     share = ensure_fraction("share", share)
-    values = np.asarray(fractions, dtype=float).ravel()
-    if values.size < 2:
+    if isinstance(fractions, MomentView):
+        values = fractions
+    else:
+        values = np.asarray(fractions, dtype=float).ravel()
+        if np.any(values < -1e-12) or np.any(values > 1.0 + 1e-12):
+            raise ValueError("reward fractions must lie in [0, 1]")
+    if len(values) < 2:
         raise ValueError("need at least two samples to measure dispersion")
-    if np.any(values < -1e-12) or np.any(values > 1.0 + 1e-12):
-        raise ValueError("reward fractions must lie in [0, 1]")
     worst_case = share * (1.0 - share)
     ratio = float(values.var()) / worst_case
     return float(np.clip(1.0 - ratio, 0.0, 1.0))

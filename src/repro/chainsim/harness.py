@@ -8,8 +8,9 @@ The repeats aggregate into the same :class:`~repro.core.EnsembleResult`
 the Monte Carlo engine produces, so the green "system" bars and the
 blue "simulation" bands of Figures 2-6 come from one analysis path.
 
-The substitution (node-level simulator for Geth/Qtum/NXT binaries) is
-documented in DESIGN.md section 2.
+The node-level simulator stands in for the Geth/Qtum/NXT binaries;
+:mod:`repro.chainsim.hash_oracle` states why its hash half preserves
+the paper's analysis.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ fully reproducible from its seed, unlike a wall-clock mining race.
 This substitutes the real mining hashes (Ethash in Geth, SHA-256d in
 Qtum, Curve25519-based in NXT); the substitution is behaviour
 preserving because the paper's analysis uses only the uniformity of
-the hash output (see DESIGN.md section 2).
+the hash output.
 """
 
 from __future__ import annotations

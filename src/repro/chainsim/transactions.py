@@ -23,7 +23,8 @@ class Transaction:
     ----------
     sender / recipient:
         Account addresses (opaque strings; "signatures" are assumed
-        valid — cryptography is out of scope, see DESIGN.md).
+        valid — cryptography is out of scope, since no fairness
+        measure reads a signature).
     amount:
         Value transferred (positive).
     fee:

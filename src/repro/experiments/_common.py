@@ -55,13 +55,18 @@ def build_protocol(
 
 
 def counter_reduce(epsilon: float) -> str:
-    """The ``reduce`` mode of a grid whose figure plots only unfair counts.
+    """The ``reduce`` mode of a grid that reads only counters and moments.
 
-    A ``"stats"`` artifact counts unfair trials exactly at the recorded
-    epsilon (``DEFAULT_EPSILON``) and refuses every other epsilon
-    (:mod:`repro.core.stats`), so such a grid folds to ``"stats"`` only
-    at that epsilon and keeps the ``"full"`` cube otherwise.  Either
-    way its numbers are exact, never approximate.
+    Figures 3 and 5 plot unfair counts; Table 1 and the Section 6.4
+    survey also print a mean final fraction, and Section 6.4 an
+    equitability, which is one variance.  A ``"stats"`` artifact counts
+    unfair trials exactly at the recorded epsilon (``DEFAULT_EPSILON``)
+    and refuses every other epsilon (:mod:`repro.core.stats`), so such
+    a grid folds to ``"stats"`` only at that epsilon and keeps the
+    ``"full"`` cube otherwise.  Either way its counters, convergence
+    times and verdict flags are exact, never approximate; its moments
+    come from Chan-merged shard moments, so they match full mode to
+    float tolerance.
     """
     return "stats" if epsilon == DEFAULT_EPSILON else "full"
 

@@ -1,9 +1,10 @@
 """Registry mapping experiment ids to their runners.
 
 Each entry couples the paper artefact (figure/table number), a short
-description of the expected shape, and the ``run`` callable.  The
-benchmarks and the CLI both resolve experiments through this table, so
-DESIGN.md's per-experiment index has a single executable counterpart.
+description of the expected shape, and the ``run`` callable.  The CLI
+and perfbench's traced pass resolve experiments through this table, so
+it is the one per-experiment index; each experiment module's docstring
+states the shape the paper reports.
 """
 
 from __future__ import annotations

@@ -2,8 +2,9 @@
 
 The repository regenerates every figure as a numeric series rendered
 as an aligned text table (no plotting dependency is guaranteed
-offline; EXPERIMENTS.md records these tables).  This module holds the
-small formatting toolkit the experiment modules share.
+offline; the CLI prints these tables, and ``--json DIR`` writes the
+same series as JSON).  This module holds the small formatting toolkit
+the experiment modules share.
 """
 
 from __future__ import annotations

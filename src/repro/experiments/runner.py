@@ -104,8 +104,10 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help="content-addressed result cache; reruns of an identical "
         "spec load instead of simulating.  Each experiment decides "
-        "what it stores: a figure that plots only unfair-trial counts "
-        "(fig3, fig5) keeps those, the others whole trajectories",
+        "what it stores: a grid that prints only unfair-trial counts "
+        "and moments (fig3, fig5, tab1, sec64) keeps those (counts "
+        "exact, moments equal to full mode's to float tolerance), "
+        "the others whole trajectories",
     )
     parser.add_argument(
         "--cache-budget",

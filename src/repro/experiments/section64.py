@@ -12,6 +12,14 @@ main protocols.  Expected verdicts (Section 6.4):
   (ML-PoS/FSL-PoS profile);
 * Filecoin — expectational yes; robustness between PoW and ML-PoS
   depending on the storage weight.
+
+The grid folds to sufficient statistics (``counter_reduce``): each
+protocol keeps moments and exact unfair counts at ``epsilon``, never
+its trajectory cube.  The unfair probability and both verdict flags
+are bit-identical to a full-mode run; the mean fraction and the
+equitability (one variance, M2 / n) come from merged moments and
+equal full mode's to float tolerance.  Any other ``epsilon`` runs
+full mode.
 """
 
 from __future__ import annotations
@@ -22,7 +30,6 @@ from typing import Dict, List
 from ..analysis.equitability import equitability
 from ..core.fairness import DEFAULT_DELTA, DEFAULT_EPSILON
 from ..core.miners import Allocation
-from ..protocols.base import IncentiveProtocol
 from ..protocols.extended import (
     AlgorandPoS,
     EOSDelegatedPoS,
@@ -32,7 +39,7 @@ from ..protocols.extended import (
     WavePoS,
 )
 from ..sim.rng import RandomSource
-from ._common import GridCell, run_simulation_grid
+from ._common import GridCell, counter_reduce, run_simulation_grid
 from .config import DEFAULT, Preset
 from .report import render_table
 
@@ -151,7 +158,9 @@ def run(config: Section64Config = Section64Config()) -> Section64Result:
         GridCell(protocol, allocation, horizon, preset.trials)
         for protocol, _, _ in zoo
     ]
-    results = run_simulation_grid(cells, source)
+    results = run_simulation_grid(
+        cells, source, reduce=counter_reduce(config.epsilon)
+    )
 
     rows: List[Section64Row] = []
     for (protocol, paper_expectational, robust_profile), result in zip(

@@ -4,12 +4,12 @@
 perf story cares about: per-task wall time, queue wait (submit →
 worker start) and merge lag (worker complete → handed to its specs'
 folds) percentiles, cache hit/miss/eviction traffic, and the
-kernel-vs-naive time split.  :func:`render_summary` prints it as an
-aligned table; ``repro-trace summarize PATH`` does both from a trace
-file, and ``--check`` validates the JSONL schema (the CI trace-smoke
-step runs exactly that).  :func:`metric_counters` reads the same
-records as the ``--metrics`` counter table, which
-:func:`render_metrics` prints.
+kernel-vs-naive time split, also per protocol and miner count.
+:func:`render_summary` prints it as an aligned table; ``repro-trace
+summarize PATH`` does both from a trace file, and ``--check`` validates
+the JSONL schema (the CI trace-smoke step runs exactly that).
+:func:`metric_counters` reads the same records as the ``--metrics``
+counter table, which :func:`render_metrics` prints.
 
 Task phases are joined on the ``task`` attribute: the runner stamps
 ``shard.submit`` / ``shard.complete`` / ``shard.merge`` events and the
@@ -80,8 +80,10 @@ def summarize_spans(spans: Sequence[dict]) -> dict:
     spans): ``runs`` (root dispatch spans), ``tasks`` (wall/queue
     wait/merge lag stats of the executor's tasks, each of which may
     run several shards), ``cache`` (hit/miss/eviction/put counts and
-    bytes), ``kernel`` (batched vs naive time split) and ``chainsim``
-    (fast vs naive network time split).
+    bytes), ``kernel`` (batched vs naive time split), ``kernel_miners``
+    (kernel time per protocol and miner count, from the spans that
+    carry ``miners``) and ``chainsim`` (fast vs naive network time
+    split).
     """
     by_name: Dict[str, List[dict]] = {}
     for span in spans:
@@ -174,15 +176,33 @@ def summarize_spans(spans: Sequence[dict]) -> dict:
     kernel_spans = by_name.get("kernel.advance", ())
     if kernel_spans:
         split: Dict[str, dict] = {}
+        # The same time per (protocol, miner count), e.g. one row per
+        # Table 1 cell; miner counts are string keys, as in --json.
+        by_miners: Dict[str, Dict[str, dict]] = {}
         for span in kernel_spans:
-            mode = span["attrs"].get("mode", "unknown")
+            attrs = span["attrs"]
             entry = split.setdefault(
-                mode, {"calls": 0, "rounds": 0, "seconds": 0.0}
+                attrs.get("mode", "unknown"),
+                {"calls": 0, "rounds": 0, "seconds": 0.0},
             )
             entry["calls"] += 1
-            entry["rounds"] += span["attrs"].get("rounds", 0)
+            entry["rounds"] += attrs.get("rounds", 0)
             entry["seconds"] += span["dur"]
+            if "miners" in attrs:
+                cell = by_miners.setdefault(
+                    attrs.get("protocol", "unknown"), {}
+                ).setdefault(
+                    str(attrs["miners"]),
+                    {"calls": 0, "trial_rounds": 0, "seconds": 0.0},
+                )
+                cell["calls"] += 1
+                cell["trial_rounds"] += (
+                    attrs.get("rounds", 0) * attrs.get("trials", 0)
+                )
+                cell["seconds"] += span["dur"]
         summary["kernel"] = split
+        if by_miners:
+            summary["kernel_miners"] = by_miners
 
     # -- chainsim split ---------------------------------------------------
     chain_spans = by_name.get("chainsim.run", ())
@@ -376,6 +396,27 @@ def render_summary(summary: dict) -> str:
                     _seconds(entry["seconds"]),
                 ))
             lines.append(_rows_to_table(rows))
+
+    by_miners = summary.get("kernel_miners")
+    if by_miners:
+        lines.append("kernel by miners")
+        rows = [("protocol", "miners", "calls", "time", "ns/trial-round")]
+        for protocol in sorted(by_miners):
+            for miners in sorted(by_miners[protocol], key=int):
+                entry = by_miners[protocol][miners]
+                per_round = (
+                    f"{entry['seconds'] * 1e9 / entry['trial_rounds']:.0f}"
+                    if entry["trial_rounds"]
+                    else "-"
+                )
+                rows.append((
+                    protocol,
+                    miners,
+                    str(entry["calls"]),
+                    _seconds(entry["seconds"]),
+                    per_round,
+                ))
+        lines.append(_rows_to_table(rows))
 
     return "\n".join(lines)
 

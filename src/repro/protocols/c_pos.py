@@ -156,8 +156,11 @@ class BlockGranularCompoundPoS(IncentiveProtocol):
     visible: within the first epoch only the proposer lottery has paid
     out, so ``lambda`` is a pure binomial fraction (high unfair
     probability); once the first epoch's inflation lands the
-    uncertainty collapses.  Reconciles the EXPERIMENTS.md deviation on
-    the Table 1 convergence column.
+    uncertainty collapses.  It does not reproduce that column: at
+    Table 1's settings (A at 0.2 against one miner, w = 0.01, v = 0.1,
+    32 shards, 2,000 trials, 10,000 blocks) it converges at 35 blocks,
+    not about 110, with an unfair probability of 0.706 at block 10 and
+    0.000 at the end.
 
     Rounds issue unequal rewards (``w/P`` per block plus ``v`` at each
     epoch boundary), so :meth:`total_issued` is overridden.

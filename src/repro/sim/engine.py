@@ -289,6 +289,7 @@ class MonteCarloEngine:
                 "kernel.advance",
                 mode="naive",
                 protocol=self.protocol.name,
+                miners=state.miners,
                 rounds=rounds,
                 trials=self.trials,
             ):

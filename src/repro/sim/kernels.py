@@ -320,6 +320,7 @@ def batched_advance(
                 "kernel.advance",
                 mode="naive",
                 protocol=protocol.name,
+                miners=state.miners,
                 rounds=rounds,
                 trials=state.trials,
             ):
@@ -334,6 +335,7 @@ def batched_advance(
             "kernel.advance",
             mode="batched",
             protocol=protocol.name,
+            miners=state.miners,
             rounds=rounds,
             trials=state.trials,
         ):

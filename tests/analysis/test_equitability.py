@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.analysis.equitability import equitability, equitability_series
+from repro.core.miners import Allocation
+from repro.core.stats import MomentView, StatsCollector, StatsSummary
 
 
 class TestEquitability:
@@ -35,6 +37,32 @@ class TestEquitability:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             equitability([0.2, 1.5], 0.2)
+
+    def test_moment_view_matches_samples(self):
+        # A stats-reduced result hands equitability the merged moments
+        # of its shards instead of the samples; the variance is M2 / n.
+        rng = np.random.default_rng(3)
+        samples = rng.beta(2, 8, size=5000)
+        allocation = Allocation.two_miners(0.2)
+        parts = []
+        for part in np.split(samples, [1800, 3100]):
+            collector = StatsCollector("test", allocation, [1])
+            collector.observe(0, np.column_stack([part, 1.0 - part]))
+            parts.append(collector.build())
+        view = StatsSummary.merge(parts).final_fractions()
+        assert isinstance(view, MomentView)
+        assert equitability(view, 0.2) == pytest.approx(
+            equitability(samples, 0.2), rel=1e-12, abs=0
+        )
+
+    def test_moment_view_without_dispersion_is_one(self):
+        view = MomentView(count=100, mean=0.2, m2=0.0)
+        assert equitability(view, 0.2) == 1.0
+
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_moment_view_needs_two_samples(self, count):
+        with pytest.raises(ValueError, match="two samples"):
+            equitability(MomentView(count=count, mean=0.2, m2=0.0), 0.2)
 
     def test_series(self):
         fractions = np.column_stack(

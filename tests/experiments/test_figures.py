@@ -5,11 +5,13 @@ these are the cheapest full reproductions that still discriminate the
 protocols.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from repro.core.stats import StatsSummary
 from repro.experiments import (
     _common,
     figure1,
@@ -18,6 +20,8 @@ from repro.experiments import (
     figure4,
     figure5,
     figure6,
+    section64,
+    table1,
 )
 from repro.experiments.config import CI
 from repro.experiments.registry import EXPERIMENTS
@@ -200,21 +204,55 @@ class TestFigure6:
 
 
 class RecordingRunner(ParallelRunner):
-    """A serial runner that remembers every spec it was handed."""
+    """A serial runner that remembers every spec and result it handled."""
 
     def __init__(self):
         super().__init__()
         self.specs = []
+        self.results = []
 
     def run_many(self, specs, **kwargs):
         specs = list(specs)
         self.specs.extend(specs)
-        return super().run_many(specs, **kwargs)
+        results = super().run_many(specs, **kwargs)
+        self.results.extend(results)
+        return results
 
     def run_system_many(self, specs, **kwargs):
         specs = list(specs)
         self.specs.extend(specs)
-        return super().run_system_many(specs, **kwargs)
+        results = super().run_system_many(specs, **kwargs)
+        self.results.extend(results)
+        return results
+
+
+@pytest.fixture(scope="module")
+def recorded():
+    """Every experiment run once at CI scale under its own RecordingRunner."""
+    runners = {}
+    for key, experiment in EXPERIMENTS.items():
+        runners[key] = RecordingRunner()
+        with using_runtime(runners[key]):
+            experiment.run_with_preset(CI)
+    return runners
+
+
+def declared_and_forced_full(monkeypatch, module, config):
+    """``module.run(config).to_dict()`` as declared and forced to full
+    mode, with the ``reduce`` modes the declared run passed."""
+    modes = []
+
+    def recording(cells, source, *, reduce="full"):
+        modes.append(reduce)
+        return _common.run_simulation_grid(cells, source, reduce=reduce)
+
+    def forced_full(cells, source, **kwargs):
+        return _common.run_simulation_grid(cells, source, reduce="full")
+
+    monkeypatch.setattr(module, "run_simulation_grid", recording)
+    declared = module.run(config).to_dict()
+    monkeypatch.setattr(module, "run_simulation_grid", forced_full)
+    return declared, module.run(config).to_dict(), modes
 
 
 class TestReduceDeclarations:
@@ -232,22 +270,52 @@ class TestReduceDeclarations:
         self, monkeypatch, module, config_type, epsilon, declared
     ):
         config = config_type(preset=CI, seed=7, epsilon=epsilon)
-        modes = []
-
-        def recording(cells, source, *, reduce="full"):
-            modes.append(reduce)
-            return _common.run_simulation_grid(cells, source, reduce=reduce)
-
-        def forced_full(cells, source, **kwargs):
-            return _common.run_simulation_grid(cells, source, reduce="full")
-
-        monkeypatch.setattr(module, "run_simulation_grid", recording)
-        declared_dict = module.run(config).to_dict()
-        monkeypatch.setattr(module, "run_simulation_grid", forced_full)
-        assert module.run(config).to_dict() == declared_dict
+        folded, full, modes = declared_and_forced_full(
+            monkeypatch, module, config
+        )
+        assert full == folded
         assert modes == [declared]
 
-    def test_each_experiment_declares_its_reduce(self):
+    @pytest.mark.parametrize("epsilon, declared", [(0.1, "stats"), (0.05, "full")])
+    @pytest.mark.parametrize(
+        "module, config, moments",
+        [
+            pytest.param(
+                table1,
+                table1.Table1Config(preset=CI, seed=7, miner_counts=(2, 3, 10)),
+                {"avg"},
+                id="tab1",
+            ),
+            pytest.param(
+                section64,
+                section64.Section64Config(preset=CI, seed=7),
+                {"mean", "equitability"},
+                id="sec64",
+            ),
+        ],
+    )
+    def test_declared_table_matches_forced_full(
+        self, monkeypatch, module, config, moments, epsilon, declared
+    ):
+        # The tables also print moments, which a stats fold merges with
+        # Chan's update: those match full mode to float tolerance, while
+        # every counter and verdict flag stays bit-identical.
+        folded, full, modes = declared_and_forced_full(
+            monkeypatch, module, dataclasses.replace(config, epsilon=epsilon)
+        )
+        assert modes == [declared]
+        assert folded.keys() == full.keys()
+        for cell, row in full.items():
+            assert folded[cell].keys() == row.keys()
+            for field, value in row.items():
+                if field in moments:
+                    assert folded[cell][field] == pytest.approx(
+                        value, rel=1e-12, abs=0
+                    ), (cell, field)
+                else:
+                    assert folded[cell][field] == value, (cell, field)
+
+    def test_each_experiment_declares_its_reduce(self, recorded):
         expected = {
             "fig1": set(),  # no ensemble
             "fig2": {"full"},
@@ -255,14 +323,18 @@ class TestReduceDeclarations:
             "fig4": {"full"},
             "fig5": {"stats"},
             "fig6": {"full"},
-            "tab1": {"full"},
-            "sec64": {"full"},
+            "tab1": {"stats"},
+            "sec64": {"stats"},
         }
         assert set(EXPERIMENTS) == set(expected)
-        declared = {}
-        for key, experiment in EXPERIMENTS.items():
-            runner = RecordingRunner()
-            with using_runtime(runner):
-                experiment.run_with_preset(CI)
-            declared[key] = {spec.reduce for spec in runner.specs}
+        declared = {
+            key: {spec.reduce for spec in runner.specs}
+            for key, runner in recorded.items()
+        }
         assert declared == expected
+
+    @pytest.mark.parametrize("key", ["tab1", "sec64"])
+    def test_tables_never_hold_a_trajectory_cube(self, recorded, key):
+        results = recorded[key].results
+        assert results
+        assert all(isinstance(result, StatsSummary) for result in results)

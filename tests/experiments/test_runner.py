@@ -289,7 +289,7 @@ class TestCacheStatsCLI:
 class TestFlagIndependence:
     """Execution flags change how a figure runs, never its numbers."""
 
-    @pytest.mark.parametrize("experiment", ["fig2", "fig3"])
+    @pytest.mark.parametrize("experiment", ["fig2", "fig3", "sec64"])
     def test_json_is_byte_identical_across_flags(
         self, experiment, tmp_path, capsys
     ):

@@ -174,8 +174,8 @@ class TestSection62And63Remedies:
     def test_withholding_improves_robustness(self, allocation):
         # Figure 6(b): vesting collapses the envelope.  Our measured
         # unfair probability drops from ~0.45 to ~0.16 at the paper's
-        # parameters (the paper's plot suggests slightly tighter; see
-        # EXPERIMENTS.md for the recorded gap).
+        # parameters (the paper's plot suggests slightly tighter; the
+        # bounds below leave room for that gap).
         plain = MiningGame(FairSingleLotteryPoS(0.01), allocation).play(
             horizon=5000, trials=1500, seed=13
         )

@@ -139,6 +139,9 @@ class TestTracedGridCoverage:
         assert all(
             s["attrs"]["mode"] == "batched" for s in by_name["kernel.advance"]
         )
+        assert {
+            s["attrs"]["miners"] for s in by_name["kernel.advance"]
+        } == {spec.allocation.size for spec in specs}
 
     def test_naive_kernel_spans_report_naive_mode(self):
         spec = SimulationSpec(
@@ -157,6 +160,7 @@ class TestTracedGridCoverage:
         ]
         assert kernel_spans
         assert all(s["attrs"]["mode"] == "naive" for s in kernel_spans)
+        assert all(s["attrs"]["miners"] == 2 for s in kernel_spans)
 
     def test_system_grid_records_chainsim_spans(self, two_miners):
         spec = SystemSpec(

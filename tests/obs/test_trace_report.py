@@ -159,6 +159,37 @@ class TestSummarizeSpans:
         assert kernel["batched"]["seconds"] == pytest.approx(1.5)
         assert kernel["naive"]["seconds"] == pytest.approx(2.0)
 
+    def test_kernel_split_by_protocol_and_miners(self):
+        spans = [
+            _span("kernel.advance", dur=1.0, mode="batched", protocol="C-PoS",
+                  miners=3, rounds=100, trials=10),
+            _span("kernel.advance", dur=0.5, mode="batched", protocol="C-PoS",
+                  miners=3, rounds=50, trials=20),
+            _span("kernel.advance", dur=2.0, mode="naive", protocol="C-PoS",
+                  miners=10, rounds=100, trials=10),
+            _span("kernel.advance", dur=0.25, mode="batched", protocol="PoW",
+                  miners=3, rounds=10, trials=10),
+            # A span from a trace that predates the attribute.
+            _span("kernel.advance", dur=4.0, mode="batched", protocol="PoW",
+                  rounds=10, trials=10),
+        ]
+        summary = summarize_spans(spans)
+        assert summary["kernel"]["batched"]["calls"] == 4
+        by_miners = summary["kernel_miners"]
+        assert set(by_miners) == {"C-PoS", "PoW"}
+        assert set(by_miners["C-PoS"]) == {"3", "10"}
+        assert by_miners["C-PoS"]["3"]["calls"] == 2
+        assert by_miners["C-PoS"]["3"]["trial_rounds"] == 2000
+        assert by_miners["C-PoS"]["3"]["seconds"] == pytest.approx(1.5)
+        assert by_miners["C-PoS"]["10"]["seconds"] == pytest.approx(2.0)
+        assert by_miners["PoW"] == {
+            "3": {"calls": 1, "trial_rounds": 100, "seconds": 0.25}
+        }
+
+    def test_kernel_split_by_miners_needs_the_attribute(self):
+        spans = [_span("kernel.advance", dur=1.0, mode="batched", rounds=1)]
+        assert "kernel_miners" not in summarize_spans(spans)
+
     def test_chainsim_split_by_fast_flag(self):
         spans = [
             _span("chainsim.run", dur=1.0, fast=True, rounds=500),
@@ -281,6 +312,21 @@ class TestRendering:
                       "cache", "kernel", "batched"):
             assert token in text
 
+    def test_render_summary_orders_miner_counts_numerically(self):
+        spans = [
+            _span("kernel.advance", dur=1.0, mode="batched", protocol="C-PoS",
+                  miners=miners, rounds=1000, trials=1000)
+            for miners in (10, 2, 3)
+        ]
+        lines = render_summary(summarize_spans(spans)).splitlines()
+        start = lines.index("kernel by miners")
+        assert lines[start + 1].split() == [
+            "protocol", "miners", "calls", "time", "ns/trial-round"
+        ]
+        rows = [line.split() for line in lines[start + 2:]]
+        assert [row[1] for row in rows] == ["2", "3", "10"]
+        assert all(row[-1] == "1000" for row in rows)
+
     def test_render_summary_shows_the_retry_tally(self):
         spans = _shard_phase_spans() + [
             _span("shard.retry", task=0, attempt=1),
@@ -343,6 +389,21 @@ class TestCLI:
         assert main(["summarize", str(path), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["spans"] == 2
+
+    def test_summarize_json_splits_kernel_time_by_miners(
+        self, tmp_path, capsys
+    ):
+        tracer = Tracer()
+        with tracer.span("kernel.advance", mode="batched", protocol="C-PoS",
+                         miners=4, rounds=10, trials=100):
+            pass
+        path = tracer.write(tmp_path / "trace.jsonl")
+        assert main(["summarize", str(path), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        entry = payload["kernel_miners"]["C-PoS"]["4"]
+        assert (entry["calls"], entry["trial_rounds"]) == (1, 1000)
+        assert main(["summarize", str(path)]) == 0
+        assert "kernel by miners" in capsys.readouterr().out
 
     def test_requires_a_command(self):
         with pytest.raises(SystemExit):

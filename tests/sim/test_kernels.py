@@ -694,11 +694,11 @@ class TestRegistry:
         with using_tracer(tracer):
             batched_advance(protocol, state, 3, np.random.default_rng(0))
         modes = [
-            span["attrs"]["mode"]
+            (span["attrs"]["mode"], span["attrs"]["miners"])
             for span in tracer.spans
             if span["name"] == "kernel.advance"
         ]
-        assert modes == ["naive"]
+        assert modes == [("naive", 2)]
 
     def test_exact_type_lookup_ignores_subclasses(self):
         # A subclass may override step(); the fused parent recurrence
